@@ -1,298 +1,85 @@
-"""Bit-packed F2 linear algebra kernels.
+"""F2 linear algebra on Python-int bitsets.
 
-Vectors over F2 are packed little-endian into numpy ``uint64`` words: bit
-``i`` of word ``w`` holds coordinate ``64*w + i``.  All hot loops (symplectic
-pairings, Gaussian elimination) exist twice: a numba ``@njit`` version and a
-pure-numpy fallback.  The numba path is used when numba imports successfully;
-setting ``TORIC3D_PURE_NUMPY=1`` in the environment forces the numpy path.
-Both implementations stay importable (``np_*`` / ``nb_*``) so they can be
-cross-checked and benchmarked against each other.
+An F2 vector is a non-negative ``int`` with bit ``i`` set for coordinate
+``i``; addition is ``^`` and weight is ``int.bit_count``.  A matrix is a list
+of row vectors.  Rank, nullspace and solve all come from one elimination.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-WORD_BITS = 64
-
-_FORCE_NUMPY = os.environ.get("TORIC3D_PURE_NUMPY", "").strip() not in ("", "0")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
+from typing import Iterable
 
 
-def n_words(n_bits: int) -> int:
-    """Number of uint64 words needed for ``n_bits`` coordinates (at least 1)."""
-    return max(1, (int(n_bits) + WORD_BITS - 1) // WORD_BITS)
-
-
-def zero_vector(n_bits: int) -> np.ndarray:
-    return np.zeros(n_words(n_bits), dtype=np.uint64)
-
-
-def pack_bits(bits) -> np.ndarray:
-    """Pack a 1d or 2d 0/1 array into uint64 words (rows packed independently)."""
-    arr = np.asarray(bits, dtype=np.uint64)
-    squeeze = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    rows, n = arr.shape
-    w = n_words(n)
-    padded = np.zeros((rows, w * WORD_BITS), dtype=np.uint64)
-    padded[:, :n] = arr
-    weights = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
-    packed = (padded.reshape(rows, w, WORD_BITS) * weights).sum(axis=2, dtype=np.uint64)
-    return packed[0] if squeeze else packed
-
-
-def unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits` for a single packed vector."""
-    words = np.asarray(words, dtype=np.uint64)
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    bits = (words[:, None] >> shifts) & np.uint64(1)
-    return bits.reshape(-1)[:n_bits].astype(np.uint8)
-
-
-def set_bit(words: np.ndarray, i: int) -> None:
-    words[i // WORD_BITS] ^= np.uint64(1) << np.uint64(i % WORD_BITS)
-
-
-def get_bit(words: np.ndarray, i: int) -> int:
-    return int((words[i // WORD_BITS] >> np.uint64(i % WORD_BITS)) & np.uint64(1))
-
-
-def bits_from_indices(indices, n_bits: int) -> np.ndarray:
-    """Packed vector with the given coordinate indices set (mod 2)."""
-    v = zero_vector(n_bits)
+def vector(indices: Iterable[int]) -> int:
+    """Vector with the given coordinates set (mod 2: repeats cancel)."""
+    v = 0
     for i in indices:
-        set_bit(v, i)
+        v ^= 1 << i
     return v
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def support(v: int) -> set[int]:
+    """Coordinates set in ``v``."""
+    return {i for i, c in enumerate(reversed(bin(v)[2:])) if c == "1"}
 
 
-def np_popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
+def eliminate(rows: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gaussian elimination with a leading-bit pivot dict.
 
-
-def np_parity_and(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.bitwise_count(a & b).sum()) & 1
-
-
-def np_symplectic_parity(x1, z1, x2, z2) -> int:
-    """Commutation parity of two Pauli supports: 1 means they anticommute."""
-    return (np_popcount(x1 & z2) + np_popcount(z1 & x2)) & 1
-
-
-def np_anticommute_batch(xs: np.ndarray, zs: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Anticommutation bit of each row operator (xs, zs) against a single (x, z)."""
-    acc = np.bitwise_count(xs & z[None, :]).sum(axis=1)
-    acc += np.bitwise_count(zs & x[None, :]).sum(axis=1)
-    return (acc & 1).astype(np.uint8)
-
-
-def np_f2_rank(rows: np.ndarray) -> int:
-    """Rank over F2 of packed row vectors."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    m, w = rows.shape
-    pivots = np.empty((m, w), dtype=np.uint64)
-    piv_word = np.empty(m, dtype=np.int64)
-    piv_mask = np.empty(m, dtype=np.uint64)
-    rank = 0
-    for i in range(m):
-        v = rows[i].copy()
-        for p in range(rank):
-            if v[piv_word[p]] & piv_mask[p]:
-                v ^= pivots[p]
-        nz = np.nonzero(v)[0]
-        if nz.size:
-            wi = int(nz[0])
-            word = v[wi]
-            piv_word[rank] = wi
-            piv_mask[rank] = np.uint64(int(word) & -int(word))
-            pivots[rank] = v
-            rank += 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_popcount_word(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @njit(cache=True)
-    def nb_popcount(words):
-        total = np.uint64(0)
-        for i in range(words.shape[0]):
-            total += _nb_popcount_word(words[i])
-        return int(total)
-
-    @njit(cache=True)
-    def nb_parity_and(a, b):
-        acc = np.uint64(0)
-        for i in range(a.shape[0]):
-            acc += _nb_popcount_word(a[i] & b[i])
-        return int(acc & np.uint64(1))
-
-    @njit(cache=True)
-    def nb_symplectic_parity(x1, z1, x2, z2):
-        acc = np.uint64(0)
-        for i in range(x1.shape[0]):
-            acc += _nb_popcount_word(x1[i] & z2[i])
-            acc += _nb_popcount_word(z1[i] & x2[i])
-        return int(acc & np.uint64(1))
-
-    @njit(cache=True)
-    def nb_anticommute_batch(xs, zs, x, z):
-        m, w = xs.shape
-        out = np.empty(m, dtype=np.uint8)
-        for r in range(m):
-            acc = np.uint64(0)
-            for i in range(w):
-                acc += _nb_popcount_word(xs[r, i] & z[i])
-                acc += _nb_popcount_word(zs[r, i] & x[i])
-            out[r] = np.uint8(acc & np.uint64(1))
-        return out
-
-    @njit(cache=True)
-    def nb_f2_rank(rows):
-        m, w = rows.shape
-        pivots = np.empty((m, w), dtype=np.uint64)
-        piv_word = np.empty(m, dtype=np.int64)
-        piv_mask = np.empty(m, dtype=np.uint64)
-        rank = 0
-        for i in range(m):
-            v = rows[i].copy()
-            for p in range(rank):
-                if v[piv_word[p]] & piv_mask[p]:
-                    for k in range(w):
-                        v[k] ^= pivots[p, k]
-            wi = -1
-            for k in range(w):
-                if v[k]:
-                    wi = k
-                    break
-            if wi >= 0:
-                word = v[wi]
-                piv_word[rank] = wi
-                piv_mask[rank] = np.uint64(int(word) & -int(word))
-                for k in range(w):
-                    pivots[rank, k] = v[k]
-                rank += 1
-        return rank
-
-
-# ---------------------------------------------------------------------------
-# cold-path routines (numpy only): nullspace, linear solve
-# ---------------------------------------------------------------------------
-
-
-def f2_nullspace_basis(rows: np.ndarray) -> np.ndarray:
-    """Basis of coefficient vectors c (packed over row indices) with c . rows = 0.
-
-    Returns an array of shape (nullity, n_words(m)).
+    Row ``i`` is reduced against the pivots while tracking its combination
+    coefficients ``c`` (bit ``j`` set when row ``j`` took part).  Returns the
+    pivots, ``{leading bit: (reduced row, c)}``, and the coefficients of the
+    rows that reduced to zero, which form a nullspace basis: ``c . rows = 0``.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    m, w = rows.shape
-    cw = n_words(m)
-    left = rows.copy()
-    right = np.zeros((m, cw), dtype=np.uint64)
-    for i in range(m):
-        set_bit(right[i], i)
-    piv = []  # (word index, mask, left row, right row)
-    kernel = []
-    for i in range(m):
-        lv = left[i].copy()
-        rv = right[i].copy()
-        for (wi, mask, pl, pr) in piv:
-            if lv[wi] & mask:
-                lv ^= pl
-                rv ^= pr
-        nz = np.nonzero(lv)[0]
-        if nz.size:
-            wi = int(nz[0])
-            word = lv[wi]
-            piv.append((wi, np.uint64(int(word) & -int(word)), lv, rv))
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+    for i, row in enumerate(rows):
+        coeff = 1 << i
+        while row:
+            lead = row.bit_length() - 1
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = (row, coeff)
+                break
+            row ^= pivot[0]
+            coeff ^= pivot[1]
         else:
-            kernel.append(rv)
-    if kernel:
-        return np.stack(kernel)
-    return np.zeros((0, cw), dtype=np.uint64)
+            kernel.append(coeff)
+    return pivots, kernel
 
 
-def f2_solve(rows: np.ndarray, target: np.ndarray):
-    """Coefficients c (packed over row indices) with c . rows = target, or None."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint64)
-    m, w = rows.shape
-    cw = n_words(m)
-    piv = []  # (word, mask, left, right)
-    for i in range(m):
-        lv = rows[i].copy()
-        rv = np.zeros(cw, dtype=np.uint64)
-        set_bit(rv, i)
-        for (wi, mask, pl, pr) in piv:
-            if lv[wi] & mask:
-                lv ^= pl
-                rv ^= pr
-        nz = np.nonzero(lv)[0]
-        if nz.size:
-            wi = int(nz[0])
-            word = lv[wi]
-            piv.append((wi, np.uint64(int(word) & -int(word)), lv, rv))
-    t = np.array(target, dtype=np.uint64, copy=True)
-    combo = np.zeros(cw, dtype=np.uint64)
-    for (wi, mask, pl, pr) in piv:
-        if t[wi] & mask:
-            t ^= pl
-            combo ^= pr
-    if t.any():
-        return None
-    return combo
+def rank(rows: Iterable[int]) -> int:
+    return len(eliminate(rows)[0])
 
 
-def gray_code_span(basis: np.ndarray) -> np.ndarray:
-    """All 2^k XOR combinations of k packed basis rows (iterative doubling)."""
-    basis = np.atleast_2d(np.asarray(basis, dtype=np.uint64))
-    k, w = basis.shape
-    out = np.zeros((1, w), dtype=np.uint64)
-    for i in range(k):
-        out = np.concatenate([out, out ^ basis[i][None, :]], axis=0)
+def nullspace(rows: Iterable[int]) -> list[int]:
+    """Basis of the coefficient vectors ``c`` with ``c . rows = 0``."""
+    return eliminate(rows)[1]
+
+
+def solve(rows: Iterable[int], target: int) -> int | None:
+    """Coefficients ``c`` with ``c . rows = target``, or None.
+
+    ``target`` is eliminated as one more row: it is a combination of the
+    others exactly when it reduces to zero, and its kernel vector then holds
+    that combination plus its own bit.
+    """
+    rows = list(rows)
+    _, kernel = eliminate(rows + [target])
+    own = 1 << len(rows)
+    if kernel and kernel[-1] & own:
+        return kernel[-1] ^ own
+    return None
+
+
+def span(basis: Iterable[int]) -> list[int]:
+    """All ``2^k`` XOR combinations of ``k`` basis vectors (iterative doubling)."""
+    out = [0]
+    for b in basis:
+        out += [v ^ b for v in out]
     return out
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA and not _FORCE_NUMPY:
-    BACKEND = "numba"
-    popcount = nb_popcount
-    parity_and = nb_parity_and
-    symplectic_parity = nb_symplectic_parity
-    anticommute_batch = nb_anticommute_batch
-    f2_rank = nb_f2_rank
-else:
-    BACKEND = "numpy"
-    popcount = np_popcount
-    parity_and = np_parity_and
-    symplectic_parity = np_symplectic_parity
-    anticommute_batch = np_anticommute_batch
-    f2_rank = np_f2_rank
+def symplectic_parity(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Commutation parity of two Pauli supports: 1 means they anticommute."""
+    return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-
-import numpy as np
 
 from . import stabilizer, transforms
 from .errors import (
@@ -65,6 +64,34 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+def _objects(doc: dict, key: str) -> list:
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise ConfigSyntaxError(f"{key} must be a list of objects")
+    return items
+
+
+def _triple(value, where: str) -> list:
+    if not (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
+    ):
+        raise ConfigSyntaxError(f"{where} must be 3 integers")
+    return list(value)
+
+
+def _word(entry: dict, key: str, where: str) -> str:
+    word = entry.get(key, "")
+    if not isinstance(word, str):
+        raise ConfigSyntaxError(f"{where}: step word must be a string")
+    try:
+        parse_steps(word)
+    except ValueError as ex:
+        raise ConfigSyntaxError(f"{where}: {ex}") from ex
+    return word.upper()
+
+
 def parse_config(text: str) -> dict:
     """Parse and shape-check a configuration document."""
     try:
@@ -74,33 +101,22 @@ def parse_config(text: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigSyntaxError("top level must be an object")
     out = {"strings": [], "charges": [], "loops": []}
-    for i, s in enumerate(doc.get("strings", [])):
-        entry = {}
-        for key in ("neg_period", "core", "pos_period"):
-            word = s.get(key, "")
-            try:
-                parse_steps(word)
-            except ValueError as ex:
-                raise ConfigSyntaxError(f"strings[{i}].{key}: {ex}") from ex
-            entry[key] = word.upper()
-        base = s.get("base", [0, 0, 0])
-        if len(base) != 3 or not all(isinstance(c, int) for c in base):
-            raise ConfigSyntaxError(f"strings[{i}].base must be 3 integers")
-        entry["base"] = list(base)
+    for i, s in enumerate(_objects(doc, "strings")):
+        entry = {
+            key: _word(s, key, f"strings[{i}].{key}")
+            for key in ("neg_period", "core", "pos_period")
+        }
+        entry["base"] = _triple(s.get("base", [0, 0, 0]), f"strings[{i}].base")
         out["strings"].append(entry)
-    for i, c in enumerate(doc.get("charges", [])):
-        if len(c) != 3 or not all(isinstance(x, int) for x in c):
-            raise ConfigSyntaxError(f"charges[{i}] must be 3 integers")
-        out["charges"].append(list(c))
-    for i, l in enumerate(doc.get("loops", [])):
-        try:
-            parse_steps(l.get("steps", ""))
-        except ValueError as ex:
-            raise ConfigSyntaxError(f"loops[{i}].steps: {ex}") from ex
-        start = l.get("start", [0, 0, 0])
-        if len(start) != 3 or not all(isinstance(x, int) for x in start):
-            raise ConfigSyntaxError(f"loops[{i}].start must be 3 integers")
-        out["loops"].append({"start": list(start), "steps": l.get("steps", "").upper()})
+    charges = doc.get("charges", [])
+    if not isinstance(charges, list):
+        raise ConfigSyntaxError("charges must be a list")
+    for i, c in enumerate(charges):
+        out["charges"].append(_triple(c, f"charges[{i}]"))
+    for i, l in enumerate(_objects(doc, "loops")):
+        steps = _word(l, "steps", f"loops[{i}].steps")
+        start = _triple(l.get("start", [0, 0, 0]), f"loops[{i}].start")
+        out["loops"].append({"start": start, "steps": steps})
     return out
 
 
@@ -338,6 +354,8 @@ def _check_commutation(n: int) -> dict:
 
 
 def _check_energy(samples: int, seed: int) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lat = stabilizer.FiniteLattice(13)
     region = region_of((0, 0, 0), (4, 4, 4))
@@ -383,6 +401,8 @@ def _check_nets() -> dict:
 
 
 def _check_truncation(seed: int) -> dict:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lat = stabilizer.FiniteLattice(11)
     failures = 0
@@ -390,10 +410,11 @@ def _check_truncation(seed: int) -> dict:
     for _ in range(40):
         m = int(rng.integers(1, 3))
         v = tuple(int(x) for x in rng.integers(-(m // 2), m - m // 2, 3))
+        edges = stabilizer.FiniteLattice(m).interior_edges
         obs = stabilizer.pauli_from_keys(
             lat,
-            x_keys=[k for k in stabilizer.FiniteLattice(m).interior_edges if rng.random() < 0.4],
-            z_keys=[k for k in stabilizer.FiniteLattice(m).interior_edges if rng.random() < 0.4],
+            x_keys=[k for k in edges if rng.random() < 0.4],
+            z_keys=[k for k in edges if rng.random() < 0.4],
         )
         n1 = int(rng.integers(m + 1, 4))
         n2 = int(rng.integers(n1 + 1, 5))
@@ -526,7 +547,15 @@ def run(argv=None) -> tuple[dict, int]:
 
 def main(argv=None) -> int:
     report, code = run(argv)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting
 from . import _kernels
 from .lattice import (
@@ -197,26 +195,19 @@ def validate_surface(faces: Iterable[Face]) -> Surface:
         raise SelfIntersecting("face repeated in surface")
 
     edge_index: dict[EdgeKey, int] = {}
-    rows_bits = []
-    for f in face_list:
-        idx = []
-        for e in face_edges(f):
-            idx.append(edge_index.setdefault(e.key, len(edge_index)))
-        rows_bits.append(idx)
-    nbits = len(edge_index)
-    rows = [_kernels.bits_from_indices(idx, nbits) for idx in rows_bits]
-    matrix = np.stack(rows)
-    rank = _kernels.np_f2_rank(matrix)
+    rows = [
+        _kernels.vector(edge_index.setdefault(e.key, len(edge_index)) for e in face_edges(f))
+        for f in face_list
+    ]
+    kernel = _kernels.nullspace(rows)
 
     chain = _boundary_chain(face_list)
     if not chain:
         # closed: the only null combination may be the full face set
-        kernel = _kernels.f2_nullspace_basis(matrix)
-        full = _kernels.bits_from_indices(range(len(face_list)), len(face_list))
-        if kernel.shape[0] != 1 or not np.array_equal(kernel[0], full):
+        if kernel != [(1 << len(face_list)) - 1]:
             raise SelfIntersecting("closed surface contains a closed proper sub-surface")
         return Surface(frozenset(face_list), None)
-    if rank != len(face_list):
+    if kernel:
         raise SelfIntersecting("surface contains a closed proper sub-surface")
     boundary = _order_cycle(chain)
     return Surface(frozenset(face_list), boundary)

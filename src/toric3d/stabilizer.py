@@ -1,7 +1,7 @@
 """Exact F2 stabilizer verifier on finite blocks.
 
 Everything here works with Pauli supports only: an operator is a pair of
-packed bit vectors (x flips, z flips) over the qubit edges of a finite block,
+int bitsets (x flips, z flips) over the qubit edges of a finite block,
 and all statements reduce to symplectic parities and F2 ranks.  This module
 is the independent cross-check for the combinatorial energy and linking
 computations: it never looks at path specs' tail analysis, only at explicit
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .errors import DimensionMismatch, OutOfRegion, TooLarge
@@ -84,53 +82,32 @@ class FiniteLattice:
         self.qubits: list[EdgeKey] = self.interior_edges + self.boundary_edges
         self.edge_index: dict[EdgeKey, int] = {k: i for i, k in enumerate(self.qubits)}
         self.n_qubits = len(self.qubits)
-        self.words = _kernels.n_words(self.n_qubits)
 
     def __repr__(self):
         return f"FiniteLattice(n={self.n}, qubits={self.n_qubits})"
 
     @cached_property
-    def star_matrix(self) -> np.ndarray:
-        rows = []
-        for v in self.vertices:
-            rows.append(
-                _kernels.bits_from_indices(
-                    [self.edge_index[e.key] for e in edges_of_vertex(v)], self.n_qubits
-                )
-            )
-        return np.stack(rows)
+    def star_matrix(self) -> list[int]:
+        return [
+            _kernels.vector(self.edge_index[e.key] for e in edges_of_vertex(v))
+            for v in self.vertices
+        ]
 
     @cached_property
-    def face_matrix(self) -> np.ndarray:
-        rows = []
-        for f in self.faces:
-            rows.append(
-                _kernels.bits_from_indices(
-                    [self.edge_index[e.key] for e in face_edges(f)], self.n_qubits
-                )
-            )
-        return np.stack(rows)
-
-
-def build_lattice(n: int) -> FiniteLattice:
-    return FiniteLattice(n)
+    def face_matrix(self) -> list[int]:
+        return [
+            _kernels.vector(self.edge_index[e.key] for e in face_edges(f))
+            for f in self.faces
+        ]
 
 
 @dataclass(frozen=True)
 class PauliOperator:
-    """Phase-free Pauli: packed x and z supports over a lattice's qubits."""
+    """Phase-free Pauli: x and z supports over a lattice's qubits as int bitsets."""
 
-    x: np.ndarray
-    z: np.ndarray
+    x: int
+    z: int
     n_qubits: int
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PauliOperator)
-            and self.n_qubits == other.n_qubits
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
-        )
 
     def compose(self, other: "PauliOperator") -> "PauliOperator":
         if self.n_qubits != other.n_qubits:
@@ -139,21 +116,19 @@ class PauliOperator:
 
     @property
     def x_weight(self) -> int:
-        return _kernels.popcount(self.x)
+        return self.x.bit_count()
 
     @property
     def z_weight(self) -> int:
-        return _kernels.popcount(self.z)
+        return self.z.bit_count()
 
     @property
     def is_identity(self) -> bool:
-        return not (self.x.any() or self.z.any())
+        return not (self.x or self.z)
 
 
 def identity_op(lat: FiniteLattice) -> PauliOperator:
-    return PauliOperator(
-        _kernels.zero_vector(lat.n_qubits), _kernels.zero_vector(lat.n_qubits), lat.n_qubits
-    )
+    return PauliOperator(0, 0, lat.n_qubits)
 
 
 def _indices(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
@@ -169,8 +144,8 @@ def _indices(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
 def pauli_from_keys(
     lat: FiniteLattice, x_keys: Iterable[EdgeKey] = (), z_keys: Iterable[EdgeKey] = ()
 ) -> PauliOperator:
-    x = _kernels.bits_from_indices(_indices(lat, x_keys), lat.n_qubits)
-    z = _kernels.bits_from_indices(_indices(lat, z_keys), lat.n_qubits)
+    x = _kernels.vector(_indices(lat, x_keys))
+    z = _kernels.vector(_indices(lat, z_keys))
     return PauliOperator(x, z, lat.n_qubits)
 
 
@@ -247,13 +222,15 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     """
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
+    z_flips = _kernels.support(flip.z)
+    x_flips = _kernels.support(flip.x)
     violated = 0
     for v in region.vertices():
         if v not in lat.vertex_set:
             continue
         parity = 0
         for e in edges_of_vertex(v):
-            parity ^= _kernels.get_bit(flip.z, lat.edge_index[e.key])
+            parity ^= lat.edge_index[e.key] in z_flips
         violated += parity
     for axis in AXES:
         hi = list(region.hi)
@@ -269,7 +246,7 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
                 if idx is None:
                     ok = False
                     break
-                parity ^= _kernels.get_bit(flip.x, idx)
+                parity ^= idx in x_flips
             if not ok:
                 raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
             violated += parity
@@ -279,7 +256,7 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
 def gauge_rank(n: int) -> int:
     """F2 rank of the star generators on the side-``n`` block."""
     lat = n if isinstance(n, FiniteLattice) else FiniteLattice(n)
-    return int(_kernels.f2_rank(lat.star_matrix))
+    return _kernels.rank(lat.star_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +355,14 @@ class NetCheckReport:
     bitflip_bijection: bool | None
 
 
-def _edge_rows_over_faces(lat: FiniteLattice, edge_keys: Sequence[EdgeKey]) -> np.ndarray:
+def _edge_rows_over_faces(lat: FiniteLattice, edge_keys: Sequence[EdgeKey]) -> list[int]:
     face_index = {f: i for i, f in enumerate(lat.faces)}
     incident: dict[EdgeKey, list[int]] = {k: [] for k in edge_keys}
     for f, i in face_index.items():
         for e in face_edges(f):
             if e.key in incident:
                 incident[e.key].append(i)
-    rows = [
-        _kernels.bits_from_indices(incident[k], len(lat.faces)) for k in edge_keys
-    ]
-    return np.stack(rows)
+    return [_kernels.vector(incident[k]) for k in edge_keys]
 
 
 def surface_net_checks(n: int) -> NetCheckReport:
@@ -405,22 +379,16 @@ def surface_net_checks(n: int) -> NetCheckReport:
     if 2 ** (n**3) > 256:
         raise TooLarge("gauge enumeration limited to 2^(n^3) <= 256")
 
-    supports = _kernels.gray_code_span(lat.star_matrix)
-    uniq = np.unique(supports, axis=0)
-    distinct = uniq.shape[0] == supports.shape[0]
+    supports = _kernels.span(lat.star_matrix)
+    distinct = len(set(supports)) == len(supports)
 
     # every gauge support must satisfy all plaquette parities
-    are_nets = True
-    for row in supports:
-        sig = _kernels.anticommute_batch(
-            np.zeros_like(lat.face_matrix), lat.face_matrix, row, _kernels.zero_vector(lat.n_qubits)
-        )
-        if sig.any():
-            are_nets = False
-            break
+    are_nets = not any(
+        (row & face).bit_count() & 1 for row in supports for face in lat.face_matrix
+    )
 
-    interior_rows = _edge_rows_over_faces(lat, lat.interior_edges)
-    nullity = int(_kernels.f2_nullspace_basis(interior_rows).shape[0])
+    interior_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.interior_edges))
+    nullity = len(interior_basis)
     gauge_order = 2 ** (n**3)
     dim = 2**nullity // gauge_order
     single_orbit = 2**nullity == gauge_order
@@ -429,57 +397,43 @@ def surface_net_checks(n: int) -> NetCheckReport:
     fibers_equal = None
     bijection = None
     if n == 1:
-        all_rows = _edge_rows_over_faces(lat, lat.qubits)
-        basis = _kernels.f2_nullspace_basis(all_rows)
-        nets = _kernels.gray_code_span(basis)  # packed over qubit index space
+        nets = _kernels.span(_kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits)))
+        # interior qubits are the low bits, so sorting puts the nets that
+        # share a boundary part into one run
+        nets.sort()
         n_interior = len(lat.interior_edges)
-        interior_mask = _kernels.bits_from_indices(range(n_interior), lat.n_qubits)
-        boundary_mask = _kernels.bits_from_indices(
-            range(n_interior, lat.n_qubits), lat.n_qubits
-        )
-        if lat.words != 1:
-            raise TooLarge("n=1 boundary check expects single-word packing")
-        flat = nets[:, 0]
-        b_part = flat & boundary_mask[0]
-        order = np.argsort(b_part, kind="stable")
-        b_sorted = b_part[order]
-        nets_sorted = flat[order]
-        _, starts, counts = np.unique(b_sorted, return_index=True, return_counts=True)
-        boundary_conditions = int(starts.size)
+        interior_mask = (1 << n_interior) - 1
+        interior_group = _kernels.span(interior_basis)
         fiber = 2**nullity
-        fibers_equal = bool(np.all(counts == fiber))
-        # the boundary bit-flip pairs each fiber with the interior coset:
-        # stripping boundary bits must land every fiber on a coset of the
-        # interior net group, bijectively
-        interior_group = np.sort(
-            _kernels.gray_code_span(
-                _kernels.f2_nullspace_basis(interior_rows)
-            )[:, 0]
-        )
-        bijection = True
-        if fibers_equal:
-            interiors = nets_sorted & interior_mask[0]
-            for s, c in zip(starts, counts):
-                grp = np.sort(interiors[s : s + c])
-                if np.unique(grp).size != c:
-                    bijection = False
-                    break
-                rep = grp[0]
-                coset = np.sort(np.bitwise_xor(interior_group, rep))
-                if not np.array_equal(coset, grp):
-                    bijection = False
-                    break
-        else:
-            bijection = False
+        boundary_conditions = 0
+        fibers_equal = bijection = True
+        start = 0
+        while start < len(nets):
+            boundary = nets[start] >> n_interior
+            end = start + 1
+            while end < len(nets) and nets[end] >> n_interior == boundary:
+                end += 1
+            boundary_conditions += 1
+            if end - start != fiber:
+                fibers_equal = False
+            elif bijection:
+                # the boundary bit-flip pairs each fiber with the interior
+                # coset: stripping boundary bits must land every fiber on a
+                # coset of the interior net group, bijectively (the coset's
+                # elements are distinct, so equality also rules out repeats)
+                grp = [v & interior_mask for v in nets[start:end]]
+                bijection = sorted(g ^ grp[0] for g in interior_group) == grp
+            start = end
+        bijection = bijection and fibers_equal
 
     return NetCheckReport(
         n=n,
         gauge_order=gauge_order,
-        gauge_supports_distinct=bool(distinct),
+        gauge_supports_distinct=distinct,
         gauge_supports_are_nets=are_nets,
         interior_nullity=nullity,
         ground_space_dim=dim,
-        single_orbit=bool(single_orbit),
+        single_orbit=single_orbit,
         boundary_conditions=boundary_conditions,
         fiber_sizes_equal=fibers_equal,
         bitflip_bijection=bijection,

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from toric3d import _kernels
 from toric3d.errors import SelfIntersecting
 from toric3d.lattice import (
@@ -73,17 +71,15 @@ def raw_step_tally_is_monotone(spec: InfinitePathSpec, window: int = 60) -> bool
 
 
 def chain_xor_check(chains: list[set], target: set) -> bool:
-    """F2 sum of edge-key chains computed with the packed kernels."""
+    """F2 sum of edge-key chains computed with the bitset kernels."""
     index = {}
     for ch in chains + [target]:
         for k in ch:
             index.setdefault(k, len(index))
-    n = max(1, len(index))
-    acc = _kernels.zero_vector(n)
+    acc = 0
     for ch in chains:
-        acc = acc ^ _kernels.bits_from_indices([index[k] for k in ch], n)
-    tgt = _kernels.bits_from_indices([index[k] for k in target], n)
-    return bool(np.array_equal(acc, tgt))
+        acc ^= _kernels.vector(index[k] for k in ch)
+    return acc == _kernels.vector(index[k] for k in target)
 
 
 def fill_cycle(boundary_keys: set, box: Region):
@@ -110,13 +106,12 @@ def fill_cycle(boundary_keys: set, box: Region):
     for k in boundary_keys:
         if k not in edge_index:
             return None
-    nbits = len(edge_index)
-    matrix = np.stack([_kernels.bits_from_indices(idx, nbits) for idx in rows])
-    target = _kernels.bits_from_indices([edge_index[k] for k in boundary_keys], nbits)
-    combo = _kernels.f2_solve(matrix, target)
+    matrix = [_kernels.vector(idx) for idx in rows]
+    target = _kernels.vector(edge_index[k] for k in boundary_keys)
+    combo = _kernels.solve(matrix, target)
     if combo is None:
         return None
-    return [f for i, f in enumerate(faces) if _kernels.get_bit(combo, i)]
+    return [f for i, f in enumerate(faces) if combo >> i & 1]
 
 
 # ---------------------------------------------------------------------------

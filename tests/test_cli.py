@@ -1,8 +1,14 @@
 """CLI: parsing, dispatch, round trips, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import toric3d
 
 from toric3d.cli import (
     configuration_to_document,
@@ -37,6 +43,20 @@ def test_parse_two_charges():
 def test_parse_invalid_atom():
     with pytest.raises(ConfigSyntaxError):
         parse_config('{"strings":[{"neg_period":"Z+","core":"Z+Q","pos_period":"Z+","base":[0,0,0]}]}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"strings":[5]}',
+        '{"charges":5}',
+        '{"strings":[{"neg_period":"Z+","core":"","pos_period":"Z+","base":[true,0,0]}]}',
+    ],
+)
+def test_malformed_document_is_syntax_error(monkeypatch, doc):
+    report, code = _run_with_stdin(monkeypatch, ["classify"], doc)
+    assert code == 2
+    assert report["error"] == "ConfigSyntaxError"
 
 
 def test_parse_malformed_json_has_position():
@@ -201,3 +221,53 @@ def test_main_prints_json(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["schema_version"] == 1
+
+
+def test_broken_pipe_keeps_exit_code(monkeypatch):
+    import io
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    closed_pipe = open(write_end, "w")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(PARALLEL))
+    monkeypatch.setattr(sys, "stdout", closed_pipe)
+    try:
+        code = main(["classify", "--expect-ground"])
+    finally:
+        closed_pipe.close()
+    assert code == 1
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(toric3d.__file__).parents[1]))
+    probe = "import sys, toric3d.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+# Reports recorded with ``python -m toric3d.cli <argv> > tests/golden/<name>.json``
+# before the F2 kernels moved to int bitsets; they must stay byte-identical.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("verify_all", ["verify", "--checks", "all"]),
+        ("verify_nets", ["verify", "--checks", "nets"]),
+        ("verify_truncation", ["verify", "--checks", "truncation"]),
+        (
+            "surgery",
+            [
+                "surgery",
+                "--config",
+                str(GOLDEN / "surgery_config.json"),
+                "--surface",
+                str(GOLDEN / "surgery_surface.json"),
+            ],
+        ),
+    ],
+)
+def test_golden_report(name, argv):
+    report, _ = run(argv)
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == expected

@@ -1,6 +1,5 @@
-"""Packed F2 kernels against plain-integer references, numba vs numpy."""
+"""F2 bitset kernels against plain-integer references."""
 
-import numpy as np
 import pytest
 
 from toric3d import _kernels as K
@@ -21,112 +20,66 @@ def _ref_rank(rows_as_ints):
     return rank
 
 
-def _rows_to_ints(rows, nbits):
-    out = []
-    for r in rows:
-        val = 0
-        for i, b in enumerate(K.unpack_bits(r, nbits)):
-            val |= int(b) << i
-        out.append(val)
-    return out
+def _random_vector(rng, nbits):
+    return K.vector(i for i, b in enumerate(rng.integers(0, 2, nbits)) if b)
 
 
-def test_pack_unpack_roundtrip(rng):
-    bits = rng.integers(0, 2, 200).astype(np.uint8)
-    packed = K.pack_bits(bits)
-    assert np.array_equal(K.unpack_bits(packed, 200), bits)
+def _combine(coeff, rows):
+    acc = 0
+    for i, row in enumerate(rows):
+        if coeff >> i & 1:
+            acc ^= row
+    return acc
 
 
 def test_popcount_matches_int_bitcount(rng):
-    bits = rng.integers(0, 2, 300).astype(np.uint8)
-    packed = K.pack_bits(bits)
-    assert K.np_popcount(packed) == int(bits.sum())
-    if K.HAVE_NUMBA:
-        assert K.nb_popcount(packed) == int(bits.sum())
+    bits = rng.integers(0, 2, 300)
+    v = K.vector(i for i, b in enumerate(bits) if b)
+    assert v.bit_count() == bin(v).count("1") == int(bits.sum())
+    assert K.support(v) == {i for i, b in enumerate(bits) if b}
+    assert K.vector([3, 5, 3]) == 1 << 5
 
 
 def test_symplectic_parity_reference(rng):
     n = 150
     for _ in range(30):
-        x1, z1, x2, z2 = (K.pack_bits(rng.integers(0, 2, n)) for _ in range(4))
-        ints = [_rows_to_ints([v], n)[0] for v in (x1, z1, x2, z2)]
-        expected = (bin(ints[0] & ints[3]).count("1") + bin(ints[1] & ints[2]).count("1")) & 1
-        assert K.np_symplectic_parity(x1, z1, x2, z2) == expected
-        if K.HAVE_NUMBA:
-            assert K.nb_symplectic_parity(x1, z1, x2, z2) == expected
-
-
-def test_anticommute_batch_matches_single(rng):
-    n, m = 130, 40
-    xs = K.pack_bits(rng.integers(0, 2, (m, n)))
-    zs = K.pack_bits(rng.integers(0, 2, (m, n)))
-    x = K.pack_bits(rng.integers(0, 2, n))
-    z = K.pack_bits(rng.integers(0, 2, n))
-    batch = K.np_anticommute_batch(xs, zs, x, z)
-    singles = [K.np_symplectic_parity(xs[i], zs[i], x, z) for i in range(m)]
-    assert list(batch) == singles
-    if K.HAVE_NUMBA:
-        assert list(K.nb_anticommute_batch(xs, zs, x, z)) == singles
+        x1, z1, x2, z2 = (_random_vector(rng, n) for _ in range(4))
+        expected = (bin(x1 & z2).count("1") + bin(z1 & x2).count("1")) & 1
+        assert K.symplectic_parity(x1, z1, x2, z2) == expected
 
 
 @pytest.mark.parametrize("shape", [(10, 8), (25, 60), (40, 200), (64, 64)])
 def test_rank_matches_reference(rng, shape):
     m, n = shape
-    rows = K.pack_bits(rng.integers(0, 2, (m, n)))
-    expected = _ref_rank(_rows_to_ints(rows, n))
-    assert K.np_f2_rank(rows) == expected
-    if K.HAVE_NUMBA:
-        assert K.nb_f2_rank(rows) == expected
+    rows = [_random_vector(rng, n) for _ in range(m)]
+    assert K.rank(rows) == _ref_rank(rows)
 
 
 def test_nullspace_annihilates_rows(rng):
     m, n = 30, 20
-    rows = K.pack_bits(rng.integers(0, 2, (m, n)))
-    basis = K.f2_nullspace_basis(rows)
-    rank = K.np_f2_rank(rows)
-    assert basis.shape[0] == m - rank
+    rows = [_random_vector(rng, n) for _ in range(m)]
+    basis = K.nullspace(rows)
+    assert len(basis) == m - _ref_rank(rows)
+    assert _ref_rank(basis) == len(basis)
     for coeff in basis:
-        acc = K.zero_vector(n)
-        for i in range(m):
-            if K.get_bit(coeff, i):
-                acc = acc ^ rows[i]
-        assert not acc.any()
+        assert _combine(coeff, rows) == 0
 
 
 def test_solve_finds_combination(rng):
     m, n = 25, 18
-    rows = K.pack_bits(rng.integers(0, 2, (m, n)))
-    picks = rng.integers(0, 2, m)
-    target = K.zero_vector(n)
-    for i in range(m):
-        if picks[i]:
-            target = target ^ rows[i]
-    combo = K.f2_solve(rows, target)
+    rows = [_random_vector(rng, n) for _ in range(m)]
+    target = _combine(_random_vector(rng, m), rows)
+    combo = K.solve(rows, target)
     assert combo is not None
-    acc = K.zero_vector(n)
-    for i in range(m):
-        if K.get_bit(combo, i):
-            acc = acc ^ rows[i]
-    assert np.array_equal(acc, target)
+    assert _combine(combo, rows) == target
 
 
 def test_solve_detects_unsolvable():
-    rows = K.pack_bits(np.array([[1, 1, 0], [0, 0, 1]]))
-    target = K.pack_bits(np.array([1, 0, 0]))
-    assert K.f2_solve(rows, target) is None
+    rows = [0b011, 0b100]
+    assert K.solve(rows, 0b001) is None
 
 
-def test_gray_code_span_sizes():
-    basis = K.pack_bits(np.eye(3, 10, dtype=np.uint8))
-    span = K.gray_code_span(basis)
-    assert span.shape[0] == 8
-    assert np.unique(span, axis=0).shape[0] == 8
-
-
-def test_backend_selected():
-    assert K.BACKEND in ("numba", "numpy")
-    if K.HAVE_NUMBA:
-        import os
-
-        expected = "numpy" if os.environ.get("TORIC3D_PURE_NUMPY", "") not in ("", "0") else "numba"
-        assert K.BACKEND == expected
+def test_span_sizes():
+    span = K.span([1 << i for i in range(3)])
+    assert len(span) == 8
+    assert len(set(span)) == 8
