@@ -19,8 +19,15 @@ def vector(indices: Iterable[int]) -> int:
 
 
 def support(v: int) -> set[int]:
-    """Coordinates set in ``v``."""
-    return {i for i, c in enumerate(reversed(bin(v)[2:])) if c == "1"}
+    """Coordinates set in ``v``: one C-level ``str.find`` per set bit, so the
+    Python work grows with the weight, not with the length."""
+    bits = bin(v)[:1:-1]
+    out = set()
+    i = bits.find("1")
+    while i >= 0:
+        out.add(i)
+        i = bits.find("1", i + 1)
+    return out
 
 
 def eliminate(rows: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:

@@ -92,12 +92,16 @@ def _word(entry: dict, key: str, where: str) -> str:
     return word.upper()
 
 
-def parse_config(text: str) -> dict:
-    """Parse and shape-check a configuration document."""
+def _load_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as ex:
         raise ConfigSyntaxError(str(ex), line=ex.lineno, column=ex.colno) from ex
+
+
+def parse_config(text: str) -> dict:
+    """Parse and shape-check a configuration document."""
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ConfigSyntaxError("top level must be an object")
     out = {"strings": [], "charges": [], "loops": []}
@@ -179,14 +183,16 @@ def parse_region(text: str) -> Region:
 
 def parse_surface_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _load_json(fh.read())
+    if not isinstance(data, list) or not all(isinstance(f, dict) for f in data):
+        raise ConfigSyntaxError("a surface file must be a list of face objects")
     faces = []
     for i, f in enumerate(data):
-        base = tuple(f["base"])
-        normal = f["normal"].lower()
-        if normal not in AXIS_NAMES:
+        base = tuple(_triple(f.get("base"), f"faces[{i}].base"))
+        normal = f.get("normal")
+        if not (isinstance(normal, str) and len(normal) == 1 and normal.lower() in AXIS_NAMES):
             raise ConfigSyntaxError(f"faces[{i}].normal must be one of x, y, z")
-        faces.append(Face(base, AXIS_NAMES.index(normal)))
+        faces.append(Face(base, AXIS_NAMES.index(normal.lower())))
     return validate_surface(faces)
 
 
@@ -435,6 +441,10 @@ _CHECKS = ("commutation", "energy", "gauge", "nets", "truncation")
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    if args.n < 1:
+        raise ConfigSyntaxError(f"--n must be >= 1, got {args.n}")
+    if args.samples < 0:
+        raise ConfigSyntaxError(f"--samples must be >= 0, got {args.samples}")
     wanted = _CHECKS if args.checks == "all" else (args.checks,)
     results = []
     for name in wanted:

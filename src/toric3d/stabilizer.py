@@ -15,6 +15,7 @@ fringe.  Qubits live on all these edges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -36,6 +37,7 @@ from .lattice import (
     face_edges,
     primal_edge_of_face,
     primal_face_of_edge,
+    sub,
     unit,
 )
 from .paths import FinitePath, Surface
@@ -43,48 +45,58 @@ from .transforms import Configuration, _segment_steps
 
 
 class FiniteLattice:
-    """Finite block with dense edge indexing."""
+    """Finite block with dense edge indexing.
+
+    Edges and faces are listed in closed form, in sorted key order.  An edge
+    is interior when an endpoint lies in the cube.  It is in the fringe when
+    one of its faces has a corner in the cube: its own axis reaches the cube
+    and at most one of its two other coordinates lies one step outside.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("lattice side must be >= 1")
         self.n = n
         lo = -(n // 2)
+        hi = lo + n - 1
         self.lo = (lo, lo, lo)
-        self.hi = (lo + n - 1, lo + n - 1, lo + n - 1)
-        self.vertices: list[Vertex] = [
-            v
-            for v in product(
-                range(lo, lo + n), range(lo, lo + n), range(lo, lo + n)
-            )
-        ]
-        vset = set(self.vertices)
-        interior: dict[EdgeKey, None] = {}
-        for v in self.vertices:
-            for e in edges_of_vertex(v):
-                interior.setdefault(e.key, None)
-        faces: dict[Face, None] = {}
-        for v in self.vertices:
-            for normal in AXES:
-                a1, a2 = [a for a in AXES if a != normal]
-                for da, db in product((0, -1), (0, -1)):
-                    base = add(add(v, tuple(da * c for c in unit(a1))), tuple(db * c for c in unit(a2)))
-                    faces.setdefault(Face(base, normal), None)
-        boundary: dict[EdgeKey, None] = {}
-        for f in faces:
-            for e in face_edges(f):
-                if e.key not in interior:
-                    boundary.setdefault(e.key, None)
-        self.vertex_set = vset
-        self.interior_edges: list[EdgeKey] = sorted(interior)
-        self.boundary_edges: list[EdgeKey] = sorted(boundary)
-        self.faces: list[Face] = sorted(faces)
+        self.hi = (hi, hi, hi)
+        side = range(lo, hi + 1)
+        self.vertices: list[Vertex] = list(product(side, side, side))
+        self.vertex_set = set(self.vertices)
+        self.interior_edges: list[EdgeKey] = []
+        self.boundary_edges: list[EdgeKey] = []
+        wide = range(lo - 1, hi + 2)
+        for v in product(wide, wide, wide):
+            outside = [not lo <= c <= hi for c in v]
+            n_outside = sum(outside)
+            for axis in AXES:
+                if v[axis] > hi:
+                    continue
+                transverse = n_outside - outside[axis]
+                if transverse == 0:
+                    self.interior_edges.append((v, axis))
+                elif transverse == 1:
+                    self.boundary_edges.append((v, axis))
         self.qubits: list[EdgeKey] = self.interior_edges + self.boundary_edges
         self.edge_index: dict[EdgeKey, int] = {k: i for i, k in enumerate(self.qubits)}
         self.n_qubits = len(self.qubits)
 
     def __repr__(self):
         return f"FiniteLattice(n={self.n}, qubits={self.n_qubits})"
+
+    @cached_property
+    def faces(self) -> list[Face]:
+        """Faces with a corner in the cube: the normal coordinate in the cube,
+        the two in-plane ones at most one step below it."""
+        lo, hi = self.lo[0], self.hi[0]
+        near = range(lo - 1, hi + 1)
+        return [
+            Face(b, normal)
+            for b in product(near, near, near)
+            for normal in AXES
+            if b[normal] >= lo
+        ]
 
     @cached_property
     def star_matrix(self) -> list[int]:
@@ -213,43 +225,78 @@ def orientation_independence(lat: FiniteLattice, obj) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_plaquettes_in_block(lat: FiniteLattice, lo: Vertex, dual_hi: list[Vertex]) -> None:
+    """Raise ``OutOfRegion`` unless every plaquette of the region lies in the
+    block; its dual edges along ``axis`` have bases from ``lo`` to
+    ``dual_hi[axis]``.  The faces whose four edges lie in the block form the
+    union of two boxes, so a box of faces lies in it exactly when its corners
+    do: at most eight faces per axis are tested."""
+    for axis, hi in enumerate(dual_hi):
+        if hi[axis] < lo[axis]:
+            continue
+        for base in product(*({lo[a], hi[a]} for a in AXES)):
+            f = primal_face_of_edge(Edge(base, axis))
+            if any(e.key not in lat.edge_index for e in face_edges(f)):
+                raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
+
+
+def _plaquette_offsets(axis: int) -> tuple[tuple[Vertex, int], ...]:
+    """Dual-edge keys, relative to an edge's base, of the four plaquettes
+    around an edge along ``axis``: the faces ``(base, n)`` and
+    ``(base - e_m, n)`` for each normal ``n != axis`` (``m`` the third axis),
+    each keyed by its dual edge one step down the normal."""
+    out: list[tuple[Vertex, int]] = []
+    for normal in AXES:
+        if normal != axis:
+            d = sub((0, 0, 0), unit(normal))
+            out += [(d, normal), (sub(d, unit(3 - axis - normal)), normal)]
+    return tuple(out)
+
+
+_PLAQUETTE_OFFSETS = tuple(_plaquette_offsets(a) for a in AXES)
+
+
+def _inside(v: Vertex, lo: Vertex, hi: Vertex) -> bool:
+    return lo[0] <= v[0] <= hi[0] and lo[1] <= v[1] <= hi[1] and lo[2] <= v[2] <= hi[2]
+
+
 def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> int:
     """2 x number of stabilizers in ``region`` anticommuting with ``flip``.
 
     Stars are attributed to their vertex read in primal coordinates;
     plaquettes to their dual edge read in dual coordinates, counted when both
-    dual endpoints lie in the region.
+    dual endpoints lie in the region.  Only the flip's support is read: each
+    z-flipped edge toggles its two endpoint stars and each x-flipped edge its
+    four plaquettes, so the work grows with the flip's weight.
     """
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
-    z_flips = _kernels.support(flip.z)
-    x_flips = _kernels.support(flip.x)
-    violated = 0
-    for v in region.vertices():
-        if v not in lat.vertex_set:
-            continue
-        parity = 0
-        for e in edges_of_vertex(v):
-            parity ^= lat.edge_index[e.key] in z_flips
-        violated += parity
-    for axis in AXES:
-        hi = list(region.hi)
-        hi[axis] -= 1
-        if hi[axis] < region.lo[axis]:
-            continue
-        for base in Region(region.lo, tuple(hi)).vertices():
-            f = primal_face_of_edge(Edge(base, axis))
-            parity = 0
-            ok = True
-            for e in face_edges(f):
-                idx = lat.edge_index.get(e.key)
-                if idx is None:
-                    ok = False
-                    break
-                parity ^= idx in x_flips
-            if not ok:
-                raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
-            violated += parity
+    lo, hi = region
+    # a dual edge lies in the region when its base does and its far end
+    # stays below the region's top along the edge's axis
+    dual_hi = [sub(hi, unit(normal)) for normal in AXES]
+    _check_plaquettes_in_block(lat, lo, dual_hi)
+    qubits = lat.qubits
+    stars: list[Vertex] = []
+    for i in _kernels.support(flip.z):
+        base, axis = qubits[i]
+        stars += (base, add(base, unit(axis)))
+    plaquettes: list[EdgeKey] = []
+    for i in _kernels.support(flip.x):
+        (x, y, z), axis = qubits[i]
+        plaquettes += [
+            ((x + dx, y + dy, z + dz), normal) for (dx, dy, dz), normal in _PLAQUETTE_OFFSETS[axis]
+        ]
+    star_lo = tuple(map(max, lo, lat.lo))
+    star_hi = tuple(map(min, hi, lat.hi))
+    violated = sum(
+        1 for v, count in Counter(stars).items() if count & 1 and _inside(v, star_lo, star_hi)
+    )
+    violated += sum(
+        1
+        for (d, normal), count in Counter(plaquettes).items()
+        if count & 1 and _inside(d, lo, dual_hi[normal])
+    )
     return 2 * violated
 
 
@@ -264,24 +311,28 @@ def gauge_rank(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _curtain_faces(lat: FiniteLattice, dual_edges: Sequence[Edge]) -> set[Face]:
-    """Vertical dual faces hanging below the horizontal edges of a dual path,
-    clipped at the block's lower fringe.  The membrane's boundary is the path
-    itself plus descender and floor junk near the block frontier."""
-    faces: set[Face] = set()
+def _curtain_edges(lat: FiniteLattice, dual_edges: Sequence[Edge]) -> set[EdgeKey]:
+    """Primal edges piercing the vertical dual faces that hang below the
+    horizontal edges of a dual path, clipped at the block's lower fringe.
+    The membrane's boundary is the path itself plus descender and floor junk
+    near the block frontier."""
+    keys: set[EdgeKey] = set()
     for e in dual_edges:
         if e.axis == 2:
             continue
         other = 1 - e.axis  # normal of the hanging face
-        b = e.base
-        z = b[2] - 1
-        while True:
-            f = Face((b[0], b[1], z), other)
-            if primal_edge_of_face(f).key not in lat.edge_index:
-                break
-            faces.symmetric_difference_update({f})
+        # the primal edge of the face based one step below e, then downwards
+        x, y, z = e.base
+        if other == 0:
+            y += 1
+        else:
+            x += 1
+        key = ((x, y, z), other)
+        while key in lat.edge_index:
+            keys ^= {key}
             z -= 1
-    return faces
+            key = ((x, y, z), other)
+    return keys
 
 
 def _extend_clear_of(path_edges: list[Edge], region: Region) -> list[Edge]:
@@ -314,26 +365,23 @@ def configuration_flip(
     ``clip`` is the truncation box for the infinite strings; it must contain
     ``region`` with margin and each string must cross it exactly once.
     """
-    faces: set[Face] = set()
+    x_keys: set[EdgeKey] = set()
     for spec in cfg.strings:
         t_lo, t_hi, _ = _segment_steps(spec, clip)
         edges = spec.edges(t_lo, t_hi - 1)
         edges = _extend_clear_of(edges, region)
-        faces.symmetric_difference_update(_curtain_faces(lat, edges))
+        x_keys ^= _curtain_edges(lat, edges)
     for loop in cfg.loops:
-        faces.symmetric_difference_update(_curtain_faces(lat, list(loop.edges)))
-    x_keys = [primal_edge_of_face(f).key for f in faces]
+        x_keys ^= _curtain_edges(lat, list(loop.edges))
 
     z_chain: set[EdgeKey] = set()
-    for c in cfg.charges:
-        z = c[2] - 1
-        while True:
-            e = Edge((c[0], c[1], z), 2)
-            if e.key not in lat.edge_index:
-                break
-            z_chain.symmetric_difference_update({e.key})
+    for x, y, z in cfg.charges:
+        key = ((x, y, z - 1), 2)
+        while key in lat.edge_index:
+            z_chain ^= {key}
             z -= 1
-    return pauli_from_keys(lat, x_keys=x_keys, z_keys=sorted(z_chain))
+            key = ((x, y, z - 1), 2)
+    return pauli_from_keys(lat, x_keys=x_keys, z_keys=z_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -461,4 +509,4 @@ def growing_membrane_pauli(lat: FiniteLattice, line_start: Vertex, length: int) 
         e = edge_from(v, (0, +1))
         edges.append(e)
         v = boundary_edge(e)[1]
-    return membrane_op(lat, sorted(_curtain_faces(lat, edges)))
+    return pauli_from_keys(lat, x_keys=_curtain_edges(lat, edges))

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 from collections import deque
 
+from itertools import product
+
 from toric3d import _kernels
-from toric3d.errors import SelfIntersecting
+from toric3d.errors import DimensionMismatch, OutOfRegion, SelfIntersecting
 from toric3d.lattice import (
     AXES,
+    Edge,
     Face,
     Region,
     add,
     direction_vector,
+    edges_of_vertex,
+    face_edges,
+    primal_face_of_edge,
     reverse_direction,
     unit,
 )
@@ -114,6 +120,67 @@ def fill_cycle(boundary_keys: set, box: Region):
     return [f for i, f in enumerate(faces) if combo >> i & 1]
 
 
+def reference_block(n: int):
+    """Vertices, sorted interior edges, sorted fringe edges and sorted faces
+    of the side-``n`` block, collected by walking every vertex's edges and
+    faces (the dict-of-tuples construction the closed form replaced)."""
+    lo = -(n // 2)
+    vertices = list(product(range(lo, lo + n), range(lo, lo + n), range(lo, lo + n)))
+    interior = {}
+    for v in vertices:
+        for e in edges_of_vertex(v):
+            interior.setdefault(e.key, None)
+    faces = {}
+    for v in vertices:
+        for normal in AXES:
+            a1, a2 = [a for a in AXES if a != normal]
+            for da, db in product((0, -1), (0, -1)):
+                base = add(add(v, tuple(da * c for c in unit(a1))), tuple(db * c for c in unit(a2)))
+                faces.setdefault(Face(base, normal), None)
+    boundary = {}
+    for f in faces:
+        for e in face_edges(f):
+            if e.key not in interior:
+                boundary.setdefault(e.key, None)
+    return vertices, sorted(interior), sorted(boundary), sorted(faces)
+
+
+def reference_syndrome_energy(lat, flip, region: Region) -> int:
+    """2 x stabilizers in ``region`` anticommuting with ``flip``, testing every
+    star and plaquette of the region one edge at a time."""
+    if flip.n_qubits != lat.n_qubits:
+        raise DimensionMismatch("flip built on a different lattice")
+    z_flips = _kernels.support(flip.z)
+    x_flips = _kernels.support(flip.x)
+    violated = 0
+    for v in region.vertices():
+        if v not in lat.vertex_set:
+            continue
+        parity = 0
+        for e in edges_of_vertex(v):
+            parity ^= lat.edge_index[e.key] in z_flips
+        violated += parity
+    for axis in AXES:
+        hi = list(region.hi)
+        hi[axis] -= 1
+        if hi[axis] < region.lo[axis]:
+            continue
+        for base in Region(region.lo, tuple(hi)).vertices():
+            f = primal_face_of_edge(Edge(base, axis))
+            parity = 0
+            ok = True
+            for e in face_edges(f):
+                idx = lat.edge_index.get(e.key)
+                if idx is None:
+                    ok = False
+                    break
+                parity ^= idx in x_flips
+            if not ok:
+                raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
+            violated += parity
+    return 2 * violated
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -132,25 +199,31 @@ def _random_word(rng, max_len=2, monotone=False):
     )
 
 
-def random_core(rng, max_len=6, lo=-3, hi=3):
+def random_core(rng, max_len=6, lo=-3, hi=3, self_avoiding=False):
+    """Random steps from the origin that stay in ``[lo, hi]^3``; with
+    ``self_avoiding`` a step onto an already visited vertex is dropped too,
+    so long cores still make valid specs."""
     core = []
     v = (0, 0, 0)
+    seen = {v}
     for _ in range(int(rng.integers(0, max_len + 1))):
         d = (int(rng.integers(0, 3)), int(rng.choice((-1, 1))))
         w = add(v, direction_vector(d))
-        if all(lo <= w[a] <= hi for a in AXES):
+        if all(lo <= w[a] <= hi for a in AXES) and not (self_avoiding and w in seen):
             core.append(d)
+            seen.add(w)
             v = w
     return tuple(core)
 
 
-def random_spec(rng, base_lo=-2, base_hi=2, monotone_tails=False, max_core=6):
-    """A valid spec with short random words; retries until validation passes."""
+def random_spec(rng, base_lo=-2, base_hi=2, monotone_tails=False, max_core=6, **core_box):
+    """A valid spec with short random words; retries until validation passes.
+    ``core_box`` passes ``lo``, ``hi`` and ``self_avoiding`` to ``random_core``."""
     for _ in range(60):
         base = tuple(int(x) for x in rng.integers(base_lo, base_hi + 1, 3))
         neg = _random_word(rng, monotone=monotone_tails)
         pos = _random_word(rng, monotone=monotone_tails)
-        core = random_core(rng, max_len=max_core)
+        core = random_core(rng, max_len=max_core, **core_box)
         try:
             return InfinitePathSpec(neg, core, pos, base)
         except SelfIntersecting:

@@ -59,6 +59,37 @@ def test_malformed_document_is_syntax_error(monkeypatch, doc):
     assert report["error"] == "ConfigSyntaxError"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"base":[0,0,0]}]',
+        '{"base":[0,0,0],"normal":"z"}',
+        '[{"base":[0,0],"normal":"z"}]',
+        '[{"base":[0,0,0],"normal":"xy"}]',
+        "not json",
+    ],
+)
+def test_malformed_surface_file_is_syntax_error(monkeypatch, tmp_path, text):
+    surf_file = tmp_path / "surface.json"
+    surf_file.write_text(text)
+    report, code = _run_with_stdin(monkeypatch, ["surgery", "--surface", str(surf_file)], PARALLEL)
+    assert code == 2
+    assert report["error"] == "ConfigSyntaxError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--checks", "energy", "--samples", "-3"],
+        ["verify", "--checks", "commutation", "--n", "0"],
+    ],
+)
+def test_verify_rejects_out_of_range_flags(argv):
+    report, code = run(argv)
+    assert code == 2
+    assert report["error"] == "ConfigSyntaxError"
+
+
 def test_parse_malformed_json_has_position():
     with pytest.raises(ConfigSyntaxError) as exc:
         parse_config('{"strings": [')
@@ -245,7 +276,8 @@ def test_cli_import_leaves_numpy_out():
 
 
 # Reports recorded with ``python -m toric3d.cli <argv> > tests/golden/<name>.json``
-# before the F2 kernels moved to int bitsets; they must stay byte-identical.
+# before the F2 kernels moved to int bitsets (``verify_energy``: before the
+# syndrome became sparse); they must stay byte-identical.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -265,6 +297,7 @@ GOLDEN = Path(__file__).parent / "golden"
                 str(GOLDEN / "surgery_surface.json"),
             ],
         ),
+        ("verify_energy", ["verify", "--checks", "energy", "--samples", "200", "--seed", "7"]),
     ],
 )
 def test_golden_report(name, argv):

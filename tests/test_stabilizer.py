@@ -1,12 +1,16 @@
 """F2 verifier: block structure, operator algebra, exhaustive checks."""
 
+from itertools import product
+
 import pytest
 
-from toric3d.errors import OutOfRegion, TooLarge
-from toric3d.lattice import Face, parse_steps, region_of
+from toric3d import _kernels
+from toric3d.errors import MultipleCrossings, OutOfRegion, TooLarge
+from toric3d.lattice import Face, Region, parse_steps, region_of
 from toric3d.paths import path_from_steps, spec_from_strings, validate_surface
 from toric3d.stabilizer import (
     FiniteLattice,
+    PauliOperator,
     configuration_flip,
     commutes,
     conjugation_sign,
@@ -25,7 +29,7 @@ from toric3d.stabilizer import (
     truncation_stable,
 )
 from toric3d.transforms import energy, linking_parity, make_configuration
-from ._gen import random_loop
+from ._gen import random_loop, random_spec, reference_block, reference_syndrome_energy
 
 X, Y, Z = 0, 1, 2
 
@@ -183,3 +187,69 @@ def test_configuration_flip_energy_agreement(rng, lat13):
     cfg = make_configuration(charges=[(2, 2, 2), (0, 0, 0)], strings=[u], loops=[loop])
     flip = configuration_flip(lat13, cfg, region, clip)
     assert syndrome_energy(lat13, flip, region) == energy(cfg, region).total
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_block_matches_reference_construction(n):
+    lat = FiniteLattice(n)
+    vertices, interior, boundary, faces = reference_block(n)
+    assert lat.vertices == vertices
+    assert lat.interior_edges == interior
+    assert lat.boundary_edges == boundary
+    assert lat.qubits == interior + boundary
+    assert lat.faces == faces
+
+
+def _energy_or_out_of_region(fn, lat, flip, region):
+    try:
+        return fn(lat, flip, region)
+    except OutOfRegion:
+        return OutOfRegion
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_syndrome_energy_matches_dense_reference(rng, n):
+    """Sparse syndrome against the dense star/plaquette loop on every region
+    with corners in [lo-3, hi+2] and sides up to n+2, including whether the
+    region's plaquettes leave the block."""
+    lat = FiniteLattice(n)
+
+    def random_bits(p):
+        return _kernels.vector((rng.random(lat.n_qubits) < p).nonzero()[0].tolist())
+
+    flips = [PauliOperator(random_bits(p), random_bits(p), lat.n_qubits) for p in (0.05, 0.2, 0.5)]
+    lo, hi = lat.lo[0] - 3, lat.hi[0] + 2
+    sides = [(a, b) for a in range(lo, hi + 1) for b in range(a, min(hi, a + n + 1) + 1)]
+    for k, (x, y, z) in enumerate(product(sides, repeat=3)):
+        region = Region((x[0], y[0], z[0]), (x[1], y[1], z[1]))
+        flip = flips[k % len(flips)]
+        got = _energy_or_out_of_region(syndrome_energy, lat, flip, region)
+        want = _energy_or_out_of_region(reference_syndrome_energy, lat, flip, region)
+        assert got == want, region
+
+
+def test_energy_law_side33_block(rng):
+    """The energy law on a side-33 block: 40 configurations with up to two
+    strings whose self-avoiding cores take up to 60 steps in a 13^3 region,
+    plus loops and charges."""
+    lat = FiniteLattice(33)
+    region = region_of((0, 0, 0), (12, 12, 12))
+    clip = region.inflate(2)
+    checked = nonzero = 0
+    for _ in range(40):
+        strings = [
+            random_spec(rng, base_lo=5, base_hi=7, max_core=60, lo=-5, hi=5, self_avoiding=True)
+            for _ in range(int(rng.integers(0, 3)))
+        ]
+        loops = [random_loop(rng, lo=0, hi=12) for _ in range(int(rng.integers(0, 3)))]
+        charges = [tuple(int(c) for c in rng.integers(0, 13, 3)) for _ in range(int(rng.integers(0, 3)))]
+        cfg = make_configuration(charges=charges, strings=strings, loops=loops)
+        try:
+            flip = configuration_flip(lat, cfg, region, clip)
+        except MultipleCrossings:
+            continue
+        expected = energy(cfg, region).total
+        assert syndrome_energy(lat, flip, region) == expected
+        checked += 1
+        nonzero += expected > 0
+    assert checked >= 35 and nonzero >= 20
