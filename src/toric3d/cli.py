@@ -28,6 +28,7 @@ from .errors import (
     ConfigSemanticError,
     ConfigSyntaxError,
     Toric3dError,
+    TooLarge,
 )
 from .lattice import (
     AXES,
@@ -90,6 +91,19 @@ def _word(entry: dict, key: str, where: str) -> str:
     except ValueError as ex:
         raise ConfigSyntaxError(f"{where}: {ex}") from ex
     return word.upper()
+
+
+def _read_text(path: str) -> str:
+    """The text of the file ``path`` (``-``: stdin); input that is not UTF-8
+    is a syntax error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as ex:
+        where = "stdin" if path == "-" else path
+        raise ConfigSyntaxError(f"{where} is not UTF-8: {ex.reason} at byte {ex.start}") from ex
 
 
 def _load_json(text: str):
@@ -182,8 +196,7 @@ def parse_region(text: str) -> Region:
 
 
 def parse_surface_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _load_json(fh.read())
+    data = _load_json(_read_text(path))
     if not isinstance(data, list) or not all(isinstance(f, dict) for f in data):
         raise ConfigSyntaxError("a surface file must be a list of face objects")
     faces = []
@@ -438,18 +451,22 @@ def _check_truncation(seed: int) -> dict:
 
 
 _CHECKS = ("commutation", "energy", "gauge", "nets", "truncation")
+# the commutation check pairs every star with every face: n = 3 is 3888 pairs
+_MAX_COMMUTATION_N = 3
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.n < 1:
         raise ConfigSyntaxError(f"--n must be >= 1, got {args.n}")
+    if args.n > _MAX_COMMUTATION_N:
+        raise TooLarge(f"--n must be <= {_MAX_COMMUTATION_N}, got {args.n}")
     if args.samples < 0:
         raise ConfigSyntaxError(f"--samples must be >= 0, got {args.samples}")
     wanted = _CHECKS if args.checks == "all" else (args.checks,)
     results = []
     for name in wanted:
         if name == "commutation":
-            results.append(_check_commutation(min(args.n, 3)))
+            results.append(_check_commutation(args.n))
         elif name == "energy":
             results.append(_check_energy(samples=args.samples, seed=args.seed))
         elif name == "gauge":
@@ -468,12 +485,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _read_config(args) -> Configuration:
-    if args.config == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return document_to_configuration(parse_config(text))
+    return document_to_configuration(parse_config(_read_text(args.config)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,7 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strings", type=int, choices=(2, 3), required=True)
 
     p = sub.add_parser("verify", help="cross-validate against the F2 verifier")
-    p.add_argument("--n", type=int, default=3, help="block side for commutation checks")
+    p.add_argument(
+        "--n", type=int, default=3,
+        help=f"block side for commutation checks, 1 to {_MAX_COMMUTATION_N} (default 3)",
+    )
     p.add_argument("--checks", default="all", choices=_CHECKS + ("all",))
     p.add_argument("--samples", type=int, default=50, help="random samples for the energy check")
     p.add_argument("--seed", type=int, default=0)

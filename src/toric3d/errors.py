@@ -54,7 +54,7 @@ class DimensionMismatch(Toric3dError):
 
 
 class TooLarge(Toric3dError):
-    """Exhaustive enumeration requested beyond the supported size."""
+    """A size requested beyond what is supported."""
 
 
 class NotAGroundSector(Toric3dError):

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting
 from . import _kernels
 from .lattice import (
     AXES,
+    DIRECTIONS,
     Direction,
     Edge,
     EdgeKey,
@@ -47,6 +48,8 @@ from .lattice import (
 )
 
 StepWord = tuple[Direction, ...]
+
+_MOVES: dict[Direction, Vertex] = {d: direction_vector(d) for d in DIRECTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +228,14 @@ def _word_displacement(word: StepWord) -> Vertex:
     return v
 
 
-def _cumulative(word: StepWord) -> list[Vertex]:
-    out = [(0, 0, 0)]
+def _cumulative(word: StepWord, start: Vertex = (0, 0, 0)) -> list[Vertex]:
+    """The vertices walked from ``start`` along ``word``, ``start`` included."""
+    x, y, z = start
+    out = [(x, y, z)]
     for d in word:
-        out.append(add(out[-1], direction_vector(d)))
+        dx, dy, dz = _MOVES[d]
+        x, y, z = x + dx, y + dy, z + dz
+        out.append((x, y, z))
     return out
 
 
@@ -260,8 +267,9 @@ class InfinitePathSpec:
     # -- realization ---------------------------------------------------
 
     @cached_property
-    def _core_cum(self) -> list[Vertex]:
-        return _cumulative(self.core)
+    def core_vertices(self) -> list[Vertex]:
+        """``vertex(0)`` through ``vertex(len(core))``."""
+        return _cumulative(self.core, self.base)
 
     @cached_property
     def _pos_cum(self) -> list[Vertex]:
@@ -284,7 +292,7 @@ class InfinitePathSpec:
 
     @property
     def junction(self) -> Vertex:
-        return add(self.base, self._core_cum[-1])
+        return self.core_vertices[-1]
 
     def step(self, t: int) -> Direction:
         nc = len(self.core)
@@ -297,7 +305,7 @@ class InfinitePathSpec:
     def vertex(self, t: int) -> Vertex:
         nc = len(self.core)
         if 0 <= t <= nc:
-            return add(self.base, self._core_cum[t])
+            return self.core_vertices[t]
         if t > nc:
             q, r = divmod(t - nc, len(self.pos_period))
             return add(add(self.junction, scale(self.pos_displacement, q)), self._pos_cum[r])
@@ -319,6 +327,66 @@ class InfinitePathSpec:
             out.append(e)
             v = boundary_edge(e)[1]
         return out
+
+    def walk_in(self, region: Region) -> Iterator[tuple[int, EdgeKey | None]]:
+        """``(t, key)`` for every walked parameter ``t`` with ``vertex(t)`` in
+        ``region``; ``key`` is edge ``t``'s key when both its endpoints lie in
+        ``region``, else None.
+
+        Walks the core, then each tail outward period by period; a tail stops
+        after the first period whose vertices all lie past ``region`` along
+        the tail's escape axis.
+        """
+        yield from _walk(region, self.base, 0, +1, self.core, None)
+        yield from _walk(
+            region, self.junction, len(self.core), +1, self.pos_period, self.pos_displacement
+        )
+        yield from _walk(
+            region, self.base, -1, -1, self.neg_period[::-1], self.neg_displacement
+        )
+
+
+def _walk(region: Region, start: Vertex, t: int, dt: int, word: StepWord, disp: Vertex | None):
+    """One stretch of :meth:`InfinitePathSpec.walk_in`: edges ``t, t+dt, ...``
+    walked outward from ``start`` along ``word`` (the letters in walking order),
+    once if ``disp`` is None, else period by period until a period lies past
+    ``region`` along the escape axis of ``disp``.  Walking backward
+    (``dt = -1``) each letter is stepped against, and ``vertex(t)`` is the
+    vertex reached rather than the one left."""
+    (lx, ly, lz), (hx, hy, hz) = region
+    if disp is None:
+        axis, sign, limit = 0, 0, 0
+    else:
+        axis = _escape_axis(disp)
+        sign = 1 if disp[axis] > 0 else -1
+        limit = region.hi[axis] if sign > 0 else -region.lo[axis]
+    # per letter: move, axis, whether the edge key's base is the vertex reached
+    # (the lesser endpoint), and the move along the signed escape axis
+    moves = []
+    for a, s in word:
+        move = _MOVES[a, s * dt]
+        moves.append((*move, a, (s > 0) != (dt > 0), sign * move[axis]))
+    backward = dt < 0
+    x, y, z = start
+    escape = sign * start[axis]
+    inside = lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
+    while True:
+        past = escape > limit
+        for dx, dy, dz, a, key_at_next, de in moves:
+            nx, ny, nz = x + dx, y + dy, z + dz
+            nxt_inside = lx <= nx <= hx and ly <= ny <= hy and lz <= nz <= hz
+            if nxt_inside if backward else inside:
+                if inside and nxt_inside:
+                    yield t, ((nx, ny, nz) if key_at_next else (x, y, z), a)
+                else:
+                    yield t, None
+            t += dt
+            x, y, z, inside = nx, ny, nz, nxt_inside
+            escape += de
+            if escape <= limit:
+                past = False
+        if disp is None or past:
+            return
 
 
 def spec_from_strings(neg: str, core: str, pos: str, base: Vertex = (0, 0, 0)) -> InfinitePathSpec:
@@ -411,22 +479,19 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     if dpos == (0, 0, 0) or dneg_out == (0, 0, 0):
         raise SelfIntersecting("period word has zero net displacement")
 
-    nc = len(spec.core)
-    nn, npp = len(spec.neg_period), len(spec.pos_period)
+    nn = len(spec.neg_period)
 
     # window vertex sets of the first tail period on each side
     base = tuple(spec.base)
-    core_cum = _cumulative(spec.core)
-    junction = add(base, core_cum[-1])
-    w_pos = _cumulative(spec.pos_period)
-    w_pos = [add(junction, v) for v in w_pos]
+    core_vs = spec.core_vertices
+    junction = core_vs[-1]
+    w_pos = _cumulative(spec.pos_period, junction)
     w_neg = []
     v = base
     for d in reversed(spec.neg_period):
         v = sub(v, direction_vector(d))
         w_neg.append(v)
     w_neg = [base] + w_neg
-    core_vs = [add(base, v) for v in core_cum]
 
     def _windows_needed(disp, window, other_vertices):
         axis = _escape_axis(disp)
@@ -494,19 +559,20 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
 
     # walk the certified truncation once, checking vertex/edge distinctness
     lo = -k_neg * nn
-    hi = nc + k_pos * npp - 1
     cur = spec.vertex(lo)
     keys = set()
     seen_v = {cur}
-    for t in range(lo, hi + 1):
-        e = edge_from(cur, spec.step(t))
-        if e.key in keys:
+    word = spec.neg_period * k_neg + spec.core + spec.pos_period * k_pos
+    for t, (a, s) in enumerate(word, lo):
+        nxt = add(cur, _MOVES[a, s])
+        key = (cur if s > 0 else nxt, a)
+        if key in keys:
             raise SelfIntersecting(f"edge revisited at parameter {t}")
-        keys.add(e.key)
-        cur = boundary_edge(e)[1]
-        if cur in seen_v:
+        keys.add(key)
+        if nxt in seen_v:
             raise SelfIntersecting(f"vertex revisited at parameter {t}")
-        seen_v.add(cur)
+        seen_v.add(nxt)
+        cur = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -537,46 +603,12 @@ def is_monotonic(spec: InfinitePathSpec) -> tuple[bool, dict[int, int] | None]:
 
 def enclosing_region(spec: InfinitePathSpec) -> Region:
     """A cuboid outside which every step heads along a tail direction."""
-    nc = len(spec.core)
-    return bounding_region([spec.vertex(t) for t in range(0, nc + 1)])
+    return bounding_region(spec.core_vertices)
 
 
 def count_edges_in_region(spec: InfinitePathSpec, region: Region) -> int:
     """Exact number of realized edges with both endpoints inside ``region``."""
-    count = 0
-    nc = len(spec.core)
-    v = spec.base
-    for t in range(nc):
-        w = add(v, direction_vector(spec.step(t)))
-        if region.contains_vertex(v) and region.contains_vertex(w):
-            count += 1
-        v = w
-
-    def walk_tail(start_t, direction):
-        nonlocal count
-        disp = spec.pos_displacement if direction > 0 else spec.neg_displacement
-        axis = _escape_axis(disp)
-        period = len(spec.pos_period) if direction > 0 else len(spec.neg_period)
-        t0 = start_t
-        while True:
-            window = []
-            for i in range(period):
-                t = t0 + i if direction > 0 else t0 - i
-                a = spec.vertex(t) if direction > 0 else spec.vertex(t - 1)
-                b = spec.vertex(t + 1) if direction > 0 else spec.vertex(t)
-                window.extend((a, b))
-                if region.contains_vertex(a) and region.contains_vertex(b):
-                    count += 1
-            coords = [w[axis] for w in window]
-            if disp[axis] > 0 and min(coords) > region.hi[axis]:
-                return
-            if disp[axis] < 0 and max(coords) < region.lo[axis]:
-                return
-            t0 += period * direction
-
-    walk_tail(nc, +1)
-    walk_tail(0, -1)
-    return count
+    return sum(key is not None for _, key in spec.walk_in(region))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +617,7 @@ def count_edges_in_region(spec: InfinitePathSpec, region: Region) -> int:
 
 
 def _comparison_window(p: InfinitePathSpec, q: InfinitePathSpec) -> Region:
-    vs = [p.vertex(t) for t in range(0, len(p.core) + 1)]
-    vs += [q.vertex(t) for t in range(0, len(q.core) + 1)]
+    vs = p.core_vertices + q.core_vertices
     pad = len(p.neg_period) + len(p.pos_period) + len(q.neg_period) + len(q.pos_period) + 1
     return bounding_region(vs).inflate(pad)
 

@@ -108,23 +108,19 @@ def run_script(cfg: Configuration, script: tuple[ScriptStep, ...]) -> Configurat
     return Configuration(cfg.charges, tuple(strings), loops)
 
 
-def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
-    """Full decision: ground state / ground sector with repair script / neither.
+def _sector_witness(cfg: Configuration, strict_gss: bool = False) -> Witness | None:
+    """Why ``cfg`` lies outside every ground sector, or None if it lies in one.
 
-    ``strict_gss`` switches the multi-string condition to the literal
-    total-intersection reading instead of pairwise disjointness.
+    Reads the tails only: a string whose tails walk some axis both ways, then
+    two strings sharing a direction (with ``strict_gss``, one direction shared
+    by all strings: the literal total-intersection reading).
     """
-    frustration_free = not cfg.charges and not cfg.loops and not cfg.strings
     dsets = [infinity_directions(s) for s in cfg.strings]
 
     for i, ds in enumerate(dsets):
         bad = tail_conflict(ds)
         if bad is not None:
-            return SectorVerdict(
-                VerdictKind.NOT_GROUND_SECTOR,
-                Witness(string_index=i, direction=bad),
-                frustration_free=frustration_free,
-            )
+            return Witness(string_index=i, direction=bad)
 
     if strict_gss:
         if len(dsets) >= 2:
@@ -132,24 +128,31 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
             for ds in dsets[1:]:
                 common &= ds.all
             if common:
-                return SectorVerdict(
-                    VerdictKind.NOT_GROUND_SECTOR,
-                    Witness(direction=sorted(common)[0]),
-                    frustration_free=frustration_free,
-                )
+                return Witness(direction=sorted(common)[0])
     else:
         for i in range(len(dsets)):
             for j in range(i + 1, len(dsets)):
                 common = dsets[i].all & dsets[j].all
                 if common:
-                    return SectorVerdict(
-                        VerdictKind.NOT_GROUND_SECTOR,
-                        Witness(pair=(i, j), direction=sorted(common)[0]),
-                        frustration_free=frustration_free,
-                    )
+                    return Witness(pair=(i, j), direction=sorted(common)[0])
         # pairwise-disjoint direction sets of size >= 2 cannot exceed three
         # strings over six directions
         assert len(cfg.strings) <= 3
+    return None
+
+
+def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
+    """Full decision: ground state / ground sector with repair script / neither.
+
+    ``strict_gss`` switches the multi-string condition to the literal
+    total-intersection reading instead of pairwise disjointness.
+    """
+    frustration_free = not cfg.charges and not cfg.loops and not cfg.strings
+    witness = _sector_witness(cfg, strict_gss)
+    if witness is not None:
+        return SectorVerdict(
+            VerdictKind.NOT_GROUND_SECTOR, witness, frustration_free=frustration_free
+        )
 
     script: list[ScriptStep] = []
     all_monotone = True
@@ -237,8 +240,7 @@ def _string_tag(spec: InfinitePathSpec) -> StringClassTag:
 
 
 def sector_label(cfg: Configuration, strict_gss: bool = False) -> SectorLabel:
-    verdict = classify(cfg, strict_gss=strict_gss)
-    if not verdict.is_ground_sector:
+    if _sector_witness(cfg, strict_gss) is not None:
         raise NotAGroundSector("configuration is outside every ground sector")
     return SectorLabel(charge_parity(cfg), tuple(_string_tag(s) for s in cfg.strings))
 

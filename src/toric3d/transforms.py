@@ -91,53 +91,13 @@ class EnergyReport:
         return self.flux_energy + self.charge_energy
 
 
-def _string_edges_in_region(spec: InfinitePathSpec, region: Region) -> list[Edge]:
-    """Realized edges of ``spec`` with both endpoints inside ``region``."""
-    out: list[Edge] = []
-    nc = len(spec.core)
-    v = spec.base
-    for t in range(nc):
-        e = edge_from(v, spec.step(t))
-        if region.contains_edge(e):
-            out.append(e)
-        v = boundary_edge(e)[1]
-
-    def walk(start_t, direction):
-        disp = spec.pos_displacement if direction > 0 else spec.neg_displacement
-        axis = max(AXES, key=lambda a: abs(disp[a]))
-        period = len(spec.pos_period) if direction > 0 else len(spec.neg_period)
-        t0 = start_t
-        while True:
-            coords = []
-            for i in range(period):
-                t = t0 + i * direction
-                te = t if direction > 0 else t - 1
-                e = edge_from(spec.vertex(te), spec.step(te))
-                a, b = boundary_edge(e)
-                coords.extend((a[axis], b[axis]))
-                if region.contains_edge(e):
-                    out.append(e)
-            if disp[axis] > 0 and min(coords) > region.hi[axis]:
-                return
-            if disp[axis] < 0 and max(coords) < region.lo[axis]:
-                return
-            t0 += period * direction
-
-    walk(nc, +1)
-    walk(0, -1)
-    return out
-
-
 def flux_chain_in_region(cfg: Configuration, region: Region) -> set[EdgeKey]:
     """Mod-2 sum of all flux edges inside ``region`` (shared edges cancel)."""
     chain: set[EdgeKey] = set()
     for spec in cfg.strings:
-        for e in _string_edges_in_region(spec, region):
-            chain.symmetric_difference_update({e.key})
+        chain ^= {key for _, key in spec.walk_in(region) if key is not None}
     for loop in cfg.loops:
-        for e in loop.edges:
-            if region.contains_edge(e):
-                chain.symmetric_difference_update({e.key})
+        chain ^= {e.key for e in loop.edges if region.contains_edge(e)}
     return chain
 
 
@@ -261,41 +221,8 @@ def lift(
 
 def _region_params(spec: InfinitePathSpec, region: Region):
     """Parameters of in-region edges plus parameters of in-region vertices."""
-    edge_ts: list[int] = []
-    vertex_ts: list[int] = []
-    nc = len(spec.core)
-
-    def scan(t):
-        e = edge_from(spec.vertex(t), spec.step(t))
-        if region.contains_edge(e):
-            edge_ts.append(t)
-        if region.contains_vertex(spec.vertex(t)):
-            vertex_ts.append(t)
-
-    for t in range(nc):
-        scan(t)
-
-    def walk(start_t, direction):
-        disp = spec.pos_displacement if direction > 0 else spec.neg_displacement
-        axis = max(AXES, key=lambda a: abs(disp[a]))
-        period = len(spec.pos_period) if direction > 0 else len(spec.neg_period)
-        t0 = start_t
-        while True:
-            coords = []
-            for i in range(period):
-                t = (t0 + i * direction) if direction > 0 else (t0 - 1 - i)
-                scan(t)
-                a, b = boundary_edge(edge_from(spec.vertex(t), spec.step(t)))
-                coords.extend((a[axis], b[axis]))
-            if disp[axis] > 0 and min(coords) > region.hi[axis]:
-                return
-            if disp[axis] < 0 and max(coords) < region.lo[axis]:
-                return
-            t0 += period * direction
-
-    walk(nc, +1)
-    walk(0, -1)
-    return sorted(edge_ts), sorted(vertex_ts)
+    hits = list(spec.walk_in(region))
+    return sorted(t for t, key in hits if key is not None), sorted(t for t, _ in hits)
 
 
 def _segment_steps(spec: InfinitePathSpec, region: Region) -> tuple[int, int, tuple[Direction, ...]]:
@@ -408,12 +335,8 @@ def straighten_fixpoint(spec: InfinitePathSpec, region: Region) -> tuple[Infinit
 
 
 def _overlap_params(spec: InfinitePathSpec, keys: set[EdgeKey], window: Region) -> list[int]:
-    params = []
-    edge_ts, _ = _region_params(spec, window)
-    for t in edge_ts:
-        if spec.edge_at(t).key in keys:
-            params.append(t)
-    return params
+    """Sorted parameters of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
+    return sorted(t for t, key in spec.walk_in(window) if key is not None and key in keys)
 
 
 def _aligned_low(spec: InfinitePathSpec, t: int) -> int:
@@ -465,8 +388,7 @@ def _shared_runs(strings: Sequence[InfinitePathSpec]):
     out = []
     for i in range(len(strings)):
         for j in range(i + 1, len(strings)):
-            vs = [strings[i].vertex(t) for t in range(0, len(strings[i].core) + 1)]
-            vs += [strings[j].vertex(t) for t in range(0, len(strings[j].core) + 1)]
+            vs = strings[i].core_vertices + strings[j].core_vertices
             pad = 2 * (
                 len(strings[i].neg_period)
                 + len(strings[i].pos_period)
@@ -474,8 +396,8 @@ def _shared_runs(strings: Sequence[InfinitePathSpec]):
                 + len(strings[j].pos_period)
             ) + 2
             window = bounding_region(vs).inflate(pad)
-            keys_i = {strings[i].edge_at(t).key for t in _region_params(strings[i], window)[0]}
-            ts = [t for t in _region_params(strings[j], window)[0] if strings[j].edge_at(t).key in keys_i]
+            keys_i = {key for _, key in strings[i].walk_in(window)}
+            ts = _overlap_params(strings[j], keys_i, window)
             if ts:
                 runs = _contiguous_runs(ts)
                 t_lo, t_hi = runs[0]

@@ -7,6 +7,7 @@ never call the production code paths they are used to check.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from itertools import product
@@ -19,14 +20,28 @@ from toric3d.lattice import (
     Face,
     Region,
     add,
+    boundary_edge,
     direction_vector,
+    edge_from,
     edges_of_vertex,
     face_edges,
     primal_face_of_edge,
     reverse_direction,
+    scale,
+    sub,
     unit,
 )
-from toric3d.paths import FinitePath, InfinitePathSpec, path_from_steps
+from toric3d.paths import (
+    FinitePath,
+    InfinitePathSpec,
+    _cumulative,
+    _escape_axis,
+    _extent,
+    _parallel_factor,
+    _primitive,
+    _word_displacement,
+    path_from_steps,
+)
 
 DIRS6 = [(a, s) for a in AXES for s in (+1, -1)]
 
@@ -181,6 +196,240 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
     return 2 * violated
 
 
+# Three period-by-period tail walks, each rebuilding ``spec.vertex(t)`` and an
+# ``Edge`` per step: the references for ``InfinitePathSpec.walk_in``.
+
+
+def reference_count_edges_in_region(spec: InfinitePathSpec, region: Region) -> int:
+    """Exact number of realized edges with both endpoints inside ``region``."""
+    count = 0
+    nc = len(spec.core)
+    v = spec.base
+    for t in range(nc):
+        w = add(v, direction_vector(spec.step(t)))
+        if region.contains_vertex(v) and region.contains_vertex(w):
+            count += 1
+        v = w
+
+    def walk_tail(start_t, direction):
+        nonlocal count
+        disp = spec.pos_displacement if direction > 0 else spec.neg_displacement
+        axis = _escape_axis(disp)
+        period = len(spec.pos_period) if direction > 0 else len(spec.neg_period)
+        t0 = start_t
+        while True:
+            window = []
+            for i in range(period):
+                t = t0 + i if direction > 0 else t0 - i
+                a = spec.vertex(t) if direction > 0 else spec.vertex(t - 1)
+                b = spec.vertex(t + 1) if direction > 0 else spec.vertex(t)
+                window.extend((a, b))
+                if region.contains_vertex(a) and region.contains_vertex(b):
+                    count += 1
+            coords = [w[axis] for w in window]
+            if disp[axis] > 0 and min(coords) > region.hi[axis]:
+                return
+            if disp[axis] < 0 and max(coords) < region.lo[axis]:
+                return
+            t0 += period * direction
+
+    walk_tail(nc, +1)
+    walk_tail(0, -1)
+    return count
+
+
+def reference_string_edges_in_region(spec: InfinitePathSpec, region: Region) -> list[Edge]:
+    """Realized edges of ``spec`` with both endpoints inside ``region``."""
+    out: list[Edge] = []
+    nc = len(spec.core)
+    v = spec.base
+    for t in range(nc):
+        e = edge_from(v, spec.step(t))
+        if region.contains_edge(e):
+            out.append(e)
+        v = boundary_edge(e)[1]
+
+    def walk(start_t, direction):
+        disp = spec.pos_displacement if direction > 0 else spec.neg_displacement
+        axis = max(AXES, key=lambda a: abs(disp[a]))
+        period = len(spec.pos_period) if direction > 0 else len(spec.neg_period)
+        t0 = start_t
+        while True:
+            coords = []
+            for i in range(period):
+                t = t0 + i * direction
+                te = t if direction > 0 else t - 1
+                e = edge_from(spec.vertex(te), spec.step(te))
+                a, b = boundary_edge(e)
+                coords.extend((a[axis], b[axis]))
+                if region.contains_edge(e):
+                    out.append(e)
+            if disp[axis] > 0 and min(coords) > region.hi[axis]:
+                return
+            if disp[axis] < 0 and max(coords) < region.lo[axis]:
+                return
+            t0 += period * direction
+
+    walk(nc, +1)
+    walk(0, -1)
+    return out
+
+
+def reference_region_params(spec: InfinitePathSpec, region: Region):
+    """Parameters of in-region edges plus parameters of in-region vertices."""
+    edge_ts: list[int] = []
+    vertex_ts: list[int] = []
+    nc = len(spec.core)
+
+    def scan(t):
+        e = edge_from(spec.vertex(t), spec.step(t))
+        if region.contains_edge(e):
+            edge_ts.append(t)
+        if region.contains_vertex(spec.vertex(t)):
+            vertex_ts.append(t)
+
+    for t in range(nc):
+        scan(t)
+
+    def walk(start_t, direction):
+        disp = spec.pos_displacement if direction > 0 else spec.neg_displacement
+        axis = max(AXES, key=lambda a: abs(disp[a]))
+        period = len(spec.pos_period) if direction > 0 else len(spec.neg_period)
+        t0 = start_t
+        while True:
+            coords = []
+            for i in range(period):
+                t = (t0 + i * direction) if direction > 0 else (t0 - 1 - i)
+                scan(t)
+                a, b = boundary_edge(edge_from(spec.vertex(t), spec.step(t)))
+                coords.extend((a[axis], b[axis]))
+            if disp[axis] > 0 and min(coords) > region.hi[axis]:
+                return
+            if disp[axis] < 0 and max(coords) < region.lo[axis]:
+                return
+            t0 += period * direction
+
+    walk(nc, +1)
+    walk(0, -1)
+    return sorted(edge_ts), sorted(vertex_ts)
+
+
+def unchecked_spec(neg, core, pos, base) -> InfinitePathSpec:
+    """An ``InfinitePathSpec`` built without running its validation."""
+    spec = object.__new__(InfinitePathSpec)
+    for name, value in zip(("neg_period", "core", "pos_period", "base"), (neg, core, pos, base)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
+def reference_validate_spec(spec: InfinitePathSpec) -> None:
+    """Spec validation whose certified-truncation walk builds an ``Edge`` per
+    step: the reference for the key-tuple walk in ``paths._validate_spec``."""
+    if not spec.neg_period or not spec.pos_period:
+        raise SelfIntersecting("period words must be nonempty")
+    dpos = _word_displacement(spec.pos_period)
+    dneg_out = scale(_word_displacement(spec.neg_period), -1)
+    if dpos == (0, 0, 0) or dneg_out == (0, 0, 0):
+        raise SelfIntersecting("period word has zero net displacement")
+
+    nc = len(spec.core)
+    nn, npp = len(spec.neg_period), len(spec.pos_period)
+
+    # window vertex sets of the first tail period on each side
+    base = tuple(spec.base)
+    core_cum = _cumulative(spec.core)
+    junction = add(base, core_cum[-1])
+    w_pos = _cumulative(spec.pos_period)
+    w_pos = [add(junction, v) for v in w_pos]
+    w_neg = []
+    v = base
+    for d in reversed(spec.neg_period):
+        v = sub(v, direction_vector(d))
+        w_neg.append(v)
+    w_neg = [base] + w_neg
+    core_vs = [add(base, v) for v in core_cum]
+
+    def _windows_needed(disp, window, other_vertices):
+        axis = _escape_axis(disp)
+        step = abs(disp[axis])
+        ext = _extent(window, axis)
+        self_bound = ext // step + 1
+        span = _extent(window + list(other_vertices), axis)
+        core_bound = span // step + 1
+        return max(self_bound, core_bound)
+
+    k_pos = _windows_needed(dpos, w_pos, core_vs + w_neg)
+    k_neg = _windows_needed(dneg_out, w_neg, core_vs + w_pos)
+
+    u_pos, g_pos = _primitive(dpos)
+    q = _parallel_factor(u_pos, dneg_out)
+    if q is None:
+        # independent tail headings: Cramer bound over a nonsingular axis pair
+        best = None
+        for a in AXES:
+            for b in AXES:
+                if a < b:
+                    det = dpos[a] * dneg_out[b] - dpos[b] * dneg_out[a]
+                    if det != 0:
+                        best = (a, b, det)
+        a, b, det = best
+        all_vs = core_vs + w_pos + w_neg
+        ra = _extent(all_vs, a) + 2
+        rb = _extent(all_vs, b) + 2
+        jmax = (ra * abs(dneg_out[b]) + rb * abs(dneg_out[a])) // abs(det) + 1
+        kmax = (ra * abs(dpos[b]) + rb * abs(dpos[a])) // abs(det) + 1
+        k_pos = max(k_pos, jmax)
+        k_neg = max(k_neg, kmax)
+    elif q < 0:
+        # tails head opposite ways along a common line: bounded interaction
+        axis = _escape_axis(u_pos)
+        span = _extent(core_vs + w_pos + w_neg, axis) + 2
+        bound = span // min(abs(dpos[axis]), abs(dneg_out[axis])) + 1
+        k_pos = max(k_pos, bound)
+        k_neg = max(k_neg, bound)
+    else:
+        # Same heading: exact periodic overlap test on the far tails.
+        # A collision of window copies depends only on m = j*p - k*q (in
+        # units of the primitive vector u), and every multiple of gcd(p, q)
+        # is realized arbitrarily far out, so any hit is a genuine
+        # self-intersection.
+        g = math.gcd(g_pos, q)
+        axis = _escape_axis(u_pos)
+        span = (
+            _extent(w_pos, axis)
+            + _extent(w_neg, axis)
+            + abs(junction[axis] - base[axis])
+            + 2
+        )
+        m_max = span // abs(u_pos[axis]) + 1
+        neg_set = set(w_neg)
+        for m in range(-m_max, m_max + 1):
+            if m % g != 0:
+                continue
+            shift = scale(u_pos, m)
+            if any(add(w, shift) in neg_set for w in w_pos):
+                raise SelfIntersecting("tail windows collide on a shared line")
+
+    k_pos = max(3, k_pos) + 1
+    k_neg = max(3, k_neg) + 1
+
+    # walk the certified truncation once, checking vertex/edge distinctness
+    lo = -k_neg * nn
+    hi = nc + k_pos * npp - 1
+    cur = spec.vertex(lo)
+    keys = set()
+    seen_v = {cur}
+    for t in range(lo, hi + 1):
+        e = edge_from(cur, spec.step(t))
+        if e.key in keys:
+            raise SelfIntersecting(f"edge revisited at parameter {t}")
+        keys.add(e.key)
+        cur = boundary_edge(e)[1]
+        if cur in seen_v:
+            raise SelfIntersecting(f"vertex revisited at parameter {t}")
+        seen_v.add(cur)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -216,13 +465,25 @@ def random_core(rng, max_len=6, lo=-3, hi=3, self_avoiding=False):
     return tuple(core)
 
 
-def random_spec(rng, base_lo=-2, base_hi=2, monotone_tails=False, max_core=6, **core_box):
+def zigzag_core(rng, length):
+    """``length`` steps oscillating along one axis while advancing along
+    another (``X+ Y+ X- Y+ ...``): self-avoiding by construction."""
+    bad, other = (int(a) for a in rng.permutation(3)[:2])
+    up, ahead = int(rng.choice((-1, 1))), int(rng.choice((-1, 1)))
+    pattern = ((bad, up), (other, ahead), (bad, -up), (other, ahead))
+    return tuple(pattern[i % 4] for i in range(length))
+
+
+def random_spec(
+    rng, base_lo=-2, base_hi=2, monotone_tails=False, max_core=6, max_period=2, **core_box
+):
     """A valid spec with short random words; retries until validation passes.
-    ``core_box`` passes ``lo``, ``hi`` and ``self_avoiding`` to ``random_core``."""
+    Tail periods take 1 to ``max_period`` letters; ``core_box`` passes ``lo``,
+    ``hi`` and ``self_avoiding`` to ``random_core``."""
     for _ in range(60):
         base = tuple(int(x) for x in rng.integers(base_lo, base_hi + 1, 3))
-        neg = _random_word(rng, monotone=monotone_tails)
-        pos = _random_word(rng, monotone=monotone_tails)
+        neg = _random_word(rng, max_len=max_period, monotone=monotone_tails)
+        pos = _random_word(rng, max_len=max_period, monotone=monotone_tails)
         core = random_core(rng, max_len=max_core, **core_box)
         try:
             return InfinitePathSpec(neg, core, pos, base)

@@ -77,17 +77,50 @@ def test_malformed_surface_file_is_syntax_error(monkeypatch, tmp_path, text):
     assert report["error"] == "ConfigSyntaxError"
 
 
+@pytest.mark.parametrize("source", ["config", "surface", "stdin"])
+def test_non_utf8_input_is_syntax_error(monkeypatch, tmp_path, source):
+    import io
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[]")
+    good = tmp_path / "good.json"
+    good.write_text(PARALLEL)
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe[]" if source == "stdin" else b""), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = {
+        "config": ["classify", "--config", str(bad)],
+        "surface": ["surgery", "--config", str(good), "--surface", str(bad)],
+        "stdin": ["classify"],
+    }[source]
+    report, code = run(argv)
+    assert code == 2
+    assert report["error"] == "ConfigSyntaxError"
+    assert "not UTF-8" in report["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--checks", "energy", "--samples", "-3"],
         ["verify", "--checks", "commutation", "--n", "0"],
+        ["verify", "--checks", "commutation", "--n", "50"],
     ],
 )
 def test_verify_rejects_out_of_range_flags(argv):
     report, code = run(argv)
     assert code == 2
-    assert report["error"] == "ConfigSyntaxError"
+    if argv[-1] == "50":
+        # the commutation block is capped, and the report names the cap
+        assert report["error"] == "TooLarge"
+        assert "<= 3" in report["message"]
+    else:
+        assert report["error"] == "ConfigSyntaxError"
+
+
+def test_verify_help_names_the_block_limit(capsys):
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    assert "1 to 3" in capsys.readouterr().out
 
 
 def test_parse_malformed_json_has_position():

@@ -3,7 +3,7 @@
 import pytest
 
 from toric3d.errors import MalformedBoundary, NotConnected, SelfIntersecting
-from toric3d.lattice import Face, parse_steps, region_of, reverse_direction
+from toric3d.lattice import Face, Region, add, parse_steps, region_of, reverse_direction, sub
 from toric3d.paths import (
     InfinitePathSpec,
     count_edges_in_region,
@@ -19,7 +19,20 @@ from toric3d.paths import (
     validate_finite_path,
     validate_surface,
 )
-from ._gen import brute_count_edges, random_monotone_spec, random_spec
+from toric3d.transforms import _region_params, flux_chain_in_region, make_configuration
+from ._gen import (
+    _random_word,
+    brute_count_edges,
+    random_core,
+    random_monotone_spec,
+    random_spec,
+    reference_count_edges_in_region,
+    reference_region_params,
+    reference_string_edges_in_region,
+    reference_validate_spec,
+    unchecked_spec,
+    zigzag_core,
+)
 
 X, Y, Z = 0, 1, 2
 
@@ -353,3 +366,99 @@ def test_tail_steps_outside_enclosing_region_head_along_tail_directions(rng):
             e = s.edge_at(t)
             if not region.contains_edge(e):
                 assert reverse_direction((e.axis, e.sign)) in ds.d_minus
+
+
+# ---------------------------------------------------------------------------
+# the tail walk against the three loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _walk_specs(rng):
+    """Short random cores, long self-avoiding cores and zigzag cores, with
+    tail periods of 1 to 3 letters."""
+    specs = [random_spec(rng, max_period=3) for _ in range(20)]
+    specs += [
+        random_spec(rng, max_period=3, max_core=40, lo=-6, hi=6, self_avoiding=True)
+        for _ in range(20)
+    ]
+    while len(specs) < 60:
+        base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+        core = zigzag_core(rng, int(rng.integers(1, 30)))
+        try:
+            specs.append(InfinitePathSpec(_random_word(rng, 3), core, _random_word(rng, 3), base))
+        except SelfIntersecting:
+            continue
+    return specs
+
+
+def _walk_regions(rng, spec):
+    """Regions covering, clipping and missing the core, regions that meet
+    only a tail, and single vertices on and off the path."""
+    box = enclosing_region(spec)
+    mid = tuple((l + h) // 2 for l, h in zip(box.lo, box.hi))
+    regions = [box, box.inflate(2), Region(box.lo, mid), Region(mid, box.hi)]
+    for _ in range(3):
+        lo = tuple(int(x) for x in rng.integers(-8, 6, 3))
+        regions.append(Region(lo, tuple(l + int(x) for l, x in zip(lo, rng.integers(0, 6, 3)))))
+    far = add(box.hi, (40, 40, 40))
+    regions.append(Region(far, add(far, (3, 3, 3))))
+    # far enough along a tail to clear the core box
+    k = max(box.span(a) for a in range(3)) + 4
+    ahead = spec.vertex(len(spec.core) + k * len(spec.pos_period))
+    behind = spec.vertex(-k * len(spec.neg_period))
+    tail_only = [
+        Region(ahead, ahead),
+        Region(sub(ahead, (1, 1, 1)), add(ahead, (1, 1, 1))),
+        Region(sub(behind, (2, 2, 2)), behind),
+    ]
+    for r in tail_only:
+        assert not any(r.contains_vertex(v) for v in spec.core_vertices)
+    on_core = spec.vertex(len(spec.core) // 2)
+    return regions + tail_only + [Region(on_core, on_core), Region(far, far)]
+
+
+def test_walk_matches_reference_loops(rng):
+    checked = tail_hits = 0
+    for spec in _walk_specs(rng):
+        cfg = make_configuration(strings=[spec])
+        for region in _walk_regions(rng, spec):
+            params = _region_params(spec, region)
+            assert params == reference_region_params(spec, region)
+            assert count_edges_in_region(spec, region) == reference_count_edges_in_region(
+                spec, region
+            )
+            expected = {e.key for e in reference_string_edges_in_region(spec, region)}
+            assert flux_chain_in_region(cfg, region) == expected
+            checked += 1
+            tail_hits += any(t >= len(spec.core) or t < 0 for t in params[1])
+    # every spec's tail-only regions hold tail vertices
+    assert checked == 60 * 13 and tail_hits >= 60 * 3
+
+
+def _rejection(build):
+    try:
+        build()
+    except SelfIntersecting as ex:
+        return str(ex)
+    return None
+
+
+def test_validate_spec_messages_match_reference(rng):
+    cases = [
+        (parse_steps("Z+"), parse_steps("Z+Z-"), parse_steps("Z+"), (0, 0, 0)),
+        (parse_steps("Z+"), parse_steps("X+Y+X-Y-"), parse_steps("Z+"), (0, 0, 0)),
+        (parse_steps("X+"), parse_steps("Z+X-Z-"), parse_steps("X+"), (0, 0, 0)),
+        (parse_steps("X+Z+"), parse_steps(""), parse_steps("X-Z-"), (0, 0, 0)),
+        (parse_steps("X+"), parse_steps(""), parse_steps("X+X-"), (0, 0, 0)),
+    ]
+    for _ in range(400):
+        base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+        neg, pos = _random_word(rng, 3), _random_word(rng, 3)
+        cases.append((neg, random_core(rng, max_len=10), pos, base))
+    kinds = set()
+    for neg, core, pos, base in cases:
+        expected = _rejection(lambda: reference_validate_spec(unchecked_spec(neg, core, pos, base)))
+        assert _rejection(lambda: InfinitePathSpec(neg, core, pos, base)) == expected
+        if expected is not None:
+            kinds.add(expected.split(" at ")[0])
+    assert {"edge revisited", "vertex revisited"} <= kinds

@@ -10,7 +10,10 @@ from toric3d.paths import (
     spec_from_strings,
 )
 from toric3d.sectors import (
+    SectorLabel,
+    StringClassTag,
     VerdictKind,
+    _string_tag,
     canonical_solution,
     charge_parity,
     classify,
@@ -27,6 +30,7 @@ from ._gen import (
     equivalent_variant,
     random_loop,
     random_monotone_spec,
+    random_nonmonotone_spec,
     random_spec,
 )
 
@@ -285,6 +289,51 @@ def test_label_invariant_under_path_equivalent_edits(rng):
         variant = make_configuration(charges=[(2, 2, 2)], strings=[equivalent_variant(rng, s)])
         assert sector_label(cfg) == sector_label(variant)
         done += 1
+
+
+@pytest.mark.parametrize("strict_gss", [False, True])
+def test_sector_label_agrees_with_classify(rng, strict_gss):
+    makers = (random_spec, random_monotone_spec, random_nonmonotone_spec)
+    inside = outside = 0
+    for _ in range(150):
+        strings = [makers[int(rng.integers(0, 3))](rng) for _ in range(int(rng.integers(0, 4)))]
+        loops = [random_loop(rng) for _ in range(int(rng.integers(0, 2)))]
+        charges = [tuple(int(x) for x in rng.integers(-3, 4, 3)) for _ in range(int(rng.integers(0, 3)))]
+        cfg = make_configuration(charges, strings, loops)
+        if classify(cfg, strict_gss=strict_gss).is_ground_sector:
+            expected = SectorLabel(charge_parity(cfg), tuple(_string_tag(s) for s in strings))
+            assert sector_label(cfg, strict_gss=strict_gss) == expected
+            inside += 1
+        else:
+            with pytest.raises(NotAGroundSector):
+                sector_label(cfg, strict_gss=strict_gss)
+            outside += 1
+    assert inside >= 20 and outside >= 20
+
+
+def test_label_regression_two_strings_charges_and_loop():
+    # a non-monotone P string along x and a Q string: recorded label
+    a = spec_from_strings("X+", "Y+Z+Y-Z+", "X+", (0, 0, 0))
+    b = spec_from_strings("Z+", "Y+", "Y+Z+", (5, 0, 0))
+    loop = path_from_steps((9, 9, 9), parse_steps("X+Y+X-Y-"))
+    cfg = make_configuration(charges=[(1, 1, 1), (2, 2, 2), (3, 3, 3)], strings=[a, b], loops=[loop])
+    expected = SectorLabel(
+        1,
+        (
+            StringClassTag(
+                "P",
+                frozenset({(X, 1), (X, -1)}),
+                frozenset({((X, 1), (0, 2)), ((X, -1), (0, 0))}),
+            ),
+            StringClassTag(
+                "Q",
+                frozenset({(Z, -1), (Y, 1), (Z, 1)}),
+                frozenset({((Z, -1), (5, 0))}),
+            ),
+        ),
+    )
+    assert sector_label(cfg) == expected
+    assert sector_label(cfg, strict_gss=True) == expected
 
 
 # ---------------------------------------------------------------------------
