@@ -31,8 +31,6 @@ from .sectors import (
     charge_parity,
     classify,
     enumerate_gsc_solutions,
-    is_ground_sector,
-    is_ground_state,
     sector_label,
 )
 from .transforms import (
@@ -70,8 +68,6 @@ __all__ = [
     "energy",
     "enumerate_gsc_solutions",
     "infinity_directions",
-    "is_ground_sector",
-    "is_ground_state",
     "is_monotonic",
     "lift",
     "linking_parity",

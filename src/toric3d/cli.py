@@ -98,7 +98,9 @@ def _read_text(path: str) -> str:
     is a syntax error."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            # the bytes, so the locale's error handler cannot mask bad input
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as ex:

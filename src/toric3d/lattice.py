@@ -225,12 +225,10 @@ def region_of(lo: Vertex, hi: Vertex) -> Region:
 
 
 def bounding_region(vertices: Iterable[Vertex]) -> Region:
-    vs = list(vertices)
-    if not vs:
+    columns = tuple(zip(*vertices))
+    if not columns:
         raise ValueError("bounding_region of no vertices")
-    lo = tuple(min(v[a] for v in vs) for a in AXES)
-    hi = tuple(max(v[a] for v in vs) for a in AXES)
-    return Region(lo, hi)
+    return Region(tuple(map(min, columns)), tuple(map(max, columns)))
 
 
 def edges_in_region(region: Region) -> list[Edge]:

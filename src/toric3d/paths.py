@@ -129,6 +129,11 @@ def monotone_staircase(a: Vertex, b: Vertex) -> StepWord:
     return tuple(steps)
 
 
+def word_is_self_avoiding(steps: Sequence[Direction]) -> bool:
+    """Whether walking ``steps`` visits no vertex twice (so no edge twice)."""
+    return len(set(_cumulative(steps))) == len(steps) + 1
+
+
 def word_is_monotone(steps: Iterable[Direction]) -> bool:
     signs: dict[int, int] = {}
     for a, s in steps:
@@ -317,6 +322,8 @@ class InfinitePathSpec:
         return edge_from(self.vertex(t), self.step(t))
 
     def realize_steps(self, a: int, b: int) -> StepWord:
+        if 0 <= a and b < len(self.core):
+            return self.core[a : b + 1]
         return tuple(self.step(t) for t in range(a, b + 1))
 
     def edges(self, a: int, b: int) -> list[Edge]:
@@ -418,20 +425,24 @@ def replace_window(
     The replacement must connect ``vertex(t_lo)`` to ``vertex(t_hi)``; tails
     are preserved by aligning the cut points with full periods.
     """
-    nn, nc, npp = len(spec.neg_period), len(spec.core), len(spec.pos_period)
-    lo = min(t_lo, 0)
-    a = -nn * math.ceil(-lo / nn) if lo < 0 else 0
-    hi = max(t_hi, nc)
-    b = nc + npp * math.ceil((hi - nc) / npp)
+    a, b = aligned_window(spec, t_lo, t_hi)
     disp = sub(spec.vertex(t_hi), spec.vertex(t_lo))
     if _word_displacement(tuple(new_steps)) != disp:
         raise ValueError("replacement steps do not connect the window endpoints")
     core = (
-        tuple(spec.step(t) for t in range(a, t_lo))
+        spec.realize_steps(a, t_lo - 1)
         + tuple(new_steps)
-        + tuple(spec.step(t) for t in range(t_hi, b))
+        + spec.realize_steps(t_hi, b - 1)
     )
     return InfinitePathSpec(spec.neg_period, core, spec.pos_period, spec.vertex(a))
+
+
+def aligned_window(spec: InfinitePathSpec, t_lo: int, t_hi: int) -> tuple[int, int]:
+    """The least ``(a, b)`` with ``a <= min(t_lo, 0)`` and ``b >= max(t_hi,
+    len(core))`` that cut the tails at whole periods, so ``[a, b)`` can
+    become a new core under the same period words."""
+    nn, nc, npp = len(spec.neg_period), len(spec.core), len(spec.pos_period)
+    return min(0, t_lo // nn * nn), max(nc, nc - (nc - t_hi) // npp * npp)
 
 
 # ---------------------------------------------------------------------------
@@ -557,14 +568,16 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     k_pos = max(3, k_pos) + 1
     k_neg = max(3, k_neg) + 1
 
-    # walk the certified truncation once, checking vertex/edge distinctness
+    # walk the certified truncation once; distinct vertices imply distinct
+    # edges, and only a repeat needs the step-by-step check to be named
     lo = -k_neg * nn
-    cur = spec.vertex(lo)
-    keys = set()
-    seen_v = {cur}
     word = spec.neg_period * k_neg + spec.core + spec.pos_period * k_pos
-    for t, (a, s) in enumerate(word, lo):
-        nxt = add(cur, _MOVES[a, s])
+    walked = _cumulative(word, spec.vertex(lo))
+    if len(set(walked)) == len(walked):
+        return
+    keys = set()
+    seen_v = {walked[0]}
+    for t, (a, s), cur, nxt in zip(range(lo, lo + len(word)), word, walked, walked[1:]):
         key = (cur if s > 0 else nxt, a)
         if key in keys:
             raise SelfIntersecting(f"edge revisited at parameter {t}")
@@ -572,7 +585,6 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
         if nxt in seen_v:
             raise SelfIntersecting(f"vertex revisited at parameter {t}")
         seen_v.add(nxt)
-        cur = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +644,7 @@ def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):
 
     nc = len(spec.core)
     axis_p = _escape_axis(spec.pos_displacement)
+    bound_p = _extent_bound(spec, +1)
     t = nc
     last_in = None
     while True:
@@ -640,10 +653,10 @@ def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):
         vp = spec.vertex(t)
         if (
             spec.pos_displacement[axis_p] > 0
-            and vp[axis_p] > window.hi[axis_p] + _extent_bound(spec, +1)
+            and vp[axis_p] > window.hi[axis_p] + bound_p
         ) or (
             spec.pos_displacement[axis_p] < 0
-            and vp[axis_p] < window.lo[axis_p] - _extent_bound(spec, +1)
+            and vp[axis_p] < window.lo[axis_p] - bound_p
         ):
             break
         t += 1
@@ -652,6 +665,7 @@ def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):
     pos_keys = tuple(e.key for e in spec.edges(exit_pos, exit_pos + length - 1))
 
     axis_n = _escape_axis(spec.neg_displacement)
+    bound_n = _extent_bound(spec, -1)
     t = -1
     last_in = None
     while True:
@@ -660,10 +674,10 @@ def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):
         vn = spec.vertex(t)
         if (
             spec.neg_displacement[axis_n] > 0
-            and vn[axis_n] > window.hi[axis_n] + _extent_bound(spec, -1)
+            and vn[axis_n] > window.hi[axis_n] + bound_n
         ) or (
             spec.neg_displacement[axis_n] < 0
-            and vn[axis_n] < window.lo[axis_n] - _extent_bound(spec, -1)
+            and vn[axis_n] < window.lo[axis_n] - bound_n
         ):
             break
         t -= 1

@@ -185,14 +185,6 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
     )
 
 
-def is_ground_state(cfg: Configuration) -> SectorVerdict:
-    return classify(cfg)
-
-
-def is_ground_sector(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
-    return classify(cfg, strict_gss=strict_gss)
-
-
 # ---------------------------------------------------------------------------
 # sector labels
 # ---------------------------------------------------------------------------

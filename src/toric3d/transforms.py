@@ -10,7 +10,6 @@ for charge counting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,8 +25,8 @@ from .errors import (
 )
 from .lattice import (
     AXES,
+    DIRECTIONS,
     Direction,
-    Edge,
     EdgeKey,
     Region,
     Vertex,
@@ -37,19 +36,20 @@ from .lattice import (
     direction_vector,
     dual_face_of_edge,
     edge_direction,
-    edge_from,
     face_edges,
-    sub,
 )
 from .paths import (
     FinitePath,
     InfinitePathSpec,
     Surface,
+    _word_displacement,
+    aligned_window,
     monotone_staircase,
     path_from_steps,
     replace_window,
     reverse_spec,
     word_is_monotone,
+    word_is_self_avoiding,
 )
 
 
@@ -203,15 +203,24 @@ def lift(
             kept_before.append(kept_count)
         else:
             kept_count += 1
+    merged = _reinsert(steps, kept_before, [d for _, d in record])
+    return path_from_steps(original.start, merged)
+
+
+def _reinsert(
+    steps: Sequence[Direction], anchors: Sequence[int], letters: Sequence[Direction]
+) -> list[Direction]:
+    """``steps`` with ``letters[k]`` put back after the first ``anchors[k]``
+    of them (clamped to ``len(steps)``); ``anchors`` is nondecreasing."""
     merged: list[Direction] = []
     ri = 0
     for pos in range(len(steps) + 1):
-        while ri < len(record) and min(kept_before[ri], len(steps)) == pos:
-            merged.append(record[ri][1])
+        while ri < len(letters) and min(anchors[ri], len(steps)) == pos:
+            merged.append(letters[ri])
             ri += 1
         if pos < len(steps):
             merged.append(steps[pos])
-    return path_from_steps(original.start, merged)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +254,13 @@ def _bad_axes(steps: Sequence[Direction]) -> list[int]:
     return [a for a, ss in signs.items() if len(ss) == 2]
 
 
-def _reroute_single_bad_axis(start: Vertex, steps: Sequence[Direction]) -> tuple[Direction, ...]:
+def _reroute_single_bad_axis(steps: Sequence[Direction]) -> tuple[Direction, ...]:
     """Monotone replacement for a stretch that oscillates along one axis only."""
     used = {d[0] for d in steps}
-    end = start
-    for d in steps:
-        end = add(end, direction_vector(d))
+    disp = _word_displacement(steps)
     if len(used) <= 2:
         # in-plane: a direct monotone reroute between the endpoints
-        return monotone_staircase(start, end)
+        return monotone_staircase((0, 0, 0), disp)
     bad = _bad_axes(steps)[0]
     # drop a monotone axis, straighten the shadow, then lift the dropped steps
     counts = {a: 0 for a in used if a != bad}
@@ -261,11 +268,16 @@ def _reroute_single_bad_axis(start: Vertex, steps: Sequence[Direction]) -> tuple
         if a in counts:
             counts[a] += 1
     nu = max(sorted(counts), key=lambda a: counts[a])
-    path = path_from_steps(start, steps)
-    proj = project(path, nu)
-    shadow_end = add(proj.start, proj.displacement)
-    rerouted = Projection(proj.start, monotone_staircase(proj.start, shadow_end), nu, proj.dropped)
-    return tuple(lift(path, rerouted).steps)
+    anchors, letters = [], []
+    kept = 0
+    for d in steps:
+        if d[0] == nu:
+            anchors.append(kept)
+            letters.append(d)
+        else:
+            kept += 1
+    shadow = tuple(0 if a == nu else disp[a] for a in AXES)
+    return tuple(_reinsert(monotone_staircase((0, 0, 0), shadow), anchors, letters))
 
 
 def straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
@@ -274,47 +286,56 @@ def straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
     t_lo, t_hi, steps = _segment_steps(spec, region)
     if word_is_monotone(steps):
         raise AlreadyMonotonicInRegion("segment is already monotone in the region")
-    start = spec.vertex(t_lo)
-    end = spec.vertex(t_hi)
     bad = _bad_axes(steps)
     if len(bad) == 1:
-        new_steps = _reroute_single_bad_axis(start, steps)
+        new_steps = _reroute_single_bad_axis(steps)
     else:
-        new_steps = _case_three(start, steps)
-        if new_steps is None:
-            new_steps = monotone_staircase(start, end)
-    if len(new_steps) >= len(steps):
+        new_steps = _case_three(steps)
+    if new_steps is None or len(new_steps) >= len(steps):
         # guaranteed progress: the whole-segment monotone reroute is shorter
-        new_steps = monotone_staircase(start, end)
+        new_steps = monotone_staircase((0, 0, 0), _word_displacement(steps))
     return replace_window(spec, t_lo, t_hi, new_steps)
 
 
-def _case_three(start: Vertex, steps: Sequence[Direction]):
-    """Straighten the longest run that misbehaves along a single axis."""
-    runs = []
+def _single_bad_runs(steps: Sequence[Direction]) -> list[tuple[int, int, int]]:
+    """``(j - i, i, j)`` for each start ``i`` whose longest window
+    ``steps[i:j]`` with at most one two-signed axis has exactly one.
+
+    A window's bad axes only grow with ``j`` and only shrink with ``i``, so
+    one sweep of both ends with per-axis sign counts finds every ``j``."""
     n = len(steps)
+    counts = dict.fromkeys(DIRECTIONS, 0)
+    bad = 0
+    runs = []
+    j = 0
     for i in range(n):
-        for j in range(n, i, -1):
-            sub_bad = _bad_axes(steps[i:j])
-            if len(sub_bad) == 1:
-                runs.append((j - i, i, j))
+        while j < n:
+            a, s = steps[j]
+            grows = counts[a, s] == 0 and counts[a, -s] > 0
+            if grows and bad == 1:
                 break
+            counts[a, s] += 1
+            bad += grows
+            j += 1
+        if bad == 1:
+            runs.append((j - i, i, j))
+        a, s = steps[i]
+        counts[a, s] -= 1
+        bad -= counts[a, s] == 0 and counts[a, -s] > 0
+    return runs
+
+
+def _case_three(steps: Sequence[Direction]):
+    """Straighten the longest run that misbehaves along a single axis."""
+    runs = _single_bad_runs(steps)
     if not runs:
         return None
     runs.sort(key=lambda r: (-r[0], r[1]))
     for _, i, j in runs[:8]:
-        run_start = start
-        for d in steps[:i]:
-            run_start = add(run_start, direction_vector(d))
-        replacement = _reroute_single_bad_axis(run_start, steps[i:j])
+        replacement = _reroute_single_bad_axis(steps[i:j])
         candidate = tuple(steps[:i]) + replacement + tuple(steps[j:])
-        if len(candidate) >= len(steps):
-            continue
-        try:
-            path_from_steps(start, candidate)
-        except SelfIntersecting:
-            continue
-        return candidate
+        if len(candidate) < len(steps) and word_is_self_avoiding(candidate):
+            return candidate
     return None
 
 
@@ -337,19 +358,6 @@ def straighten_fixpoint(spec: InfinitePathSpec, region: Region) -> tuple[Infinit
 def _overlap_params(spec: InfinitePathSpec, keys: set[EdgeKey], window: Region) -> list[int]:
     """Sorted parameters of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
     return sorted(t for t, key in spec.walk_in(window) if key is not None and key in keys)
-
-
-def _aligned_low(spec: InfinitePathSpec, t: int) -> int:
-    nn = len(spec.neg_period)
-    lo = min(t, 0)
-    return -nn * math.ceil(-lo / nn) if lo < 0 else 0
-
-
-def _aligned_high(spec: InfinitePathSpec, t: int) -> int:
-    nc = len(spec.core)
-    npp = len(spec.pos_period)
-    hi = max(t, nc)
-    return nc + npp * math.ceil((hi - nc) / npp)
 
 
 def deoverlap(cfg: Configuration) -> Configuration:
@@ -483,12 +491,12 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
             arc.append(edge_direction(boundary.edges[i]))
             i = (i + 1) % L
         spec_i, spec_j = info["spec"], nxt["spec"]
-        a_lo = _aligned_low(spec_i, info["p"])
-        b_hi = _aligned_high(spec_j, nxt["q"] + 1)
+        a_lo = aligned_window(spec_i, info["p"], 0)[0]
+        b_hi = aligned_window(spec_j, 0, nxt["q"] + 1)[1]
         core = (
-            tuple(spec_i.step(t) for t in range(a_lo, info["p"]))
+            spec_i.realize_steps(a_lo, info["p"] - 1)
             + tuple(arc)
-            + tuple(spec_j.step(t) for t in range(nxt["q"] + 1, b_hi))
+            + spec_j.realize_steps(nxt["q"] + 1, b_hi - 1)
         )
         new_specs[info["index"]] = InfinitePathSpec(
             spec_i.neg_period, core, spec_j.pos_period, spec_i.vertex(a_lo)

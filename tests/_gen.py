@@ -40,6 +40,7 @@ from toric3d.paths import (
     _parallel_factor,
     _primitive,
     _word_displacement,
+    monotone_staircase,
     path_from_steps,
 )
 
@@ -428,6 +429,54 @@ def reference_validate_spec(spec: InfinitePathSpec) -> None:
         if cur in seen_v:
             raise SelfIntersecting(f"vertex revisited at parameter {t}")
         seen_v.add(cur)
+
+
+# The straightening helpers before they worked on bare step words: the
+# references for ``transforms._reroute_single_bad_axis`` and the run search of
+# ``transforms._case_three``.
+
+
+def _naive_bad_axes(steps):
+    return [a for a in AXES if {s for b, s in steps if b == a} == {1, -1}]
+
+
+def reference_reroute_single_bad_axis(start, steps):
+    """Monotone replacement for a stretch that oscillates along one axis only."""
+    from toric3d.transforms import Projection, lift, project
+
+    used = {d[0] for d in steps}
+    end = start
+    for d in steps:
+        end = add(end, direction_vector(d))
+    if len(used) <= 2:
+        # in-plane: a direct monotone reroute between the endpoints
+        return monotone_staircase(start, end)
+    bad = _naive_bad_axes(steps)[0]
+    # drop a monotone axis, straighten the shadow, then lift the dropped steps
+    counts = {a: 0 for a in used if a != bad}
+    for a, _ in steps:
+        if a in counts:
+            counts[a] += 1
+    nu = max(sorted(counts), key=lambda a: counts[a])
+    path = path_from_steps(start, steps)
+    proj = project(path, nu)
+    shadow_end = add(proj.start, proj.displacement)
+    rerouted = Projection(proj.start, monotone_staircase(proj.start, shadow_end), nu, proj.dropped)
+    return tuple(lift(path, rerouted).steps)
+
+
+def reference_single_bad_runs(steps):
+    """For each start ``i``, the longest window ``steps[i:j]`` with exactly
+    one two-signed axis, found by scanning every end ``j`` downward."""
+    runs = []
+    n = len(steps)
+    for i in range(n):
+        for j in range(n, i, -1):
+            sub_bad = _naive_bad_axes(steps[i:j])
+            if len(sub_bad) == 1:
+                runs.append((j - i, i, j))
+                break
+    return runs
 
 
 # ---------------------------------------------------------------------------

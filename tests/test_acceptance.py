@@ -173,7 +173,7 @@ def test_c03_straightening_descent(rng):
 
 
 def test_c04_ground_state_iff_monotonic(rng):
-    """is_ground_state on 500 one-string configurations agrees with the
+    """classify on 500 one-string configurations agrees with the
     monotonicity predicate tallied from a raw truncation."""
     with _criterion(4, "ground state iff monotonic, 500 one-string specs"):
         for k in range(500):

@@ -98,6 +98,22 @@ def test_non_utf8_input_is_syntax_error(monkeypatch, tmp_path, source):
     assert "not UTF-8" in report["message"]
 
 
+def test_non_utf8_stdin_in_utf8_mode_is_reported():
+    # UTF-8 mode decodes stdin with surrogateescape, so reading it as text
+    # would pass the bad bytes on to the JSON parser
+    env = dict(os.environ, PYTHONPATH=str(Path(toric3d.__file__).parents[1]), PYTHONUTF8="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric3d.cli", "classify"],
+        input=b"\xff\xfe[]",
+        capture_output=True,
+        env=env,
+    )
+    report = json.loads(proc.stdout)
+    assert proc.returncode == 2
+    assert report["error"] == "ConfigSyntaxError"
+    assert report["message"].startswith("stdin is not UTF-8")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

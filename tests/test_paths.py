@@ -6,6 +6,7 @@ from toric3d.errors import MalformedBoundary, NotConnected, SelfIntersecting
 from toric3d.lattice import Face, Region, add, parse_steps, region_of, reverse_direction, sub
 from toric3d.paths import (
     InfinitePathSpec,
+    aligned_window,
     count_edges_in_region,
     enclosing_region,
     infinity_directions,
@@ -199,6 +200,27 @@ def test_rewindowing_invariance(rng):
             s.base,
         )
         assert infinity_directions(rot).d_plus == ds.d_plus
+
+
+def test_realize_steps_matches_step(rng):
+    for _ in range(40):
+        s = random_spec(rng, max_core=12)
+        nc = len(s.core)
+        for a in range(-5, nc + 5):
+            for b in range(a - 1, nc + 6):
+                assert s.realize_steps(a, b) == tuple(s.step(t) for t in range(a, b + 1))
+
+
+def test_aligned_window_cuts_whole_periods(rng):
+    for _ in range(40):
+        s = random_spec(rng)
+        nn, nc, npp = len(s.neg_period), len(s.core), len(s.pos_period)
+        for t_lo in range(-7, nc + 3):
+            for t_hi in range(t_lo, nc + 8):
+                a, b = aligned_window(s, t_lo, t_hi)
+                lo, hi = min(t_lo, 0), max(t_hi, nc)
+                assert a % nn == 0 and lo - nn < a <= lo
+                assert (b - nc) % npp == 0 and hi <= b < hi + npp
 
 
 def test_orientation_reversal_swaps_sides(rng):

@@ -18,8 +18,6 @@ from toric3d.sectors import (
     charge_parity,
     classify,
     enumerate_gsc_solutions,
-    is_ground_sector,
-    is_ground_state,
     run_script,
     sector_label,
     surgery_move,
@@ -59,13 +57,13 @@ def test_charge_parity():
 
 
 def test_straight_line_is_ground_state():
-    v = is_ground_state(make_configuration(strings=[_line(Z, 1)]))
+    v = classify(make_configuration(strings=[_line(Z, 1)]))
     assert v.kind is VerdictKind.GROUND_STATE
 
 
 def test_inverse_u_not_ground_sector():
     u = spec_from_strings("Z+", "X+", "Z-")
-    v = is_ground_state(make_configuration(strings=[u]))
+    v = classify(make_configuration(strings=[u]))
     assert v.kind is VerdictKind.NOT_GROUND_SECTOR
     assert v.witness.string_index == 0
     assert v.witness.direction == (Z, -1)
@@ -73,14 +71,14 @@ def test_inverse_u_not_ground_sector():
 
 def test_parallel_lines_not_ground_sector():
     cfg = make_configuration(strings=[_line(Z, 1), _line(Z, 1, (2, 0, 0))])
-    v = is_ground_state(cfg)
+    v = classify(cfg)
     assert v.kind is VerdictKind.NOT_GROUND_SECTOR
     assert v.witness.pair == (0, 1)
 
 
 def test_charges_never_disqualify():
     cfg = make_configuration(charges=[(1, 1, 1)], strings=[_line(Z, 1)])
-    v = is_ground_state(cfg)
+    v = classify(cfg)
     assert v.kind is VerdictKind.GROUND_STATE
     assert not v.frustration_free
 
@@ -88,7 +86,7 @@ def test_charges_never_disqualify():
 def test_loops_block_ground_state_but_not_sector():
     loop = path_from_steps((5, 5, 5), parse_steps("X+Y+X-Y-"))
     cfg = make_configuration(strings=[_line(Z, 1)], loops=[loop])
-    v = is_ground_state(cfg)
+    v = classify(cfg)
     assert v.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE
     assert any(s.kind == "drop_loop" for s in v.script)
 
@@ -97,7 +95,16 @@ def test_three_axis_lines_ground_sector():
     cfg = make_configuration(
         strings=[_line(X, 1), _line(Y, 1, (0, 5, 0)), _line(Z, 1, (5, 0, 5))]
     )
-    assert is_ground_sector(cfg).kind is VerdictKind.GROUND_STATE
+    assert classify(cfg, strict_gss=False).kind is VerdictKind.GROUND_STATE
+
+
+def test_long_two_bad_axis_core_classifies():
+    # a 320-step core oscillating along x and y while climbing z: every pass
+    # searches its windows with one bad axis
+    spec = spec_from_strings("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * 40, "Z+")
+    v = classify(make_configuration(strings=[spec]))
+    assert v.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE
+    assert [s.kind for s in v.script] == ["straighten"]
 
 
 def test_four_strings_never_ground_sector(rng):

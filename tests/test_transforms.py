@@ -8,8 +8,9 @@ from toric3d.errors import (
     MultipleCrossings,
     NoOverlap,
 )
-from toric3d.lattice import Face, parse_steps, region_of
+from toric3d.lattice import Face, add, direction_vector, parse_steps, region_of
 from toric3d.paths import (
+    _word_displacement,
     enclosing_region,
     infinity_directions,
     is_monotonic,
@@ -20,6 +21,9 @@ from toric3d.paths import (
     word_is_monotone,
 )
 from toric3d.transforms import (
+    _bad_axes,
+    _reroute_single_bad_axis,
+    _single_bad_runs,
     energy,
     flux_chain_in_region,
     lift,
@@ -30,7 +34,14 @@ from toric3d.transforms import (
     straighten_once,
     surgery,
 )
-from ._gen import bfs_distance, chain_xor_check, fill_cycle, random_nonmonotone_spec
+from ._gen import (
+    bfs_distance,
+    chain_xor_check,
+    fill_cycle,
+    random_nonmonotone_spec,
+    reference_reroute_single_bad_axis,
+    reference_single_bad_runs,
+)
 
 X, Y, Z = 0, 1, 2
 
@@ -182,6 +193,69 @@ def test_lift_valid_on_straightening_pipeline(rng):
 # ---------------------------------------------------------------------------
 # straightening
 # ---------------------------------------------------------------------------
+
+
+def _single_bad_axis_word(rng, length, n_axes):
+    """A self-avoiding word of at most ``length`` steps over ``n_axes`` axes,
+    signed one way along every axis but the first."""
+    axes = [int(a) for a in rng.permutation(3)[:n_axes]]
+    letters = [(axes[0], 1), (axes[0], -1)] + [(a, int(rng.choice((-1, 1)))) for a in axes[1:]]
+    v, seen, word = (0, 0, 0), {(0, 0, 0)}, []
+    for _ in range(length):
+        d = letters[int(rng.integers(len(letters)))]
+        w = add(v, direction_vector(d))
+        if w not in seen:
+            word.append(d)
+            seen.add(w)
+            v = w
+    return tuple(word)
+
+
+def _check_reroute(steps, start=(0, 0, 0)):
+    new = _reroute_single_bad_axis(steps)
+    assert new == reference_reroute_single_bad_axis(start, steps)
+    assert word_is_monotone(new)
+    assert _word_displacement(new) == _word_displacement(steps)
+    assert len(new) < len(steps)
+    return new
+
+
+@pytest.mark.parametrize("n_axes", [2, 3])
+def test_reroute_matches_reference(rng, n_axes):
+    done = 0
+    while done < 300:
+        steps = _single_bad_axis_word(rng, int(rng.integers(2, 40)), n_axes)
+        if len(_bad_axes(steps)) != 1:
+            continue
+        _check_reroute(steps, tuple(int(x) for x in rng.integers(-3, 4, 3)))
+        done += 1
+
+
+@pytest.mark.parametrize(
+    "word,expected",
+    [
+        # hairpins: the bad axis nets to zero, so its shadow straightens away
+        ("X+Y+X-", "Y+"),
+        ("Y-Z+Z+X+Z-Z-", "Y-X+"),
+        ("X+Y+Y+X-Z-X+", "X+Y+Y+Z-"),
+        # dropped steps anchored past the end of the shorter shadow: clamped
+        ("X+Z+Y+Z+X-Z+", "Y+Z+Z+Z+"),
+        ("Z+X+Y+X-Z+Z+", "Z+Y+Z+Z+"),
+        ("X+Y+X-Y+X+Z+X-", "Z+Y+Y+"),
+    ],
+)
+def test_reroute_hairpins_and_clamp(word, expected):
+    assert _check_reroute(parse_steps(word)) == parse_steps(expected)
+
+
+def test_single_bad_runs_match_reference(rng):
+    letters = [(a, s) for a in (X, Y, Z) for s in (1, -1)]
+    for _ in range(1500):
+        alphabet = rng.permutation(6)[: int(rng.integers(2, 7))]
+        n = int(rng.integers(0, 40))
+        steps = tuple(letters[int(alphabet[int(rng.integers(len(alphabet)))])] for _ in range(n))
+        assert _single_bad_runs(steps) == reference_single_bad_runs(steps)
+
 
 
 def test_straighten_inverse_u_drops_height():
