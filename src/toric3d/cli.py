@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from . import stabilizer, transforms
+from . import transforms
 from .errors import (
     ConfigSemanticError,
     ConfigSyntaxError,
@@ -113,6 +113,8 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as ex:
         raise ConfigSyntaxError(str(ex), line=ex.lineno, column=ex.colno) from ex
+    except RecursionError as ex:
+        raise ConfigSyntaxError("document nested too deeply") from ex
 
 
 def parse_config(text: str) -> dict:
@@ -362,6 +364,8 @@ def _random_verify_configuration(rng) -> Configuration:
 
 
 def _check_commutation(n: int) -> dict:
+    from . import stabilizer
+
     lat = stabilizer.FiniteLattice(n)
     bad = 0
     checked = 0
@@ -376,6 +380,8 @@ def _check_commutation(n: int) -> dict:
 
 def _check_energy(samples: int, seed: int) -> dict:
     import numpy as np
+
+    from . import stabilizer
 
     rng = np.random.default_rng(seed)
     lat = stabilizer.FiniteLattice(13)
@@ -398,12 +404,16 @@ def _check_energy(samples: int, seed: int) -> dict:
 
 
 def _check_gauge() -> dict:
+    from . import stabilizer
+
     ranks = {n: stabilizer.gauge_rank(n) for n in (1, 2, 3)}
     ok = all(r == n**3 for n, r in ranks.items())
     return {"name": "gauge", "ranks": {str(k): v for k, v in ranks.items()}, "pass": ok}
 
 
 def _check_nets() -> dict:
+    from . import stabilizer
+
     reports = [stabilizer.surface_net_checks(n) for n in (1, 2)]
     ok = all(
         r.gauge_supports_distinct
@@ -423,6 +433,8 @@ def _check_nets() -> dict:
 
 def _check_truncation(seed: int) -> dict:
     import numpy as np
+
+    from . import stabilizer
 
     rng = np.random.default_rng(seed)
     lat = stabilizer.FiniteLattice(11)

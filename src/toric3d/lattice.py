@@ -140,16 +140,6 @@ def face_edges(f: Face) -> tuple[Edge, Edge, Edge, Edge]:
     )
 
 
-def boundary_face(f: Face) -> tuple[Edge, ...]:
-    return face_edges(f)
-
-
-def face_vertices(f: Face) -> tuple[Vertex, Vertex, Vertex, Vertex]:
-    a1, a2 = [a for a in AXES if a != f.normal]
-    b = f.base
-    return (b, add(b, unit(a1)), add(add(b, unit(a1)), unit(a2)), add(b, unit(a2)))
-
-
 def edges_of_vertex(v: Vertex) -> tuple[Edge, ...]:
     """The six canonical edges incident to ``v``."""
     out = []
@@ -169,11 +159,6 @@ _ONES = (1, 1, 1)
 def dual_face_of_edge(e: Edge) -> Face:
     """Dual face pierced by a primal edge (result lives on the dual lattice)."""
     return Face(sub(add(e.base, unit(e.axis)), _ONES), e.axis)
-
-
-def primal_edge_of_face(f: Face) -> Edge:
-    """Primal edge piercing a dual face (inverse of :func:`dual_face_of_edge`)."""
-    return Edge(sub(add(f.base, _ONES), unit(f.normal)), f.normal)
 
 
 def dual_edge_of_face(f: Face) -> Edge:
@@ -229,24 +214,3 @@ def bounding_region(vertices: Iterable[Vertex]) -> Region:
     if not columns:
         raise ValueError("bounding_region of no vertices")
     return Region(tuple(map(min, columns)), tuple(map(max, columns)))
-
-
-def edges_in_region(region: Region) -> list[Edge]:
-    """All canonical edges with both endpoints inside ``region``."""
-    out = []
-    for a in AXES:
-        hi = list(region.hi)
-        hi[a] -= 1
-        if hi[a] < region.lo[a]:
-            continue
-        for base in Region(region.lo, tuple(hi)).vertices():
-            out.append(Edge(base, a, +1))
-    return out
-
-
-def translate_edge(e: Edge, shift: Vertex) -> Edge:
-    return Edge(add(e.base, shift), e.axis, e.sign)
-
-
-def translate_face(f: Face, shift: Vertex) -> Face:
-    return Face(add(f.base, shift), f.normal)

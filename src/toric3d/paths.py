@@ -77,10 +77,6 @@ class FinitePath:
         return len(self.edges)
 
     @property
-    def edge_keys(self) -> tuple[EdgeKey, ...]:
-        return tuple(e.key for e in self.edges)
-
-    @property
     def steps(self) -> StepWord:
         return tuple((e.axis, e.sign) for e in self.edges)
 
@@ -254,9 +250,6 @@ class DirectionSet:
     @property
     def all(self) -> frozenset[Direction]:
         return self.d_plus | self.d_minus
-
-    def swapped(self) -> "DirectionSet":
-        return DirectionSet(self.d_minus, self.d_plus)
 
 
 @dataclass(frozen=True)
@@ -485,8 +478,7 @@ def _parallel_factor(u: Vertex, v: Vertex) -> int | None:
 def _validate_spec(spec: InfinitePathSpec) -> None:
     if not spec.neg_period or not spec.pos_period:
         raise SelfIntersecting("period words must be nonempty")
-    dpos = _word_displacement(spec.pos_period)
-    dneg_out = scale(_word_displacement(spec.neg_period), -1)
+    dpos, dneg_out = spec.pos_displacement, spec.neg_displacement
     if dpos == (0, 0, 0) or dneg_out == (0, 0, 0):
         raise SelfIntersecting("period word has zero net displacement")
 
@@ -496,13 +488,8 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     base = tuple(spec.base)
     core_vs = spec.core_vertices
     junction = core_vs[-1]
-    w_pos = _cumulative(spec.pos_period, junction)
-    w_neg = []
-    v = base
-    for d in reversed(spec.neg_period):
-        v = sub(v, direction_vector(d))
-        w_neg.append(v)
-    w_neg = [base] + w_neg
+    w_pos = [add(junction, v) for v in spec._pos_cum]
+    w_neg = [sub(base, v) for v in spec._neg_suffix]
 
     def _windows_needed(disp, window, other_vertices):
         axis = _escape_axis(disp)
@@ -618,11 +605,6 @@ def enclosing_region(spec: InfinitePathSpec) -> Region:
     return bounding_region(spec.core_vertices)
 
 
-def count_edges_in_region(spec: InfinitePathSpec, region: Region) -> int:
-    """Exact number of realized edges with both endpoints inside ``region``."""
-    return sum(key is not None for _, key in spec.walk_in(region))
-
-
 # ---------------------------------------------------------------------------
 # path equivalence
 # ---------------------------------------------------------------------------
@@ -635,64 +617,18 @@ def _comparison_window(p: InfinitePathSpec, q: InfinitePathSpec) -> Region:
 
 
 def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):
-    """(anchor, outward edge keys) for the positive and negative ray."""
-
-    def touched(t):
-        return window.contains_vertex(spec.vertex(t)) or window.contains_vertex(
-            spec.vertex(t + 1)
-        )
-
+    """(anchor, outward edge keys) for the positive and negative ray.  Each
+    ray starts at the first vertex past its tail's last vertex in ``window``,
+    found by the tail walks of :meth:`InfinitePathSpec.walk_in`; ``window``
+    holds the core with a margin, so each walk meets it."""
     nc = len(spec.core)
-    axis_p = _escape_axis(spec.pos_displacement)
-    bound_p = _extent_bound(spec, +1)
-    t = nc
-    last_in = None
-    while True:
-        if touched(t):
-            last_in = t
-        vp = spec.vertex(t)
-        if (
-            spec.pos_displacement[axis_p] > 0
-            and vp[axis_p] > window.hi[axis_p] + bound_p
-        ) or (
-            spec.pos_displacement[axis_p] < 0
-            and vp[axis_p] < window.lo[axis_p] - bound_p
-        ):
-            break
-        t += 1
-    exit_pos = (last_in if last_in is not None else nc - 1) + 1
-    pos_anchor = spec.vertex(exit_pos)
-    pos_keys = tuple(e.key for e in spec.edges(exit_pos, exit_pos + length - 1))
-
-    axis_n = _escape_axis(spec.neg_displacement)
-    bound_n = _extent_bound(spec, -1)
-    t = -1
-    last_in = None
-    while True:
-        if touched(t):
-            last_in = t
-        vn = spec.vertex(t)
-        if (
-            spec.neg_displacement[axis_n] > 0
-            and vn[axis_n] > window.hi[axis_n] + bound_n
-        ) or (
-            spec.neg_displacement[axis_n] < 0
-            and vn[axis_n] < window.lo[axis_n] - bound_n
-        ):
-            break
-        t -= 1
-    exit_neg = (last_in if last_in is not None else 0) - 1
-    neg_anchor = spec.vertex(exit_neg + 1)
-    neg_keys = tuple(
-        e.key for e in reversed(spec.edges(exit_neg - length + 1, exit_neg))
-    )
-    return (pos_anchor, pos_keys), (neg_anchor, neg_keys)
-
-
-def _extent_bound(spec: InfinitePathSpec, side: int) -> int:
-    word = spec.pos_period if side > 0 else spec.neg_period
-    cum = _cumulative(word)
-    return max(_extent(cum, a) for a in AXES) + 1
+    pos = _walk(window, spec.junction, nc, +1, spec.pos_period, spec.pos_displacement)
+    a = max(t for t, _ in pos) + 1
+    neg = _walk(window, spec.base, -1, -1, spec.neg_period[::-1], spec.neg_displacement)
+    b = min(t for t, _ in neg) - 1
+    pos_keys = tuple(e.key for e in spec.edges(a, a + length - 1))
+    neg_keys = tuple(e.key for e in reversed(spec.edges(b - length, b - 1)))
+    return (spec.vertex(a), pos_keys), (spec.vertex(b), neg_keys)
 
 
 def path_equivalent(p: InfinitePathSpec, q: InfinitePathSpec) -> bool:

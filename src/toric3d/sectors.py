@@ -18,11 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import permutations, product
 
 from .errors import MultipleCrossings, NotAGroundSector
 from .lattice import AXES, Direction, Region, reverse_direction
-from .paths import DirectionSet, InfinitePathSpec, infinity_directions, is_monotonic
+from .paths import (
+    DirectionSet,
+    InfinitePathSpec,
+    enclosing_region,
+    infinity_directions,
+    is_monotonic,
+)
 from .transforms import Configuration, straighten_fixpoint
 
 
@@ -87,8 +94,6 @@ def tail_conflict(ds: DirectionSet) -> Direction | None:
 
 
 def _script_region(spec: InfinitePathSpec, pad_factor: int) -> Region:
-    from .paths import enclosing_region
-
     pad = pad_factor * (len(spec.neg_period) + len(spec.pos_period) + 2)
     return enclosing_region(spec).inflate(pad)
 
@@ -246,13 +251,6 @@ _DIR_OF_BIT = [(a, +1 if b == 0 else -1) for a in AXES for b in (0, 1)]
 _BIT_OF_DIR = {d: i for i, d in enumerate(_DIR_OF_BIT)}
 
 
-def _dirset_mask(dirs) -> int:
-    m = 0
-    for d in dirs:
-        m |= 1 << _BIT_OF_DIR[d]
-    return m
-
-
 Assignment = tuple[int, int]  # (mask of D+, mask of D-)
 Solution = tuple[Assignment, ...]
 
@@ -266,8 +264,10 @@ def _candidates() -> list[Assignment]:
     return out
 
 
+@cache
 def _octahedral_tables() -> list[list[int]]:
-    """Mask-transform tables for the 48 signed axis permutations."""
+    """Mask-transform tables for the 48 signed axis permutations, built on
+    first use."""
     tables = []
     for perm in permutations(AXES):
         for flips in product((0, 1), repeat=3):
@@ -287,9 +287,6 @@ def _octahedral_tables() -> list[list[int]]:
     return tables
 
 
-_TABLES = _octahedral_tables()
-
-
 def canonical_solution(sol: Solution) -> Solution:
     """Minimum over octahedral symmetry, string order, and D+/D- swaps.
 
@@ -297,7 +294,7 @@ def canonical_solution(sol: Solution) -> Solution:
     contributes its smaller encoding and the tuple is sorted.
     """
     best = None
-    for table in _TABLES:
+    for table in _octahedral_tables():
         cand = tuple(
             sorted(
                 min((table[p], table[m]), (table[m], table[p])) for p, m in sol

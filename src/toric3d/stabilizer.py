@@ -35,12 +35,10 @@ from .lattice import (
     edge_from,
     edges_of_vertex,
     face_edges,
-    primal_edge_of_face,
     primal_face_of_edge,
     sub,
     unit,
 )
-from .paths import FinitePath, Surface
 from .transforms import Configuration, _segment_steps
 
 
@@ -139,10 +137,6 @@ class PauliOperator:
         return not (self.x or self.z)
 
 
-def identity_op(lat: FiniteLattice) -> PauliOperator:
-    return PauliOperator(0, 0, lat.n_qubits)
-
-
 def _indices(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
     out = []
     for k in keys:
@@ -171,17 +165,6 @@ def plaquette(lat: FiniteLattice, f: Face) -> PauliOperator:
     return pauli_from_keys(lat, z_keys=[e.key for e in face_edges(f)])
 
 
-def string_op(lat: FiniteLattice, path: FinitePath) -> PauliOperator:
-    """Z-type operator along a primal path."""
-    return pauli_from_keys(lat, z_keys=[e.key for e in path.edges])
-
-
-def membrane_op(lat: FiniteLattice, faces: Iterable[Face]) -> PauliOperator:
-    """X-type operator on the primal edges piercing a set of dual faces."""
-    keys = [primal_edge_of_face(f).key for f in faces]
-    return pauli_from_keys(lat, x_keys=keys)
-
-
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     if p.n_qubits != q.n_qubits:
         raise DimensionMismatch("operators live on different lattices")
@@ -205,19 +188,6 @@ def truncation_stable(
     """Whether two truncations of the same operator act identically on the
     observable: equal conjugation signs (supports are untouched either way)."""
     return conjugation_sign(op_short, observable) == conjugation_sign(op_long, observable)
-
-
-def orientation_independence(lat: FiniteLattice, obj) -> bool:
-    """Conjugation is blind to traversal orientation: the operator built from
-    a reversed path or surface is the same operator."""
-    if isinstance(obj, FinitePath):
-        fwd = string_op(lat, obj)
-        rev = pauli_from_keys(lat, z_keys=[e.reversed().key for e in reversed(obj.edges)])
-        return fwd == rev
-    if isinstance(obj, Surface):
-        faces = list(obj.faces)
-        return membrane_op(lat, faces) == membrane_op(lat, list(reversed(faces)))
-    raise TypeError("expected a FinitePath or Surface")
 
 
 # ---------------------------------------------------------------------------

@@ -164,46 +164,19 @@ def _plane_displacement(steps: Iterable[Direction], nu: int) -> Vertex:
     return v
 
 
-def lift(
-    original: FinitePath,
-    rerouted: "Projection | FinitePath | Sequence[Direction]",
-    drop_record: Sequence[tuple[int, Direction]] | None = None,
-) -> FinitePath:
+def lift(original: FinitePath, rerouted: Projection) -> FinitePath:
     """Reinsert dropped steps into a rerouted projection.
 
     Each dropped step goes back after the same number of in-plane steps it
     originally followed (clamped to the rerouted length).  The result starts
     at the original start vertex and ends at its original end.
     """
-    if isinstance(rerouted, Projection):
-        steps = rerouted.steps
-        record = rerouted.dropped if drop_record is None else tuple(drop_record)
-        nu = rerouted.drop_axis
-    else:
-        if drop_record is None:
-            raise ValueError("drop_record required when rerouted is a bare path")
-        steps = rerouted.steps if isinstance(rerouted, FinitePath) else tuple(rerouted)
-        record = tuple(drop_record)
-        nu = record[0][1][0] if record else -1
-
-    if nu >= 0:
-        if _plane_displacement(original.steps, nu) != _plane_displacement(steps, nu):
-            raise EndpointMismatch("rerouted projection does not match the original shadow")
-    else:
-        # nothing was dropped: the reroute must connect the endpoints itself
-        if _plane_displacement(original.steps, -1) != _plane_displacement(steps, -1):
-            raise EndpointMismatch("rerouted path does not connect the original endpoints")
-
-    # anchor = number of kept steps before the dropped one in the original
-    kept_before = []
-    kept_count = 0
-    rec_iter = {i for i, _ in record}
-    for i, d in enumerate(original.steps):
-        if i in rec_iter:
-            kept_before.append(kept_count)
-        else:
-            kept_count += 1
-    merged = _reinsert(steps, kept_before, [d for _, d in record])
+    nu = rerouted.drop_axis
+    if _plane_displacement(original.steps, nu) != _plane_displacement(rerouted.steps, nu):
+        raise EndpointMismatch("rerouted projection does not match the original shadow")
+    # the k-th dropped step followed index - k kept steps in the original
+    anchors = [i - k for k, (i, _) in enumerate(rerouted.dropped)]
+    merged = _reinsert(rerouted.steps, anchors, [d for _, d in rerouted.dropped])
     return path_from_steps(original.start, merged)
 
 
@@ -228,21 +201,22 @@ def _reinsert(
 # ---------------------------------------------------------------------------
 
 
-def _region_params(spec: InfinitePathSpec, region: Region):
-    """Parameters of in-region edges plus parameters of in-region vertices."""
-    hits = list(spec.walk_in(region))
-    return sorted(t for t, key in hits if key is not None), sorted(t for t, _ in hits)
-
-
 def _segment_steps(spec: InfinitePathSpec, region: Region) -> tuple[int, int, tuple[Direction, ...]]:
-    """The single in-region stretch of the path, or raise MultipleCrossings."""
-    edge_ts, vertex_ts = _region_params(spec, region)
+    """The single in-region stretch of the path, or raise MultipleCrossings.
+
+    ``walk_in`` yields each parameter once, so the in-region edges form one
+    stretch exactly when their parameters span as many values as there are."""
+    vertex_ts, edge_ts = [], []
+    for t, key in spec.walk_in(region):
+        vertex_ts.append(t)
+        if key is not None:
+            edge_ts.append(t)
     if not edge_ts:
         raise MultipleCrossings("path has no edge inside the region")
-    t_lo, t_hi = edge_ts[0], edge_ts[-1]
-    if edge_ts != list(range(t_lo, t_hi + 1)):
+    t_lo, t_hi = min(edge_ts), max(edge_ts)
+    if t_hi - t_lo + 1 != len(edge_ts):
         raise MultipleCrossings("path crosses the region more than once")
-    if any(t < t_lo or t > t_hi + 1 for t in vertex_ts):
+    if min(vertex_ts) < t_lo or max(vertex_ts) > t_hi + 1:
         raise MultipleCrossings("path touches the region outside its crossing")
     return t_lo, t_hi + 1, spec.realize_steps(t_lo, t_hi)
 

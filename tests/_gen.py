@@ -13,7 +13,7 @@ from collections import deque
 from itertools import product
 
 from toric3d import _kernels
-from toric3d.errors import DimensionMismatch, OutOfRegion, SelfIntersecting
+from toric3d.errors import DimensionMismatch, MultipleCrossings, OutOfRegion, SelfIntersecting
 from toric3d.lattice import (
     AXES,
     Edge,
@@ -43,6 +43,7 @@ from toric3d.paths import (
     monotone_staircase,
     path_from_steps,
 )
+from toric3d.stabilizer import pauli_from_keys
 
 DIRS6 = [(a, s) for a in AXES for s in (+1, -1)]
 
@@ -50,6 +51,21 @@ DIRS6 = [(a, s) for a in AXES for s in (+1, -1)]
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+
+def primal_edge_of_face(f: Face) -> Edge:
+    """Primal edge piercing a dual face (inverse of ``dual_face_of_edge``)."""
+    return Edge(sub(add(f.base, (1, 1, 1)), unit(f.normal)), f.normal)
+
+
+def string_op(lat, path: FinitePath):
+    """Z-type operator along a primal path."""
+    return pauli_from_keys(lat, z_keys=[e.key for e in path.edges])
+
+
+def membrane_op(lat, faces):
+    """X-type operator on the primal edges piercing a set of dual faces."""
+    return pauli_from_keys(lat, x_keys=[primal_edge_of_face(f).key for f in faces])
 
 
 def bfs_distance(region: Region, a, b) -> int:
@@ -68,6 +84,19 @@ def bfs_distance(region: Region, a, b) -> int:
                 seen[w] = seen[v] + 1
                 queue.append(w)
     raise ValueError("region graph disconnected (impossible for a cuboid)")
+
+
+def edges_in_region(region: Region) -> list[Edge]:
+    """All canonical edges with both endpoints inside ``region``."""
+    out = []
+    for a in AXES:
+        hi = list(region.hi)
+        hi[a] -= 1
+        if hi[a] < region.lo[a]:
+            continue
+        for base in Region(region.lo, tuple(hi)).vertices():
+            out.append(Edge(base, a, +1))
+    return out
 
 
 def brute_count_edges(spec: InfinitePathSpec, region: Region, window: int) -> int:
@@ -313,6 +342,85 @@ def reference_region_params(spec: InfinitePathSpec, region: Region):
     walk(nc, +1)
     walk(0, -1)
     return sorted(edge_ts), sorted(vertex_ts)
+
+
+def reference_segment_steps(spec: InfinitePathSpec, region: Region):
+    """The single in-region stretch from the sorted parameter lists, or raise
+    MultipleCrossings: the reference for ``transforms._segment_steps``."""
+    edge_ts, vertex_ts = reference_region_params(spec, region)
+    if not edge_ts:
+        raise MultipleCrossings("path has no edge inside the region")
+    t_lo, t_hi = edge_ts[0], edge_ts[-1]
+    if edge_ts != list(range(t_lo, t_hi + 1)):
+        raise MultipleCrossings("path crosses the region more than once")
+    if any(t < t_lo or t > t_hi + 1 for t in vertex_ts):
+        raise MultipleCrossings("path touches the region outside its crossing")
+    return t_lo, t_hi + 1, tuple(spec.step(t) for t in range(t_lo, t_hi + 1))
+
+
+def reference_tail_rays(spec: InfinitePathSpec, window: Region, length: int):
+    """(anchor, outward edge keys) for the positive and negative ray.
+
+    The tail-ray search before it read :meth:`InfinitePathSpec.walk_in`'s
+    tail walk: each tail is stepped with ``spec.vertex(t)`` out to the window
+    plus the period's extent, the reference for ``paths._tail_rays``."""
+
+    def touched(t):
+        return window.contains_vertex(spec.vertex(t)) or window.contains_vertex(
+            spec.vertex(t + 1)
+        )
+
+    nc = len(spec.core)
+    axis_p = _escape_axis(spec.pos_displacement)
+    bound_p = _extent_bound(spec, +1)
+    t = nc
+    last_in = None
+    while True:
+        if touched(t):
+            last_in = t
+        vp = spec.vertex(t)
+        if (
+            spec.pos_displacement[axis_p] > 0
+            and vp[axis_p] > window.hi[axis_p] + bound_p
+        ) or (
+            spec.pos_displacement[axis_p] < 0
+            and vp[axis_p] < window.lo[axis_p] - bound_p
+        ):
+            break
+        t += 1
+    exit_pos = (last_in if last_in is not None else nc - 1) + 1
+    pos_anchor = spec.vertex(exit_pos)
+    pos_keys = tuple(e.key for e in spec.edges(exit_pos, exit_pos + length - 1))
+
+    axis_n = _escape_axis(spec.neg_displacement)
+    bound_n = _extent_bound(spec, -1)
+    t = -1
+    last_in = None
+    while True:
+        if touched(t):
+            last_in = t
+        vn = spec.vertex(t)
+        if (
+            spec.neg_displacement[axis_n] > 0
+            and vn[axis_n] > window.hi[axis_n] + bound_n
+        ) or (
+            spec.neg_displacement[axis_n] < 0
+            and vn[axis_n] < window.lo[axis_n] - bound_n
+        ):
+            break
+        t -= 1
+    exit_neg = (last_in if last_in is not None else 0) - 1
+    neg_anchor = spec.vertex(exit_neg + 1)
+    neg_keys = tuple(
+        e.key for e in reversed(spec.edges(exit_neg - length + 1, exit_neg))
+    )
+    return (pos_anchor, pos_keys), (neg_anchor, neg_keys)
+
+
+def _extent_bound(spec: InfinitePathSpec, side: int) -> int:
+    word = spec.pos_period if side > 0 else spec.neg_period
+    cum = _cumulative(word)
+    return max(_extent(cum, a) for a in AXES) + 1
 
 
 def unchecked_spec(neg, core, pos, base) -> InfinitePathSpec:

@@ -35,10 +35,8 @@ from toric3d.stabilizer import (
     commutes,
     gauge_rank,
     growing_membrane_pauli,
-    membrane_op,
     pauli_from_keys,
     straight_string_pauli,
-    string_op,
     surface_net_checks,
     syndrome_energy,
     truncation_stable,
@@ -56,11 +54,13 @@ from ._gen import (
     bfs_distance,
     chain_xor_check,
     equivalent_variant,
+    membrane_op,
     random_loop,
     random_monotone_spec,
     random_nonmonotone_spec,
     random_spec,
     raw_step_tally_is_monotone,
+    string_op,
 )
 
 X, Y, Z = 0, 1, 2

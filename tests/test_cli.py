@@ -139,6 +139,13 @@ def test_verify_help_names_the_block_limit(capsys):
     assert "1 to 3" in capsys.readouterr().out
 
 
+def test_deeply_nested_document_is_syntax_error(monkeypatch):
+    report, code = _run_with_stdin(monkeypatch, ["classify"], "[" * 100_000 + "]" * 100_000)
+    assert code == 2
+    assert report["error"] == "ConfigSyntaxError"
+    assert report["message"] == "document nested too deeply"
+
+
 def test_parse_malformed_json_has_position():
     with pytest.raises(ConfigSyntaxError) as exc:
         parse_config('{"strings": [')
@@ -319,8 +326,9 @@ def test_broken_pipe_keeps_exit_code(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_out():
+    # only verify's checks need numpy and the F2 verifier
     env = dict(os.environ, PYTHONPATH=str(Path(toric3d.__file__).parents[1]))
-    probe = "import sys, toric3d.cli; sys.exit('numpy' in sys.modules)"
+    probe = "import sys, toric3d.cli; sys.exit(bool({'numpy', 'toric3d.stabilizer'} & set(sys.modules)))"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
@@ -328,6 +336,16 @@ def test_cli_import_leaves_numpy_out():
 # before the F2 kernels moved to int bitsets (``verify_energy``: before the
 # syndrome became sparse); they must stay byte-identical.
 GOLDEN = Path(__file__).parent / "golden"
+
+# The stdout and exit code of validate/classify/energy/straighten on 41 seeded
+# documents (1 to 4 strings, zigzag and self-avoiding cores up to 320 steps,
+# charges, loops, a U, parallel lines, rejected documents), recorded with
+# ``tests/golden/record_corpus.py``; they must stay byte-identical too.
+CORPUS = {
+    f"{case['name']}.{k}": (case["config"], recorded)
+    for case in json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))["cases"]
+    for k, recorded in enumerate(case["runs"])
+}
 
 
 @pytest.mark.parametrize(
@@ -347,9 +365,17 @@ GOLDEN = Path(__file__).parent / "golden"
             ],
         ),
         ("verify_energy", ["verify", "--checks", "energy", "--samples", "200", "--seed", "7"]),
+        *(pytest.param(name, recorded["argv"], id=name) for name, (_, recorded) in CORPUS.items()),
     ],
 )
-def test_golden_report(name, argv):
-    report, _ = run(argv)
-    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == expected
+def test_golden_report(monkeypatch, capsys, name, argv):
+    import io
+
+    if name in CORPUS:
+        config, recorded = CORPUS[name]
+        expected = recorded["stdout"], recorded["code"]
+    else:
+        config, expected = "", ((GOLDEN / f"{name}.json").read_text(encoding="utf-8"), 0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(config))
+    code = main(argv)
+    assert (capsys.readouterr().out, code) == expected

@@ -2,12 +2,13 @@
 
 import pytest
 
-from toric3d.errors import MalformedBoundary, NotConnected, SelfIntersecting
+from toric3d.errors import MalformedBoundary, MultipleCrossings, NotConnected, SelfIntersecting
 from toric3d.lattice import Face, Region, add, parse_steps, region_of, reverse_direction, sub
 from toric3d.paths import (
     InfinitePathSpec,
+    _comparison_window,
+    _tail_rays,
     aligned_window,
-    count_edges_in_region,
     enclosing_region,
     infinity_directions,
     is_monotonic,
@@ -20,16 +21,20 @@ from toric3d.paths import (
     validate_finite_path,
     validate_surface,
 )
-from toric3d.transforms import _region_params, flux_chain_in_region, make_configuration
+from toric3d.transforms import _segment_steps, flux_chain_in_region, make_configuration
 from ._gen import (
     _random_word,
     brute_count_edges,
+    edges_in_region,
+    equivalent_variant,
     random_core,
     random_monotone_spec,
     random_spec,
     reference_count_edges_in_region,
     reference_region_params,
+    reference_segment_steps,
     reference_string_edges_in_region,
+    reference_tail_rays,
     reference_validate_spec,
     unchecked_spec,
     zigzag_core,
@@ -318,8 +323,6 @@ def test_straightened_inverse_u_equivalent():
 
 
 def test_equivalence_relation_properties(rng):
-    from ._gen import equivalent_variant
-
     for _ in range(10):
         a = random_spec(rng)
         b = equivalent_variant(rng, a)
@@ -333,21 +336,43 @@ def test_equivalence_relation_properties(rng):
         assert path_equivalent(a, other) == path_equivalent(other, a)
 
 
+def test_tail_rays_match_reference(rng):
+    """The rays read off the tail walks equal those of the reference walk,
+    on random, zigzag and long self-avoiding cores paired with a finite edit
+    of themselves or with one another."""
+    specs = _walk_specs(rng)
+    pairs = [(s, equivalent_variant(rng, s)) for s in specs]
+    pairs += [(specs[i], specs[j]) for i, j in rng.integers(0, len(specs), (240, 2))]
+    equivalent = 0
+    for p, q in pairs:
+        window = _comparison_window(p, q)
+        length = 2 * (len(p.pos_period) + len(p.neg_period) + len(q.pos_period) + len(q.neg_period))
+        for s in (p, q):
+            assert _tail_rays(s, window, length + 4) == reference_tail_rays(s, window, length + 4)
+        equivalent += path_equivalent(p, q)
+    assert equivalent >= len(specs)
+
+
 # ---------------------------------------------------------------------------
 # counting and enclosing regions
 # ---------------------------------------------------------------------------
 
 
+def _walk_count(spec, region):
+    """Realized edges with both endpoints inside ``region``, read off the walk."""
+    return sum(key is not None for _, key in spec.walk_in(region))
+
+
 def test_count_straight_line_fencepost():
     s = spec_from_strings("Z+", "", "Z+")
-    assert count_edges_in_region(s, region_of((0, 0, 0), (0, 0, 5))) == 5
-    assert count_edges_in_region(s, region_of((4, 4, 0), (6, 6, 9))) == 0
+    assert _walk_count(s, region_of((0, 0, 0), (0, 0, 5))) == 5
+    assert _walk_count(s, region_of((4, 4, 0), (6, 6, 9))) == 0
 
 
 def test_count_staircase():
     s = spec_from_strings("X+Y+", "", "X+Y+")
     # staircase through the square [0,3]^2 at z = 0: three X and three Y steps
-    assert count_edges_in_region(s, region_of((0, 0, 0), (3, 3, 0))) == 6
+    assert _walk_count(s, region_of((0, 0, 0), (3, 3, 0))) == 6
 
 
 def test_count_matches_brute_force(rng):
@@ -356,7 +381,11 @@ def test_count_matches_brute_force(rng):
         lo = tuple(int(x) for x in rng.integers(-4, 0, 3))
         hi = tuple(int(l + int(x)) for l, x in zip(lo, rng.integers(1, 7, 3)))
         region = region_of(lo, hi)
-        assert count_edges_in_region(s, region) == brute_count_edges(s, region, 300)
+        assert _walk_count(s, region) == brute_count_edges(s, region, 300)
+        # the flux chain is a set of the region's own edges
+        chain = flux_chain_in_region(make_configuration(strings=[s]), region)
+        assert chain <= {e.key for e in edges_in_region(region)}
+        assert len(chain) == _walk_count(s, region)
 
 
 def test_enclosing_region_straight_line():
@@ -439,22 +468,38 @@ def _walk_regions(rng, spec):
     return regions + tail_only + [Region(on_core, on_core), Region(far, far)]
 
 
+def _segment_or_message(find, spec, region):
+    try:
+        return find(spec, region)
+    except MultipleCrossings as ex:
+        return str(ex)
+
+
 def test_walk_matches_reference_loops(rng):
     checked = tail_hits = 0
+    outcomes = set()
     for spec in _walk_specs(rng):
         cfg = make_configuration(strings=[spec])
         for region in _walk_regions(rng, spec):
-            params = _region_params(spec, region)
+            hits = list(spec.walk_in(region))
+            params = sorted(t for t, key in hits if key is not None), sorted(t for t, _ in hits)
             assert params == reference_region_params(spec, region)
-            assert count_edges_in_region(spec, region) == reference_count_edges_in_region(
-                spec, region
-            )
+            assert _walk_count(spec, region) == reference_count_edges_in_region(spec, region)
             expected = {e.key for e in reference_string_edges_in_region(spec, region)}
             assert flux_chain_in_region(cfg, region) == expected
+            segment = _segment_or_message(_segment_steps, spec, region)
+            assert segment == _segment_or_message(reference_segment_steps, spec, region)
+            outcomes.add(segment if isinstance(segment, str) else "one stretch")
             checked += 1
             tail_hits += any(t >= len(spec.core) or t < 0 for t in params[1])
     # every spec's tail-only regions hold tail vertices
     assert checked == 60 * 13 and tail_hits >= 60 * 3
+    assert outcomes == {
+        "one stretch",
+        "path has no edge inside the region",
+        "path crosses the region more than once",
+        "path touches the region outside its crossing",
+    }
 
 
 def _rejection(build):

@@ -446,7 +446,7 @@ def test_linking_unit_loop_around_membrane_edge():
     surf = validate_surface([Face((0, 0, 0), Z)])
     # the surface's one dual face is pierced by a single primal edge; a unit
     # primal loop running through that edge links the membrane once
-    from toric3d.lattice import primal_edge_of_face
+    from ._gen import primal_edge_of_face
 
     e = primal_edge_of_face(Face((0, 0, 0), Z))
     assert e == (((1, 1, 0), 2, 1))
