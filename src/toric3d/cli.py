@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from . import transforms
@@ -29,6 +30,7 @@ from .errors import (
     ConfigSyntaxError,
     Toric3dError,
     TooLarge,
+    UsageError,
 )
 from .lattice import (
     AXES,
@@ -329,18 +331,18 @@ def _cmd_enumerate(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _random_verify_configuration(rng) -> Configuration:
+def _random_verify_configuration(rng: random.Random) -> Configuration:
     lo, hi = 0, 4
     strings = []
-    for _ in range(int(rng.integers(0, 3))):
+    for _ in range(rng.randrange(3)):
         for _attempt in range(20):
-            base = tuple(int(x) for x in rng.integers(lo + 1, hi, 3))
-            neg = ((int(rng.integers(0, 3)), int(rng.choice((-1, 1)))),)
-            pos = ((int(rng.integers(0, 3)), int(rng.choice((-1, 1)))),)
+            base = tuple(rng.randrange(lo + 1, hi) for _ in range(3))
+            neg = ((rng.randrange(3), rng.choice((-1, 1))),)
+            pos = ((rng.randrange(3), rng.choice((-1, 1))),)
             core = []
             v = base
-            for _ in range(int(rng.integers(0, 6))):
-                d = (int(rng.integers(0, 3)), int(rng.choice((-1, 1))))
+            for _ in range(rng.randrange(6)):
+                d = (rng.randrange(3), rng.choice((-1, 1)))
                 w = add(v, direction_vector(d))
                 if all(lo <= w[a] <= hi for a in AXES):
                     core.append(d)
@@ -351,15 +353,13 @@ def _random_verify_configuration(rng) -> Configuration:
             except SelfIntersecting:
                 continue
     loops = []
-    for _ in range(int(rng.integers(0, 3))):
-        a1, a2 = sorted(rng.choice(3, size=2, replace=False))
-        w, h = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        base = tuple(int(x) for x in rng.integers(lo, hi - 2, 3))
-        steps = (
-            [(int(a1), 1)] * w + [(int(a2), 1)] * h + [(int(a1), -1)] * w + [(int(a2), -1)] * h
-        )
+    for _ in range(rng.randrange(3)):
+        a1, a2 = sorted(rng.sample(AXES, 2))
+        w, h = rng.randrange(1, 3), rng.randrange(1, 3)
+        base = tuple(rng.randrange(lo, hi - 2) for _ in range(3))
+        steps = [(a1, 1)] * w + [(a2, 1)] * h + [(a1, -1)] * w + [(a2, -1)] * h
         loops.append(path_from_steps(base, steps))
-    charges = [tuple(int(x) for x in rng.integers(lo, hi + 1, 3)) for _ in range(int(rng.integers(0, 4)))]
+    charges = [tuple(rng.randrange(lo, hi + 1) for _ in range(3)) for _ in range(rng.randrange(4))]
     return make_configuration(charges, strings, loops)
 
 
@@ -379,11 +379,9 @@ def _check_commutation(n: int) -> dict:
 
 
 def _check_energy(samples: int, seed: int) -> dict:
-    import numpy as np
-
     from . import stabilizer
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     lat = stabilizer.FiniteLattice(13)
     region = region_of((0, 0, 0), (4, 4, 4))
     clip = region.inflate(2)
@@ -432,25 +430,23 @@ def _check_nets() -> dict:
 
 
 def _check_truncation(seed: int) -> dict:
-    import numpy as np
-
     from . import stabilizer
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     lat = stabilizer.FiniteLattice(11)
     failures = 0
     cases = 0
     for _ in range(40):
-        m = int(rng.integers(1, 3))
-        v = tuple(int(x) for x in rng.integers(-(m // 2), m - m // 2, 3))
+        m = rng.randrange(1, 3)
+        v = tuple(rng.randrange(-(m // 2), m - m // 2) for _ in range(3))
         edges = stabilizer.FiniteLattice(m).interior_edges
         obs = stabilizer.pauli_from_keys(
             lat,
             x_keys=[k for k in edges if rng.random() < 0.4],
             z_keys=[k for k in edges if rng.random() < 0.4],
         )
-        n1 = int(rng.integers(m + 1, 4))
-        n2 = int(rng.integers(n1 + 1, 5))
+        n1 = rng.randrange(m + 1, 4)
+        n2 = rng.randrange(n1 + 1, 5)
         s1 = stabilizer.straight_string_pauli(lat, v, n1)
         s2 = stabilizer.straight_string_pauli(lat, v, n2)
         cases += 1
@@ -502,8 +498,16 @@ def _read_config(args) -> Configuration:
     return document_to_configuration(parse_config(_read_text(args.config)))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print usage and exit;
+    subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toric3d",
         description="Ground-sector decisions for charges and infinite flux strings on Z^3",
     )
@@ -547,9 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> tuple[dict, int]:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse names the command here before it parses the command's flags
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(argv, args)
         if args.command == "enumerate":
             report, code = _cmd_enumerate(args)
         elif args.command == "verify":

@@ -61,6 +61,10 @@ class NotAGroundSector(Toric3dError):
     """Sector label requested for a configuration outside any ground sector."""
 
 
+class UsageError(Toric3dError):
+    """Command-line arguments that do not parse."""
+
+
 class ConfigSyntaxError(Toric3dError):
     """Configuration document could not be parsed."""
 

@@ -600,9 +600,10 @@ def is_monotonic(spec: InfinitePathSpec) -> tuple[bool, dict[int, int] | None]:
     return True, signs
 
 
-def enclosing_region(spec: InfinitePathSpec) -> Region:
-    """A cuboid outside which every step heads along a tail direction."""
-    return bounding_region(spec.core_vertices)
+def enclosing_region(*specs: InfinitePathSpec) -> Region:
+    """The bounding box of the given specs' cores: outside a spec's own box
+    every step of it heads along a tail direction."""
+    return bounding_region(v for spec in specs for v in spec.core_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +612,8 @@ def enclosing_region(spec: InfinitePathSpec) -> Region:
 
 
 def _comparison_window(p: InfinitePathSpec, q: InfinitePathSpec) -> Region:
-    vs = p.core_vertices + q.core_vertices
     pad = len(p.neg_period) + len(p.pos_period) + len(q.neg_period) + len(q.pos_period) + 1
-    return bounding_region(vs).inflate(pad)
+    return enclosing_region(p, q).inflate(pad)
 
 
 def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):

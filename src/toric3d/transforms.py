@@ -44,6 +44,7 @@ from .paths import (
     Surface,
     _word_displacement,
     aligned_window,
+    enclosing_region,
     monotone_staircase,
     path_from_steps,
     replace_window,
@@ -254,21 +255,26 @@ def _reroute_single_bad_axis(steps: Sequence[Direction]) -> tuple[Direction, ...
     return tuple(_reinsert(monotone_staircase((0, 0, 0), shadow), anchors, letters))
 
 
-def straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
-    """One straightening pass inside ``region``; strictly lowers the in-region
-    edge count and never changes edges outside the region."""
-    t_lo, t_hi, steps = _segment_steps(spec, region)
-    if word_is_monotone(steps):
-        raise AlreadyMonotonicInRegion("segment is already monotone in the region")
-    bad = _bad_axes(steps)
-    if len(bad) == 1:
+def _straighten_pass(steps: Sequence[Direction]) -> tuple[Direction, ...]:
+    """One straightening move on a non-monotone segment word: a shorter
+    self-avoiding word between the same endpoints."""
+    if len(_bad_axes(steps)) == 1:
         new_steps = _reroute_single_bad_axis(steps)
     else:
         new_steps = _case_three(steps)
     if new_steps is None or len(new_steps) >= len(steps):
         # guaranteed progress: the whole-segment monotone reroute is shorter
         new_steps = monotone_staircase((0, 0, 0), _word_displacement(steps))
-    return replace_window(spec, t_lo, t_hi, new_steps)
+    return new_steps
+
+
+def straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
+    """One straightening pass inside ``region``; strictly lowers the in-region
+    edge count and never changes edges outside the region."""
+    t_lo, t_hi, steps = _segment_steps(spec, region)
+    if word_is_monotone(steps):
+        raise AlreadyMonotonicInRegion("segment is already monotone in the region")
+    return replace_window(spec, t_lo, t_hi, _straighten_pass(steps))
 
 
 def _single_bad_runs(steps: Sequence[Direction]) -> list[tuple[int, int, int]]:
@@ -314,14 +320,18 @@ def _case_three(steps: Sequence[Direction]):
 
 
 def straighten_fixpoint(spec: InfinitePathSpec, region: Region) -> tuple[InfinitePathSpec, int]:
-    """Iterate :func:`straighten_once` until the in-region segment is monotone."""
+    """Straighten until the in-region segment is monotone; returns the new
+    spec and the number of :func:`straighten_once` passes.
+
+    Each pass reroutes monotonically between segment vertices, so inside
+    the box region: the new word is the whole in-region stretch, and the
+    string is walked once and rebuilt at most once."""
+    t_lo, t_hi, steps = _segment_steps(spec, region)
     count = 0
-    while True:
-        try:
-            spec = straighten_once(spec, region)
-        except AlreadyMonotonicInRegion:
-            return spec, count
+    while not word_is_monotone(steps):
+        steps = _straighten_pass(steps)
         count += 1
+    return (replace_window(spec, t_lo, t_hi, steps) if count else spec), count
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +339,9 @@ def straighten_fixpoint(spec: InfinitePathSpec, region: Region) -> tuple[Infinit
 # ---------------------------------------------------------------------------
 
 
-def _overlap_params(spec: InfinitePathSpec, keys: set[EdgeKey], window: Region) -> list[int]:
-    """Sorted parameters of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
-    return sorted(t for t, key in spec.walk_in(window) if key is not None and key in keys)
+def _overlap(spec: InfinitePathSpec, keys: set[EdgeKey], window: Region) -> dict[int, EdgeKey]:
+    """Parameter to key of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
+    return {t: key for t, key in spec.walk_in(window) if key is not None and key in keys}
 
 
 def deoverlap(cfg: Configuration) -> Configuration:
@@ -370,16 +380,15 @@ def _shared_runs(strings: Sequence[InfinitePathSpec]):
     out = []
     for i in range(len(strings)):
         for j in range(i + 1, len(strings)):
-            vs = strings[i].core_vertices + strings[j].core_vertices
             pad = 2 * (
                 len(strings[i].neg_period)
                 + len(strings[i].pos_period)
                 + len(strings[j].neg_period)
                 + len(strings[j].pos_period)
             ) + 2
-            window = bounding_region(vs).inflate(pad)
+            window = enclosing_region(strings[i], strings[j]).inflate(pad)
             keys_i = {key for _, key in strings[i].walk_in(window)}
-            ts = _overlap_params(strings[j], keys_i, window)
+            ts = _overlap(strings[j], keys_i, window)
             if ts:
                 runs = _contiguous_runs(ts)
                 t_lo, t_hi = runs[0]
@@ -415,29 +424,24 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
     touched: list[dict] = []
     strings = list(cfg.strings)
     for idx, spec in enumerate(strings):
-        params = _overlap_params(spec, bkeys, window)
-        if not params:
+        overlap = _overlap(spec, bkeys, window)
+        if not overlap:
             continue
-        runs = _contiguous_runs(params)
+        runs = _contiguous_runs(overlap)
         if len(runs) != 1:
             raise MultipleOverlapRuns(f"string {idx} meets the boundary in {len(runs)} runs")
         t_lo, t_hi = runs[0]
         # align orientations: the string must traverse the overlap against
         # the boundary's own traversal
-        key0 = spec.edge_at(t_lo).key
-        b_edge = next(e for e in boundary.edges if e.key == key0)
+        b_edge = next(e for e in boundary.edges if e.key == overlap[t_lo])
         if spec.edge_at(t_lo).sign == b_edge.sign:
             spec = reverse_spec(spec)
             strings[idx] = spec
-            params = _overlap_params(spec, bkeys, window)
-            runs = _contiguous_runs(params)
-            if len(runs) != 1:
-                raise MultipleOverlapRuns(f"string {idx} meets the boundary in {len(runs)} runs")
-            t_lo, t_hi = runs[0]
-        positions = sorted(
-            i for i, e in enumerate(boundary.edges) if e.key in
-            {spec.edge_at(t).key for t in range(t_lo, t_hi + 1)}
-        )
+            # reversal maps edge t to edge len(core) - 1 - t
+            nc = len(spec.core)
+            t_lo, t_hi = nc - 1 - t_hi, nc - 1 - t_lo
+        run_keys = set(overlap.values())
+        positions = [i for i, e in enumerate(boundary.edges) if e.key in run_keys]
         touched.append(
             {"index": idx, "p": t_lo, "q": t_hi, "positions": positions, "spec": spec}
         )
@@ -446,12 +450,12 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
 
     L = len(boundary.edges)
     for info in touched:
-        pos = info["positions"]
-        if not _cyclically_contiguous(pos, L):
+        run = _cyclic_run(info["positions"], L)
+        if run is None:
             raise MultipleOverlapRuns(
                 f"string {info['index']} overlap is not contiguous along the boundary"
             )
-        info["b_start"], info["b_end"] = _cyclic_run(pos, L)
+        info["b_start"], info["b_end"] = run
 
     # order runs by first encounter walking the boundary cycle
     touched.sort(key=lambda info: info["b_start"])
@@ -480,19 +484,15 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
     return Configuration(cfg.charges, tuple(out_strings), cfg.loops)
 
 
-def _cyclically_contiguous(positions: Sequence[int], L: int) -> bool:
-    k = len(positions)
-    if k == L:
-        return True
+def _cyclic_run(positions: Sequence[int], L: int) -> tuple[int, int] | None:
+    """First and last of ``positions`` when they form one run on the cycle
+    ``0..L-1``, else None.  A self-avoiding string never covers the whole
+    boundary cycle, so a run has a start."""
     pos_set = set(positions)
     starts = [p for p in positions if (p - 1) % L not in pos_set]
-    return len(starts) == 1
-
-
-def _cyclic_run(positions: Sequence[int], L: int) -> tuple[int, int]:
-    pos_set = set(positions)
-    start = next(p for p in positions if (p - 1) % L not in pos_set)
-    return start, (start + len(positions) - 1) % L
+    if len(starts) != 1:
+        return None
+    return starts[0], (starts[0] + len(positions) - 1) % L
 
 
 def _faces_connected(surface: Surface) -> bool:

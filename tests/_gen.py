@@ -13,7 +13,13 @@ from collections import deque
 from itertools import product
 
 from toric3d import _kernels
-from toric3d.errors import DimensionMismatch, MultipleCrossings, OutOfRegion, SelfIntersecting
+from toric3d.errors import (
+    AlreadyMonotonicInRegion,
+    DimensionMismatch,
+    MultipleCrossings,
+    OutOfRegion,
+    SelfIntersecting,
+)
 from toric3d.lattice import (
     AXES,
     Edge,
@@ -585,6 +591,152 @@ def reference_single_bad_runs(steps):
                 runs.append((j - i, i, j))
                 break
     return runs
+
+
+def reference_straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
+    """One straightening pass inside ``region``; strictly lowers the in-region
+    edge count and never changes edges outside the region."""
+    from toric3d.paths import replace_window, word_is_monotone
+    from toric3d.transforms import _bad_axes, _case_three, _reroute_single_bad_axis, _segment_steps
+
+    t_lo, t_hi, steps = _segment_steps(spec, region)
+    if word_is_monotone(steps):
+        raise AlreadyMonotonicInRegion("segment is already monotone in the region")
+    bad = _bad_axes(steps)
+    if len(bad) == 1:
+        new_steps = _reroute_single_bad_axis(steps)
+    else:
+        new_steps = _case_three(steps)
+    if new_steps is None or len(new_steps) >= len(steps):
+        # guaranteed progress: the whole-segment monotone reroute is shorter
+        new_steps = monotone_staircase((0, 0, 0), _word_displacement(steps))
+    return replace_window(spec, t_lo, t_hi, new_steps)
+
+
+def reference_straighten_fixpoint(spec: InfinitePathSpec, region: Region):
+    """The straightening loop before it ran on the segment word: every pass
+    walks the string again and rebuilds and re-validates the whole spec.  The
+    reference for ``transforms.straighten_fixpoint``."""
+    count = 0
+    while True:
+        try:
+            spec = reference_straighten_once(spec, region)
+        except AlreadyMonotonicInRegion:
+            return spec, count
+        count += 1
+
+
+# Surgery before it found each string's overlap once: the reference for
+# ``transforms.surgery``.  It walks a reversed string again and rebuilds the
+# run's key set for every boundary edge.
+
+
+def _reference_overlap_params(spec: InfinitePathSpec, keys, window: Region) -> list[int]:
+    """Sorted parameters of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
+    return sorted(t for t, key in spec.walk_in(window) if key is not None and key in keys)
+
+
+def reference_surgery(cfg, surface):
+    """Cut every string along its overlap with the surface boundary and
+    resplice across the boundary arcs.  The output edge chain equals the
+    input chain XOR the boundary chain."""
+    from toric3d.errors import InvalidSurface, MultipleOverlapRuns, NoOverlap
+    from toric3d.lattice import bounding_region, edge_direction
+    from toric3d.paths import aligned_window, reverse_spec
+    from toric3d.transforms import Configuration, _contiguous_runs, _faces_connected, deoverlap
+
+    if surface.closed:
+        raise InvalidSurface("surgery needs an open surface")
+    if not _faces_connected(surface):
+        raise InvalidSurface("surface faces are not edge-connected")
+    cfg = deoverlap(cfg)
+    boundary = surface.boundary
+    bkeys = {e.key for e in boundary.edges}
+    window = bounding_region(
+        [v for e in boundary.edges for v in boundary_edge(e)]
+    ).inflate(2)
+
+    touched: list[dict] = []
+    strings = list(cfg.strings)
+    for idx, spec in enumerate(strings):
+        params = _reference_overlap_params(spec, bkeys, window)
+        if not params:
+            continue
+        runs = _contiguous_runs(params)
+        if len(runs) != 1:
+            raise MultipleOverlapRuns(f"string {idx} meets the boundary in {len(runs)} runs")
+        t_lo, t_hi = runs[0]
+        # align orientations: the string must traverse the overlap against
+        # the boundary's own traversal
+        key0 = spec.edge_at(t_lo).key
+        b_edge = next(e for e in boundary.edges if e.key == key0)
+        if spec.edge_at(t_lo).sign == b_edge.sign:
+            spec = reverse_spec(spec)
+            strings[idx] = spec
+            params = _reference_overlap_params(spec, bkeys, window)
+            runs = _contiguous_runs(params)
+            if len(runs) != 1:
+                raise MultipleOverlapRuns(f"string {idx} meets the boundary in {len(runs)} runs")
+            t_lo, t_hi = runs[0]
+        positions = sorted(
+            i for i, e in enumerate(boundary.edges) if e.key in
+            {spec.edge_at(t).key for t in range(t_lo, t_hi + 1)}
+        )
+        touched.append(
+            {"index": idx, "p": t_lo, "q": t_hi, "positions": positions, "spec": spec}
+        )
+    if not touched:
+        raise NoOverlap("surface boundary meets no string")
+
+    L = len(boundary.edges)
+    for info in touched:
+        pos = info["positions"]
+        if not _reference_cyclically_contiguous(pos, L):
+            raise MultipleOverlapRuns(
+                f"string {info['index']} overlap is not contiguous along the boundary"
+            )
+        info["b_start"], info["b_end"] = _reference_cyclic_run(pos, L)
+
+    # order runs by first encounter walking the boundary cycle
+    touched.sort(key=lambda info: info["b_start"])
+    n = len(touched)
+    new_specs = {}
+    for k, info in enumerate(touched):
+        nxt = touched[(k + 1) % n]
+        arc = []
+        i = (info["b_end"] + 1) % L
+        while i != nxt["b_start"]:
+            arc.append(edge_direction(boundary.edges[i]))
+            i = (i + 1) % L
+        spec_i, spec_j = info["spec"], nxt["spec"]
+        a_lo = aligned_window(spec_i, info["p"], 0)[0]
+        b_hi = aligned_window(spec_j, 0, nxt["q"] + 1)[1]
+        core = (
+            spec_i.realize_steps(a_lo, info["p"] - 1)
+            + tuple(arc)
+            + spec_j.realize_steps(nxt["q"] + 1, b_hi - 1)
+        )
+        new_specs[info["index"]] = InfinitePathSpec(
+            spec_i.neg_period, core, spec_j.pos_period, spec_i.vertex(a_lo)
+        )
+
+    out_strings = [new_specs.get(i, s) for i, s in enumerate(strings)]
+    return Configuration(cfg.charges, tuple(out_strings), cfg.loops)
+
+
+def _reference_cyclically_contiguous(positions, L: int) -> bool:
+    k = len(positions)
+    if k == L:
+        return True
+    pos_set = set(positions)
+    starts = [p for p in positions if (p - 1) % L not in pos_set]
+    return len(starts) == 1
+
+
+def _reference_cyclic_run(positions, L: int) -> tuple[int, int]:
+    pos_set = set(positions)
+    start = next(p for p in positions if (p - 1) % L not in pos_set)
+    return start, (start + len(positions) - 1) % L
 
 
 # ---------------------------------------------------------------------------

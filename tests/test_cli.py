@@ -297,6 +297,23 @@ def test_error_exit_code(monkeypatch, capsys):
     assert payload["error"] == "ConfigSyntaxError"
 
 
+def test_usage_errors_are_json_reports(capsys):
+    cases = [
+        (["enumerate", "--strings", "9"], "enumerate"),
+        (["frobnicate"], None),
+        (["energy"], "energy"),
+    ]
+    for argv, command in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert (report["error"], report["command"], report["schema_version"]) == ("UsageError", command, 1)
+        assert report["message"] and not captured.err
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"])
+    assert exited.value.code == 0
+
+
 def test_main_prints_json(monkeypatch, capsys):
     import io
     import sys
@@ -326,10 +343,15 @@ def test_broken_pipe_keeps_exit_code(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_out():
-    # only verify's checks need numpy and the F2 verifier
+    # only verify's checks need the F2 verifier, and nothing needs numpy
     env = dict(os.environ, PYTHONPATH=str(Path(toric3d.__file__).parents[1]))
     probe = "import sys, toric3d.cli; sys.exit(bool({'numpy', 'toric3d.stabilizer'} & set(sys.modules)))"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    probe = (
+        "import sys, toric3d.cli; code = toric3d.cli.main(['verify', '--checks', 'energy', '--samples', '5']);"
+        " sys.exit(code or 'numpy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True).returncode == 0
 
 
 # Reports recorded with ``python -m toric3d.cli <argv> > tests/golden/<name>.json``

@@ -1,15 +1,21 @@
 """Transforms: energy accounting, straightening, surgery, linking parity."""
 
+from collections import Counter
+
 import pytest
 
+from toric3d import transforms
 from toric3d.errors import (
     AlreadyMonotonicInRegion,
     EndpointMismatch,
     MultipleCrossings,
     NoOverlap,
+    SelfIntersecting,
+    Toric3dError,
 )
-from toric3d.lattice import Face, add, direction_vector, parse_steps, region_of
+from toric3d.lattice import Face, Region, add, direction_vector, parse_steps, region_of
 from toric3d.paths import (
+    InfinitePathSpec,
     _word_displacement,
     enclosing_region,
     infinity_directions,
@@ -35,12 +41,17 @@ from toric3d.transforms import (
     surgery,
 )
 from ._gen import (
+    _random_word,
     bfs_distance,
     chain_xor_check,
     fill_cycle,
     random_nonmonotone_spec,
+    random_spec,
     reference_reroute_single_bad_axis,
     reference_single_bad_runs,
+    reference_straighten_fixpoint,
+    reference_surgery,
+    zigzag_core,
 )
 
 X, Y, Z = 0, 1, 2
@@ -331,6 +342,70 @@ def test_zigzag_bounded_steps():
     assert is_monotonic(fixed)[0]
 
 
+def _oscillating(n):
+    """An ``n``-step core that oscillates along x and y while climbing z: the
+    fixpoint takes about ``n / 4`` passes on it."""
+    return spec_from_strings("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * (n // 8), "Z+")
+
+
+def _straightened(fixpoint, spec, region):
+    try:
+        fixed, passes = fixpoint(spec, region)
+    except Toric3dError as ex:
+        return type(ex).__name__, str(ex)
+    return (fixed.neg_period, fixed.core, fixed.pos_period, fixed.base), passes
+
+
+def test_fixpoint_matches_reference(rng):
+    """Straightening on the segment word gives the spec, pass count and error
+    of the loop that re-walks and rebuilds the spec every pass, on random,
+    zigzag and 40-step self-avoiding cores over covering, clipping and random
+    boxes, and on the oscillating core."""
+    specs = [random_spec(rng, max_period=3, max_core=12) for _ in range(100)]
+    specs += [
+        random_spec(rng, max_period=3, max_core=40, lo=-6, hi=6, self_avoiding=True)
+        for _ in range(100)
+    ]
+    while len(specs) < 300:
+        base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+        core = zigzag_core(rng, int(rng.integers(1, 40)))
+        try:
+            specs.append(InfinitePathSpec(_random_word(rng, 3), core, _random_word(rng, 3), base))
+        except SelfIntersecting:
+            continue
+    cases = []
+    for spec in specs:
+        box = enclosing_region(spec)
+        mid = tuple((l + h) // 2 for l, h in zip(box.lo, box.hi))
+        lo = tuple(int(x) for x in rng.integers(-8, 6, 3))
+        hi = tuple(l + int(x) for l, x in zip(lo, rng.integers(0, 8, 3)))
+        for region in (box.inflate(int(rng.integers(0, 4))), Region(box.lo, mid), Region(lo, hi)):
+            cases.append((spec, region))
+    cases += [(spec, enclosing_region(spec).inflate(2)) for spec in map(_oscillating, (80, 160, 320))]
+    outcomes = set()
+    for spec, region in cases:
+        got = _straightened(straighten_fixpoint, spec, region)
+        assert got == _straightened(reference_straighten_fixpoint, spec, region)
+        outcomes.add(got[0] if isinstance(got[0], str) else min(got[1], 2))
+    assert outcomes == {"MultipleCrossings", 0, 1, 2}
+
+
+def test_fixpoint_walks_and_rebuilds_once(monkeypatch):
+    calls = Counter()
+    for name in ("_segment_steps", "replace_window"):
+        real = getattr(transforms, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(transforms, name, counted)
+    spec = _oscillating(320)
+    fixed, passes = straighten_fixpoint(spec, enclosing_region(spec).inflate(2))
+    assert passes > 50 and is_monotonic(fixed)[0]
+    assert calls == {"_segment_steps": 1, "replace_window": 1}
+
+
 # ---------------------------------------------------------------------------
 # surgery
 # ---------------------------------------------------------------------------
@@ -405,6 +480,45 @@ def test_surgery_three_lines_preserves_direction_multiset():
         [flux_chain_in_region(cfg, window), {e.key for e in surf.boundary.edges}],
         flux_chain_in_region(out, window),
     )
+
+
+def _surgery_outcome(run, cfg, surf):
+    try:
+        return run(cfg, surf).strings
+    except Toric3dError as ex:
+        return type(ex).__name__, str(ex)
+
+
+def test_surgery_matches_reference(rng):
+    """Finding each overlap once (and mirroring it onto a reversed string)
+    gives the strings or error of the surgery that walks reversed strings
+    again: one or both of two parallel lines, with tail periods of 1 to 3
+    letters and either heading, through k x h membranes (the double U)."""
+    outcomes = set()
+    for _ in range(60):
+        line_axis, gap_axis, normal = (int(a) for a in rng.permutation(3))
+        k, h = (int(x) for x in rng.integers(1, 5, 2))
+        origin = tuple(int(x) for x in rng.integers(-6, 7, 3))
+        lines = []
+        for offset in (0, k):
+            base = list(origin)
+            base[gap_axis] += offset
+            period = ((line_axis, int(rng.choice((-1, 1)))),) * int(rng.integers(1, 4))
+            lines.append(InfinitePathSpec(period, (), period, tuple(base)))
+        faces = []
+        below = int(rng.integers(0, 2))  # the membrane may start below the lines' bases
+        for i in range(k):
+            for j in range(-below, h):
+                b = list(origin)
+                b[gap_axis] += i
+                b[line_axis] += j
+                faces.append(Face(tuple(b), normal))
+        cfg = make_configuration(strings=lines[: int(rng.integers(1, 3))])
+        surf = validate_surface(faces)
+        got = _surgery_outcome(surgery, cfg, surf)
+        assert got == _surgery_outcome(reference_surgery, cfg, surf)
+        outcomes.add(got[0] if isinstance(got[0], str) else len(got))
+    assert outcomes >= {1, 2}
 
 
 def test_surgery_no_overlap_rejected():
