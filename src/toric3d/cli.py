@@ -47,6 +47,7 @@ from .lattice import (
 from .paths import (
     InfinitePathSpec,
     SelfIntersecting,
+    StepWord,
     path_from_steps,
     validate_surface,
 )
@@ -74,25 +75,24 @@ def _objects(doc: dict, key: str) -> list:
     return items
 
 
-def _triple(value, where: str) -> list:
+def _triple(value, where: str) -> tuple:
     if not (
         isinstance(value, list)
         and len(value) == 3
         and all(isinstance(c, int) and not isinstance(c, bool) for c in value)
     ):
         raise ConfigSyntaxError(f"{where} must be 3 integers")
-    return list(value)
+    return tuple(value)
 
 
-def _word(entry: dict, key: str, where: str) -> str:
+def _word(entry: dict, key: str, where: str) -> StepWord:
     word = entry.get(key, "")
     if not isinstance(word, str):
         raise ConfigSyntaxError(f"{where}: step word must be a string")
     try:
-        parse_steps(word)
+        return parse_steps(word)
     except ValueError as ex:
         raise ConfigSyntaxError(f"{where}: {ex}") from ex
-    return word.upper()
 
 
 def _read_text(path: str) -> str:
@@ -119,55 +119,44 @@ def _load_json(text: str):
         raise ConfigSyntaxError("document nested too deeply") from ex
 
 
-def parse_config(text: str) -> dict:
-    """Parse and shape-check a configuration document."""
+def parse_config(text: str) -> Configuration:
+    """Parse a configuration document.  Every shape error (strings, then
+    charges, then loops) is raised before the first semantic one (the
+    string specs, then the loops)."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ConfigSyntaxError("top level must be an object")
-    out = {"strings": [], "charges": [], "loops": []}
+    strings = []
     for i, s in enumerate(_objects(doc, "strings")):
-        entry = {
-            key: _word(s, key, f"strings[{i}].{key}")
-            for key in ("neg_period", "core", "pos_period")
-        }
-        entry["base"] = _triple(s.get("base", [0, 0, 0]), f"strings[{i}].base")
-        out["strings"].append(entry)
+        words = [
+            _word(s, key, f"strings[{i}].{key}") for key in ("neg_period", "core", "pos_period")
+        ]
+        strings.append((*words, _triple(s.get("base", [0, 0, 0]), f"strings[{i}].base")))
     charges = doc.get("charges", [])
     if not isinstance(charges, list):
         raise ConfigSyntaxError("charges must be a list")
-    for i, c in enumerate(charges):
-        out["charges"].append(_triple(c, f"charges[{i}]"))
+    charges = [_triple(c, f"charges[{i}]") for i, c in enumerate(charges)]
+    loops = []
     for i, l in enumerate(_objects(doc, "loops")):
         steps = _word(l, "steps", f"loops[{i}].steps")
-        start = _triple(l.get("start", [0, 0, 0]), f"loops[{i}].start")
-        out["loops"].append({"start": start, "steps": steps})
-    return out
+        loops.append((_triple(l.get("start", [0, 0, 0]), f"loops[{i}].start"), steps))
 
-
-def document_to_configuration(doc: dict) -> Configuration:
-    strings = []
-    for i, s in enumerate(doc["strings"]):
+    specs = []
+    for i, fields in enumerate(strings):
         try:
-            strings.append(
-                InfinitePathSpec(
-                    parse_steps(s["neg_period"]),
-                    parse_steps(s["core"]),
-                    parse_steps(s["pos_period"]),
-                    tuple(s["base"]),
-                )
-            )
+            specs.append(InfinitePathSpec(*fields))
         except Toric3dError as ex:
             raise ConfigSemanticError(f"strings[{i}]: {ex}", index=i) from ex
-    loops = []
-    for i, l in enumerate(doc["loops"]):
+    paths = []
+    for i, (start, steps) in enumerate(loops):
         try:
-            loop = path_from_steps(tuple(l["start"]), parse_steps(l["steps"]))
+            loop = path_from_steps(start, steps)
         except Toric3dError as ex:
             raise ConfigSemanticError(f"loops[{i}]: {ex}", index=i) from ex
         if not loop.closed:
             raise ConfigSemanticError(f"loops[{i}] is not closed", index=i)
-        loops.append(loop)
-    return make_configuration(doc["charges"], strings, loops)
+        paths.append(loop)
+    return make_configuration(charges, specs, paths)
 
 
 def configuration_to_document(cfg: Configuration) -> dict:
@@ -207,7 +196,7 @@ def parse_surface_file(path: str):
         raise ConfigSyntaxError("a surface file must be a list of face objects")
     faces = []
     for i, f in enumerate(data):
-        base = tuple(_triple(f.get("base"), f"faces[{i}].base"))
+        base = _triple(f.get("base"), f"faces[{i}].base")
         normal = f.get("normal")
         if not (isinstance(normal, str) and len(normal) == 1 and normal.lower() in AXIS_NAMES):
             raise ConfigSyntaxError(f"faces[{i}].normal must be one of x, y, z")
@@ -460,7 +449,14 @@ def _check_truncation(seed: int) -> dict:
     return {"name": "truncation", "cases": cases, "failures": failures, "pass": failures == 0}
 
 
-_CHECKS = ("commutation", "energy", "gauge", "nets", "truncation")
+# each check by name, run on the parsed arguments
+_CHECKS = {
+    "commutation": lambda args: _check_commutation(args.n),
+    "energy": lambda args: _check_energy(samples=args.samples, seed=args.seed),
+    "gauge": lambda args: _check_gauge(),
+    "nets": lambda args: _check_nets(),
+    "truncation": lambda args: _check_truncation(seed=args.seed),
+}
 # the commutation check pairs every star with every face: n = 3 is 3888 pairs
 _MAX_COMMUTATION_N = 3
 
@@ -473,18 +469,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if args.samples < 0:
         raise ConfigSyntaxError(f"--samples must be >= 0, got {args.samples}")
     wanted = _CHECKS if args.checks == "all" else (args.checks,)
-    results = []
-    for name in wanted:
-        if name == "commutation":
-            results.append(_check_commutation(args.n))
-        elif name == "energy":
-            results.append(_check_energy(samples=args.samples, seed=args.seed))
-        elif name == "gauge":
-            results.append(_check_gauge())
-        elif name == "nets":
-            results.append(_check_nets())
-        elif name == "truncation":
-            results.append(_check_truncation(seed=args.seed))
+    results = [_CHECKS[name](args) for name in wanted]
     ok = all(r["pass"] for r in results)
     return {"checks": results, "pass": ok}, 0 if ok else 1
 
@@ -492,10 +477,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
-
-
-def _read_config(args) -> Configuration:
-    return document_to_configuration(parse_config(_read_text(args.config)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -544,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=3,
         help=f"block side for commutation checks, 1 to {_MAX_COMMUTATION_N} (default 3)",
     )
-    p.add_argument("--checks", default="all", choices=_CHECKS + ("all",))
+    p.add_argument("--checks", default="all", choices=(*_CHECKS, "all"))
     p.add_argument("--samples", type=int, default=50, help="random samples for the energy check")
     p.add_argument("--seed", type=int, default=0)
     return parser
@@ -560,7 +541,7 @@ def run(argv=None) -> tuple[dict, int]:
         elif args.command == "verify":
             report, code = _cmd_verify(args)
         else:
-            cfg = _read_config(args)
+            cfg = parse_config(_read_text(args.config))
             handler = {
                 "validate": _cmd_validate,
                 "classify": _cmd_classify,
@@ -569,21 +550,9 @@ def run(argv=None) -> tuple[dict, int]:
                 "surgery": _cmd_surgery,
             }[args.command]
             report, code = handler(cfg, args)
-    except Toric3dError as ex:
-        report = {
-            "error": type(ex).__name__,
-            "message": str(ex),
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-        }
-        return report, 2
-    except OSError as ex:
-        return {
-            "error": "IOError",
-            "message": str(ex),
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-        }, 2
+    except (Toric3dError, OSError) as ex:
+        error = "IOError" if isinstance(ex, OSError) else type(ex).__name__
+        report, code = {"error": error, "message": str(ex)}, 2
     report["schema_version"] = SCHEMA_VERSION
     report["command"] = args.command
     return report, code

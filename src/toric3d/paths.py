@@ -107,13 +107,7 @@ def validate_finite_path(edges: Iterable[Edge]) -> FinitePath:
 
 def path_from_steps(start: Vertex, steps: Sequence[Direction]) -> FinitePath:
     """Walk ``steps`` from ``start`` and validate the resulting path."""
-    edges = []
-    v = start
-    for d in steps:
-        e = edge_from(v, d)
-        edges.append(e)
-        v = boundary_edge(e)[1]
-    return validate_finite_path(edges)
+    return validate_finite_path(map(edge_from, _cumulative(steps, start), steps))
 
 
 def monotone_staircase(a: Vertex, b: Vertex) -> StepWord:
@@ -131,11 +125,10 @@ def word_is_self_avoiding(steps: Sequence[Direction]) -> bool:
 
 
 def word_is_monotone(steps: Iterable[Direction]) -> bool:
-    signs: dict[int, int] = {}
-    for a, s in steps:
-        if signs.setdefault(a, s) != s:
-            return False
-    return True
+    """Whether ``steps`` walks each axis one way only: keyed by axis, its
+    letters keep one sign each."""
+    letters = set(steps)
+    return len(dict(letters)) == len(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +216,7 @@ def validate_surface(faces: Iterable[Face]) -> Surface:
 
 
 def _word_displacement(word: StepWord) -> Vertex:
-    v = (0, 0, 0)
-    for d in word:
-        v = add(v, direction_vector(d))
-    return v
+    return _cumulative(word)[-1]
 
 
 def _cumulative(word: StepWord, start: Vertex = (0, 0, 0)) -> list[Vertex]:
@@ -320,13 +310,8 @@ class InfinitePathSpec:
         return tuple(self.step(t) for t in range(a, b + 1))
 
     def edges(self, a: int, b: int) -> list[Edge]:
-        out = []
-        v = self.vertex(a)
-        for t in range(a, b + 1):
-            e = edge_from(v, self.step(t))
-            out.append(e)
-            v = boundary_edge(e)[1]
-        return out
+        steps = self.realize_steps(a, b)
+        return list(map(edge_from, _cumulative(steps, self.vertex(a)), steps))
 
     def walk_in(self, region: Region) -> Iterator[tuple[int, EdgeKey | None]]:
         """``(t, key)`` for every walked parameter ``t`` with ``vertex(t)`` in
@@ -593,11 +578,8 @@ def is_monotonic(spec: InfinitePathSpec) -> tuple[bool, dict[int, int] | None]:
     axes are free and omitted.
     """
     used = set(spec.neg_period) | set(spec.core) | set(spec.pos_period)
-    signs: dict[int, int] = {}
-    for a, s in used:
-        if signs.setdefault(a, s) != s:
-            return False, None
-    return True, signs
+    signs = dict(used)
+    return (True, signs) if len(signs) == len(used) else (False, None)
 
 
 def enclosing_region(*specs: InfinitePathSpec) -> Region:

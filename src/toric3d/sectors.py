@@ -16,7 +16,8 @@ removals) is emitted and verified to land on an actual ground state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import permutations, product
@@ -255,13 +256,9 @@ Assignment = tuple[int, int]  # (mask of D+, mask of D-)
 Solution = tuple[Assignment, ...]
 
 
-def _candidates() -> list[Assignment]:
-    out = []
-    for p in range(1, 64):
-        for m in range(1, 64):
-            if p & m == 0:
-                out.append((p, m))
-    return out
+_CANDIDATES: list[Assignment] = [
+    (p, m) for p in range(1, 64) for m in range(1, 64) if p & m == 0
+]
 
 
 @cache
@@ -308,9 +305,9 @@ def canonical_solution(sol: Solution) -> Solution:
 def _case_two(sol: Solution) -> str:
     (p1, m1), (p2, m2) = sol
     d1, d2 = p1 | m1, p2 | m2
-    if bin(d1).count("1") > bin(d2).count("1"):
+    if d1.bit_count() > d2.bit_count():
         d1, d2 = d2, d1
-    s1, s2 = bin(d1).count("1"), bin(d2).count("1")
+    s1, s2 = d1.bit_count(), d2.bit_count()
 
     def axis_pair(mask):
         return any(mask == 0b11 << (2 * a) for a in AXES)
@@ -337,7 +334,7 @@ def _case_two(sol: Solution) -> str:
 
 def _case_three(sol: Solution) -> str:
     masks = [p | m for p, m in sol]
-    assert all(bin(d).count("1") == 2 for d in masks)
+    assert all(d.bit_count() == 2 for d in masks)
     pairs = sum(1 for d in masks if any(d == 0b11 << (2 * a) for a in AXES))
     return {3: "A", 1: "B", 0: "C"}[pairs]
 
@@ -353,90 +350,59 @@ def surgery_move(sol: Solution, i: int, j: int) -> Solution:
     return tuple(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationReport:
     n_strings: int
     raw_count: int
     raw_count_alt: int
-    orbits: dict[Solution, str] = field(default_factory=dict)
-    case_inventory: dict[str, int] = field(default_factory=dict)
-    reduction_targets: dict[str, frozenset[str]] = field(default_factory=dict)
+    orbits: dict[Solution, str]
+    case_inventory: dict[str, int]
+    reduction_targets: dict[str, frozenset[str]]
+
+
+@cache
+def _allowed(free: int) -> tuple[Assignment, ...]:
+    """The candidates whose directions all lie in the mask ``free``."""
+    return tuple((p, m) for p, m in _CANDIDATES if (p | m) & ~free == 0)
 
 
 def _raw_solutions(n_strings: int) -> list[Solution]:
-    cands = _candidates()
-    by_allowed: dict[int, list[Assignment]] = {}
-
-    def allowed(universe_mask):
-        if universe_mask not in by_allowed:
-            by_allowed[universe_mask] = [
-                (p, m) for (p, m) in cands if (p | m) & ~universe_mask == 0
-            ]
-        return by_allowed[universe_mask]
-
-    sols: list[Solution] = []
-    if n_strings == 2:
-        for c1 in cands:
-            u = 63 & ~(c1[0] | c1[1])
-            for c2 in allowed(u):
-                sols.append((c1, c2))
-    elif n_strings == 3:
-        for c1 in cands:
-            u1 = 63 & ~(c1[0] | c1[1])
-            for c2 in allowed(u1):
-                u2 = u1 & ~(c2[0] | c2[1])
-                for c3 in allowed(u2):
-                    sols.append((c1, c2, c3))
-    else:
+    """Every assignment of ``n_strings`` strings with pairwise disjoint
+    direction sets, extended one string at a time over the directions left."""
+    if n_strings not in (2, 3):
         raise ValueError("only 2- and 3-string enumerations are supported")
-    return sols
+    partial: list[tuple[Solution, int]] = [((), 63)]
+    for _ in range(n_strings):
+        partial = [
+            (sol + ((p, m),), free & ~(p | m)) for sol, free in partial for p, m in _allowed(free)
+        ]
+    return [sol for sol, _ in partial]
 
 
-def _raw_count_alt(n_strings: int) -> int:
+def _raw_count_alt(n_strings: int, used: int = 0) -> int:
     """Independent ordering: choose disjoint direction sets first, then count
-    the ways to split each into two nonempty sides."""
-
-    def splits(mask):
-        return 2 ** bin(mask).count("1") - 2
-
-    total = 0
-    if n_strings == 2:
-        for d1 in range(64):
-            if bin(d1).count("1") < 2:
-                continue
-            for d2 in range(64):
-                if bin(d2).count("1") < 2 or d1 & d2:
-                    continue
-                total += splits(d1) * splits(d2)
-    else:
-        for d1 in range(64):
-            if bin(d1).count("1") < 2:
-                continue
-            for d2 in range(64):
-                if bin(d2).count("1") < 2 or d1 & d2:
-                    continue
-                for d3 in range(64):
-                    if bin(d3).count("1") < 2 or d3 & (d1 | d2):
-                        continue
-                    total += splits(d1) * splits(d2) * splits(d3)
-    return total
+    the ways to split each into two nonempty sides; ``used`` holds the
+    directions of the strings chosen so far."""
+    if n_strings == 0:
+        return 1
+    return sum(
+        (2 ** d.bit_count() - 2) * _raw_count_alt(n_strings - 1, used | d)
+        for d in range(64)
+        if d.bit_count() >= 2 and not d & used
+    )
 
 
-def _reduction_closure(rep: Solution, classify_fn, depth: int = 3) -> frozenset[str]:
-    """Cases reachable from ``rep`` by repeated surgery moves."""
+def _reduction_closure(rep: Solution, classify_fn) -> frozenset[str]:
+    """Cases reachable from ``rep`` by three rounds of surgery moves."""
     seen = {canonical_solution(rep)}
     frontier = [rep]
     cases = {classify_fn(rep)}
-    for _ in range(depth):
+    for _ in range(3):
         nxt = []
         for sol in frontier:
             n = len(sol)
-            variants = []
             for swaps in product((0, 1), repeat=n):
-                variants.append(
-                    tuple((m, p) if sw else (p, m) for (p, m), sw in zip(sol, swaps))
-                )
-            for var in variants:
+                var = tuple((m, p) if sw else (p, m) for (p, m), sw in zip(sol, swaps))
                 for i in range(n):
                     for j in range(n):
                         if i == j:
@@ -456,28 +422,23 @@ def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
     sector condition, fold them under octahedral symmetry, and name the
     surviving cases."""
     sols = _raw_solutions(n_strings)
-    report = EnumerationReport(
-        n_strings=n_strings,
-        raw_count=len(sols),
-        raw_count_alt=_raw_count_alt(n_strings),
-    )
     classify_fn = _case_two if n_strings == 2 else _case_three
     orbits: dict[Solution, str] = {}
     for sol in sols:
         canon = canonical_solution(sol)
         if canon not in orbits:
             orbits[canon] = classify_fn(canon)
-    report.orbits = orbits
-    inventory: dict[str, int] = {}
-    for case in orbits.values():
-        inventory[case] = inventory.get(case, 0) + 1
-    report.case_inventory = dict(sorted(inventory.items()))
 
     reducible = {"IV.A"} if n_strings == 2 else {"B", "C"}
     targets: dict[str, set[str]] = {}
     for canon, case in orbits.items():
         if case in reducible:
-            reached = _reduction_closure(canon, classify_fn)
-            targets.setdefault(case, set()).update(reached)
-    report.reduction_targets = {k: frozenset(v) for k, v in targets.items()}
-    return report
+            targets.setdefault(case, set()).update(_reduction_closure(canon, classify_fn))
+    return EnumerationReport(
+        n_strings=n_strings,
+        raw_count=len(sols),
+        raw_count_alt=_raw_count_alt(n_strings),
+        orbits=orbits,
+        case_inventory=dict(sorted(Counter(orbits.values()).items())),
+        reduction_targets={k: frozenset(v) for k, v in targets.items()},
+    )

@@ -119,11 +119,6 @@ class PauliOperator:
     z: int
     n_qubits: int
 
-    def compose(self, other: "PauliOperator") -> "PauliOperator":
-        if self.n_qubits != other.n_qubits:
-            raise DimensionMismatch("operators live on different lattices")
-        return PauliOperator(self.x ^ other.x, self.z ^ other.z, self.n_qubits)
-
     @property
     def x_weight(self) -> int:
         return self.x.bit_count()
@@ -131,10 +126,6 @@ class PauliOperator:
     @property
     def z_weight(self) -> int:
         return self.z.bit_count()
-
-    @property
-    def is_identity(self) -> bool:
-        return not (self.x or self.z)
 
 
 def _indices(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
@@ -393,9 +384,9 @@ def surface_net_checks(n: int) -> NetCheckReport:
     the same number of nets with the boundary bit-flip map as the explicit
     pairing.
     """
-    lat = FiniteLattice(n)
-    if 2 ** (n**3) > 256:
+    if n**3 > 8:
         raise TooLarge("gauge enumeration limited to 2^(n^3) <= 256")
+    lat = FiniteLattice(n)
 
     supports = _kernels.span(lat.star_matrix)
     distinct = len(set(supports)) == len(supports)
@@ -473,10 +464,6 @@ def straight_string_pauli(lat: FiniteLattice, v: Vertex, length: int) -> PauliOp
 
 def growing_membrane_pauli(lat: FiniteLattice, line_start: Vertex, length: int) -> PauliOperator:
     """Membrane hanging below a dual +x segment of the given length."""
-    edges = []
-    v = tuple(line_start)
-    for _ in range(length):
-        e = edge_from(v, (0, +1))
-        edges.append(e)
-        v = boundary_edge(e)[1]
+    x, y, z = line_start
+    edges = [Edge((x + k, y, z), 0) for k in range(length)]
     return pauli_from_keys(lat, x_keys=_curtain_edges(lat, edges))

@@ -30,10 +30,8 @@ from .lattice import (
     EdgeKey,
     Region,
     Vertex,
-    add,
     boundary_edge,
     bounding_region,
-    direction_vector,
     dual_face_of_edge,
     edge_direction,
     face_edges,
@@ -134,15 +132,8 @@ class Projection:
     dropped: tuple[tuple[int, Direction], ...]
 
     @property
-    def is_empty(self) -> bool:
-        return not self.steps
-
-    @property
     def displacement(self) -> Vertex:
-        v = (0, 0, 0)
-        for d in self.steps:
-            v = add(v, direction_vector(d))
-        return v
+        return _word_displacement(self.steps)
 
 
 def project(path: FinitePath, nu: int) -> Projection:
@@ -158,11 +149,7 @@ def project(path: FinitePath, nu: int) -> Projection:
 
 
 def _plane_displacement(steps: Iterable[Direction], nu: int) -> Vertex:
-    v = (0, 0, 0)
-    for d in steps:
-        if d[0] != nu:
-            v = add(v, direction_vector(d))
-    return v
+    return _word_displacement([d for d in steps if d[0] != nu])
 
 
 def lift(original: FinitePath, rerouted: Projection) -> FinitePath:
@@ -223,10 +210,8 @@ def _segment_steps(spec: InfinitePathSpec, region: Region) -> tuple[int, int, tu
 
 
 def _bad_axes(steps: Sequence[Direction]) -> list[int]:
-    signs: dict[int, set[int]] = {}
-    for a, s in steps:
-        signs.setdefault(a, set()).add(s)
-    return [a for a, ss in signs.items() if len(ss) == 2]
+    letters = set(steps)
+    return [a for a in AXES if (a, 1) in letters and (a, -1) in letters]
 
 
 def _reroute_single_bad_axis(steps: Sequence[Direction]) -> tuple[Direction, ...]:
@@ -348,36 +333,34 @@ def deoverlap(cfg: Configuration) -> Configuration:
     """Perturb later strings by unit detours until no two share an edge."""
     strings = list(cfg.strings)
     for _attempt in range(12):
-        shared = _shared_runs(strings)
-        if not shared:
+        shared = _first_shared_run(strings)
+        if shared is None:
             return Configuration(cfg.charges, tuple(strings), cfg.loops)
-        j, t_lo, t_hi = shared[0]
+        j, t_lo, t_hi = shared
         run = strings[j].realize_steps(t_lo, t_hi - 1)
         used = {d[0] for d in run}
-        fixed = False
-        for axis in AXES:
-            if axis in used:
-                continue
-            for sign in (+1, -1):
-                detour = ((axis, sign),) + tuple(run) + ((axis, -sign),)
-                try:
-                    strings[j] = replace_window(strings[j], t_lo, t_hi, detour)
-                    fixed = True
-                    break
-                except SelfIntersecting:
-                    continue
-            if fixed:
+        detours = (
+            ((axis, sign),) + run + ((axis, -sign),)
+            for axis in AXES
+            if axis not in used
+            for sign in (+1, -1)
+        )
+        for detour in detours:
+            try:
+                strings[j] = replace_window(strings[j], t_lo, t_hi, detour)
                 break
-        if not fixed:
+            except SelfIntersecting:
+                continue
+        else:
             raise InvalidConfiguration("could not detour overlapping strings apart")
-    if _shared_runs(strings):
+    if _first_shared_run(strings) is not None:
         raise InvalidConfiguration("strings keep overlapping after detours")
     return Configuration(cfg.charges, tuple(strings), cfg.loops)
 
 
-def _shared_runs(strings: Sequence[InfinitePathSpec]):
-    """First contiguous run of edges shared by two strings, as (j, t_lo, t_hi)."""
-    out = []
+def _first_shared_run(strings: Sequence[InfinitePathSpec]) -> tuple[int, int, int] | None:
+    """The first contiguous run of edges that string ``j`` shares with an
+    earlier string, as ``(j, t_lo, t_hi)`` with ``t_hi`` exclusive, or None."""
     for i in range(len(strings)):
         for j in range(i + 1, len(strings)):
             pad = 2 * (
@@ -390,10 +373,9 @@ def _shared_runs(strings: Sequence[InfinitePathSpec]):
             keys_i = {key for _, key in strings[i].walk_in(window)}
             ts = _overlap(strings[j], keys_i, window)
             if ts:
-                runs = _contiguous_runs(ts)
-                t_lo, t_hi = runs[0]
-                out.append((j, t_lo, t_hi + 1))
-    return out
+                t_lo, t_hi = _contiguous_runs(ts)[0]
+                return j, t_lo, t_hi + 1
+    return None
 
 
 def _contiguous_runs(ts: Sequence[int]) -> list[tuple[int, int]]:

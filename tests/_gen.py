@@ -739,6 +739,75 @@ def _reference_cyclic_run(positions, L: int) -> tuple[int, int]:
     return start, (start + len(positions) - 1) % L
 
 
+# The n = 2 and n = 3 enumerations as two hand-written loop nests each, kept
+# to check the one n-string fold of ``toric3d.sectors`` against.
+
+
+def _reference_candidates():
+    out = []
+    for p in range(1, 64):
+        for m in range(1, 64):
+            if p & m == 0:
+                out.append((p, m))
+    return out
+
+
+def reference_raw_solutions(n_strings: int):
+    cands = _reference_candidates()
+    by_allowed = {}
+
+    def allowed(universe_mask):
+        if universe_mask not in by_allowed:
+            by_allowed[universe_mask] = [
+                (p, m) for (p, m) in cands if (p | m) & ~universe_mask == 0
+            ]
+        return by_allowed[universe_mask]
+
+    sols = []
+    if n_strings == 2:
+        for c1 in cands:
+            u = 63 & ~(c1[0] | c1[1])
+            for c2 in allowed(u):
+                sols.append((c1, c2))
+    elif n_strings == 3:
+        for c1 in cands:
+            u1 = 63 & ~(c1[0] | c1[1])
+            for c2 in allowed(u1):
+                u2 = u1 & ~(c2[0] | c2[1])
+                for c3 in allowed(u2):
+                    sols.append((c1, c2, c3))
+    else:
+        raise ValueError("only 2- and 3-string enumerations are supported")
+    return sols
+
+
+def reference_raw_count_alt(n_strings: int) -> int:
+    def splits(mask):
+        return 2 ** bin(mask).count("1") - 2
+
+    total = 0
+    if n_strings == 2:
+        for d1 in range(64):
+            if bin(d1).count("1") < 2:
+                continue
+            for d2 in range(64):
+                if bin(d2).count("1") < 2 or d1 & d2:
+                    continue
+                total += splits(d1) * splits(d2)
+    else:
+        for d1 in range(64):
+            if bin(d1).count("1") < 2:
+                continue
+            for d2 in range(64):
+                if bin(d2).count("1") < 2 or d1 & d2:
+                    continue
+                for d3 in range(64):
+                    if bin(d3).count("1") < 2 or d3 & (d1 | d2):
+                        continue
+                    total += splits(d1) * splits(d2) * splits(d3)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

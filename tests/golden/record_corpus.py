@@ -121,6 +121,25 @@ def documents() -> list[tuple[str, dict]]:
     add("oscillating", [_line("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * 8, "Z+")])
     add("self_intersecting", [_line("Z+", "X+Y+X-Y-", "Z+")])
     add("open_loop", [], [], [{"start": [0, 0, 0], "steps": "X+Y+"}])
+    # one shape error and one semantic error in different fields: the shape
+    # error is reported, wherever it sits
+    knot = _line("Z+", "X+Y+X-Y-", "Z+")
+    add("reject_string_then_charge", [knot], [(0, 0, 0), (True, 0, 0)])
+    add(
+        "reject_loop_then_string_atom",
+        [_line("Z+", "", "Z+"), _line("Z+", "", "Z+Q+", (3, 0, 0))],
+        [],
+        [{"start": [0, 0, 0], "steps": "X+Y+"}],
+    )
+    add("reject_string_then_loop_atom", [knot], [], [{"start": [5, 0, 0], "steps": "X+Y+X-W-"}])
+    add("reject_period_then_base", [_line("X+X-", "", "Z+"), _line("Z+", "", "Z+", (3, 0, 1.5))])
+    add(
+        "reject_loop_then_start",
+        [],
+        [],
+        [{"start": [0, 0, 0], "steps": "X+Y+X-Y-X+"}, {"start": [0, 0], "steps": "X+Y+X-Y-"}],
+    )
+    add("reject_string_then_word_type", [knot, {**_line("Z+", "", "Z+", (3, 0, 0)), "pos_period": 5}])
     return docs
 
 

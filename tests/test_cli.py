@@ -12,7 +12,6 @@ import toric3d
 
 from toric3d.cli import (
     configuration_to_document,
-    document_to_configuration,
     main,
     parse_config,
     parse_region,
@@ -30,13 +29,12 @@ PARALLEL = (
 
 
 def test_parse_straight_line():
-    doc = parse_config(LINE_DOC)
-    cfg = document_to_configuration(doc)
+    cfg = parse_config(LINE_DOC)
     assert len(cfg.strings) == 1 and not cfg.charges
 
 
 def test_parse_two_charges():
-    cfg = document_to_configuration(parse_config(TWO_CHARGES))
+    cfg = parse_config(TWO_CHARGES)
     assert len(cfg.charges) == 2
 
 
@@ -153,20 +151,14 @@ def test_parse_malformed_json_has_position():
 
 
 def test_semantic_error_reports_string_index():
-    doc = parse_config(
-        '{"strings":[{"neg_period":"Z+","core":"Z-","pos_period":"Z+","base":[0,0,0]}]}'
-    )
     with pytest.raises(ConfigSemanticError) as exc:
-        document_to_configuration(doc)
+        parse_config('{"strings":[{"neg_period":"Z+","core":"Z-","pos_period":"Z+","base":[0,0,0]}]}')
     assert exc.value.index == 0
 
 
 def test_round_trip_identity():
-    doc = parse_config(LINE_DOC)
-    cfg = document_to_configuration(doc)
-    doc2 = configuration_to_document(cfg)
-    cfg2 = document_to_configuration(doc2)
-    assert configuration_to_document(cfg2) == doc2
+    doc = configuration_to_document(parse_config(LINE_DOC))
+    assert configuration_to_document(parse_config(json.dumps(doc))) == doc
 
 
 def test_region_parse():
@@ -237,7 +229,7 @@ def test_surgery_command(monkeypatch, tmp_path):
     assert len(headings) == 2
     # transform outputs round-trip through the document format unchanged
     text = json.dumps(report["config"])
-    again = configuration_to_document(document_to_configuration(parse_config(text)))
+    again = configuration_to_document(parse_config(text))
     assert again == report["config"]
 
 
@@ -295,6 +287,13 @@ def test_error_exit_code(monkeypatch, capsys):
     assert code == 2
     payload = json.loads(captured.out)
     assert payload["error"] == "ConfigSyntaxError"
+
+
+def test_unreadable_config_is_io_error_report(capsys, tmp_path):
+    code = main(["classify", "--config", str(tmp_path / "missing.json")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert (payload["error"], payload["command"]) == ("IOError", "classify")
 
 
 def test_usage_errors_are_json_reports(capsys):
@@ -356,12 +355,14 @@ def test_cli_import_leaves_numpy_out():
 
 # Reports recorded with ``python -m toric3d.cli <argv> > tests/golden/<name>.json``
 # before the F2 kernels moved to int bitsets (``verify_energy``: before the
-# syndrome became sparse); they must stay byte-identical.
+# syndrome became sparse; ``enumerate_*``: before the n-string enumeration
+# became one fold); they must stay byte-identical.
 GOLDEN = Path(__file__).parent / "golden"
 
-# The stdout and exit code of validate/classify/energy/straighten on 41 seeded
+# The stdout and exit code of validate/classify/energy/straighten on 47 seeded
 # documents (1 to 4 strings, zigzag and self-avoiding cores up to 320 steps,
-# charges, loops, a U, parallel lines, rejected documents), recorded with
+# charges, loops, a U, parallel lines, rejected documents, six of them with a
+# shape error after a semantic one), recorded with
 # ``tests/golden/record_corpus.py``; they must stay byte-identical too.
 CORPUS = {
     f"{case['name']}.{k}": (case["config"], recorded)
@@ -387,6 +388,8 @@ CORPUS = {
             ],
         ),
         ("verify_energy", ["verify", "--checks", "energy", "--samples", "200", "--seed", "7"]),
+        ("enumerate_2", ["enumerate", "--strings", "2"]),
+        ("enumerate_3", ["enumerate", "--strings", "3"]),
         *(pytest.param(name, recorded["argv"], id=name) for name, (_, recorded) in CORPUS.items()),
     ],
 )

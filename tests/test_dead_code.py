@@ -1,5 +1,7 @@
-"""Dead-code guard: every top-level def or class of the package is exported
-or referred to by the package or the benchmark (tests do not count)."""
+"""Dead-code guard: every top-level def or class of the package, and every
+non-dunder method or property of its classes, is exported or referred to by
+the package or the benchmark (tests do not count); every module-level import
+of a module is used by that module."""
 
 import ast
 from pathlib import Path
@@ -14,7 +16,13 @@ KEPT = {
     ("_kernels", "solve"): "part of the documented one-elimination API (rank, nullspace, solve)",
     ("lattice", "dual_edge_of_face"): "the inverse the duality test pairs with primal_face_of_edge",
     ("sectors", "run_script"): "executes the repair script that classify reports",
+    ("sectors", "SectorVerdict.is_ground_state"): "public verdict property, the counterpart of is_ground_sector",
+    ("transforms", "Projection.displacement"): "the shadow's end point, which a rerouted projection must keep",
 }
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def _references(tree: ast.AST) -> set[str]:
@@ -29,17 +37,62 @@ def _references(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_no_unused_top_level_names():
-    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+def _referenced(modules: dict[str, ast.Module]) -> set[str]:
     referenced = set(toric3d.__all__)
     for tree in modules.values():
         referenced |= _references(tree)
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         referenced |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    return referenced
+
+
+def test_no_unused_top_level_names():
+    modules = _modules()
+    referenced = _referenced(modules)
     unused = {
         (module, node.name)
         for module, tree in modules.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
     }
-    assert unused == set(KEPT)
+    assert unused == {key for key in KEPT if "." not in key[1]}
+
+
+def test_no_unused_methods():
+    modules = _modules()
+    referenced = _referenced(modules)
+    unused = {
+        (module, f"{node.name}.{item.name}")
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and not item.name.startswith("__")
+        and item.name not in referenced
+    }
+    assert unused == {key for key in KEPT if "." in key[1]}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports():
+    unused = set()
+    for module, tree in _modules().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.add((module, name))
+    assert unused == set()

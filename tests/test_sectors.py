@@ -13,6 +13,8 @@ from toric3d.sectors import (
     SectorLabel,
     StringClassTag,
     VerdictKind,
+    _raw_count_alt,
+    _raw_solutions,
     _string_tag,
     canonical_solution,
     charge_parity,
@@ -30,6 +32,8 @@ from ._gen import (
     random_monotone_spec,
     random_nonmonotone_spec,
     random_spec,
+    reference_raw_count_alt,
+    reference_raw_solutions,
 )
 
 X, Y, Z = 0, 1, 2
@@ -391,6 +395,20 @@ def test_enumeration_three_strings():
     assert set(rep.case_inventory) == {"A", "B", "C"}
     assert "A" in rep.reduction_targets["B"]
     assert "A" in rep.reduction_targets["C"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumeration_fold_matches_reference(n):
+    # the one n-string fold lists the assignments in the order of the
+    # per-n loop nests, and both counts agree with theirs
+    assert _raw_solutions(n) == reference_raw_solutions(n)
+    assert _raw_count_alt(n) == reference_raw_count_alt(n) == len(reference_raw_solutions(n))
+
+
+def test_enumeration_rejects_other_string_counts():
+    for n in (1, 4):
+        with pytest.raises(ValueError):
+            _raw_solutions(n)
 
 
 def test_enumeration_case_a_constraint():

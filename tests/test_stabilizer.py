@@ -128,12 +128,25 @@ def test_surface_net_checks_too_large():
         surface_net_checks(3)
 
 
+def test_surface_net_checks_caps_before_building_the_block(monkeypatch):
+    # the cap is checked first, so a large n raises at once instead of
+    # building a side-n block that may not fit in memory
+    import toric3d.stabilizer as stabilizer
+
+    def no_block(n):
+        raise AssertionError(f"built FiniteLattice({n})")
+
+    monkeypatch.setattr(stabilizer, "FiniteLattice", no_block)
+    with pytest.raises(TooLarge, match=r"2\^\(n\^3\) <= 256"):
+        surface_net_checks(3)
+
+
 def test_membrane_xor_property(lat9):
     s1 = [Face((0, 0, 0), Z), Face((1, 0, 0), Z)]
     s2 = [Face((1, 0, 0), Z), Face((1, 1, 0), Z)]
-    lhs = membrane_op(lat9, s1).compose(membrane_op(lat9, s2))
+    a, b = membrane_op(lat9, s1), membrane_op(lat9, s2)
     rhs = membrane_op(lat9, set(s1) ^ set(s2))
-    assert lhs == rhs
+    assert (a.x ^ b.x, a.z ^ b.z) == (rhs.x, rhs.z)
 
 
 def test_linking_parity_matches_symplectic_form(rng, lat9):
@@ -173,6 +186,16 @@ def test_truncation_stability_positive(lat11):
     m2 = growing_membrane_pauli(lat11, (0, 0, 2), 2)
     m3 = growing_membrane_pauli(lat11, (0, 0, 2), 3)
     assert truncation_stable(obs, m2, m3)
+
+
+def test_growing_membrane_hangs_below_its_line(lat11):
+    # the membrane of an n-step +x line is the curtain below that walked line
+    from toric3d.stabilizer import _curtain_edges
+
+    for n in (1, 2, 3):
+        line = path_from_steps((0, 0, 2), parse_steps("X+" * n))
+        curtain = pauli_from_keys(lat11, x_keys=_curtain_edges(lat11, list(line.edges)))
+        assert growing_membrane_pauli(lat11, (0, 0, 2), n) == curtain
 
 
 def test_truncation_stability_negative_control(lat11):

@@ -116,7 +116,7 @@ def test_project_drops_axis_steps():
 def test_project_to_empty():
     p = path_from_steps((0, 0, 0), parse_steps("Z+Z+"))
     pr = project(p, Z)
-    assert pr.is_empty
+    assert not pr.steps
     assert [i for i, _ in pr.dropped] == [0, 1]
 
 
@@ -529,16 +529,24 @@ def test_surgery_no_overlap_rejected():
 
 
 def test_deoverlap_finite_shared_run():
-    from toric3d.transforms import deoverlap, _shared_runs
+    from toric3d.transforms import deoverlap, _first_shared_run
 
     a = spec_from_strings("Z+", "", "Z+", (0, 0, 0))
     # approaches from +x, rides the line for two edges, leaves along +y
     b = spec_from_strings("X-", "Z+Z+", "Y+", (0, 0, 0))
     cfg = make_configuration(strings=[a, b])
-    assert _shared_runs(list(cfg.strings))
+    # b's parameters 0 and 1 are the two shared edges
+    assert _first_shared_run(list(cfg.strings)) == (1, 0, 2)
     out = deoverlap(cfg)
-    assert not _shared_runs(list(out.strings))
+    assert _first_shared_run(list(out.strings)) is None
     assert path_equivalent(b, out.strings[1])
+    # c rides the line at parameters 0 and 4: the first run is found and
+    # detoured first, then the second
+    c = spec_from_strings("X-", "Z+X+Z+X-Z+", "Y+", (0, 0, 0))
+    assert _first_shared_run([a, c]) == (1, 0, 1)
+    out = deoverlap(make_configuration(strings=[a, c]))
+    assert _first_shared_run(list(out.strings)) is None
+    assert path_equivalent(c, out.strings[1])
 
 
 def test_deoverlap_infinite_overlap_rejected():
