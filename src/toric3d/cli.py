@@ -459,6 +459,8 @@ _CHECKS = {
 }
 # the commutation check pairs every star with every face: n = 3 is 3888 pairs
 _MAX_COMMUTATION_N = 3
+# an energy sample takes about 0.8 ms (2-vCPU VM, Python 3.11): 8 s at the cap
+_MAX_SAMPLES = 10_000
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
@@ -468,6 +470,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
         raise TooLarge(f"--n must be <= {_MAX_COMMUTATION_N}, got {args.n}")
     if args.samples < 0:
         raise ConfigSyntaxError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples > _MAX_SAMPLES:
+        raise TooLarge(f"--samples must be <= {_MAX_SAMPLES}, got {args.samples}")
     wanted = _CHECKS if args.checks == "all" else (args.checks,)
     results = [_CHECKS[name](args) for name in wanted]
     ok = all(r["pass"] for r in results)
@@ -526,7 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"block side for commutation checks, 1 to {_MAX_COMMUTATION_N} (default 3)",
     )
     p.add_argument("--checks", default="all", choices=(*_CHECKS, "all"))
-    p.add_argument("--samples", type=int, default=50, help="random samples for the energy check")
+    p.add_argument(
+        "--samples", type=int, default=50,
+        help=f"random samples for the energy check, 0 to {_MAX_SAMPLES} (default 50)",
+    )
     p.add_argument("--seed", type=int, default=0)
     return parser
 

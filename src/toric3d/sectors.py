@@ -284,22 +284,25 @@ def _octahedral_tables() -> list[list[int]]:
     return tables
 
 
+# one shared tuple per candidate, so the cached images hold no copies
+_SHARED: dict[Assignment, Assignment] = {a: a for a in _CANDIDATES}
+
+
+@cache
+def _images(a: Assignment) -> tuple[Assignment, ...]:
+    """The smaller D+/D- encoding of ``a`` under each octahedral table."""
+    p, m = a
+    return tuple(_SHARED[min((t[p], t[m]), (t[m], t[p]))] for t in _octahedral_tables())
+
+
 def canonical_solution(sol: Solution) -> Solution:
     """Minimum over octahedral symmetry, string order, and D+/D- swaps.
 
     Swap and order minimize independently per string, so each assignment
-    contributes its smaller encoding and the tuple is sorted.
+    contributes its smaller encoding and the tuple is sorted: one column of
+    cached images per table.
     """
-    best = None
-    for table in _octahedral_tables():
-        cand = tuple(
-            sorted(
-                min((table[p], table[m]), (table[m], table[p])) for p, m in sol
-            )
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(tuple(sorted(col)) for col in zip(*map(_images, sol)))
 
 
 def _case_two(sol: Solution) -> str:
@@ -423,9 +426,12 @@ def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
     surviving cases."""
     sols = _raw_solutions(n_strings)
     classify_fn = _case_two if n_strings == 2 else _case_three
+    # the canonical form ignores string order and swaps, so it is computed
+    # once per such class; each class's key first appears at its first raw
+    # solution, which keeps the orbits in the order of their first solutions
     orbits: dict[Solution, str] = {}
-    for sol in sols:
-        canon = canonical_solution(sol)
+    for key in dict.fromkeys(tuple(sorted(min(a, a[::-1]) for a in sol)) for sol in sols):
+        canon = canonical_solution(key)
         if canon not in orbits:
             orbits[canon] = classify_fn(canon)
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product, repeat
+from operator import eq, gt, le, xor
 from typing import Iterable, Sequence
 
 from . import _kernels
@@ -374,6 +375,33 @@ def _edge_rows_over_faces(lat: FiniteLattice, edge_keys: Sequence[EdgeKey]) -> l
     return [_kernels.vector(incident[k]) for k in edge_keys]
 
 
+def _fiber_checks(nets: list[int], n_interior: int, interior_basis: list[int]):
+    """``(boundary_conditions, fibers_equal, bijection)`` of the sorted nets,
+    from lazy passes over the list (it is never copied).
+
+    Interior qubits are the low bits, so each boundary condition's nets (its
+    fiber) form one run, and two nets differ on the boundary exactly when
+    their XOR exceeds the interior mask.  The fibers are equal when the
+    aligned blocks of ``2^k`` nets each keep one boundary.  The least element
+    of a coset of the interior group ``G`` is zero on ``G``'s leading bits,
+    so the sorted coset is that element XOR the sorted ``G``: the boundary
+    bit-flip pairs every fiber with a coset when each block's ``j``-th net is
+    its first XOR ``G[j]``.
+    """
+    fiber = 2 ** len(interior_basis)
+    mask = repeat((1 << n_interior) - 1)
+    runs = len(nets) and 1 + sum(map(gt, map(xor, nets, islice(nets, 1, None)), mask))
+    fibers_equal = len(nets) == runs * fiber and all(
+        map(le, map(xor, islice(nets, 0, None, fiber), islice(nets, fiber - 1, None, fiber)), mask)
+    )
+    group = sorted(_kernels.span(interior_basis))
+    bijection = fibers_equal and all(
+        all(map(eq, islice(nets, j, None, fiber), map(xor, islice(nets, 0, None, fiber), repeat(group[j]))))
+        for j in range(1, fiber)
+    )
+    return runs, fibers_equal, bijection
+
+
 def surface_net_checks(n: int) -> NetCheckReport:
     """Exhaustive gauge-orbit and boundary-condition checks on a small block.
 
@@ -402,38 +430,12 @@ def surface_net_checks(n: int) -> NetCheckReport:
     dim = 2**nullity // gauge_order
     single_orbit = 2**nullity == gauge_order
 
-    boundary_conditions = None
-    fibers_equal = None
-    bijection = None
+    boundary_conditions = fibers_equal = bijection = None
     if n == 1:
         nets = _kernels.span(_kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits)))
-        # interior qubits are the low bits, so sorting puts the nets that
-        # share a boundary part into one run
         nets.sort()
         n_interior = len(lat.interior_edges)
-        interior_mask = (1 << n_interior) - 1
-        interior_group = _kernels.span(interior_basis)
-        fiber = 2**nullity
-        boundary_conditions = 0
-        fibers_equal = bijection = True
-        start = 0
-        while start < len(nets):
-            boundary = nets[start] >> n_interior
-            end = start + 1
-            while end < len(nets) and nets[end] >> n_interior == boundary:
-                end += 1
-            boundary_conditions += 1
-            if end - start != fiber:
-                fibers_equal = False
-            elif bijection:
-                # the boundary bit-flip pairs each fiber with the interior
-                # coset: stripping boundary bits must land every fiber on a
-                # coset of the interior net group, bijectively (the coset's
-                # elements are distinct, so equality also rules out repeats)
-                grp = [v & interior_mask for v in nets[start:end]]
-                bijection = sorted(g ^ grp[0] for g in interior_group) == grp
-            start = end
-        bijection = bijection and fibers_equal
+        boundary_conditions, fibers_equal, bijection = _fiber_checks(nets, n_interior, interior_basis)
 
     return NetCheckReport(
         n=n,

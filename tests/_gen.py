@@ -49,6 +49,7 @@ from toric3d.paths import (
     monotone_staircase,
     path_from_steps,
 )
+from toric3d.sectors import _octahedral_tables
 from toric3d.stabilizer import pauli_from_keys
 
 DIRS6 = [(a, s) for a in AXES for s in (+1, -1)]
@@ -806,6 +807,49 @@ def reference_raw_count_alt(n_strings: int) -> int:
                         continue
                     total += splits(d1) * splits(d2) * splits(d3)
     return total
+
+
+# ``sectors.canonical_solution`` as one sorted candidate per symmetry table,
+# and the n = 1 fiber loop of ``stabilizer.surface_net_checks`` stepping one
+# net at a time, kept to check the cached images and the whole-list passes
+# against.
+
+
+def reference_canonical_solution(sol):
+    best = None
+    for table in _octahedral_tables():
+        cand = tuple(
+            sorted(
+                min((table[p], table[m]), (table[m], table[p])) for p, m in sol
+            )
+        )
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def reference_fiber_checks(nets, n_interior: int, interior_basis):
+    """``(boundary_conditions, fibers_equal, bijection)`` of a sorted net list."""
+    interior_mask = (1 << n_interior) - 1
+    interior_group = _kernels.span(interior_basis)
+    fiber = 2 ** len(interior_basis)
+    boundary_conditions = 0
+    fibers_equal = bijection = True
+    start = 0
+    while start < len(nets):
+        boundary = nets[start] >> n_interior
+        end = start + 1
+        while end < len(nets) and nets[end] >> n_interior == boundary:
+            end += 1
+        boundary_conditions += 1
+        if end - start != fiber:
+            fibers_equal = False
+        elif bijection:
+            grp = [v & interior_mask for v in nets[start:end]]
+            bijection = sorted(g ^ grp[0] for g in interior_group) == grp
+        start = end
+    bijection = bijection and fibers_equal
+    return boundary_conditions, fibers_equal, bijection
 
 
 # ---------------------------------------------------------------------------

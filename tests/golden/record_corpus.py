@@ -140,7 +140,12 @@ def documents() -> list[tuple[str, dict]]:
         [{"start": [0, 0, 0], "steps": "X+Y+X-Y-X+"}, {"start": [0, 0], "steps": "X+Y+X-Y-"}],
     )
     add("reject_string_then_word_type", [knot, {**_line("Z+", "", "Z+", (3, 0, 0)), "pos_period": 5}])
+    add("reject_core_atom", [_line("Z+", "Z+Q+", "Z+")])
+    add("reject_short_base", [{**_line("Z+", "X+", "Z-"), "base": [0, 0]}])
     return docs
+
+
+_ATOMS = {axis + sign for axis in "XYZ" for sign in "+-"}
 
 
 def _box(doc, pad: int, half: bool = False) -> str:
@@ -148,10 +153,17 @@ def _box(doc, pad: int, half: bool = False) -> str:
     with ``half``, only its lower half along x, which long cores cross often."""
     points = [tuple(c) for c in doc["charges"]]
     for s in doc["strings"]:
-        v = list(s["base"])
+        # a base that is not three numbers has no vertices to box, and a core
+        # is walked up to its first atom that is not a step
+        v = s["base"]
+        if not (isinstance(v, list) and len(v) == 3 and all(type(c) in (int, float) for c in v)):
+            continue
+        v = list(v)
         points.append(tuple(v))
         core = s["core"]
         for i in range(0, len(core), 2):
+            if core[i : i + 2] not in _ATOMS:
+                break
             axis = "XYZ".index(core[i])
             v[axis] += 1 if core[i + 1] == "+" else -1
             points.append(tuple(v))

@@ -137,6 +137,38 @@ def test_verify_help_names_the_block_limit(capsys):
     assert "1 to 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("checks", ["energy", "all"])
+def test_verify_caps_samples_before_sampling(monkeypatch, checks):
+    # a sample count above the cap is refused at once: no check runs
+    import toric3d.cli as cli
+
+    def no_energy(samples, seed):
+        raise AssertionError(f"sampled {samples} configurations")
+
+    monkeypatch.setattr(cli, "_check_energy", no_energy)
+    report, code = run(["verify", "--checks", checks, "--samples", "100000000000000000000000"])
+    assert code == 2
+    assert report["error"] == "TooLarge"
+    assert report["message"] == "--samples must be <= 10000, got 100000000000000000000000"
+
+
+def test_verify_accepts_samples_at_the_cap(monkeypatch):
+    import toric3d.cli as cli
+
+    monkeypatch.setattr(
+        cli, "_check_energy", lambda samples, seed: {"name": "energy", "samples": samples, "pass": True}
+    )
+    report, code = run(["verify", "--checks", "energy", "--samples", "10000"])
+    assert code == 0
+    assert report["checks"] == [{"name": "energy", "samples": 10000, "pass": True}]
+
+
+def test_verify_help_names_the_sample_limit(capsys):
+    with pytest.raises(SystemExit):
+        run(["verify", "--help"])
+    assert "0 to 10000" in capsys.readouterr().out
+
+
 def test_deeply_nested_document_is_syntax_error(monkeypatch):
     report, code = _run_with_stdin(monkeypatch, ["classify"], "[" * 100_000 + "]" * 100_000)
     assert code == 2
@@ -359,10 +391,11 @@ def test_cli_import_leaves_numpy_out():
 # became one fold); they must stay byte-identical.
 GOLDEN = Path(__file__).parent / "golden"
 
-# The stdout and exit code of validate/classify/energy/straighten on 47 seeded
+# The stdout and exit code of validate/classify/energy/straighten on 49 seeded
 # documents (1 to 4 strings, zigzag and self-avoiding cores up to 320 steps,
 # charges, loops, a U, parallel lines, rejected documents, six of them with a
-# shape error after a semantic one), recorded with
+# shape error after a semantic one, one with a bad core atom and one with a
+# two-number base), recorded with
 # ``tests/golden/record_corpus.py``; they must stay byte-identical too.
 CORPUS = {
     f"{case['name']}.{k}": (case["config"], recorded)
@@ -404,3 +437,18 @@ def test_golden_report(monkeypatch, capsys, name, argv):
     monkeypatch.setattr(sys, "stdin", io.StringIO(config))
     code = main(argv)
     assert (capsys.readouterr().out, code) == expected
+
+
+def test_corpus_recorder_rebuilds_every_argv():
+    # the recorder boxes every stored document, rejected ones included (a
+    # core with a bad atom, a base of two numbers), into the stored argv
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("record_corpus", GOLDEN / "record_corpus.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    cases = json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))["cases"]
+    assert {"reject_core_atom", "reject_short_base"} <= {case["name"] for case in cases}
+    for case in cases:
+        argv = [run["argv"] for run in case["runs"]]
+        assert recorder.commands(json.loads(case["config"])) == argv, case["name"]

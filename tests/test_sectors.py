@@ -1,5 +1,7 @@
 """Sector verdicts, labels, repair scripts, and the case enumeration."""
 
+from itertools import product
+
 import pytest
 
 from toric3d.errors import NotAGroundSector
@@ -13,6 +15,8 @@ from toric3d.sectors import (
     SectorLabel,
     StringClassTag,
     VerdictKind,
+    _case_three,
+    _case_two,
     _raw_count_alt,
     _raw_solutions,
     _string_tag,
@@ -32,6 +36,7 @@ from ._gen import (
     random_monotone_spec,
     random_nonmonotone_spec,
     random_spec,
+    reference_canonical_solution,
     reference_raw_count_alt,
     reference_raw_solutions,
 )
@@ -427,3 +432,39 @@ def test_surgery_move_keeps_validity():
     for p, m in moved:
         assert p and m and not (p & m)
     assert canonical_solution(moved) == canonical_solution(surgery_move(sol, 0, 1))
+
+
+def _images(sol):
+    """Every D+/D- swap of ``sol`` and every surgery move of it."""
+    n = len(sol)
+    for swaps in product((0, 1), repeat=n):
+        yield tuple((m, p) if sw else (p, m) for (p, m), sw in zip(sol, swaps))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield surgery_move(sol, i, j)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_canonical_solution_matches_reference(n):
+    # the cached per-assignment images give the per-table sorted minimum on
+    # every raw solution; every swap and surgery image of a raw solution is
+    # itself a raw solution, so this covers the images too
+    sols = _raw_solutions(n)
+    raw = set(sols)
+    assert all(var in raw for sol in sols for var in _images(sol))
+    for sol in sols:
+        assert canonical_solution(sol) == reference_canonical_solution(sol), sol
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumeration_orbits_match_reference(n):
+    # one canonical form per string-order/swap class: the same orbits, in
+    # the order of the first raw solution of each, with the same cases
+    classify_fn = _case_two if n == 2 else _case_three
+    expected = {}
+    for sol in reference_raw_solutions(n):
+        canon = reference_canonical_solution(sol)
+        if canon not in expected:
+            expected[canon] = classify_fn(canon)
+    assert list(enumerate_gsc_solutions(n).orbits.items()) == list(expected.items())

@@ -1,5 +1,7 @@
 """F2 verifier: block structure, operator algebra, exhaustive checks."""
 
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -11,6 +13,8 @@ from toric3d.paths import path_from_steps, spec_from_strings, validate_surface
 from toric3d.stabilizer import (
     FiniteLattice,
     PauliOperator,
+    _edge_rows_over_faces,
+    _fiber_checks,
     configuration_flip,
     commutes,
     conjugation_sign,
@@ -30,6 +34,7 @@ from ._gen import (
     random_loop,
     random_spec,
     reference_block,
+    reference_fiber_checks,
     reference_syndrome_energy,
     string_op,
 )
@@ -112,6 +117,96 @@ def test_surface_net_checks_n1():
     assert rep.single_orbit
     assert rep.fiber_sizes_equal
     assert rep.bitflip_bijection
+
+
+@pytest.fixture(scope="module")
+def nets_n1():
+    """The sorted 2^18 nets of the side-1 block, as ``surface_net_checks(1)``
+    builds them, with its interior size and interior net basis."""
+    lat = FiniteLattice(1)
+    interior_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.interior_edges))
+    nets = _kernels.span(_kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits)))
+    nets.sort()
+    return nets, len(lat.interior_edges), interior_basis
+
+
+def test_fiber_checks_match_reference_on_the_block(nets_n1):
+    nets, n_interior, basis = nets_n1
+    assert len(nets) == 2**18
+    assert _fiber_checks(nets, n_interior, basis) == reference_fiber_checks(nets, n_interior, basis)
+    assert _fiber_checks(nets, n_interior, basis) == (2**17, True, True)
+
+
+def _synthetic_nets(rng: random.Random, n_interior: int, k: int):
+    """Sorted nets over ``n_interior`` low bits and a few boundary bits: a
+    coset of a random ``k``-dimensional low-bit group per boundary value."""
+    basis, group = [], [0]
+    while len(basis) < k:
+        b = rng.randrange(1, 1 << n_interior)
+        if b not in group:
+            basis.append(b)
+            group += [g ^ b for g in group]
+    nets = []
+    for boundary in rng.sample(range(16), rng.randrange(1, 9)):
+        r = rng.randrange(1 << n_interior)
+        nets += [boundary << n_interior | r ^ g for g in group]
+    return sorted(nets), basis, group
+
+
+def _mutate(rng: random.Random, nets: list[int], n_interior: int, group: list[int]) -> list[int]:
+    nets = list(nets)
+    i = rng.randrange(len(nets))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del nets[i]
+    elif kind == 1:
+        nets.append(nets[i])
+    elif kind == 2:
+        nets[i] ^= 1 << rng.randrange(n_interior)
+    elif kind == 3:
+        nets[i] ^= 1 << rng.randrange(n_interior, n_interior + 5)
+    else:
+        # a fiber of the wrong size on a fresh boundary value
+        size = rng.choice([s for s in (1, 2, 4, 8, 16) if s != len(group)])
+        boundary = 16 + rng.randrange(16)
+        r = rng.randrange(1 << n_interior)
+        nets += [boundary << n_interior | r ^ rng.randrange(1 << n_interior) for _ in range(size)]
+    return sorted(nets)
+
+
+def test_fiber_checks_match_reference_on_synthetic_nets():
+    # fibers of 1, 2, 4 and 8 nets; each list is checked intact and with one
+    # net dropped or duplicated, a low or a high bit flipped, or an extra
+    # fiber of the wrong size
+    rng = random.Random(20261018)
+    verdicts = set()
+    for case in range(400):
+        n_interior = rng.randrange(3, 8)
+        k = case % 4
+        nets, basis, group = _synthetic_nets(rng, n_interior, k)
+        runs = len(set(v >> n_interior for v in nets))
+        assert _fiber_checks(nets, n_interior, basis) == (runs, True, True)
+        assert reference_fiber_checks(nets, n_interior, basis) == (runs, True, True)
+        bad = _mutate(rng, nets, n_interior, group)
+        got = _fiber_checks(bad, n_interior, basis)
+        assert got == reference_fiber_checks(bad, n_interior, basis), (case, bad, basis)
+        verdicts.add(got[1:])
+    # the mutations reach unequal fibers and equal fibers without a bijection
+    assert {(False, False), (True, False)} <= verdicts
+
+
+def test_fiber_checks_build_no_list_of_nets(nets_n1):
+    # the passes are lazy: any list derived from the 2^18 nets would hold
+    # at least 2 MiB of pointers, far above this bound
+    nets, n_interior, basis = nets_n1
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _fiber_checks(nets, n_interior, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_surface_net_checks_n2():
