@@ -45,6 +45,7 @@ from .lattice import (
     region_of,
 )
 from .paths import (
+    MAX_TAIL_LETTERS,
     InfinitePathSpec,
     SelfIntersecting,
     StepWord,
@@ -117,6 +118,8 @@ def _load_json(text: str):
         raise ConfigSyntaxError(str(ex), line=ex.lineno, column=ex.colno) from ex
     except RecursionError as ex:
         raise ConfigSyntaxError("document nested too deeply") from ex
+    except ValueError as ex:  # an integer literal past Python's digit limit
+        raise ConfigSyntaxError(str(ex)) from ex
 
 
 def parse_config(text: str) -> Configuration:
@@ -291,10 +294,7 @@ def _cmd_straighten(cfg: Configuration, args) -> tuple[dict, int]:
         except Toric3dError as ex:
             results.append({"string": i, "skipped": type(ex).__name__})
     out = Configuration(cfg.charges, tuple(strings), cfg.loops)
-    return {
-        "results": results,
-        "config": configuration_to_document(out),
-    }, 0
+    return {"results": results, "config": configuration_to_document(out)}, 0
 
 
 def _cmd_surgery(cfg: Configuration, args) -> tuple[dict, int]:
@@ -509,13 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-gss", action="store_true", help="use the literal total-intersection reading")
     p.add_argument("--expect-ground", action="store_true", help="exit 1 unless in a ground sector")
 
-    p = sub.add_parser("energy", help="excitation energy inside a region")
-    add_config_arg(p)
-    p.add_argument("--region", required=True, help="x0,y0,z0:x1,y1,z1")
-
-    p = sub.add_parser("straighten", help="straighten all strings inside a region")
-    add_config_arg(p)
-    p.add_argument("--region", required=True, help="x0,y0,z0:x1,y1,z1")
+    for name, what in (("energy", "excitation energy"), ("straighten", "straighten all strings")):
+        p = sub.add_parser(name, help=f"{what} inside a region")
+        add_config_arg(p)
+        p.add_argument("--region", required=True, help="x0,y0,z0:x1,y1,z1; a string tail that"
+                       f" needs more than {MAX_TAIL_LETTERS} steps to leave it is TooLarge")
 
     p = sub.add_parser("surgery", help="resplice strings along a membrane boundary")
     add_config_arg(p)

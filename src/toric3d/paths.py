@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MalformedBoundary, NotConnected, SelfIntersecting
+from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
 from . import _kernels
 from .lattice import (
     AXES,
@@ -38,6 +38,7 @@ from .lattice import (
     boundary_edge,
     bounding_region,
     direction_vector,
+    edge_direction,
     edge_from,
     face_edges,
     parse_steps,
@@ -50,6 +51,10 @@ from .lattice import (
 StepWord = tuple[Direction, ...]
 
 _MOVES: dict[Direction, Vertex] = {d: direction_vector(d) for d in DIRECTIONS}
+
+# the letters one tail walk may take to leave a region: 10**6 take about 4 s
+# (energy of one straight string, 2-vCPU VM, Python 3.11)
+MAX_TAIL_LETTERS = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +74,12 @@ class FinitePath:
     def start(self) -> Vertex:
         return self.vertices[0]
 
-    @property
-    def end(self) -> Vertex:
-        return self.vertices[-1]
-
     def __len__(self) -> int:
         return len(self.edges)
 
     @property
     def steps(self) -> StepWord:
-        return tuple((e.axis, e.sign) for e in self.edges)
+        return tuple(map(edge_direction, self.edges))
 
 
 def validate_finite_path(edges: Iterable[Edge]) -> FinitePath:
@@ -99,8 +100,6 @@ def validate_finite_path(edges: Iterable[Edge]) -> FinitePath:
     closed = vertices[-1] == vertices[0] and len(edges) > 1
     interior = vertices[:-1] if closed else vertices
     if len(set(interior)) != len(interior):
-        raise SelfIntersecting("vertex visited twice")
-    if not closed and vertices[-1] in set(vertices[:-1]):
         raise SelfIntersecting("vertex visited twice")
     return FinitePath(edges, tuple(vertices), closed)
 
@@ -266,8 +265,7 @@ class InfinitePathSpec:
     @cached_property
     def _neg_suffix(self) -> list[Vertex]:
         # _neg_suffix[r] = displacement of the last r letters of neg_period
-        rev = _cumulative(tuple(reversed(self.neg_period)))
-        return rev
+        return _cumulative(self.neg_period[::-1])
 
     @property
     def pos_displacement(self) -> Vertex:
@@ -301,9 +299,6 @@ class InfinitePathSpec:
         v = add(self.base, scale(self.neg_displacement, q))
         return sub(v, self._neg_suffix[r])
 
-    def edge_at(self, t: int) -> Edge:
-        return edge_from(self.vertex(t), self.step(t))
-
     def realize_steps(self, a: int, b: int) -> StepWord:
         if 0 <= a and b < len(self.core):
             return self.core[a : b + 1]
@@ -335,7 +330,8 @@ def _walk(region: Region, start: Vertex, t: int, dt: int, word: StepWord, disp: 
     """One stretch of :meth:`InfinitePathSpec.walk_in`: edges ``t, t+dt, ...``
     walked outward from ``start`` along ``word`` (the letters in walking order),
     once if ``disp`` is None, else period by period until a period lies past
-    ``region`` along the escape axis of ``disp``.  Walking backward
+    ``region`` along the escape axis of ``disp``, or raise TooLarge when that
+    takes more than ``MAX_TAIL_LETTERS`` letters.  Walking backward
     (``dt = -1``) each letter is stepped against, and ``vertex(t)`` is the
     vertex reached rather than the one left."""
     (lx, ly, lz), (hx, hy, hz) = region
@@ -345,6 +341,13 @@ def _walk(region: Region, start: Vertex, t: int, dt: int, word: StepWord, disp: 
         axis = _escape_axis(disp)
         sign = 1 if disp[axis] > 0 else -1
         limit = region.hi[axis] if sign > 0 else -region.lo[axis]
+        # a period gains |disp[axis]| along the axis and strays at most len(word)
+        n = len(word)
+        bound = ((max(0, limit - sign * start[axis]) + n) // abs(disp[axis]) + 2) * n
+        if bound > MAX_TAIL_LETTERS:
+            raise TooLarge(
+                f"a tail needs up to {bound} steps to leave the region (at most {MAX_TAIL_LETTERS})"
+            )
     # per letter: move, axis, whether the edge key's base is the vertex reached
     # (the lesser endpoint), and the move along the signed escape axis
     moves = []
@@ -476,17 +479,14 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     w_pos = [add(junction, v) for v in spec._pos_cum]
     w_neg = [sub(base, v) for v in spec._neg_suffix]
 
-    def _windows_needed(disp, window, other_vertices):
-        axis = _escape_axis(disp)
-        step = abs(disp[axis])
-        ext = _extent(window, axis)
-        self_bound = ext // step + 1
-        span = _extent(window + list(other_vertices), axis)
-        core_bound = span // step + 1
-        return max(self_bound, core_bound)
+    # enough tail periods to carry each tail past every window and core vertex
+    all_vs = core_vs + w_pos + w_neg
 
-    k_pos = _windows_needed(dpos, w_pos, core_vs + w_neg)
-    k_neg = _windows_needed(dneg_out, w_neg, core_vs + w_pos)
+    def _windows_needed(disp):
+        axis = _escape_axis(disp)
+        return _extent(all_vs, axis) // abs(disp[axis]) + 1
+
+    k_pos, k_neg = _windows_needed(dpos), _windows_needed(dneg_out)
 
     u_pos, g_pos = _primitive(dpos)
     q = _parallel_factor(u_pos, dneg_out)
@@ -500,7 +500,6 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
                     if det != 0:
                         best = (a, b, det)
         a, b, det = best
-        all_vs = core_vs + w_pos + w_neg
         ra = _extent(all_vs, a) + 2
         rb = _extent(all_vs, b) + 2
         jmax = (ra * abs(dneg_out[b]) + rb * abs(dneg_out[a])) // abs(det) + 1
@@ -510,7 +509,7 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     elif q < 0:
         # tails head opposite ways along a common line: bounded interaction
         axis = _escape_axis(u_pos)
-        span = _extent(core_vs + w_pos + w_neg, axis) + 2
+        span = _extent(all_vs, axis) + 2
         bound = span // min(abs(dpos[axis]), abs(dneg_out[axis])) + 1
         k_pos = max(k_pos, bound)
         k_neg = max(k_neg, bound)

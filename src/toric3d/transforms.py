@@ -10,8 +10,8 @@ for charge counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Container, Iterable, Sequence
 
 from .errors import (
     AlreadyMonotonicInRegion,
@@ -30,10 +30,8 @@ from .lattice import (
     EdgeKey,
     Region,
     Vertex,
-    boundary_edge,
     bounding_region,
     dual_face_of_edge,
-    edge_direction,
     face_edges,
 )
 from .paths import (
@@ -138,14 +136,18 @@ class Projection:
 
 def project(path: FinitePath, nu: int) -> Projection:
     """Drop all steps along axis ``nu``, keeping order and a drop record."""
+    return _project(path.start, path.steps, nu)
+
+
+def _project(start: Vertex, steps: Sequence[Direction], nu: int) -> Projection:
     kept: list[Direction] = []
     dropped: list[tuple[int, Direction]] = []
-    for i, d in enumerate(path.steps):
+    for i, d in enumerate(steps):
         if d[0] == nu:
             dropped.append((i, d))
         else:
             kept.append(d)
-    return Projection(path.start, tuple(kept), nu, tuple(dropped))
+    return Projection(start, tuple(kept), nu, tuple(dropped))
 
 
 def _plane_displacement(steps: Iterable[Direction], nu: int) -> Vertex:
@@ -162,26 +164,19 @@ def lift(original: FinitePath, rerouted: Projection) -> FinitePath:
     nu = rerouted.drop_axis
     if _plane_displacement(original.steps, nu) != _plane_displacement(rerouted.steps, nu):
         raise EndpointMismatch("rerouted projection does not match the original shadow")
-    # the k-th dropped step followed index - k kept steps in the original
-    anchors = [i - k for k, (i, _) in enumerate(rerouted.dropped)]
-    merged = _reinsert(rerouted.steps, anchors, [d for _, d in rerouted.dropped])
-    return path_from_steps(original.start, merged)
+    return path_from_steps(original.start, _lift_steps(rerouted))
 
 
-def _reinsert(
-    steps: Sequence[Direction], anchors: Sequence[int], letters: Sequence[Direction]
-) -> list[Direction]:
-    """``steps`` with ``letters[k]`` put back after the first ``anchors[k]``
-    of them (clamped to ``len(steps)``); ``anchors`` is nondecreasing."""
-    merged: list[Direction] = []
-    ri = 0
-    for pos in range(len(steps) + 1):
-        while ri < len(letters) and min(anchors[ri], len(steps)) == pos:
-            merged.append(letters[ri])
-            ri += 1
-        if pos < len(steps):
-            merged.append(steps[pos])
-    return merged
+def _lift_steps(rerouted: Projection) -> tuple[Direction, ...]:
+    """The step word of :func:`lift`: the ``k``-th dropped step goes back
+    after the first ``index - k`` rerouted steps, the in-plane steps it
+    followed in the original (all of them if fewer; nondecreasing in ``k``)."""
+    steps, merged, done = rerouted.steps, [], 0
+    for k, (i, d) in enumerate(rerouted.dropped):
+        merged += steps[done : i - k]
+        merged.append(d)
+        done = i - k
+    return (*merged, *steps[done:])
 
 
 # ---------------------------------------------------------------------------
@@ -217,40 +212,24 @@ def _bad_axes(steps: Sequence[Direction]) -> list[int]:
 def _reroute_single_bad_axis(steps: Sequence[Direction]) -> tuple[Direction, ...]:
     """Monotone replacement for a stretch that oscillates along one axis only."""
     used = {d[0] for d in steps}
-    disp = _word_displacement(steps)
     if len(used) <= 2:
         # in-plane: a direct monotone reroute between the endpoints
-        return monotone_staircase((0, 0, 0), disp)
-    bad = _bad_axes(steps)[0]
-    # drop a monotone axis, straighten the shadow, then lift the dropped steps
-    counts = {a: 0 for a in used if a != bad}
-    for a, _ in steps:
-        if a in counts:
-            counts[a] += 1
-    nu = max(sorted(counts), key=lambda a: counts[a])
-    anchors, letters = [], []
-    kept = 0
-    for d in steps:
-        if d[0] == nu:
-            anchors.append(kept)
-            letters.append(d)
-        else:
-            kept += 1
-    shadow = tuple(0 if a == nu else disp[a] for a in AXES)
-    return tuple(_reinsert(monotone_staircase((0, 0, 0), shadow), anchors, letters))
+        return monotone_staircase((0, 0, 0), _word_displacement(steps))
+    # drop the most used monotone axis, straighten the shadow, then lift
+    axes = [a for a, _ in steps]
+    nu = max(sorted(used - {_bad_axes(steps)[0]}), key=axes.count)
+    shadow = _project((0, 0, 0), steps, nu)
+    straight = monotone_staircase((0, 0, 0), shadow.displacement)
+    return _lift_steps(replace(shadow, steps=straight))
 
 
 def _straighten_pass(steps: Sequence[Direction]) -> tuple[Direction, ...]:
     """One straightening move on a non-monotone segment word: a shorter
-    self-avoiding word between the same endpoints."""
+    self-avoiding word between the same endpoints.  A monotone word is the
+    shortest between them, so the whole-segment staircase always progresses."""
     if len(_bad_axes(steps)) == 1:
-        new_steps = _reroute_single_bad_axis(steps)
-    else:
-        new_steps = _case_three(steps)
-    if new_steps is None or len(new_steps) >= len(steps):
-        # guaranteed progress: the whole-segment monotone reroute is shorter
-        new_steps = monotone_staircase((0, 0, 0), _word_displacement(steps))
-    return new_steps
+        return _reroute_single_bad_axis(steps)
+    return _case_three(steps) or monotone_staircase((0, 0, 0), _word_displacement(steps))
 
 
 def straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
@@ -324,7 +303,7 @@ def straighten_fixpoint(spec: InfinitePathSpec, region: Region) -> tuple[Infinit
 # ---------------------------------------------------------------------------
 
 
-def _overlap(spec: InfinitePathSpec, keys: set[EdgeKey], window: Region) -> dict[int, EdgeKey]:
+def _overlap(spec: InfinitePathSpec, keys: Container[EdgeKey], window: Region) -> dict[int, EdgeKey]:
     """Parameter to key of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
     return {t: key for t, key in spec.walk_in(window) if key is not None and key in keys}
 
@@ -332,10 +311,13 @@ def _overlap(spec: InfinitePathSpec, keys: set[EdgeKey], window: Region) -> dict
 def deoverlap(cfg: Configuration) -> Configuration:
     """Perturb later strings by unit detours until no two share an edge."""
     strings = list(cfg.strings)
-    for _attempt in range(12):
+    # up to 12 detours; the 13th scan only confirms the last one
+    for attempt in range(13):
         shared = _first_shared_run(strings)
         if shared is None:
             return Configuration(cfg.charges, tuple(strings), cfg.loops)
+        if attempt == 12:
+            raise InvalidConfiguration("strings keep overlapping after detours")
         j, t_lo, t_hi = shared
         run = strings[j].realize_steps(t_lo, t_hi - 1)
         used = {d[0] for d in run}
@@ -353,9 +335,6 @@ def deoverlap(cfg: Configuration) -> Configuration:
                 continue
         else:
             raise InvalidConfiguration("could not detour overlapping strings apart")
-    if _first_shared_run(strings) is not None:
-        raise InvalidConfiguration("strings keep overlapping after detours")
-    return Configuration(cfg.charges, tuple(strings), cfg.loops)
 
 
 def _first_shared_run(strings: Sequence[InfinitePathSpec]) -> tuple[int, int, int] | None:
@@ -398,83 +377,49 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
         raise InvalidSurface("surface faces are not edge-connected")
     cfg = deoverlap(cfg)
     boundary = surface.boundary
-    bkeys = {e.key for e in boundary.edges}
-    window = bounding_region(
-        [v for e in boundary.edges for v in boundary_edge(e)]
-    ).inflate(2)
+    position = {e.key: i for i, e in enumerate(boundary.edges)}
+    window = bounding_region(boundary.vertices).inflate(2)
 
-    touched: list[dict] = []
+    # per touched string: its boundary arc (first, last position along the
+    # cycle), index, first and last overlap parameter, and the aligned spec
+    touched = []
     strings = list(cfg.strings)
     for idx, spec in enumerate(strings):
-        overlap = _overlap(spec, bkeys, window)
+        overlap = _overlap(spec, position.keys(), window)
         if not overlap:
             continue
         runs = _contiguous_runs(overlap)
         if len(runs) != 1:
             raise MultipleOverlapRuns(f"string {idx} meets the boundary in {len(runs)} runs")
-        t_lo, t_hi = runs[0]
-        # align orientations: the string must traverse the overlap against
-        # the boundary's own traversal
-        b_edge = next(e for e in boundary.edges if e.key == overlap[t_lo])
-        if spec.edge_at(t_lo).sign == b_edge.sign:
+        (p, q), = runs
+        # consecutive edges of the run meet at a vertex of the simple boundary
+        # cycle, so they sit next to each other on it: the run is one arc,
+        # walked with the boundary or against it
+        ends = position[overlap[p]], position[overlap[q]]
+        if spec.step(p)[1] == boundary.edges[ends[0]].sign:
+            # the string must traverse the arc against the boundary; reversal
+            # maps edge t to edge len(core) - 1 - t
             spec = reverse_spec(spec)
-            strings[idx] = spec
-            # reversal maps edge t to edge len(core) - 1 - t
-            nc = len(spec.core)
-            t_lo, t_hi = nc - 1 - t_hi, nc - 1 - t_lo
-        run_keys = set(overlap.values())
-        positions = [i for i, e in enumerate(boundary.edges) if e.key in run_keys]
-        touched.append(
-            {"index": idx, "p": t_lo, "q": t_hi, "positions": positions, "spec": spec}
-        )
+            p, q = len(spec.core) - 1 - q, len(spec.core) - 1 - p
+        else:
+            ends = ends[::-1]
+        touched.append((ends, idx, p, q, spec))
     if not touched:
         raise NoOverlap("surface boundary meets no string")
 
+    # splice each string's head, the boundary arc up to the next run in
+    # cycle order, and that run's string's tail
+    touched.sort()
     L = len(boundary.edges)
-    for info in touched:
-        run = _cyclic_run(info["positions"], L)
-        if run is None:
-            raise MultipleOverlapRuns(
-                f"string {info['index']} overlap is not contiguous along the boundary"
-            )
-        info["b_start"], info["b_end"] = run
-
-    # order runs by first encounter walking the boundary cycle
-    touched.sort(key=lambda info: info["b_start"])
-    n = len(touched)
-    new_specs = {}
-    for k, info in enumerate(touched):
-        nxt = touched[(k + 1) % n]
-        arc = []
-        i = (info["b_end"] + 1) % L
-        while i != nxt["b_start"]:
-            arc.append(edge_direction(boundary.edges[i]))
-            i = (i + 1) % L
-        spec_i, spec_j = info["spec"], nxt["spec"]
-        a_lo = aligned_window(spec_i, info["p"], 0)[0]
-        b_hi = aligned_window(spec_j, 0, nxt["q"] + 1)[1]
-        core = (
-            spec_i.realize_steps(a_lo, info["p"] - 1)
-            + tuple(arc)
-            + spec_j.realize_steps(nxt["q"] + 1, b_hi - 1)
-        )
-        new_specs[info["index"]] = InfinitePathSpec(
-            spec_i.neg_period, core, spec_j.pos_period, spec_i.vertex(a_lo)
-        )
-
-    out_strings = [new_specs.get(i, s) for i, s in enumerate(strings)]
-    return Configuration(cfg.charges, tuple(out_strings), cfg.loops)
-
-
-def _cyclic_run(positions: Sequence[int], L: int) -> tuple[int, int] | None:
-    """First and last of ``positions`` when they form one run on the cycle
-    ``0..L-1``, else None.  A self-avoiding string never covers the whole
-    boundary cycle, so a run has a start."""
-    pos_set = set(positions)
-    starts = [p for p in positions if (p - 1) % L not in pos_set]
-    if len(starts) != 1:
-        return None
-    return starts[0], (starts[0] + len(positions) - 1) % L
+    cycle = boundary.steps * 2
+    for k, ((_, b_end), idx, p, _, spec_i) in enumerate(touched):
+        (b_next, _), _, _, q, spec_j = touched[(k + 1) % len(touched)]
+        arc = cycle[b_end + 1 : b_end + 1 + (b_next - b_end - 1) % L]
+        a_lo = aligned_window(spec_i, p, 0)[0]
+        b_hi = aligned_window(spec_j, 0, q + 1)[1]
+        core = spec_i.realize_steps(a_lo, p - 1) + arc + spec_j.realize_steps(q + 1, b_hi - 1)
+        strings[idx] = InfinitePathSpec(spec_i.neg_period, core, spec_j.pos_period, spec_i.vertex(a_lo))
+    return Configuration(cfg.charges, tuple(strings), cfg.loops)
 
 
 def _faces_connected(surface: Surface) -> bool:

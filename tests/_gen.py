@@ -669,9 +669,9 @@ def reference_surgery(cfg, surface):
         t_lo, t_hi = runs[0]
         # align orientations: the string must traverse the overlap against
         # the boundary's own traversal
-        key0 = spec.edge_at(t_lo).key
+        key0 = spec.edges(t_lo, t_lo)[0].key
         b_edge = next(e for e in boundary.edges if e.key == key0)
-        if spec.edge_at(t_lo).sign == b_edge.sign:
+        if spec.edges(t_lo, t_lo)[0].sign == b_edge.sign:
             spec = reverse_spec(spec)
             strings[idx] = spec
             params = _reference_overlap_params(spec, bkeys, window)
@@ -681,7 +681,7 @@ def reference_surgery(cfg, surface):
             t_lo, t_hi = runs[0]
         positions = sorted(
             i for i, e in enumerate(boundary.edges) if e.key in
-            {spec.edge_at(t).key for t in range(t_lo, t_hi + 1)}
+            {spec.edges(t, t)[0].key for t in range(t_lo, t_hi + 1)}
         )
         touched.append(
             {"index": idx, "p": t_lo, "q": t_hi, "positions": positions, "spec": spec}

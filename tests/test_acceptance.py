@@ -141,7 +141,7 @@ def test_c02_minimal_path_law():
             for staircase in _distinct_permutations(word):
                 path = path_from_steps((0, 0, 0), staircase)
                 assert len(path) == a + b + c
-                assert path.end == (a, b, c)
+                assert path.vertices[-1] == (a, b, c)
 
 
 def test_c03_straightening_descent(rng):

@@ -176,6 +176,50 @@ def test_deeply_nested_document_is_syntax_error(monkeypatch):
     assert report["message"] == "document nested too deeply"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    ['{"charges": [[1' + "0" * 5000 + ', 0, 0]]}', '{"strings": [], "x": -' + "9" * 4301 + "}"],
+    ids=["coordinate", "unknown_key"],
+)
+def test_integer_literal_past_the_digit_limit_is_syntax_error(monkeypatch, doc):
+    # json.loads raises a plain ValueError for an integer beyond Python's
+    # digit limit for str-to-int conversion
+    report, code = _run_with_stdin(monkeypatch, ["validate"], doc)
+    assert code == 2
+    assert report["error"] == "ConfigSyntaxError"
+    assert "digits" in report["message"]
+
+
+def test_energy_on_a_huge_region_is_too_large():
+    # the Z+ tail would walk a billion steps to leave the region: refused at
+    # once, where an unbounded walk takes minutes
+    env = dict(os.environ, PYTHONPATH=str(Path(toric3d.__file__).parents[1]))
+    argv = ["energy", "--region=0,0,0:1000000000,1000000000,1000000000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric3d.cli", *argv],
+        input=LINE_DOC, capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["error"] == "TooLarge"
+    assert report["message"].endswith("(at most 1000000)")
+
+
+def test_straighten_skips_a_string_whose_tail_walk_is_too_large(monkeypatch):
+    report, code = _run_with_stdin(
+        monkeypatch, ["straighten", "--region=0,0,0:1,1,1000000000"], LINE_DOC
+    )
+    assert code == 0
+    assert report["results"] == [{"string": 0, "skipped": "TooLarge"}]
+
+
+@pytest.mark.parametrize("command", ["energy", "straighten"])
+def test_region_help_names_the_tail_walk_cap(capsys, command):
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    assert "more than 1000000 steps" in " ".join(capsys.readouterr().out.split())
+
+
 def test_parse_malformed_json_has_position():
     with pytest.raises(ConfigSyntaxError) as exc:
         parse_config('{"strings": [')

@@ -51,7 +51,7 @@ X, Y, Z = 0, 1, 2
 def test_single_edge_open_path():
     p = path_from_steps((0, 0, 0), parse_steps("Z+"))
     assert not p.closed
-    assert p.start == (0, 0, 0) and p.end == (0, 0, 1)
+    assert p.start == (0, 0, 0) and p.vertices[-1] == (0, 0, 1)
 
 
 def test_unit_square_is_closed():
@@ -74,6 +74,12 @@ def test_disconnected_edges_rejected():
 def test_vertex_revisit_rejected():
     with pytest.raises(SelfIntersecting):
         path_from_steps((0, 0, 0), parse_steps("X+Y+X-Y-X+"))
+
+
+def test_open_path_ending_on_its_own_vertex_rejected():
+    # a "P": only the last vertex repeats an earlier one, and no edge repeats
+    with pytest.raises(SelfIntersecting, match="vertex visited twice"):
+        path_from_steps((0, 0, 0), parse_steps("X+X+Y+X-Y-"))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +134,7 @@ def test_truncate_straight_line():
     s = spec_from_strings("Z+", "", "Z+")
     t = truncate(s, 0, 2)
     assert len(t) == 3
-    assert t.start == (0, 0, 0) and t.end == (0, 0, 3)
+    assert t.start == (0, 0, 0) and t.vertices[-1] == (0, 0, 3)
 
 
 def test_truncate_inverse_u():
@@ -410,11 +416,11 @@ def test_tail_steps_outside_enclosing_region_head_along_tail_directions(rng):
         region = enclosing_region(s)
         ds = infinity_directions(s)
         for t in range(len(s.core), len(s.core) + 20):
-            e = s.edge_at(t)
+            e = s.edges(t, t)[0]
             if not region.contains_edge(e):
                 assert (e.axis, e.sign) in ds.d_plus
         for t in range(-20, 0):
-            e = s.edge_at(t)
+            e = s.edges(t, t)[0]
             if not region.contains_edge(e):
                 assert reverse_direction((e.axis, e.sign)) in ds.d_minus
 

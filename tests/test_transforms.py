@@ -12,9 +12,11 @@ from toric3d.errors import (
     NoOverlap,
     SelfIntersecting,
     Toric3dError,
+    TooLarge,
 )
 from toric3d.lattice import Face, Region, add, direction_vector, parse_steps, region_of
 from toric3d.paths import (
+    MAX_TAIL_LETTERS,
     InfinitePathSpec,
     _word_displacement,
     enclosing_region,
@@ -101,6 +103,21 @@ def test_energy_difference_region_independent():
     assert diffs[0] == diffs[1] == diffs[2] > 0
 
 
+def test_energy_walks_a_tail_up_to_the_cap():
+    """A region whose tail walk needs exactly ``MAX_TAIL_LETTERS`` steps is
+    answered; one step taller is TooLarge.  The region runs beside the
+    string, so only the walk itself costs time."""
+    line = spec_from_strings("Z+", "", "Z+")
+    # the Z+ tail from the origin: top + 1 steps to pass the region, plus two
+    # periods of slack in the bound
+    top = MAX_TAIL_LETTERS - 3
+    cfg = make_configuration(charges=[(1, 0, top)], strings=[line])
+    rep = energy(cfg, region_of((1, 0, 0), (1, 0, top)))
+    assert (rep.flux_energy, rep.charge_energy) == (0, 2)
+    with pytest.raises(TooLarge):
+        energy(cfg, region_of((1, 0, 0), (1, 0, top + 1)))
+
+
 # ---------------------------------------------------------------------------
 # project / lift
 # ---------------------------------------------------------------------------
@@ -150,7 +167,7 @@ def test_lift_shortened_projection():
     rr = Projection(pr.start, rerouted_steps, X, pr.dropped)
     lifted = lift(p, rr)
     assert lifted.steps == ((X, 1),)
-    assert lifted.start == p.start and lifted.end == p.end
+    assert lifted.start == p.start and lifted.vertices[-1] == p.vertices[-1]
     assert path_equivalent is not None
 
 
@@ -197,7 +214,7 @@ def test_lift_valid_on_straightening_pipeline(rng):
             end = add(end, direction_vector(d))
         rr = Projection(pr.start, monotone_staircase(pr.start, end), nu, pr.dropped)
         lifted = lift(p, rr)
-        assert lifted.start == p.start and lifted.end == p.end
+        assert lifted.start == p.start and lifted.vertices[-1] == p.vertices[-1]
         done += 1
 
 
@@ -521,6 +538,77 @@ def test_surgery_matches_reference(rng):
     assert outcomes >= {1, 2}
 
 
+def _random_membrane(rng):
+    """Up to 3 rectangles of faces in one plane, or None when their union
+    is no valid surface (a hole, or two pieces)."""
+    normal = int(rng.integers(0, 3))
+    a1, a2 = (a for a in (X, Y, Z) if a != normal)
+    level = int(rng.integers(-1, 2))
+    faces = set()
+    for _ in range(int(rng.integers(1, 4))):
+        (u0, v0), (w, h) = rng.integers(0, 4, 2), rng.integers(1, 4, 2)
+        for u in range(u0, u0 + w):
+            for v in range(v0, v0 + h):
+                base = [level] * 3
+                base[a1], base[a2] = int(u), int(v)
+                faces.add(Face(tuple(base), normal))
+    try:
+        return validate_surface(sorted(faces))
+    except Toric3dError:
+        return None
+
+
+def _string_along(rng, boundary):
+    """A string whose core of at most 8 steps rides 1 to 4 boundary edges
+    (either way round), framed by up to 2 random steps on each side, or
+    None when that walk or its tails intersect themselves."""
+    cycle = boundary.steps
+    L = len(cycle)
+    i, k = int(rng.integers(0, L)), int(rng.integers(1, min(L - 1, 4) + 1))
+    start = boundary.vertices[i]
+    arc = tuple(cycle[(i + j) % L] for j in range(k))
+    if rng.random() < 0.5:
+        start = boundary.vertices[(i + k) % L]
+        arc = tuple((a, -s) for a, s in reversed(arc))
+    before = _random_word(rng, max_len=3)[: int(rng.integers(0, 3))]
+    after = _random_word(rng, max_len=3)[: int(rng.integers(0, 3))]
+    base = tuple(c - d for c, d in zip(start, _word_displacement(before)))
+    try:
+        return InfinitePathSpec(_random_word(rng), before + arc + after, _random_word(rng), base)
+    except SelfIntersecting:
+        return None
+
+
+def test_surgery_matches_reference_on_random_membranes(rng):
+    """The oracle beyond straight lines: 1 to 3 strings with self-avoiding
+    cores of up to 8 steps riding the boundary of a membrane made of up to 3
+    rectangles in one plane.  Surgery gives the strings, or the error type
+    and message, of ``reference_surgery``; 1-, 2- and 3-string splices and
+    ``MultipleOverlapRuns`` each occur."""
+    outcomes, messages = Counter(), set()
+    cases = 0
+    while cases < 1500:
+        surf = _random_membrane(rng)
+        if surf is None:
+            continue
+        strings = [_string_along(rng, surf.boundary) for _ in range(int(rng.integers(1, 4)))]
+        strings = [s for s in strings if s is not None]
+        if not strings:
+            continue
+        cases += 1
+        cfg = make_configuration(strings=strings)
+        got = _surgery_outcome(surgery, cfg, surf)
+        assert got == _surgery_outcome(reference_surgery, cfg, surf)
+        if isinstance(got[0], str):
+            outcomes[got[0]] += 1
+            messages.add(got[1])
+        else:
+            outcomes[sum(a != b for a, b in zip(cfg.strings, got))] += 1
+    assert outcomes["MultipleOverlapRuns"] and outcomes[1] and outcomes[2] and outcomes[3]
+    # the reference's check that a run is one arc along the boundary never fires
+    assert not any("not contiguous along the boundary" in m for m in messages)
+
+
 def test_surgery_no_overlap_rejected():
     line = spec_from_strings("Z+", "", "Z+", (0, 0, 0))
     surf = validate_surface([Face((7, 7, 7), Y)])
@@ -547,6 +635,25 @@ def test_deoverlap_finite_shared_run():
     out = deoverlap(make_configuration(strings=[a, c]))
     assert _first_shared_run(list(out.strings)) is None
     assert path_equivalent(c, out.strings[1])
+
+
+def test_deoverlap_gives_up_after_twelve_detours(monkeypatch):
+    # every scan finds one more shared edge, three steps further down the
+    # second line: twelve detours, then the thirteenth scan gives up
+    from toric3d.errors import InvalidConfiguration
+
+    scans = []
+
+    def shared_run(strings):
+        scans.append(1)
+        return 1, -3 * len(scans), 1 - 3 * len(scans)
+
+    monkeypatch.setattr(transforms, "_first_shared_run", shared_run)
+    a = spec_from_strings("Z+", "", "Z+", (0, 0, 0))
+    b = spec_from_strings("Z+", "", "Z+", (5, 0, 0))
+    with pytest.raises(InvalidConfiguration, match="^strings keep overlapping after detours$"):
+        transforms.deoverlap(make_configuration(strings=[a, b]))
+    assert len(scans) == 13
 
 
 def test_deoverlap_infinite_overlap_rejected():
