@@ -535,3 +535,25 @@ def test_validate_spec_messages_match_reference(rng):
         if expected is not None:
             kinds.add(expected.split(" at ")[0])
     assert {"edge revisited", "vertex revisited"} <= kinds
+
+
+# Same-heading specs whose negative period backtracks: walking the certified
+# truncation from its negative end, the first revisit lies in its first
+# period, so the parameter named pins where the window starts.  One period
+# fewer on the negative side names a parameter 3 higher.
+WINDOW_START_CASES = [
+    ("X-X-X+", "Y+", "X+X+", -13),
+    ("Z-Z-Z+", "Y+Z+Z+Z+", "Z+", -19),
+    ("Z+Z-Z+", "Z+X-Y+X-Z-Y+Z-Y+", "Z-", -14),
+    ("Y-Z-Y+", "Z+Z+Z+X+Z+Y+Z+X+X+Y-", "Z+", -21),
+    ("X-Y+Y-", "X+X+Y-X+Z-Z-", "X+X+X+", -22),
+    ("Z+X-Z-", "X+X+X+X+X+Z+Y+X+", "X+", -24),
+]
+
+
+def test_validate_spec_window_starts_where_certified():
+    for neg, core, pos, t in WINDOW_START_CASES:
+        words = (parse_steps(neg), parse_steps(core), parse_steps(pos))
+        expected = f"edge revisited at parameter {t}"
+        assert _rejection(lambda: InfinitePathSpec(*words, (0, 0, 0))) == expected
+        assert _rejection(lambda: reference_validate_spec(unchecked_spec(*words, (0, 0, 0)))) == expected
