@@ -19,9 +19,10 @@ than guessed at.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
 from . import _kernels
@@ -214,8 +215,9 @@ def validate_surface(faces: Iterable[Face]) -> Surface:
 # ---------------------------------------------------------------------------
 
 
-def _word_displacement(word: StepWord) -> Vertex:
-    return _cumulative(word)[-1]
+def _word_displacement(word: Iterable[Direction]) -> Vertex:
+    counts = Counter(word)
+    return tuple(counts[a, 1] - counts[a, -1] for a in AXES)
 
 
 def _cumulative(word: StepWord, start: Vertex = (0, 0, 0)) -> list[Vertex]:
@@ -259,6 +261,11 @@ class InfinitePathSpec:
         return _cumulative(self.core, self.base)
 
     @cached_property
+    def core_box(self) -> Region:
+        """The bounding box of ``core_vertices``."""
+        return bounding_region(self.core_vertices)
+
+    @cached_property
     def _pos_cum(self) -> list[Vertex]:
         return _cumulative(self.pos_period)
 
@@ -300,54 +307,67 @@ class InfinitePathSpec:
         return sub(v, self._neg_suffix[r])
 
     def realize_steps(self, a: int, b: int) -> StepWord:
-        if 0 <= a and b < len(self.core):
-            return self.core[a : b + 1]
-        return tuple(self.step(t) for t in range(a, b + 1))
+        """``step(a)`` through ``step(b)``, empty when ``b < a``: a slice of
+        the negative tail, of the core and of the positive tail."""
+        nc = len(self.core)
+        return (
+            _cycle(self.neg_period, a, min(b + 1, 0))
+            + self.core[max(a, 0) : max(0, min(b + 1, nc))]
+            + _cycle(self.pos_period, max(a, nc) - nc, b + 1 - nc)
+        )
 
     def edges(self, a: int, b: int) -> list[Edge]:
         steps = self.realize_steps(a, b)
         return list(map(edge_from, _cumulative(steps, self.vertex(a)), steps))
 
-    def walk_in(self, region: Region) -> Iterator[tuple[int, EdgeKey | None]]:
+    def walk_in(self, region: Region) -> list[tuple[int, EdgeKey | None]]:
         """``(t, key)`` for every walked parameter ``t`` with ``vertex(t)`` in
         ``region``; ``key`` is edge ``t``'s key when both its endpoints lie in
         ``region``, else None.
 
-        Walks the core, then each tail outward period by period; a tail stops
-        after the first period whose vertices all lie past ``region`` along
-        the tail's escape axis.
+        Scans the core from ``core_vertices``, then walks each tail outward
+        period by period; a tail stops after the first period whose vertices
+        all lie past ``region`` along the tail's escape axis.
         """
-        yield from _walk(region, self.base, 0, +1, self.core, None)
-        yield from _walk(
-            region, self.junction, len(self.core), +1, self.pos_period, self.pos_displacement
-        )
-        yield from _walk(
-            region, self.base, -1, -1, self.neg_period[::-1], self.neg_displacement
-        )
+        (lx, ly, lz), (hx, hy, hz) = region
+        cv = self.core_vertices
+        inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in cv]
+        hits = [
+            (t, (cv[t + 1] if s < 0 else cv[t], a) if nxt else None)
+            for t, ((a, s), here, nxt) in enumerate(zip(self.core, inside, inside[1:]))
+            if here
+        ]
+        nc = len(self.core)
+        hits += _walk(region, self.junction, nc, +1, self.pos_period, self.pos_displacement)
+        hits += _walk(region, self.base, -1, -1, self.neg_period[::-1], self.neg_displacement)
+        return hits
 
 
-def _walk(region: Region, start: Vertex, t: int, dt: int, word: StepWord, disp: Vertex | None):
-    """One stretch of :meth:`InfinitePathSpec.walk_in`: edges ``t, t+dt, ...``
-    walked outward from ``start`` along ``word`` (the letters in walking order),
-    once if ``disp`` is None, else period by period until a period lies past
-    ``region`` along the escape axis of ``disp``, or raise TooLarge when that
-    takes more than ``MAX_TAIL_LETTERS`` letters.  Walking backward
-    (``dt = -1``) each letter is stepped against, and ``vertex(t)`` is the
-    vertex reached rather than the one left."""
+def _cycle(word: StepWord, lo: int, hi: int) -> StepWord:
+    """``word[t % len(word)]`` for ``lo <= t < hi``."""
+    n, start = max(0, hi - lo), lo % len(word)
+    return (word * ((start + n - 1) // len(word) + 1))[start : start + n]
+
+
+def _walk(region: Region, start: Vertex, t: int, dt: int, word: StepWord, disp: Vertex):
+    """One tail of :meth:`InfinitePathSpec.walk_in`: edges ``t, t+dt, ...``
+    walked outward from ``start`` along ``word`` (the letters in walking order)
+    period by period until a period lies past ``region`` along the escape axis
+    of ``disp``, or raise TooLarge when that takes more than
+    ``MAX_TAIL_LETTERS`` letters.  Walking backward (``dt = -1``) each letter
+    is stepped against, and ``vertex(t)`` is the vertex reached rather than
+    the one left."""
     (lx, ly, lz), (hx, hy, hz) = region
-    if disp is None:
-        axis, sign, limit = 0, 0, 0
-    else:
-        axis = _escape_axis(disp)
-        sign = 1 if disp[axis] > 0 else -1
-        limit = region.hi[axis] if sign > 0 else -region.lo[axis]
-        # a period gains |disp[axis]| along the axis and strays at most len(word)
-        n = len(word)
-        bound = ((max(0, limit - sign * start[axis]) + n) // abs(disp[axis]) + 2) * n
-        if bound > MAX_TAIL_LETTERS:
-            raise TooLarge(
-                f"a tail needs up to {bound} steps to leave the region (at most {MAX_TAIL_LETTERS})"
-            )
+    axis = _escape_axis(disp)
+    sign = 1 if disp[axis] > 0 else -1
+    limit = region.hi[axis] if sign > 0 else -region.lo[axis]
+    # a period gains |disp[axis]| along the axis and strays at most len(word)
+    n = len(word)
+    bound = ((max(0, limit - sign * start[axis]) + n) // abs(disp[axis]) + 2) * n
+    if bound > MAX_TAIL_LETTERS:
+        raise TooLarge(
+            f"a tail needs up to {bound} steps to leave the region (at most {MAX_TAIL_LETTERS})"
+        )
     # per letter: move, axis, whether the edge key's base is the vertex reached
     # (the lesser endpoint), and the move along the signed escape axis
     moves = []
@@ -373,7 +393,7 @@ def _walk(region: Region, start: Vertex, t: int, dt: int, word: StepWord, disp: 
             escape += de
             if escape <= limit:
                 past = False
-        if disp is None or past:
+        if past:
             return
 
 
@@ -539,13 +559,18 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     k_pos = max(3, k_pos) + 1
     k_neg = max(3, k_neg) + 1
 
-    # walk the certified truncation once; distinct vertices imply distinct
-    # edges, and only a repeat needs the step-by-step check to be named
+    # walk the certified truncation once, reusing the core's vertices;
+    # distinct vertices imply distinct edges, and only a repeat needs the
+    # step-by-step check to be named
     lo = -k_neg * nn
-    word = spec.neg_period * k_neg + spec.core + spec.pos_period * k_pos
-    walked = _cumulative(word, spec.vertex(lo))
+    walked = (
+        _cumulative(spec.neg_period * k_neg, spec.vertex(lo))
+        + core_vs[1:]
+        + _cumulative(spec.pos_period * k_pos, junction)[1:]
+    )
     if len(set(walked)) == len(walked):
         return
+    word = spec.neg_period * k_neg + spec.core + spec.pos_period * k_pos
     keys = set()
     seen_v = {walked[0]}
     for t, (a, s), cur, nxt in zip(range(lo, lo + len(word)), word, walked, walked[1:]):
@@ -582,9 +607,10 @@ def is_monotonic(spec: InfinitePathSpec) -> tuple[bool, dict[int, int] | None]:
 
 
 def enclosing_region(*specs: InfinitePathSpec) -> Region:
-    """The bounding box of the given specs' cores: outside a spec's own box
-    every step of it heads along a tail direction."""
-    return bounding_region(v for spec in specs for v in spec.core_vertices)
+    """The bounding box of the given specs' cores, from their cached
+    ``core_box``: outside a spec's own box every step of it heads along a
+    tail direction."""
+    return bounding_region(corner for spec in specs for corner in spec.core_box)
 
 
 # ---------------------------------------------------------------------------

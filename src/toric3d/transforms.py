@@ -187,19 +187,17 @@ def _lift_steps(rerouted: Projection) -> tuple[Direction, ...]:
 def _segment_steps(spec: InfinitePathSpec, region: Region) -> tuple[int, int, tuple[Direction, ...]]:
     """The single in-region stretch of the path, or raise MultipleCrossings.
 
-    ``walk_in`` yields each parameter once, so the in-region edges form one
-    stretch exactly when their parameters span as many values as there are."""
-    vertex_ts, edge_ts = [], []
-    for t, key in spec.walk_in(region):
-        vertex_ts.append(t)
-        if key is not None:
-            edge_ts.append(t)
+    ``walk_in`` lists each parameter once, so the in-region edges form one
+    stretch exactly when their parameters span as many values as there are;
+    the stretch's word is a ``realize_steps`` slice."""
+    hits = spec.walk_in(region)
+    edge_ts = [t for t, key in hits if key is not None]
     if not edge_ts:
         raise MultipleCrossings("path has no edge inside the region")
     t_lo, t_hi = min(edge_ts), max(edge_ts)
     if t_hi - t_lo + 1 != len(edge_ts):
         raise MultipleCrossings("path crosses the region more than once")
-    if min(vertex_ts) < t_lo or max(vertex_ts) > t_hi + 1:
+    if min(hits)[0] < t_lo or max(hits)[0] > t_hi + 1:
         raise MultipleCrossings("path touches the region outside its crossing")
     return t_lo, t_hi + 1, spec.realize_steps(t_lo, t_hi)
 

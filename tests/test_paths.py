@@ -3,7 +3,16 @@
 import pytest
 
 from toric3d.errors import MalformedBoundary, MultipleCrossings, NotConnected, SelfIntersecting
-from toric3d.lattice import Face, Region, add, parse_steps, region_of, reverse_direction, sub
+from toric3d.lattice import (
+    Face,
+    Region,
+    add,
+    bounding_region,
+    parse_steps,
+    region_of,
+    reverse_direction,
+    sub,
+)
 from toric3d.paths import (
     InfinitePathSpec,
     _comparison_window,
@@ -217,9 +226,13 @@ def test_realize_steps_matches_step(rng):
     for _ in range(40):
         s = random_spec(rng, max_core=12)
         nc = len(s.core)
-        for a in range(-5, nc + 5):
-            for b in range(a - 1, nc + 6):
-                assert s.realize_steps(a, b) == tuple(s.step(t) for t in range(a, b + 1))
+        windows = [(a, b) for a in range(-5, nc + 5) for b in range(a - 1, nc + 6)]
+        # far inside either tail, across the core into both tails, several
+        # periods long, and empty far out
+        windows += [(-37, -20), (-9, -9), (nc + 20, nc + 41), (nc + 7, nc + 7)]
+        windows += [(-17, nc + 19), (-3, nc + 40), (-40, nc), (nc + 30, nc + 29), (-20, -25)]
+        for a, b in windows:
+            assert s.realize_steps(a, b) == tuple(s.step(t) for t in range(a, b + 1))
 
 
 def test_aligned_window_cuts_whole_periods(rng):
@@ -410,6 +423,13 @@ def test_enclosing_region_covers_core():
         assert r2.contains_vertex(s.vertex(t))
 
 
+def test_enclosing_region_is_the_box_of_the_cores(rng):
+    for n in (1, 2, 3) * 10:
+        specs = [random_spec(rng, max_core=30, lo=-5, hi=5, self_avoiding=True) for _ in range(n)]
+        vertices = [v for spec in specs for v in spec.core_vertices]
+        assert enclosing_region(*specs) == bounding_region(vertices)
+
+
 def test_tail_steps_outside_enclosing_region_head_along_tail_directions(rng):
     for _ in range(20):
         s = random_spec(rng)
@@ -445,7 +465,16 @@ def _walk_specs(rng):
             specs.append(InfinitePathSpec(_random_word(rng, 3), core, _random_word(rng, 3), base))
         except SelfIntersecting:
             continue
-    return specs
+    return specs + LONG_WALK_SPECS
+
+
+# zigzag and oscillating cores of 320 and 1280 steps
+LONG_WALK_SPECS = [
+    spec_from_strings("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * 40, "Z+"),
+    spec_from_strings("Y+", "X+Y+X-Y+" * 80, "Y+Z+", base=(1, -2, 0)),
+    spec_from_strings("X+", "Z-X+Z+X+" * 320, "X+Y-"),
+    spec_from_strings("Z+Y+", "X+Z+X-Z+Y+Z+Y-Z+" * 160, "Z+", base=(0, 3, -1)),
+]
 
 
 def _walk_regions(rng, spec):
@@ -499,7 +528,8 @@ def test_walk_matches_reference_loops(rng):
             checked += 1
             tail_hits += any(t >= len(spec.core) or t < 0 for t in params[1])
     # every spec's tail-only regions hold tail vertices
-    assert checked == 60 * 13 and tail_hits >= 60 * 3
+    n_specs = 60 + len(LONG_WALK_SPECS)
+    assert checked == n_specs * 13 and tail_hits >= n_specs * 3
     assert outcomes == {
         "one stretch",
         "path has no edge inside the region",
@@ -557,3 +587,32 @@ def test_validate_spec_window_starts_where_certified():
         expected = f"edge revisited at parameter {t}"
         assert _rejection(lambda: InfinitePathSpec(*words, (0, 0, 0))) == expected
         assert _rejection(lambda: reference_validate_spec(unchecked_spec(*words, (0, 0, 0)))) == expected
+
+
+def _outcome(build):
+    try:
+        build()
+    except Exception as ex:
+        return type(ex), str(ex)
+    return None
+
+
+def test_validate_spec_matches_reference_on_long_cores(rng):
+    """1280-step zigzag and oscillating cores under random tails, some with a
+    backtrack spliced in deep inside the core."""
+    oscillating = parse_steps("X+Z+X-Z+Y+Z+Y-Z+" * 160)
+    cases = []
+    for i in range(24):
+        core = zigzag_core(rng, 1280) if i % 2 else oscillating
+        if i % 3 == 0:
+            at = int(rng.integers(200, 1100))
+            core = core[:at] + (core[at - 1][0], -core[at - 1][1]) + core[at:]
+        base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+        cases.append((_random_word(rng, 3), core, _random_word(rng, 3), base))
+    outcomes = []
+    for neg, core, pos, base in cases:
+        expected = _outcome(lambda: reference_validate_spec(unchecked_spec(neg, core, pos, base)))
+        assert _outcome(lambda: InfinitePathSpec(neg, core, pos, base)) == expected
+        outcomes.append(expected)
+    assert None in outcomes
+    assert {"edge revisited", "vertex revisited"} <= {o[1].split(" at ")[0] for o in outcomes if o}
