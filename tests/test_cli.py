@@ -11,6 +11,7 @@ import pytest
 import toric3d
 
 from toric3d.cli import (
+    MAX_WORD_LETTERS,
     configuration_to_document,
     main,
     parse_config,
@@ -203,6 +204,42 @@ def test_energy_on_a_huge_region_is_too_large():
     report = json.loads(proc.stdout)
     assert report["error"] == "TooLarge"
     assert report["message"].endswith("(at most 1000000)")
+
+
+def _long_word_doc(where, letters):
+    string = {"neg_period": "Z+", "core": "", "pos_period": "Z+", "base": [0, 0, 0]}
+    if where == "loops[0].steps":
+        # up, across, down and back: the shortest closed walk of at least
+        # ``letters`` letters (a closed walk has even length)
+        half = "Z+" * ((letters - 1) // 2)
+        loop = {"start": [0, 0, 0], "steps": half + "X+" + half.replace("+", "-") + "X-"}
+        return json.dumps({"strings": [], "loops": [loop]})
+    string[where.split(".")[1]] = "Z+" * letters
+    return json.dumps({"strings": [string]})
+
+
+@pytest.mark.parametrize(
+    "where", ["strings[0].neg_period", "strings[0].core", "strings[0].pos_period", "loops[0].steps"]
+)
+def test_a_word_past_the_letter_cap_is_too_large(monkeypatch, where):
+    report, code = _run_with_stdin(
+        monkeypatch, ["validate"], _long_word_doc(where, MAX_WORD_LETTERS + 1)
+    )
+    assert code == 2
+    assert report["error"] == "TooLarge"
+    assert report["message"] == f"{where}: a step word has at most {MAX_WORD_LETTERS} letters"
+
+
+@pytest.mark.parametrize("where", ["strings[0].core", "loops[0].steps"])
+def test_a_word_at_the_letter_cap_is_answered(monkeypatch, where):
+    report, code = _run_with_stdin(monkeypatch, ["classify"], _long_word_doc(where, MAX_WORD_LETTERS))
+    assert code == 0 and "error" not in report
+
+
+def test_config_help_names_the_letter_cap(capsys):
+    with pytest.raises(SystemExit):
+        run(["classify", "--help"])
+    assert str(MAX_WORD_LETTERS) in capsys.readouterr().out
 
 
 def test_straighten_skips_a_string_whose_tail_walk_is_too_large(monkeypatch):
