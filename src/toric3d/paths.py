@@ -344,8 +344,9 @@ class InfinitePathSpec:
 
 
 def _cycle(word: StepWord, lo: int, hi: int) -> StepWord:
-    """``word[t % len(word)]`` for ``lo <= t < hi``."""
-    n, start = max(0, hi - lo), lo % len(word)
+    """``word[t % len(word)]`` for ``lo <= t < hi``: empty when ``hi <= lo``,
+    as the repeat count is then at most 1 and the slice ends before it starts."""
+    start, n = lo % len(word), hi - lo
     return (word * ((start + n - 1) // len(word) + 1))[start : start + n]
 
 
