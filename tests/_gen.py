@@ -852,6 +852,58 @@ def reference_fiber_checks(nets, n_interior: int, interior_basis):
     return boundary_conditions, fibers_equal, bijection
 
 
+def reference_classify(cfg, strict_gss: bool = False):
+    """``sectors.classify`` as it was when it straightened each non-monotone
+    string in every candidate region and kept the first region whose result
+    is monotone: the reference for the verdict read off segment letters."""
+    from toric3d.paths import is_monotonic
+    from toric3d.sectors import (
+        ScriptStep,
+        SectorVerdict,
+        VerdictKind,
+        _script_region,
+        _sector_witness,
+    )
+    from toric3d.transforms import straighten_fixpoint
+
+    frustration_free = not cfg.charges and not cfg.loops and not cfg.strings
+    witness = _sector_witness(cfg, strict_gss)
+    if witness is not None:
+        return SectorVerdict(
+            VerdictKind.NOT_GROUND_SECTOR, witness, frustration_free=frustration_free
+        )
+
+    script: list[ScriptStep] = []
+    all_monotone = True
+    for i, spec in enumerate(cfg.strings):
+        mono, _ = is_monotonic(spec)
+        if not mono:
+            all_monotone = False
+            for pad in (1, 2, 4, 8):
+                region = _script_region(spec, pad)
+                try:
+                    fixed, _ = straighten_fixpoint(spec, region)
+                except MultipleCrossings:
+                    continue
+                if is_monotonic(fixed)[0]:
+                    script.append(ScriptStep("straighten", i, region))
+                    break
+            else:
+                raise AssertionError(
+                    f"no straightening region found for sector-valid string {i}"
+                )
+    for k in range(len(cfg.loops)):
+        script.append(ScriptStep("drop_loop", k))
+
+    if all_monotone and not cfg.loops:
+        return SectorVerdict(VerdictKind.GROUND_STATE, frustration_free=frustration_free)
+    return SectorVerdict(
+        VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE,
+        script=tuple(script),
+        frustration_free=frustration_free,
+    )
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Sector verdicts, labels, repair scripts, and the case enumeration."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from toric3d.errors import NotAGroundSector
-from toric3d.lattice import parse_steps, region_of
+from toric3d.errors import NotAGroundSector, SelfIntersecting
+from toric3d.lattice import add, parse_steps, region_of
 from toric3d.paths import (
+    InfinitePathSpec,
     infinity_directions,
+    is_monotonic,
+    path_equivalent,
     path_from_steps,
     spec_from_strings,
 )
@@ -19,6 +23,7 @@ from toric3d.sectors import (
     _case_two,
     _raw_count_alt,
     _raw_solutions,
+    _script_region,
     _string_tag,
     canonical_solution,
     charge_parity,
@@ -31,14 +36,17 @@ from toric3d.sectors import (
 )
 from toric3d.transforms import make_configuration, surgery
 from ._gen import (
+    _random_word,
     equivalent_variant,
     random_loop,
     random_monotone_spec,
     random_nonmonotone_spec,
     random_spec,
     reference_canonical_solution,
+    reference_classify,
     reference_raw_count_alt,
     reference_raw_solutions,
+    zigzag_core,
 )
 
 X, Y, Z = 0, 1, 2
@@ -243,6 +251,71 @@ def test_strict_gss_switch():
     mixed = make_configuration(strings=[a, bad, b])
     assert classify(mixed).kind is VerdictKind.NOT_GROUND_SECTOR
     assert classify(mixed, strict_gss=True).is_ground_sector
+
+
+# ---------------------------------------------------------------------------
+# verdicts against the straightening reference
+# ---------------------------------------------------------------------------
+
+
+def _zigzag_spec(rng):
+    """A zigzag core of 2 to 39 steps under random tails of 1 or 2 letters."""
+    while True:
+        base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+        core = zigzag_core(rng, int(rng.integers(2, 40)))
+        try:
+            return InfinitePathSpec(_random_word(rng), core, _random_word(rng), base)
+        except SelfIntersecting:
+            continue
+
+
+_STRING_OFFSETS = ((0, 0, 0), (9, 0, 0), (0, 9, 0))
+
+
+def _oracle_configurations(rng):
+    """3000 configurations with 0 to 2 far loops and 0 to 2 charges: 1800
+    hold one random, backtracking or zigzag string each, and 1200 hold two
+    or three of those strings, moved apart."""
+    singles = [random_spec(rng) for _ in range(1000)]
+    singles += [random_nonmonotone_spec(rng) for _ in range(200)]
+    singles += [_zigzag_spec(rng) for _ in range(600)]
+    groups = [[s] for s in singles]
+    for _ in range(1200):
+        picks = rng.integers(0, len(singles), int(rng.integers(2, 4)))
+        groups.append(
+            [
+                InfinitePathSpec(s.neg_period, s.core, s.pos_period, add(s.base, offset))
+                for s, offset in zip((singles[int(k)] for k in picks), _STRING_OFFSETS)
+            ]
+        )
+    for strings in groups:
+        loops = [random_loop(rng, lo=20, hi=24) for _ in range(int(rng.integers(0, 3)))]
+        charges = [tuple(int(x) for x in rng.integers(-3, 4, 3)) for _ in range(int(rng.integers(0, 3)))]
+        yield make_configuration(charges, strings, loops)
+
+
+def test_classify_matches_straightening_reference(rng):
+    """Verdict, witness and script, script regions included, equal those of
+    the classify that straightened each string; every repair script still
+    runs to monotone strings, each path-equivalent to its input."""
+    kinds = Counter()
+    wide = 0
+    for cfg in _oracle_configurations(rng):
+        verdict = classify(cfg)
+        assert verdict == reference_classify(cfg)
+        kinds[verdict.kind] += 1
+        if verdict.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE:
+            out = run_script(cfg, verdict.script)
+            for before, after in zip(cfg.strings, out.strings):
+                assert is_monotonic(after)[0] and path_equivalent(before, after)
+            wide += sum(
+                s.region != _script_region(cfg.strings[s.index], 1)
+                for s in verdict.script
+                if s.kind == "straighten"
+            )
+    assert sum(kinds.values()) == 3000 and min(kinds.values()) >= 150
+    # some strings need a wider region than the first candidate
+    assert wide >= 10
 
 
 # ---------------------------------------------------------------------------
