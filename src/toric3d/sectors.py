@@ -23,15 +23,16 @@ from functools import cache
 from itertools import permutations, product
 
 from .errors import MultipleCrossings, NotAGroundSector
-from .lattice import AXES, Direction, Region, reverse_direction
+from .lattice import AXES, Direction, Region, reverse_direction, sub
 from .paths import (
     DirectionSet,
     InfinitePathSpec,
     enclosing_region,
     infinity_directions,
     is_monotonic,
+    word_is_monotone,
 )
-from .transforms import Configuration, straighten_fixpoint
+from .transforms import Configuration, _segment_steps, straighten_fixpoint
 
 
 class VerdictKind(Enum):
@@ -147,6 +148,21 @@ def _sector_witness(cfg: Configuration, strict_gss: bool = False) -> Witness | N
     return None
 
 
+def _straightens_monotone(spec: InfinitePathSpec, t_lo: int, t_hi: int) -> bool:
+    """Whether straightening the segment ``[t_lo, t_hi)`` leaves ``spec``
+    monotone, read off letters alone.
+
+    Straightening ends in a monotone word between the segment's endpoints,
+    and every such word uses exactly one letter ``(a, sign d_a)`` per nonzero
+    component of their displacement ``d``.  A segment over a region holding
+    the core leaves only period letters outside it, so the straightened spec
+    is monotone exactly when those letters and the periods' keep one sign
+    per axis."""
+    d = sub(spec.vertex(t_hi), spec.vertex(t_lo))
+    letters = {(a, 1 if d[a] > 0 else -1) for a in AXES if d[a]}
+    return word_is_monotone(letters.union(spec.neg_period, spec.pos_period))
+
+
 def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
     """Full decision: ground state / ground sector with repair script / neither.
 
@@ -169,10 +185,10 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
             for pad in (1, 2, 4, 8):
                 region = _script_region(spec, pad)
                 try:
-                    fixed, _ = straighten_fixpoint(spec, region)
+                    t_lo, t_hi, _ = _segment_steps(spec, region)
                 except MultipleCrossings:
                     continue
-                if is_monotonic(fixed)[0]:
+                if _straightens_monotone(spec, t_lo, t_hi):
                     script.append(ScriptStep("straighten", i, region))
                     break
             else:

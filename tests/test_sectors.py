@@ -1,5 +1,6 @@
 """Sector verdicts, labels, repair scripts, and the case enumeration."""
 
+import time
 from collections import Counter
 from itertools import product
 
@@ -16,6 +17,7 @@ from toric3d.paths import (
     spec_from_strings,
 )
 from toric3d.sectors import (
+    ScriptStep,
     SectorLabel,
     StringClassTag,
     VerdictKind,
@@ -122,6 +124,34 @@ def test_long_two_bad_axis_core_classifies():
     v = classify(make_configuration(strings=[spec]))
     assert v.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE
     assert [s.kind for s in v.script] == ["straighten"]
+
+
+def test_classify_never_straightens(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classify straightened a string")
+
+    monkeypatch.setattr("toric3d.sectors.straighten_fixpoint", refuse)
+    monkeypatch.setattr("toric3d.transforms.straighten_fixpoint", refuse)
+    one_bad_axis = spec_from_strings("Z+", "X+Z+X-Y+", "Z+")
+    two_bad_axes = spec_from_strings("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * 4, "Z+", (0, 9, 0))
+    cfg = make_configuration(strings=[one_bad_axis, _line(X, 1, (9, 0, 0))])
+    v = classify(cfg)
+    assert v.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE
+    assert v.script == (ScriptStep("straighten", 0, _script_region(one_bad_axis, 1)),)
+    v = classify(make_configuration(strings=[two_bad_axes]))
+    assert v.script == (ScriptStep("straighten", 0, _script_region(two_bad_axes, 1)),)
+
+
+def test_long_oscillating_core_classifies_fast():
+    # 5120 steps: straightening it would take about 1280 passes of 5120 letters
+    spec = spec_from_strings("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * 640, "Z+")
+    cfg = make_configuration(strings=[spec])
+    start = time.perf_counter()
+    v = classify(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert v.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE
+    assert v.script == (ScriptStep("straighten", 0, region_of((-4, -4, -4), (5, 5, 2564))),)
+    assert _script_region(spec, 1) == region_of((-4, -4, -4), (5, 5, 2564))
 
 
 def test_four_strings_never_ground_sector(rng):
