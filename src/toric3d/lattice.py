@@ -67,22 +67,25 @@ def direction_name(d: Direction) -> str:
 
 _STEP_ATOMS = {AXIS_NAMES[a].upper() + c: (a, +1 if c == "+" else -1) for a in AXES for c in "+-"}
 
+# (axis letter, sign) for every atom whose upper case is a step atom: only
+# x, y and z upper-case to X, Y and Z, and no character upper-cases to a sign
+_ATOM_PAIRS = {tuple(n): d for atom, d in _STEP_ATOMS.items() for n in (atom, atom.lower())}
+
 
 def parse_steps(text: str) -> tuple[Direction, ...]:
-    """Tokenise a step word like ``"X+Z-"`` into directions.
+    """Tokenise a step word like ``"X+Z-"`` into directions; the axis letter
+    may be lower case.
 
-    Raises ``ValueError`` naming the first bad atom.
+    Raises ``ValueError`` naming the first bad atom in upper case.
     """
     text = text.strip()
     if len(text) % 2 != 0:
         raise ValueError(f"step string has odd length: {text!r}")
-    steps = []
-    for i in range(0, len(text), 2):
-        atom = text[i : i + 2].upper()
-        if atom not in _STEP_ATOMS:
-            raise ValueError(f"invalid step atom {atom!r} at position {i}")
-        steps.append(_STEP_ATOMS[atom])
-    return tuple(steps)
+    try:
+        return tuple(map(_ATOM_PAIRS.__getitem__, zip(text[0::2], text[1::2])))
+    except KeyError:
+        i = next(i for i in range(0, len(text), 2) if text[i : i + 2].upper() not in _STEP_ATOMS)
+        raise ValueError(f"invalid step atom {text[i : i + 2].upper()!r} at position {i}") from None
 
 
 def format_steps(steps: Iterable[Direction]) -> str:
@@ -188,6 +191,11 @@ class Region(NamedTuple):
     def contains_edge(self, e: Edge) -> bool:
         u, w = boundary_edge(e)
         return self.contains_vertex(u) and self.contains_vertex(w)
+
+    def contains_region(self, other: "Region") -> bool:
+        (lx, ly, lz), (hx, hy, hz) = self
+        (ax, ay, az), (bx, by, bz) = other
+        return lx <= ax and ly <= ay and lz <= az and bx <= hx and by <= hy and bz <= hz
 
     def inflate(self, k: int) -> "Region":
         return Region(sub(self.lo, (k, k, k)), add(self.hi, (k, k, k)))

@@ -266,6 +266,12 @@ class InfinitePathSpec:
         return bounding_region(self.core_vertices)
 
     @cached_property
+    def core_keys(self) -> list[EdgeKey]:
+        """The keys of edges ``0`` through ``len(core) - 1``."""
+        cv = self.core_vertices
+        return [(cv[t + 1] if s < 0 else cv[t], a) for t, (a, s) in enumerate(self.core)]
+
+    @cached_property
     def _pos_cum(self) -> list[Vertex]:
         return _cumulative(self.pos_period)
 
@@ -325,18 +331,23 @@ class InfinitePathSpec:
         ``region``; ``key`` is edge ``t``'s key when both its endpoints lie in
         ``region``, else None.
 
-        Scans the core from ``core_vertices``, then walks each tail outward
-        period by period; a tail stops after the first period whose vertices
-        all lie past ``region`` along the tail's escape axis.
+        Lists every core edge from ``core_keys`` when ``region`` contains
+        ``core_box``, else scans ``core_vertices`` for the ones inside; then
+        walks each tail outward period by period, and a tail stops after the
+        first period whose vertices all lie past ``region`` along the tail's
+        escape axis.
         """
-        (lx, ly, lz), (hx, hy, hz) = region
-        cv = self.core_vertices
-        inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in cv]
-        hits = [
-            (t, (cv[t + 1] if s < 0 else cv[t], a) if nxt else None)
-            for t, ((a, s), here, nxt) in enumerate(zip(self.core, inside, inside[1:]))
-            if here
-        ]
+        if region.contains_region(self.core_box):
+            hits = list(enumerate(self.core_keys))
+        else:
+            (lx, ly, lz), (hx, hy, hz) = region
+            cv = self.core_vertices
+            inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in cv]
+            hits = [
+                (t, key if nxt else None)
+                for t, (key, here, nxt) in enumerate(zip(self.core_keys, inside, inside[1:]))
+                if here
+            ]
         nc = len(self.core)
         hits += _walk(region, self.junction, nc, +1, self.pos_period, self.pos_displacement)
         hits += _walk(region, self.base, -1, -1, self.neg_period[::-1], self.neg_displacement)
@@ -500,8 +511,9 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     w_pos = [add(junction, v) for v in spec._pos_cum]
     w_neg = [sub(base, v) for v in spec._neg_suffix]
 
-    # enough tail periods to carry each tail past every window and core vertex
-    all_vs = core_vs + w_pos + w_neg
+    # enough tail periods to carry each tail past every window and core
+    # vertex: the core's extents are those of its box's two corners
+    all_vs = [*spec.core_box, *w_pos, *w_neg]
 
     def _windows_needed(disp):
         axis = _escape_axis(disp)

@@ -852,6 +852,23 @@ def reference_fiber_checks(nets, n_interior: int, interior_basis):
     return boundary_conditions, fibers_equal, bijection
 
 
+def reference_parse_steps(text: str):
+    """``lattice.parse_steps`` as it was when it upper-cased and looked up one
+    atom at a time: the reference for its messages."""
+    from toric3d.lattice import _STEP_ATOMS
+
+    text = text.strip()
+    if len(text) % 2 != 0:
+        raise ValueError(f"step string has odd length: {text!r}")
+    steps = []
+    for i in range(0, len(text), 2):
+        atom = text[i : i + 2].upper()
+        if atom not in _STEP_ATOMS:
+            raise ValueError(f"invalid step atom {atom!r} at position {i}")
+        steps.append(_STEP_ATOMS[atom])
+    return tuple(steps)
+
+
 def reference_classify(cfg, strict_gss: bool = False):
     """``sectors.classify`` as it was when it straightened each non-monotone
     string in every candidate region and kept the first region whose result

@@ -1,6 +1,6 @@
 """Geometry layer: boundary maps, duality, regions."""
 
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given
@@ -19,7 +19,7 @@ from toric3d.lattice import (
     parse_steps,
     region_of,
 )
-from ._gen import edges_in_region, primal_edge_of_face
+from ._gen import edges_in_region, primal_edge_of_face, reference_parse_steps
 
 coords = st.integers(min_value=-5, max_value=5)
 vertices = st.tuples(coords, coords, coords)
@@ -115,3 +115,28 @@ def test_parse_steps_atoms():
         parse_steps("Z+Q")
     with pytest.raises(ValueError):
         parse_steps("Z")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as ex:
+        return str(ex)
+
+
+def test_parse_steps_matches_reference():
+    """Same steps or same message as the atom-by-atom loop: lower, mixed and
+    upper case, odd lengths, junk atoms, and letters that upper-case to more
+    than one character (``'ß'`` to ``'SS'``) or to an accented ``Y``."""
+    alphabet = "xyzXYZ+-qß\u1e99 "
+    words = ["".join(w) for w in chain.from_iterable(product(alphabet, repeat=n) for n in range(5))]
+    words += ["ßX+-", " x+Y-z+ ", "X+Z+" * 50 + "Q+", "X+" * 99 + "x", "Z+\u00e9+", "\u1e99+Z-"]
+    messages = set()
+    for text in words:
+        expected = _parsed(reference_parse_steps, text)
+        assert _parsed(parse_steps, text) == expected, text
+        if isinstance(expected, str):
+            messages.add(expected.split(" ")[0] + " " + expected.split(" ")[1])
+    assert _parsed(parse_steps, "ßX+-") == "invalid step atom 'SSX' at position 0"
+    assert _parsed(parse_steps, "x+y-Z+") == ((0, 1), (1, -1), (2, 1))
+    assert messages == {"invalid step", "step string"}

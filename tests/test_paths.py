@@ -12,6 +12,7 @@ from toric3d.lattice import (
     region_of,
     reverse_direction,
     sub,
+    unit,
 )
 from toric3d.paths import (
     InfinitePathSpec,
@@ -500,7 +501,17 @@ def _walk_regions(rng, spec):
     for r in tail_only:
         assert not any(r.contains_vertex(v) for v in spec.core_vertices)
     on_core = spec.vertex(len(spec.core) // 2)
-    return regions + tail_only + [Region(on_core, on_core), Region(far, far)]
+    return regions + tail_only + [Region(on_core, on_core), Region(far, far)] + _core_box_regions(spec)
+
+
+def _core_box_regions(spec):
+    """``core_box``, the box one step short of it on each of its six faces,
+    and the box one step beyond it: ``walk_in`` lists the core from
+    ``core_keys`` in the first and last, and scans it in the other six."""
+    lo, hi = spec.core_box
+    short = [Region(add(lo, unit(a)), hi) for a in range(3)]
+    short += [Region(lo, sub(hi, unit(a))) for a in range(3)]
+    return [spec.core_box, *short, spec.core_box.inflate(1)]
 
 
 def _segment_or_message(find, spec, region):
@@ -515,6 +526,10 @@ def test_walk_matches_reference_loops(rng):
     outcomes = set()
     for spec in _walk_specs(rng):
         cfg = make_configuration(strings=[spec])
+        box_keys = [e.key for e in reference_string_edges_in_region(spec, spec.core_box)]
+        assert spec.core_keys == box_keys[: len(spec.core)]
+        contained = [r.contains_region(spec.core_box) for r in _core_box_regions(spec)]
+        assert contained == [True] + [False] * 6 + [True]
         for region in _walk_regions(rng, spec):
             hits = list(spec.walk_in(region))
             params = sorted(t for t, key in hits if key is not None), sorted(t for t, _ in hits)
@@ -529,7 +544,7 @@ def test_walk_matches_reference_loops(rng):
             tail_hits += any(t >= len(spec.core) or t < 0 for t in params[1])
     # every spec's tail-only regions hold tail vertices
     n_specs = 60 + len(LONG_WALK_SPECS)
-    assert checked == n_specs * 13 and tail_hits >= n_specs * 3
+    assert checked == n_specs * 21 and tail_hits >= n_specs * 3
     assert outcomes == {
         "one stretch",
         "path has no edge inside the region",
