@@ -11,7 +11,10 @@ Membership in a ground *sector* only constrains the tails: each string must
 have conflict-free tail directions (no axis walked both ways infinitely
 often) and the strings' direction sets must be pairwise disjoint.  For every
 positive verdict a finite repair script (region straightenings plus loop
-removals) is emitted and verified to land on an actual ground state.
+removals) is emitted.  Each straightening region is chosen from the letters
+a straightened segment would use, without straightening; ``run_script``
+does the straightening, and the tests check that it lands on monotone,
+path-equivalent strings.
 """
 
 from __future__ import annotations
@@ -166,6 +169,9 @@ def _straightens_monotone(spec: InfinitePathSpec, t_lo: int, t_hi: int) -> bool:
 def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
     """Full decision: ground state / ground sector with repair script / neither.
 
+    A non-monotone string of a ground sector is straightened in the first of
+    its script regions (padded 1, 2, 4 or 8 times) that it crosses once and
+    where :func:`_straightens_monotone` holds; nothing is straightened here.
     ``strict_gss`` switches the multi-string condition to the literal
     total-intersection reading instead of pairwise disjointness.
     """

@@ -136,7 +136,7 @@ def test_parse_steps_matches_reference():
         expected = _parsed(reference_parse_steps, text)
         assert _parsed(parse_steps, text) == expected, text
         if isinstance(expected, str):
-            messages.add(expected.split(" ")[0] + " " + expected.split(" ")[1])
+            messages.add(" ".join(expected.split()[:2]))
     assert _parsed(parse_steps, "ßX+-") == "invalid step atom 'SSX' at position 0"
     assert _parsed(parse_steps, "x+y-Z+") == ((0, 1), (1, -1), (2, 1))
     assert messages == {"invalid step", "step string"}
