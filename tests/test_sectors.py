@@ -118,8 +118,7 @@ def test_three_axis_lines_ground_sector():
 
 
 def test_long_two_bad_axis_core_classifies():
-    # a 320-step core oscillating along x and y while climbing z: every pass
-    # searches its windows with one bad axis
+    # a 320-step core oscillating along x and y while climbing z
     spec = spec_from_strings("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * 40, "Z+")
     v = classify(make_configuration(strings=[spec]))
     assert v.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE
