@@ -1,16 +1,18 @@
-"""Print the ``decide`` output hash: the sha256 over ``repr(Decide.op(doc))``
+"""Check the ``decide`` output hash: the sha256 over ``repr(Decide.op(doc))``
 for the 2880 ops of ``perfbench/gen.py`` seeds 5, 31, 77 and 101, in
-generation order.  Every op's ``check`` runs too; the script exits 1 on the
-first failed check.
+generation order, against ``EXPECTED``.  Every op's ``check`` runs too; the
+script exits 1 on the first failed check or when the digest differs from
+``EXPECTED``, printing both digests.
 
 Run from the repository root against the tree whose outputs are compared::
 
     PYTHONPATH=src python tests/golden/decide_hash.py
 
-A tree that keeps every ``decide`` output prints a hash starting
-``27931f684eb14a57``.  It reads ``perfbench/gen.py`` and ``perfbench/worker.py``
-and takes 20-35 s on a 2-vCPU VM; it is not part of the test suite, so
-that the suite does not depend on the benchmark's generator.
+A change that means to alter a ``decide`` output updates ``EXPECTED`` and
+says so in CHANGES.md.  The script reads ``perfbench/gen.py`` and
+``perfbench/worker.py`` and takes 20-35 s on a 2-vCPU VM; it is not part of
+the test suite, so that the suite does not depend on the benchmark's
+generator.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from tracer import Tracer  # noqa: E402
 from worker import Decide  # noqa: E402
 
 SEEDS = (5, 31, 77, 101)
+EXPECTED = "27931f684eb14a57cca9ef9e1421bc403437b156860e4412a3f2db19a85922f4"
 
 
 def main() -> int:
@@ -42,7 +45,11 @@ def main() -> int:
                     return 1
                 digest.update(repr(res).encode())
                 ops += 1
-    print(f"{digest.hexdigest()}  {ops} ops")
+    got = digest.hexdigest()
+    print(f"{got}  {ops} ops")
+    if got != EXPECTED:
+        print(f"decide hash mismatch: expected {EXPECTED}, got {got}", file=sys.stderr)
+        return 1
     return 0
 
 

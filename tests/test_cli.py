@@ -269,6 +269,26 @@ def test_semantic_error_reports_string_index():
     assert exc.value.index == 0
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            '{"loops":[{"start":[0,0,0],"steps":"X+X-"}]}',
+            "loops[0]: edge ((0, 0, 0), 0) walked twice",
+        ),
+        (
+            '{"strings":[{"neg_period":"Z+","core":"","pos_period":"","base":[0,0,0]}]}',
+            "strings[0]: period words must be nonempty",
+        ),
+    ],
+    ids=["loop_walks_an_edge_twice", "empty_period"],
+)
+def test_semantic_error_is_an_exit_2_report(monkeypatch, doc, message):
+    report, code = _run_with_stdin(monkeypatch, ["validate"], doc)
+    assert code == 2
+    assert (report["error"], report["message"]) == ("ConfigSemanticError", message)
+
+
 def test_round_trip_identity():
     doc = configuration_to_document(parse_config(LINE_DOC))
     assert configuration_to_document(parse_config(json.dumps(doc))) == doc

@@ -121,6 +121,33 @@ def test_disconnected_boundaries_rejected():
         validate_surface([Face((0, 0, 0), Z), Face((5, 5, 5), Z)])
 
 
+def _unit_cube(o):
+    x, y, z = o
+    return [
+        Face(o, Z), Face((x, y, z + 1), Z),
+        Face(o, Y), Face((x, y + 1, z), Y),
+        Face(o, X), Face((x + 1, y, z), X),
+    ]
+
+
+@pytest.mark.parametrize(
+    "faces,error,message",
+    [
+        ([], MalformedBoundary, "a surface needs at least one face"),
+        ([Face((0, 0, 0), Z)] * 2, SelfIntersecting, "face repeated in surface"),
+        (
+            _unit_cube((0, 0, 0)) + _unit_cube((5, 5, 5)),
+            SelfIntersecting,
+            "closed surface contains a closed proper sub-surface",
+        ),
+    ],
+    ids=["empty", "repeated_face", "two_cubes"],
+)
+def test_invalid_face_sets_rejected(faces, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        validate_surface(faces)
+
+
 def test_closed_plus_extra_face_rejected():
     faces = [
         Face((0, 0, 0), Z),

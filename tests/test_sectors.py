@@ -1,5 +1,6 @@
 """Sector verdicts, labels, repair scripts, and the case enumeration."""
 
+import json
 import time
 from collections import Counter
 from itertools import product
@@ -185,6 +186,28 @@ def test_single_string_verdict_matches_tail_conflict(rng):
         v = classify(make_configuration(strings=[s]))
         expected_bad = tail_conflict(infinity_directions(s)) is not None
         assert (v.kind is VerdictKind.NOT_GROUND_SECTOR) == expected_bad
+
+
+@pytest.mark.parametrize("neg,pos", [("Y+", "X+Y+X-Y+"), ("X+Y+X-Y+", "Z+")])
+def test_tail_conflict_without_a_shared_direction(tmp_path, neg, pos):
+    # no direction lies on both sides, so the witness is + along the first
+    # axis that the tails walk both ways, both in-process and on the CLI
+    from toric3d.cli import run
+
+    spec = spec_from_strings(neg, "", pos)
+    ds = infinity_directions(spec)
+    assert not ds.d_plus & ds.d_minus
+    v = classify(make_configuration(strings=[spec]))
+    assert v.kind is VerdictKind.NOT_GROUND_SECTOR
+    assert (v.witness.string_index, v.witness.pair, v.witness.direction) == (0, None, (0, 1))
+    doc = tmp_path / "cfg.json"
+    doc.write_text(
+        json.dumps({"strings": [{"neg_period": neg, "core": "", "pos_period": pos, "base": [0, 0, 0]}]})
+    )
+    report, code = run(["classify", "--config", str(doc)])
+    assert code == 0
+    assert report["verdict"]["kind"] == "NotGroundSector"
+    assert report["verdict"]["witness"] == {"string_index": 0, "direction": "x+"}
 
 
 def test_single_string_verdict_is_side_intersection_for_straight_tails(rng):

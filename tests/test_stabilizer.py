@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from toric3d import _kernels
-from toric3d.errors import MultipleCrossings, OutOfRegion, TooLarge
+from toric3d.errors import DimensionMismatch, MultipleCrossings, OutOfRegion, TooLarge
 from toric3d.lattice import Face, Region, parse_steps, region_of
 from toric3d.paths import path_from_steps, spec_from_strings, validate_surface
 from toric3d.stabilizer import (
@@ -53,6 +53,29 @@ def test_block_counts():
     assert len(lat2.interior_edges) == 36
     lat3 = FiniteLattice(3)
     assert len(lat3.vertices) == 27
+
+
+_OP1 = PauliOperator(0, 0, FiniteLattice(1).n_qubits)
+_OP2 = PauliOperator(0, 0, FiniteLattice(2).n_qubits)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: commutes(_OP1, _OP2), DimensionMismatch, "operators live on different lattices"),
+        (lambda: conjugation_sign(_OP1, _OP2), DimensionMismatch, "operators live on different lattices"),
+        (
+            lambda: syndrome_energy(FiniteLattice(2), _OP1, region_of((0, 0, 0), (0, 0, 0))),
+            DimensionMismatch,
+            "flip built on a different lattice",
+        ),
+        (lambda: FiniteLattice(0), ValueError, "lattice side must be >= 1"),
+    ],
+    ids=["commutes", "conjugation_sign", "syndrome_energy", "empty_block"],
+)
+def test_mismatched_or_empty_block_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_star_and_plaquette_weights(lat9):

@@ -8,6 +8,8 @@ from toric3d import transforms
 from toric3d.errors import (
     AlreadyMonotonicInRegion,
     EndpointMismatch,
+    InvalidConfiguration,
+    InvalidSurface,
     MultipleCrossings,
     NoOverlap,
     SelfIntersecting,
@@ -614,6 +616,39 @@ def test_surgery_no_overlap_rejected():
     surf = validate_surface([Face((7, 7, 7), Y)])
     with pytest.raises(NoOverlap):
         surgery(make_configuration(strings=[line]), surf)
+
+
+_UNIT_CUBE = [
+    Face((0, 0, 0), Z), Face((0, 0, 1), Z),
+    Face((0, 0, 0), Y), Face((0, 1, 0), Y),
+    Face((0, 0, 0), X), Face((1, 0, 0), X),
+]
+_OPEN_PATH = path_from_steps((0, 0, 0), parse_steps("X+Y+"))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (
+            lambda: surgery(
+                make_configuration(strings=[spec_from_strings("Z+", "", "Z+")]),
+                validate_surface(_UNIT_CUBE),
+            ),
+            InvalidSurface,
+            "surgery needs an open surface",
+        ),
+        (lambda: make_configuration(loops=[_OPEN_PATH]), InvalidConfiguration, "loop 0 is not closed"),
+        (
+            lambda: linking_parity(_OPEN_PATH, validate_surface([Face((0, 0, 0), Z)])),
+            InvalidConfiguration,
+            "linking parity needs a closed loop",
+        ),
+    ],
+    ids=["surgery_on_a_closed_surface", "open_loop_in_configuration", "open_loop_in_linking"],
+)
+def test_invalid_input_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_deoverlap_finite_shared_run():
