@@ -218,13 +218,11 @@ def parse_surface_file(path: str):
 def _verdict_json(v: SectorVerdict) -> dict:
     out = {"kind": v.kind.value, "frustration_free": v.frustration_free}
     if v.witness is not None:
-        w = {}
+        w = {"direction": direction_name(v.witness.direction)}
         if v.witness.string_index is not None:
             w["string_index"] = v.witness.string_index
         if v.witness.pair is not None:
             w["pair"] = list(v.witness.pair)
-        if v.witness.direction is not None:
-            w["direction"] = direction_name(v.witness.direction)
         out["witness"] = w
     if v.script:
         out["script"] = [

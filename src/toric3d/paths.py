@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
@@ -477,24 +478,6 @@ def _primitive(v: Vertex) -> tuple[Vertex, int]:
     return tuple(c // g for c in v), g
 
 
-def _parallel_factor(u: Vertex, v: Vertex) -> int | None:
-    """q with v == q*u, or None if v is not an integer multiple of u."""
-    q = None
-    for a in AXES:
-        if u[a] == 0:
-            if v[a] != 0:
-                return None
-        else:
-            if v[a] % u[a] != 0:
-                return None
-            qa = v[a] // u[a]
-            if q is None:
-                q = qa
-            elif q != qa:
-                return None
-    return q
-
-
 def _validate_spec(spec: InfinitePathSpec) -> None:
     if not spec.neg_period or not spec.pos_period:
         raise SelfIntersecting("period words must be nonempty")
@@ -521,18 +504,16 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
 
     k_pos, k_neg = _windows_needed(dpos), _windows_needed(dneg_out)
 
+    # the tail headings are parallel exactly when every 2x2 minor vanishes;
+    # ``u_pos`` is primitive, so ``dneg_out`` is then ``q * u_pos``
     u_pos, g_pos = _primitive(dpos)
-    q = _parallel_factor(u_pos, dneg_out)
-    if q is None:
-        # independent tail headings: Cramer bound over a nonsingular axis pair
-        best = None
-        for a in AXES:
-            for b in AXES:
-                if a < b:
-                    det = dpos[a] * dneg_out[b] - dpos[b] * dneg_out[a]
-                    if det != 0:
-                        best = (a, b, det)
-        a, b, det = best
+    axis = _escape_axis(u_pos)
+    q = dneg_out[axis] // u_pos[axis]
+    minors = [(a, b, dpos[a] * dneg_out[b] - dpos[b] * dneg_out[a]) for a, b in combinations(AXES, 2)]
+    nonsingular = [m for m in minors if m[2]]
+    if nonsingular:
+        # independent tail headings: Cramer bound over the last nonzero minor
+        a, b, det = nonsingular[-1]
         ra = _extent(all_vs, a) + 2
         rb = _extent(all_vs, b) + 2
         jmax = (ra * abs(dneg_out[b]) + rb * abs(dneg_out[a])) // abs(det) + 1
@@ -541,7 +522,6 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
         k_neg = max(k_neg, kmax)
     elif q < 0:
         # tails head opposite ways along a common line: bounded interaction
-        axis = _escape_axis(u_pos)
         span = _extent(all_vs, axis) + 2
         bound = span // min(abs(dpos[axis]), abs(dneg_out[axis])) + 1
         k_pos = max(k_pos, bound)
@@ -553,7 +533,6 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
         # is realized arbitrarily far out, so any hit is a genuine
         # self-intersection.
         g = math.gcd(g_pos, q)
-        axis = _escape_axis(u_pos)
         span = (
             _extent(w_pos, axis)
             + _extent(w_neg, axis)

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cache
 from itertools import permutations, product
 
-from .errors import MultipleCrossings, NotAGroundSector
+from .errors import NotAGroundSector
 from .lattice import AXES, Direction, Region, reverse_direction, sub
 from .paths import (
     DirectionSet,
@@ -48,9 +48,9 @@ class VerdictKind(Enum):
 class Witness:
     """Why a configuration is outside every ground sector."""
 
+    direction: Direction
     string_index: int | None = None
     pair: tuple[int, int] | None = None
-    direction: Direction | None = None
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,14 @@ def tail_conflict(ds: DirectionSet) -> Direction | None:
     """A direction witnessing that some axis is walked both ways forever.
 
     The outward bookkeeping folds back into forward steps: the tails' forward
-    letters are ``d_plus`` and the reverses of ``d_minus``.
+    letters are ``d_plus`` and the reverses of ``d_minus``.  The witness is
+    the least shared direction, else ``+`` along the first such axis.
     """
     letters = set(ds.d_plus) | {reverse_direction(d) for d in ds.d_minus}
     for a in AXES:
         if (a, +1) in letters and (a, -1) in letters:
             shared = ds.d_plus & ds.d_minus
-            if shared:
-                return sorted(shared)[0]
-            if (a, +1) in ds.d_plus and (a, -1) in ds.d_plus:
-                return (a, +1)
-            return (a, +1) if (a, +1) in ds.d_minus else (a, -1)
+            return min(shared) if shared else (a, +1)
     return None
 
 
@@ -130,7 +127,7 @@ def _sector_witness(cfg: Configuration, strict_gss: bool = False) -> Witness | N
     for i, ds in enumerate(dsets):
         bad = tail_conflict(ds)
         if bad is not None:
-            return Witness(string_index=i, direction=bad)
+            return Witness(bad, string_index=i)
 
     if strict_gss:
         if len(dsets) >= 2:
@@ -138,13 +135,13 @@ def _sector_witness(cfg: Configuration, strict_gss: bool = False) -> Witness | N
             for ds in dsets[1:]:
                 common &= ds.all
             if common:
-                return Witness(direction=sorted(common)[0])
+                return Witness(min(common))
     else:
         for i in range(len(dsets)):
             for j in range(i + 1, len(dsets)):
                 common = dsets[i].all & dsets[j].all
                 if common:
-                    return Witness(pair=(i, j), direction=sorted(common)[0])
+                    return Witness(min(common), pair=(i, j))
         # pairwise-disjoint direction sets of size >= 2 cannot exceed three
         # strings over six directions
         assert len(cfg.strings) <= 3
@@ -170,17 +167,15 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
     """Full decision: ground state / ground sector with repair script / neither.
 
     A non-monotone string of a ground sector is straightened in the first of
-    its script regions (padded 1, 2, 4 or 8 times) that it crosses once and
-    where :func:`_straightens_monotone` holds; nothing is straightened here.
+    its script regions (padded 1, 2, 4 or 8 times) where
+    :func:`_straightens_monotone` holds.  It crosses each once: each holds its
+    core, and its tails walk each axis one way.  Nothing is straightened here.
     ``strict_gss`` switches the multi-string condition to the literal
     total-intersection reading instead of pairwise disjointness.
     """
-    frustration_free = not cfg.charges and not cfg.loops and not cfg.strings
     witness = _sector_witness(cfg, strict_gss)
     if witness is not None:
-        return SectorVerdict(
-            VerdictKind.NOT_GROUND_SECTOR, witness, frustration_free=frustration_free
-        )
+        return SectorVerdict(VerdictKind.NOT_GROUND_SECTOR, witness)
 
     script: list[ScriptStep] = []
     all_monotone = True
@@ -190,10 +185,7 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
             all_monotone = False
             for pad in (1, 2, 4, 8):
                 region = _script_region(spec, pad)
-                try:
-                    t_lo, t_hi, _ = _segment_steps(spec, region)
-                except MultipleCrossings:
-                    continue
+                t_lo, t_hi, _ = _segment_steps(spec, region)
                 if _straightens_monotone(spec, t_lo, t_hi):
                     script.append(ScriptStep("straighten", i, region))
                     break
@@ -205,12 +197,10 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
         script.append(ScriptStep("drop_loop", k))
 
     if all_monotone and not cfg.loops:
-        return SectorVerdict(VerdictKind.GROUND_STATE, frustration_free=frustration_free)
-    return SectorVerdict(
-        VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE,
-        script=tuple(script),
-        frustration_free=frustration_free,
-    )
+        # only the empty configuration is frustration-free, and it lands here
+        empty = not cfg.charges and not cfg.strings
+        return SectorVerdict(VerdictKind.GROUND_STATE, frustration_free=empty)
+    return SectorVerdict(VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE, script=tuple(script))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +320,6 @@ def canonical_solution(sol: Solution) -> Solution:
 def _case_two(sol: Solution) -> str:
     (p1, m1), (p2, m2) = sol
     d1, d2 = p1 | m1, p2 | m2
-    if d1.bit_count() > d2.bit_count():
-        d1, d2 = d2, d1
     s1, s2 = d1.bit_count(), d2.bit_count()
 
     def axis_pair(mask):

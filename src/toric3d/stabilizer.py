@@ -3,9 +3,10 @@
 Everything here works with Pauli supports only: an operator is a pair of
 int bitsets (x flips, z flips) over the qubit edges of a finite block,
 and all statements reduce to symplectic parities and F2 ranks.  This module
-is the independent cross-check for the combinatorial energy and linking
-computations: it never looks at path specs' tail analysis, only at explicit
-edge sets.
+is the cross-check for the combinatorial energy and linking computations.
+It reads explicit edge sets, except that ``configuration_flip`` takes each
+string's crossing of ``clip`` from ``walk_in``, the tail walk that ``energy``
+reads too: a fault in that walk can cancel out in the energy check.
 
 The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
 every edge with at least one endpoint among them, every face with at least
@@ -158,9 +159,7 @@ def plaquette(lat: FiniteLattice, f: Face) -> PauliOperator:
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    if p.n_qubits != q.n_qubits:
-        raise DimensionMismatch("operators live on different lattices")
-    return _kernels.symplectic_parity(p.x, p.z, q.x, q.z) == 0
+    return conjugation_sign(p, q) == 0
 
 
 def conjugation_sign(p: PauliOperator, observable: PauliOperator) -> int:

@@ -268,15 +268,12 @@ def _single_bad_runs(steps: Sequence[Direction]) -> list[tuple[int, int, int]]:
 
 
 def _case_three(steps: Sequence[Direction]):
-    """Straighten the longest run that misbehaves along a single axis."""
-    runs = _single_bad_runs(steps)
-    if not runs:
-        return None
-    runs.sort(key=lambda r: (-r[0], r[1]))
+    """Straighten the longest run that misbehaves along a single axis; each
+    run walks its bad axis both ways, so its monotone reroute is shorter."""
+    runs = sorted(_single_bad_runs(steps), key=lambda r: (-r[0], r[1]))
     for _, i, j in runs[:8]:
-        replacement = _reroute_single_bad_axis(steps[i:j])
-        candidate = tuple(steps[:i]) + replacement + tuple(steps[j:])
-        if len(candidate) < len(steps) and word_is_self_avoiding(candidate):
+        candidate = tuple(steps[:i]) + _reroute_single_bad_axis(steps[i:j]) + tuple(steps[j:])
+        if word_is_self_avoiding(candidate):
             return candidate
     return None
 

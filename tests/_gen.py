@@ -25,6 +25,7 @@ from toric3d.lattice import (
     Edge,
     Face,
     Region,
+    Vertex,
     add,
     boundary_edge,
     direction_vector,
@@ -43,7 +44,6 @@ from toric3d.paths import (
     _cumulative,
     _escape_axis,
     _extent,
-    _parallel_factor,
     _primitive,
     _word_displacement,
     monotone_staircase,
@@ -436,6 +436,24 @@ def unchecked_spec(neg, core, pos, base) -> InfinitePathSpec:
     for name, value in zip(("neg_period", "core", "pos_period", "base"), (neg, core, pos, base)):
         object.__setattr__(spec, name, value)
     return spec
+
+
+def _parallel_factor(u: Vertex, v: Vertex) -> int | None:
+    """q with v == q*u, or None if v is not an integer multiple of u."""
+    q = None
+    for a in AXES:
+        if u[a] == 0:
+            if v[a] != 0:
+                return None
+        else:
+            if v[a] % u[a] != 0:
+                return None
+            qa = v[a] // u[a]
+            if q is None:
+                q = qa
+            elif q != qa:
+                return None
+    return q
 
 
 def reference_validate_spec(spec: InfinitePathSpec) -> None:
