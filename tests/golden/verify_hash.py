@@ -1,0 +1,66 @@
+"""Check the ``verify`` output hash: the sha256 over
+``repr((combinatorial, syndrome, hex(flip.x), hex(flip.z)))`` for every op
+of ``perfbench/gen.py`` seeds 5, 31, 77 and 101, in generation order, on the
+workload's block and region, against ``EXPECTED``.  Every op's ``check``
+runs too; the script exits 1 on the first failed check or when the digest
+differs from ``EXPECTED``, printing both digests.  The flip's supports are
+hashed as ``hex``: the ``repr`` of a bitset over the side-21 block's 34650
+qubits exceeds Python's 4300-digit limit for ``int`` to ``str``.
+
+Run from the repository root against the tree whose outputs are compared::
+
+    PYTHONPATH=src python tests/golden/verify_hash.py
+
+A change that means to alter a ``verify`` output or flip updates
+``EXPECTED`` and says so in CHANGES.md.  The script reads
+``perfbench/gen.py`` and ``perfbench/worker.py`` and takes 10-20 s on a
+2-vCPU VM; it is not part of the test suite, so that the suite does not
+depend on the benchmark's generator.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "perfbench"))
+
+import gen  # noqa: E402
+from tracer import Tracer  # noqa: E402
+from worker import Verify  # noqa: E402
+
+SEEDS = (5, 31, 77, 101)
+EXPECTED = "762f0a03b849370b17f31189d080924b7f57179d31e5619d0ec843cd8172689c"
+
+
+def main() -> int:
+    inputs = {"block": gen.VERIFY_BLOCK, "region": gen.VERIFY_REGION}
+    workload = Verify(inputs, Tracer(enabled=False), None)
+    t, st = workload.t, workload.st
+    digest = hashlib.sha256()
+    ops = 0
+    for seed in SEEDS:
+        for ops_of_pass in gen.generate("verify", seed):
+            for doc in ops_of_pass:
+                _specs, cfg = workload.configuration(doc, "core20")
+                combinatorial = t.energy(cfg, workload.region).total
+                flip = st.configuration_flip(workload.lat, cfg, workload.region, workload.clip)
+                syndrome = st.syndrome_energy(workload.lat, flip, workload.region)
+                res = {"combinatorial": combinatorial, "syndrome": syndrome}
+                error = workload.check(doc, res)
+                if error is not None:
+                    print(f"seed {seed}, op {ops}: {error}", file=sys.stderr)
+                    return 1
+                digest.update(repr((combinatorial, syndrome, hex(flip.x), hex(flip.z))).encode())
+                ops += 1
+    got = digest.hexdigest()
+    print(f"{got}  {ops} ops")
+    if got != EXPECTED:
+        print(f"verify hash mismatch: expected {EXPECTED}, got {got}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
