@@ -4,14 +4,18 @@ Everything here works with Pauli supports only: an operator is a pair of
 int bitsets (x flips, z flips) over the qubit edges of a finite block,
 and all statements reduce to symplectic parities and F2 ranks.  This module
 is the cross-check for the combinatorial energy and linking computations.
-It reads explicit edge sets, except that ``configuration_flip`` takes each
-string's crossing of ``clip`` from ``walk_in``, the tail walk that ``energy``
-reads too: a fault in that walk can cancel out in the energy check.
+It reads explicit edge sets and shares no tail walk with ``energy``:
+``configuration_flip`` takes each string's crossing of ``clip`` from one
+explicit ``edges`` window sized from the tail displacements.
 
 The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
 every edge with at least one endpoint among them, every face with at least
 one corner among them, and the extra edges of those faces as a boundary
-fringe.  Qubits live on all these edges.
+fringe.  Qubits live on all these edges.  The block's geometry is read in
+closed form from its bounds: the edge lists, whether a region's plaquettes
+lie in the block, and the z-range of each column of edges that a curtain or
+charge tail fills.  Syndromes count stabilizers by integer cell codes
+reached from each flipped qubit by fixed per-axis deltas.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product, repeat
-from operator import eq, gt, le, xor
+from operator import eq, gt, le, mul, xor
 from typing import Iterable, Sequence
 
 from . import _kernels
-from .errors import DimensionMismatch, OutOfRegion, TooLarge
+from .errors import DimensionMismatch, MultipleCrossings, OutOfRegion, TooLarge
 from .lattice import (
     AXES,
     Edge,
@@ -41,7 +45,29 @@ from .lattice import (
     sub,
     unit,
 )
-from .transforms import Configuration, _segment_steps
+from .paths import MAX_TAIL_LETTERS, InfinitePathSpec
+from .transforms import Configuration
+
+
+def _edge_axes(classes: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axes of the interior and of the fringe edges based at a vertex whose
+    coordinates have the given classes (0 one step below the cube, 1 in it,
+    2 one step above): an edge's own coordinate must not lie above the cube,
+    and it is interior with both other coordinates in the cube, fringe with
+    one of them outside."""
+    inner, fringe = [], []
+    for axis in AXES:
+        if classes[axis] == 2:
+            continue
+        transverse = sum(classes[a] != 1 for a in AXES if a != axis)
+        if transverse == 0:
+            inner.append(axis)
+        elif transverse == 1:
+            fringe.append(axis)
+    return tuple(inner), tuple(fringe)
+
+
+_EDGE_AXES = {c: _edge_axes(c) for c in product(range(3), repeat=3)}
 
 
 class FiniteLattice:
@@ -61,26 +87,28 @@ class FiniteLattice:
         hi = lo + n - 1
         self.lo = (lo, lo, lo)
         self.hi = (hi, hi, hi)
-        side = range(lo, hi + 1)
-        self.vertices: list[Vertex] = list(product(side, side, side))
-        self.vertex_set = set(self.vertices)
+        self.vertices: list[Vertex] = []
         self.interior_edges: list[EdgeKey] = []
         self.boundary_edges: list[EdgeKey] = []
-        wide = range(lo - 1, hi + 2)
-        for v in product(wide, wide, wide):
-            outside = [not lo <= c <= hi for c in v]
-            n_outside = sum(outside)
-            for axis in AXES:
-                if v[axis] > hi:
-                    continue
-                transverse = n_outside - outside[axis]
-                if transverse == 0:
-                    self.interior_edges.append((v, axis))
-                elif transverse == 1:
-                    self.boundary_edges.append((v, axis))
+        # the widened cube column by column, each column (x, y) in three runs
+        # along z: one step below the cube, in it and one step above.  Every
+        # vertex of a run has the same edge axes, and the keys at a vertex
+        # share its tuple.
+        w = n + 2
+        grid = list(product(range(lo - 1, hi + 2), repeat=3))
+        classes = (0, *(1,) * n, 2)
+        for start, (cx, cy) in zip(range(0, len(grid), w), product(classes, repeat=2)):
+            column = grid[start : start + w]
+            for run, cz in ((column[:1], 0), (column[1:-1], 1), (column[-1:], 2)):
+                inner, fringe = _EDGE_AXES[cx, cy, cz]
+                self.interior_edges += product(run, inner)
+                self.boundary_edges += product(run, fringe)
+            if cx == cy == 1:
+                self.vertices += column[1:-1]
+        self.vertex_set = set(self.vertices)
         self.qubits: list[EdgeKey] = self.interior_edges + self.boundary_edges
-        self.edge_index: dict[EdgeKey, int] = {k: i for i, k in enumerate(self.qubits)}
         self.n_qubits = len(self.qubits)
+        self.edge_index: dict[EdgeKey, int] = dict(zip(self.qubits, range(self.n_qubits)))
 
     def __repr__(self):
         return f"FiniteLattice(n={self.n}, qubits={self.n_qubits})"
@@ -99,10 +127,19 @@ class FiniteLattice:
         ]
 
     @cached_property
+    def cell_codes(self) -> "_CellCodes":
+        return _CellCodes(self.n, self.lo[0])
+
+    @cached_property
     def star_matrix(self) -> list[int]:
+        index = self.edge_index
         return [
-            _kernels.vector(self.edge_index[e.key] for e in edges_of_vertex(v))
+            _kernels.vector(
+                (index[v, 0], index[v, 1], index[v, 2],
+                 index[(x - 1, y, z), 0], index[(x, y - 1, z), 1], index[(x, y, z - 1), 2])
+            )
             for v in self.vertices
+            for x, y, z in [v]
         ]
 
     @cached_property
@@ -186,18 +223,38 @@ def truncation_stable(
 # ---------------------------------------------------------------------------
 
 
+def _faces_in_block(lat: FiniteLattice, lo: Vertex, hi: Vertex, normal: int) -> bool:
+    """Whether every face ``(b, normal)`` with ``lo <= b <= hi`` has its four
+    edges in the block.  Those faces form the union of two boxes: the normal
+    coordinate in the cube and the in-plane ones at most one step below it,
+    or the normal coordinate at most one step outside the cube and the
+    in-plane ones in the cube short of its top.  A box of faces lies in the
+    union exactly when it lies in one of the two."""
+    c_lo, c_hi = lat.lo[0], lat.hi[0]
+
+    def within(in_plane: tuple[int, int], along_normal: tuple[int, int]) -> bool:
+        ranges = [along_normal if a == normal else in_plane for a in AXES]
+        return all(bottom <= lo[a] and hi[a] <= top for a, (bottom, top) in enumerate(ranges))
+
+    return within((c_lo - 1, c_hi), (c_lo, c_hi)) or within((c_lo, c_hi - 1), (c_lo - 1, c_hi + 1))
+
+
 def _check_plaquettes_in_block(lat: FiniteLattice, lo: Vertex, dual_hi: list[Vertex]) -> None:
     """Raise ``OutOfRegion`` unless every plaquette of the region lies in the
     block; its dual edges along ``axis`` have bases from ``lo`` to
-    ``dual_hi[axis]``.  The faces whose four edges lie in the block form the
-    union of two boxes, so a box of faces lies in it exactly when its corners
-    do: at most eight faces per axis are tested."""
+    ``dual_hi[axis]``, so its plaquettes are the faces ``(b, axis)`` with
+    ``lo + e_axis <= b <= dual_hi[axis] + e_axis``.  On failure the corners
+    of that box are tested in turn, and the first one outside the block is
+    named."""
     for axis, hi in enumerate(dual_hi):
         if hi[axis] < lo[axis]:
             continue
+        step = unit(axis)
+        if _faces_in_block(lat, add(lo, step), add(hi, step), axis):
+            continue
         for base in product(*({lo[a], hi[a]} for a in AXES)):
             f = primal_face_of_edge(Edge(base, axis))
-            if any(e.key not in lat.edge_index for e in face_edges(f)):
+            if not _faces_in_block(lat, f.base, f.base, axis):
                 raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
 
 
@@ -217,8 +274,52 @@ def _plaquette_offsets(axis: int) -> tuple[tuple[Vertex, int], ...]:
 _PLAQUETTE_OFFSETS = tuple(_plaquette_offsets(a) for a in AXES)
 
 
-def _inside(v: Vertex, lo: Vertex, hi: Vertex) -> bool:
-    return lo[0] <= v[0] <= hi[0] and lo[1] <= v[1] <= hi[1] and lo[2] <= v[2] <= hi[2]
+class _CellCodes:
+    """Integer codes ``3 * linear(v) + axis`` of the cells ``(v, axis)`` near
+    a side-``n`` block, where ``linear`` numbers the grid of side ``n + 4``
+    that starts two steps below the cube: every star and plaquette of a qubit
+    gets a non-negative code.  A star is coded as its vertex's cell along x,
+    a plaquette as its dual edge's cell, and both sit at fixed code deltas
+    from the qubit's own code, one tuple per qubit axis."""
+
+    def __init__(self, n: int, lo: int):
+        self.width, self.shift = n + 4, 2 - lo
+        self.strides = (3 * self.width**2, 3 * self.width, 3)
+        self.star_deltas = tuple((-a, self.strides[a] - a) for a in AXES)
+        self.plaquette_deltas = tuple(
+            tuple(self._delta(d) + normal - a for d, normal in _PLAQUETTE_OFFSETS[a]) for a in AXES
+        )
+        self.origin = self._delta((self.shift,) * 3)
+
+    def _delta(self, d: Vertex) -> int:
+        return sum(map(mul, d, self.strides))
+
+    def count_odd(
+        self, keys: Iterable[EdgeKey], deltas: tuple[tuple[int, ...], ...], boxes: Sequence[Region]
+    ) -> int:
+        """How many cells, reached an odd number of times from the qubits
+        ``keys`` by their axis's ``deltas``, lie in ``boxes[axis]``; only
+        those cells are decoded."""
+        sx, sy, sz = self.strides
+        origin = self.origin
+        counts = Counter([
+            code + d
+            for (x, y, z), a in keys
+            for code in [x * sx + y * sy + z * sz + a + origin]
+            for d in deltas[a]
+        ])
+        w, s = self.width, self.shift
+        # the boxes in the grid's coordinates
+        boxes = [(lx + s, ly + s, lz + s, hx + s, hy + s, hz + s) for (lx, ly, lz), (hx, hy, hz) in boxes]
+        inside = 0
+        for code, count in counts.items():
+            if count & 1:
+                cell, axis = divmod(code, 3)
+                xy, z = divmod(cell, w)
+                x, y = divmod(xy, w)
+                lx, ly, lz, hx, hy, hz = boxes[axis]
+                inside += lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
+        return inside
 
 
 def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> int:
@@ -228,7 +329,9 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     plaquettes to their dual edge read in dual coordinates, counted when both
     dual endpoints lie in the region.  Only the flip's support is read: each
     z-flipped edge toggles its two endpoint stars and each x-flipped edge its
-    four plaquettes, so the work grows with the flip's weight.
+    four plaquettes, reached from the edge's integer cell code by fixed
+    deltas, so the work grows with the flip's weight; only the stabilizers
+    toggled an odd number of times are decoded and tested against the region.
     """
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
@@ -237,26 +340,15 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     # stays below the region's top along the edge's axis
     dual_hi = [sub(hi, unit(normal)) for normal in AXES]
     _check_plaquettes_in_block(lat, lo, dual_hi)
-    qubits = lat.qubits
-    stars: list[Vertex] = []
-    for i in _kernels.support(flip.z):
-        base, axis = qubits[i]
-        stars += (base, add(base, unit(axis)))
-    plaquettes: list[EdgeKey] = []
-    for i in _kernels.support(flip.x):
-        (x, y, z), axis = qubits[i]
-        plaquettes += [
-            ((x + dx, y + dy, z + dz), normal) for (dx, dy, dz), normal in _PLAQUETTE_OFFSETS[axis]
-        ]
-    star_lo = tuple(map(max, lo, lat.lo))
-    star_hi = tuple(map(min, hi, lat.hi))
-    violated = sum(
-        1 for v, count in Counter(stars).items() if count & 1 and _inside(v, star_lo, star_hi)
+    codes, qubits = lat.cell_codes, lat.qubits
+    star_box = Region(tuple(map(max, lo, lat.lo)), tuple(map(min, hi, lat.hi)))
+    violated = codes.count_odd(
+        map(qubits.__getitem__, _kernels.support(flip.z)), codes.star_deltas, [star_box]
     )
-    violated += sum(
-        1
-        for (d, normal), count in Counter(plaquettes).items()
-        if count & 1 and _inside(d, lo, dual_hi[normal])
+    violated += codes.count_odd(
+        map(qubits.__getitem__, _kernels.support(flip.x)),
+        codes.plaquette_deltas,
+        [Region(lo, d_hi) for d_hi in dual_hi],
     )
     return 2 * violated
 
@@ -272,28 +364,126 @@ def gauge_rank(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _curtain_edges(lat: FiniteLattice, dual_edges: Sequence[Edge]) -> set[EdgeKey]:
-    """Primal edges piercing the vertical dual faces that hang below the
-    horizontal edges of a dual path, clipped at the block's lower fringe.
-    The membrane's boundary is the path itself plus descender and floor junk
-    near the block frontier."""
-    keys: set[EdgeKey] = set()
-    for e in dual_edges:
-        if e.axis == 2:
-            continue
-        other = 1 - e.axis  # normal of the hanging face
-        # the primal edge of the face based one step below e, then downwards
-        x, y, z = e.base
-        if other == 0:
-            y += 1
+def _column(lat: FiniteLattice, x: int, y: int, axis: int) -> tuple[int, int] | None:
+    """The z-range of the block's edges ``((x, y, z), axis)``, or None when
+    the block has none.  An edge lies in the block when its own coordinate
+    runs from one step below the cube to its top, and its two others lie at
+    most one step outside the cube, not both outside."""
+    lo, hi = lat.lo[0], lat.hi[0]
+    if not (lo - 1 <= x <= hi + 1 and lo - 1 <= y <= hi + 1):
+        return None
+    if axis == 2:
+        return (lo - 1, hi) if lo <= x <= hi or lo <= y <= hi else None
+    along, across = (x, y) if axis == 0 else (y, x)
+    if along > hi:
+        return None
+    return (lo - 1, hi + 1) if lo <= across <= hi else (lo, hi)
+
+
+def _column_bits(lat: FiniteLattice, x: int, y: int, axis: int, bottom: int, top: int) -> int:
+    """Bitset of the block's edges ``((x, y, z), axis)`` for ``bottom <= z <=
+    top``, all in the block.  The edges at heights in the cube follow each
+    other in ``qubits`` at a fixed stride, the number of same-list edges at
+    each vertex of that run of the column; the ones just below and above the
+    cube are looked up."""
+    lo, hi = lat.lo[0], lat.hi[0]
+    index = lat.edge_index
+    bits = 0
+    if bottom < lo:
+        bits |= 1 << index[(x, y, bottom), axis]
+        bottom = lo
+    if top > hi:
+        bits |= 1 << index[(x, y, top), axis]
+        top = hi
+    if bottom <= top:
+        # the classes of x and y, as in _EDGE_AXES
+        inner, fringe = _EDGE_AXES[(x >= lo) + (x > hi), (y >= lo) + (y > hi), 1]
+        stride = len(inner if axis in inner else fringe)
+        run = ((1 << stride * (top - bottom + 1)) - 1) // ((1 << stride) - 1)
+        bits |= run << index[(x, y, bottom), axis]
+    return bits
+
+
+def _column_sum(lat: FiniteLattice, tops: Iterable[tuple[int, int, int, int]]) -> int:
+    """Bitset of the mod-2 sum, over each ``(x, y, axis, top)``, of the
+    block's edges ``((x, y, z), axis)`` from ``z = top`` down to the column's
+    floor; a top outside the column adds nothing.  Each column is summed
+    whole: an edge at height ``z`` is added once per top at or above it, so
+    with the tops of odd multiplicity sorted, the runs between alternate
+    tops remain."""
+    columns: dict[tuple[int, int, int], set[int]] = {}
+    for x, y, axis, top in tops:
+        odd = columns.setdefault((x, y, axis), set())
+        if top in odd:
+            odd.remove(top)
         else:
-            x += 1
-        key = ((x, y, z), other)
-        while key in lat.edge_index:
-            keys ^= {key}
-            z -= 1
-            key = ((x, y, z), other)
-    return keys
+            odd.add(top)
+    bits = 0
+    for (x, y, axis), odd in columns.items():
+        span = _column(lat, x, y, axis)
+        if span is None:
+            continue
+        floor, ceiling = span
+        bounds = sorted(z for z in odd if floor <= z <= ceiling)
+        if len(bounds) & 1:
+            bounds.insert(0, floor - 1)
+        for below, top in zip(bounds[::2], bounds[1::2]):
+            bits ^= _column_bits(lat, x, y, axis, below + 1, top)
+    return bits
+
+
+def _curtain_edges(lat: FiniteLattice, dual_edges: Iterable[Edge]) -> int:
+    """Bitset of the primal edges piercing the vertical dual faces that hang
+    below the horizontal edges of a dual path, clipped at the block's lower
+    fringe.  The membrane's boundary is the path itself plus descender and
+    floor junk near the block frontier.  Below the dual edge ``(x, y, z)``
+    along ``a`` hangs the column of primal edges along ``1 - a`` at
+    ``(x + 1 - a, y + a)``, from height ``z`` down."""
+    return _column_sum(
+        lat,
+        ((x + 1 - e.axis, y + e.axis, 1 - e.axis, z) for e in dual_edges if e.axis != 2 for x, y, z in [e.base]),
+    )
+
+
+def _tail_letters(clip: Region, start: Vertex, period: int, disp: Vertex) -> int:
+    """Letters after which a tail walked from ``start``, ``period`` letters
+    and ``disp`` per period, has left ``clip`` for good: each period gains
+    ``|disp|`` along its escape axis and strays at most ``period`` letters
+    back.  Raise TooLarge past ``MAX_TAIL_LETTERS``."""
+    axis = max(AXES, key=lambda a: abs(disp[a]))
+    sign = 1 if disp[axis] > 0 else -1
+    limit = clip.hi[axis] if sign > 0 else -clip.lo[axis]
+    letters = ((max(0, limit - sign * start[axis]) + period) // abs(disp[axis]) + 2) * period
+    if letters > MAX_TAIL_LETTERS:
+        raise TooLarge(
+            f"a tail needs up to {letters} steps to leave the region (at most {MAX_TAIL_LETTERS})"
+        )
+    return letters
+
+
+def _crossing(spec: InfinitePathSpec, clip: Region) -> list[Edge]:
+    """The edges of the string's single crossing of ``clip``, or raise
+    MultipleCrossings.  The crossing is read from one explicit window of
+    ``spec.edges``, wide enough that both tails have left ``clip`` for good:
+    it runs from the first to the last edge with both endpoints in ``clip``,
+    and must hold every such edge and every vertex in ``clip``."""
+    b = len(spec.core) + _tail_letters(clip, spec.junction, len(spec.pos_period), spec.pos_displacement)
+    a = -_tail_letters(clip, spec.base, len(spec.neg_period), spec.neg_displacement)
+    edges = spec.edges(a, b - 1)
+    (lx, ly, lz), (hx, hy, hz) = clip
+    # vertex i of the window starts edge i; the last edge's end closes it
+    vertices = [boundary_edge(e)[0] for e in edges] + [boundary_edge(edges[-1])[1]]
+    inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in vertices]
+    crossing = [i for i in range(len(edges)) if inside[i] and inside[i + 1]]
+    if not crossing:
+        raise MultipleCrossings("path has no edge inside the region")
+    first, last = crossing[0], crossing[-1]
+    if last - first + 1 != len(crossing):
+        raise MultipleCrossings("path crosses the region more than once")
+    touched = [i for i, here in enumerate(inside) if here]
+    if touched[0] < first or touched[-1] > last + 1:
+        raise MultipleCrossings("path touches the region outside its crossing")
+    return edges[first : last + 1]
 
 
 def _extend_clear_of(path_edges: list[Edge], region: Region) -> list[Edge]:
@@ -326,23 +516,10 @@ def configuration_flip(
     ``clip`` is the truncation box for the infinite strings; it must contain
     ``region`` with margin and each string must cross it exactly once.
     """
-    x_keys: set[EdgeKey] = set()
-    for spec in cfg.strings:
-        t_lo, t_hi, _ = _segment_steps(spec, clip)
-        edges = spec.edges(t_lo, t_hi - 1)
-        edges = _extend_clear_of(edges, region)
-        x_keys ^= _curtain_edges(lat, edges)
-    for loop in cfg.loops:
-        x_keys ^= _curtain_edges(lat, list(loop.edges))
-
-    z_chain: set[EdgeKey] = set()
-    for x, y, z in cfg.charges:
-        key = ((x, y, z - 1), 2)
-        while key in lat.edge_index:
-            z_chain ^= {key}
-            z -= 1
-            key = ((x, y, z - 1), 2)
-    return pauli_from_keys(lat, x_keys=x_keys, z_keys=z_chain)
+    dual_edges = [e for spec in cfg.strings for e in _extend_clear_of(_crossing(spec, clip), region)]
+    dual_edges += [e for loop in cfg.loops for e in loop.edges]
+    z_chain = _column_sum(lat, ((x, y, 2, z - 1) for x, y, z in cfg.charges))
+    return PauliOperator(_curtain_edges(lat, dual_edges), z_chain, lat.n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -467,4 +644,4 @@ def growing_membrane_pauli(lat: FiniteLattice, line_start: Vertex, length: int) 
     """Membrane hanging below a dual +x segment of the given length."""
     x, y, z = line_start
     edges = [Edge((x + k, y, z), 0) for k in range(length)]
-    return pauli_from_keys(lat, x_keys=_curtain_edges(lat, edges))
+    return PauliOperator(_curtain_edges(lat, edges), 0, lat.n_qubits)

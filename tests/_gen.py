@@ -233,6 +233,62 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
     return 2 * violated
 
 
+# The corner test and the step-by-step curtain that ``stabilizer`` replaced
+# with closed forms over the block's bounds: the references for them.
+
+
+def reference_check_plaquettes_in_block(lat, lo: Vertex, dual_hi: list[Vertex]) -> None:
+    """Raise ``OutOfRegion`` unless every plaquette of the region lies in the
+    block; its dual edges along ``axis`` have bases from ``lo`` to
+    ``dual_hi[axis]``.  The faces whose four edges lie in the block form the
+    union of two boxes, so a box of faces lies in it exactly when its corners
+    do: at most eight faces per axis are tested."""
+    for axis, hi in enumerate(dual_hi):
+        if hi[axis] < lo[axis]:
+            continue
+        for base in product(*({lo[a], hi[a]} for a in AXES)):
+            f = primal_face_of_edge(Edge(base, axis))
+            if any(e.key not in lat.edge_index for e in face_edges(f)):
+                raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
+
+
+def reference_curtain_edges(lat, dual_edges) -> set:
+    """Primal edges piercing the vertical dual faces that hang below the
+    horizontal edges of a dual path, clipped at the block's lower fringe.
+    The membrane's boundary is the path itself plus descender and floor junk
+    near the block frontier."""
+    keys: set = set()
+    for e in dual_edges:
+        if e.axis == 2:
+            continue
+        other = 1 - e.axis  # normal of the hanging face
+        # the primal edge of the face based one step below e, then downwards
+        x, y, z = e.base
+        if other == 0:
+            y += 1
+        else:
+            x += 1
+        key = ((x, y, z), other)
+        while key in lat.edge_index:
+            keys ^= {key}
+            z -= 1
+            key = ((x, y, z), other)
+    return keys
+
+
+
+def reference_charge_tails(lat, charges) -> set:
+    """The z-flips of charge tails dropped straight down from each charge to
+    the block's floor, edge by edge."""
+    z_chain: set = set()
+    for x, y, z in charges:
+        key = ((x, y, z - 1), 2)
+        while key in lat.edge_index:
+            z_chain ^= {key}
+            z -= 1
+            key = ((x, y, z - 1), 2)
+    return z_chain
+
 # Three period-by-period tail walks, each rebuilding ``spec.vertex(t)`` and an
 # ``Edge`` per step: the references for ``InfinitePathSpec.walk_in``.
 

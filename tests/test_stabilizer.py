@@ -8,11 +8,15 @@ import pytest
 
 from toric3d import _kernels
 from toric3d.errors import DimensionMismatch, MultipleCrossings, OutOfRegion, TooLarge
-from toric3d.lattice import Face, Region, parse_steps, region_of
-from toric3d.paths import path_from_steps, spec_from_strings, validate_surface
+from toric3d.lattice import DIRECTIONS, Face, Region, edge_from, edges_of_vertex, parse_steps, region_of
+from toric3d.paths import InfinitePathSpec, MAX_TAIL_LETTERS, path_from_steps, spec_from_strings, validate_surface
 from toric3d.stabilizer import (
     FiniteLattice,
     PauliOperator,
+    _check_plaquettes_in_block,
+    _column_sum,
+    _crossing,
+    _curtain_edges,
     _edge_rows_over_faces,
     _fiber_checks,
     configuration_flip,
@@ -34,7 +38,11 @@ from ._gen import (
     random_loop,
     random_spec,
     reference_block,
+    reference_charge_tails,
+    reference_check_plaquettes_in_block,
+    reference_curtain_edges,
     reference_fiber_checks,
+    reference_segment_steps,
     reference_syndrome_energy,
     string_op,
 )
@@ -308,11 +316,9 @@ def test_truncation_stability_positive(lat11):
 
 def test_growing_membrane_hangs_below_its_line(lat11):
     # the membrane of an n-step +x line is the curtain below that walked line
-    from toric3d.stabilizer import _curtain_edges
-
     for n in (1, 2, 3):
         line = path_from_steps((0, 0, 2), parse_steps("X+" * n))
-        curtain = pauli_from_keys(lat11, x_keys=_curtain_edges(lat11, list(line.edges)))
+        curtain = pauli_from_keys(lat11, x_keys=reference_curtain_edges(lat11, list(line.edges)))
         assert growing_membrane_pauli(lat11, (0, 0, 2), n) == curtain
 
 
@@ -400,3 +406,182 @@ def test_energy_law_side33_block(rng):
         checked += 1
         nonzero += expected > 0
     assert checked >= 35 and nonzero >= 20
+
+
+# ---------------------------------------------------------------------------
+# closed forms against the step-by-step references
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_star_matrix_matches_rows_of_edges_of_vertex(n):
+    lat = FiniteLattice(n)
+    rows = [_kernels.vector(lat.edge_index[e.key] for e in edges_of_vertex(v)) for v in lat.vertices]
+    assert lat.star_matrix == rows
+
+
+def _random_dual_walk(rng: random.Random, lo: int, hi: int):
+    """Edges of a random walk (repeats allowed) from a vertex up to three
+    steps outside the block's cube, so that it reaches the fringe, the floor
+    and beyond."""
+    v = tuple(rng.randint(lo - 3, hi + 3) for _ in range(3))
+    edges = []
+    for _ in range(rng.randint(1, 12)):
+        e = edge_from(v, rng.choice(DIRECTIONS))
+        edges.append(e)
+        v = e.base if e.sign < 0 else tuple(c + (a == e.axis) for a, c in enumerate(e.base))
+    return edges
+
+
+def _rectangle(rng: random.Random, lo: int, hi: int):
+    a1, a2 = sorted(rng.sample(range(3), 2))
+    w, h = rng.randint(1, 4), rng.randint(1, 4)
+    start = tuple(rng.randint(lo - 3, hi + 2) for _ in range(3))
+    return list(path_from_steps(start, [(a1, 1)] * w + [(a2, 1)] * h + [(a1, -1)] * w + [(a2, -1)] * h).edges)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_curtain_edges_match_reference(n):
+    """The column-parity curtain against the edge-by-edge reference, on
+    random walks and rectangle loops around the block, single and summed."""
+    rng = random.Random(1000 + n)
+    lat = FiniteLattice(n)
+    lo, hi = lat.lo[0], lat.hi[0]
+    fringe, floor = set(lat.boundary_edges), set()
+    reached = set()
+    for case in range(80):
+        paths = [_random_dual_walk(rng, lo, hi) if rng.random() < 0.6 else _rectangle(rng, lo, hi)
+                 for _ in range(rng.randint(1, 3))]
+        edges = [e for path in paths for e in path]
+        want = reference_curtain_edges(lat, edges)
+        got = {lat.qubits[i] for i in _kernels.support(_curtain_edges(lat, edges))}
+        assert got == want, (n, case, edges)
+        reached |= {"fringe" for key in want if key in fringe}
+        reached |= {"floor" for (_, _, z), _ in want if z == lo - 1}
+        reached |= {"cancel" for e in edges if edges.count(e) > 1}
+    assert reached == {"fringe", "floor", "cancel"}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_charge_tails_match_reference(n):
+    """Charge tails summed by column against the edge-by-edge drop, with
+    charges around the block and repeated columns."""
+    rng = random.Random(2000 + n)
+    lat = FiniteLattice(n)
+    lo, hi = lat.lo[0], lat.hi[0]
+    reached = set()
+    for case in range(80):
+        charges = [tuple(rng.randint(lo - 2, hi + 2) for _ in range(3)) for _ in range(rng.randint(1, 6))]
+        charges += [(x, y, rng.randint(lo - 2, hi + 2)) for x, y, _ in charges[: rng.randint(0, 2)]]
+        want = reference_charge_tails(lat, charges)
+        tops = [(x, y, 2, z - 1) for x, y, z in charges]
+        got = {lat.qubits[i] for i in _kernels.support(_column_sum(lat, tops))}
+        assert got == want, (n, case, charges)
+        reached |= {"floor" for (_, _, z), _ in want if z == lo - 1}
+        reached |= {"fringe" for (x, y, _), _ in want if not (lo <= x <= hi and lo <= y <= hi)}
+    assert reached == {"fringe", "floor"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plaquette_block_check_matches_reference(n):
+    """The closed-form block test raises the reference's exception, message
+    included, on every region of the dense syndrome test's grid."""
+    lat = FiniteLattice(n)
+    lo, hi = lat.lo[0] - 3, lat.hi[0] + 2
+    sides = [(a, b) for a in range(lo, hi + 1) for b in range(a, min(hi, a + n + 1) + 1)]
+    outcomes = set()
+    for x, y, z in product(sides, repeat=3):
+        region_lo, region_hi = (x[0], y[0], z[0]), (x[1], y[1], z[1])
+        dual_hi = [tuple(c - (a == axis) for a, c in enumerate(region_hi)) for axis in range(3)]
+        results = []
+        for check in (_check_plaquettes_in_block, reference_check_plaquettes_in_block):
+            try:
+                check(lat, region_lo, dual_hi)
+                results.append(None)
+            except OutOfRegion as ex:
+                results.append(str(ex))
+        assert results[0] == results[1], (region_lo, region_hi)
+        outcomes.add(results[0] is None)
+    assert outcomes == {True, False}
+
+
+def _crossing_or_message(spec, clip):
+    try:
+        return _crossing(spec, clip)
+    except MultipleCrossings as ex:
+        return str(ex)
+
+
+def _reference_crossing_or_message(spec, clip):
+    try:
+        t_lo, t_end, _ = reference_segment_steps(spec, clip)
+    except MultipleCrossings as ex:
+        return str(ex)
+    return spec.edges(t_lo, t_end - 1)
+
+
+def test_crossing_matches_reference(rng):
+    """The crossing read from one explicit edges window against the
+    parameter-by-parameter reference, on random specs and boxes around,
+    across and beside their cores."""
+    outcomes = set()
+    for _ in range(150):
+        spec = random_spec(rng, max_core=10, max_period=3)
+        for _ in range(6):
+            lo = tuple(int(c) for c in rng.integers(-5, 3, 3))
+            clip = Region(lo, tuple(c + int(rng.integers(0, 6)) for c in lo))
+            got = _crossing_or_message(spec, clip)
+            assert got == _reference_crossing_or_message(spec, clip), (spec, clip)
+            outcomes.add(got if isinstance(got, str) else "one crossing")
+    assert outcomes == {
+        "one crossing",
+        "path has no edge inside the region",
+        "path crosses the region more than once",
+        "path touches the region outside its crossing",
+    }
+
+
+def test_crossing_caps_its_window_like_the_tail_walk():
+    # the Z+ tail from the origin needs top + 4 letters to pass a box that
+    # reaches height top + 1, one past the cap: the same TooLarge as energy's
+    line = spec_from_strings("Z+", "", "Z+")
+    clip = region_of((1, 0, 0), (1, 0, MAX_TAIL_LETTERS - 2))
+    with pytest.raises(TooLarge) as flip_error:
+        _crossing(line, clip)
+    with pytest.raises(TooLarge) as walk_error:
+        energy(make_configuration(strings=[line]), clip)
+    assert str(flip_error.value) == str(walk_error.value)
+
+
+def test_configuration_flip_shares_no_tail_walk(rng, lat13, monkeypatch):
+    """With the tail walk that energy reads disabled, the flip is still
+    built, and its syndrome still matches the energy computed before."""
+    region = region_of((0, 0, 0), (4, 4, 4))
+    clip = region.inflate(2)
+    u = spec_from_strings("Z+", "X+X+", "Z-", base=(1, 2, 3))
+    loop = path_from_steps((1, 1, 1), parse_steps("X+Y+X-Y-"))
+    cfgs = [make_configuration(charges=[(2, 2, 2), (0, 0, 0)], strings=[u], loops=[loop])]
+    while len(cfgs) < 30:
+        strings = [
+            random_spec(rng, base_lo=1, base_hi=3, max_core=12, lo=-2, hi=2, self_avoiding=True)
+            for _ in range(int(rng.integers(1, 3)))
+        ]
+        loops = [random_loop(rng, lo=0, hi=4) for _ in range(int(rng.integers(0, 2)))]
+        charges = [tuple(int(c) for c in rng.integers(0, 5, 3)) for _ in range(int(rng.integers(0, 3)))]
+        cfg = make_configuration(charges=charges, strings=strings, loops=loops)
+        try:
+            configuration_flip(lat13, cfg, region, clip)
+        except MultipleCrossings:
+            continue
+        cfgs.append(cfg)
+    energies = [energy(cfg, region).total for cfg in cfgs]
+
+    def no_walk(self, region):
+        raise AssertionError("walk_in called")
+
+    monkeypatch.setattr(InfinitePathSpec, "walk_in", no_walk)
+    with pytest.raises(AssertionError, match="walk_in called"):
+        energy(cfgs[0], region)
+    syndromes = [syndrome_energy(lat13, configuration_flip(lat13, cfg, region, clip), region) for cfg in cfgs]
+    assert syndromes == energies
+    assert sum(e > 0 for e in energies) >= 15
