@@ -449,7 +449,8 @@ def _tail_letters(clip: Region, start: Vertex, period: int, disp: Vertex) -> int
     """Letters after which a tail walked from ``start``, ``period`` letters
     and ``disp`` per period, has left ``clip`` for good: each period gains
     ``|disp|`` along its escape axis and strays at most ``period`` letters
-    back.  Raise TooLarge past ``MAX_TAIL_LETTERS``."""
+    back.  Raise TooLarge past ``MAX_TAIL_LETTERS``.  This is the bound of
+    ``walk_in``'s tail walk, restated so that the flip reads no tail walk."""
     axis = max(AXES, key=lambda a: abs(disp[a]))
     sign = 1 if disp[axis] > 0 else -1
     limit = clip.hi[axis] if sign > 0 else -clip.lo[axis]

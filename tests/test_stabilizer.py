@@ -8,8 +8,23 @@ import pytest
 
 from toric3d import _kernels
 from toric3d.errors import DimensionMismatch, MultipleCrossings, OutOfRegion, TooLarge
-from toric3d.lattice import DIRECTIONS, Face, Region, edge_from, edges_of_vertex, parse_steps, region_of
-from toric3d.paths import InfinitePathSpec, MAX_TAIL_LETTERS, path_from_steps, spec_from_strings, validate_surface
+from toric3d.lattice import (
+    DIRECTIONS,
+    Face,
+    Region,
+    boundary_edge,
+    edge_from,
+    edges_of_vertex,
+    parse_steps,
+    region_of,
+)
+from toric3d.paths import (
+    MAX_TAIL_LETTERS,
+    InfinitePathSpec,
+    path_from_steps,
+    spec_from_strings,
+    validate_surface,
+)
 from toric3d.stabilizer import (
     FiniteLattice,
     PauliOperator,
@@ -420,38 +435,31 @@ def test_star_matrix_matches_rows_of_edges_of_vertex(n):
     assert lat.star_matrix == rows
 
 
-def _random_dual_walk(rng: random.Random, lo: int, hi: int):
+def _random_dual_walk(rng, lo: int, hi: int):
     """Edges of a random walk (repeats allowed) from a vertex up to three
     steps outside the block's cube, so that it reaches the fringe, the floor
     and beyond."""
-    v = tuple(rng.randint(lo - 3, hi + 3) for _ in range(3))
+    v = tuple(int(c) for c in rng.integers(lo - 3, hi + 4, 3))
     edges = []
-    for _ in range(rng.randint(1, 12)):
-        e = edge_from(v, rng.choice(DIRECTIONS))
-        edges.append(e)
-        v = e.base if e.sign < 0 else tuple(c + (a == e.axis) for a, c in enumerate(e.base))
+    for _ in range(int(rng.integers(1, 13))):
+        edges.append(edge_from(v, DIRECTIONS[int(rng.integers(0, 6))]))
+        v = boundary_edge(edges[-1])[1]
     return edges
 
 
-def _rectangle(rng: random.Random, lo: int, hi: int):
-    a1, a2 = sorted(rng.sample(range(3), 2))
-    w, h = rng.randint(1, 4), rng.randint(1, 4)
-    start = tuple(rng.randint(lo - 3, hi + 2) for _ in range(3))
-    return list(path_from_steps(start, [(a1, 1)] * w + [(a2, 1)] * h + [(a1, -1)] * w + [(a2, -1)] * h).edges)
-
-
 @pytest.mark.parametrize("n", range(1, 10))
-def test_curtain_edges_match_reference(n):
+def test_curtain_edges_match_reference(rng, n):
     """The column-parity curtain against the edge-by-edge reference, on
     random walks and rectangle loops around the block, single and summed."""
-    rng = random.Random(1000 + n)
     lat = FiniteLattice(n)
     lo, hi = lat.lo[0], lat.hi[0]
-    fringe, floor = set(lat.boundary_edges), set()
+    fringe = set(lat.boundary_edges)
     reached = set()
     for case in range(80):
-        paths = [_random_dual_walk(rng, lo, hi) if rng.random() < 0.6 else _rectangle(rng, lo, hi)
-                 for _ in range(rng.randint(1, 3))]
+        paths = [
+            _random_dual_walk(rng, lo, hi) if rng.random() < 0.6 else list(random_loop(rng, lo - 3, hi + 3).edges)
+            for _ in range(int(rng.integers(1, 4)))
+        ]
         edges = [e for path in paths for e in path]
         want = reference_curtain_edges(lat, edges)
         got = {lat.qubits[i] for i in _kernels.support(_curtain_edges(lat, edges))}
