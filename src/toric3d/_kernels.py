@@ -7,6 +7,8 @@ of row vectors.  Rank, nullspace and solve all come from one elimination.
 
 from __future__ import annotations
 
+import sys
+from itertools import compress, count
 from typing import Iterable
 
 
@@ -19,14 +21,19 @@ def vector(indices: Iterable[int]) -> int:
 
 
 def support(v: int) -> set[int]:
-    """Coordinates set in ``v``: one C-level ``str.find`` per set bit, so the
-    Python work grows with the weight, not with the length."""
-    bits = bin(v)[:1:-1]
+    """Coordinates set in ``v``: the nonzero 64-bit words of its bytes, each
+    split at its lowest set bit until it is spent, so the Python work grows
+    with the weight, not with the length."""
+    n_bytes = 8 * ((v.bit_length() + 63) >> 6)
+    words = memoryview(v.to_bytes(n_bytes, sys.byteorder)).cast("Q").tolist()
+    if sys.byteorder == "big":  # the most significant word comes first
+        words.reverse()
     out = set()
-    i = bits.find("1")
-    while i >= 0:
-        out.add(i)
-        i = bits.find("1", i + 1)
+    for base, w in compress(zip(count(0, 64), words), words):
+        while w:
+            low = w & -w
+            out.add(base + low.bit_length() - 1)
+            w ^= low
     return out
 
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
 from . import _kernels
@@ -64,9 +63,10 @@ MAX_TAIL_LETTERS = 10**6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FinitePath:
-    """A validated edge walk; ``vertices`` has one more entry than ``edges``."""
+class FinitePath(NamedTuple):
+    """A validated edge walk; ``vertices`` has one more entry than ``edges``.
+    Its ``len`` counts edges, so the tuple helpers ``_make`` and ``_replace``
+    do not apply to it."""
 
     edges: tuple[Edge, ...]
     vertices: tuple[Vertex, ...]
@@ -137,8 +137,7 @@ def word_is_monotone(steps: Iterable[Direction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(NamedTuple):
     """A validated face set; ``boundary`` is None exactly for closed surfaces."""
 
     faces: frozenset[Face]
@@ -232,8 +231,7 @@ def _cumulative(word: StepWord, start: Vertex = (0, 0, 0)) -> list[Vertex]:
     return out
 
 
-@dataclass(frozen=True)
-class DirectionSet:
+class DirectionSet(NamedTuple):
     """Tail directions split into the positive and negative side."""
 
     d_plus: frozenset[Direction]
@@ -244,15 +242,21 @@ class DirectionSet:
         return self.d_plus | self.d_minus
 
 
-@dataclass(frozen=True)
-class InfinitePathSpec:
+class _SpecFields(NamedTuple):
     neg_period: StepWord
     core: StepWord
     pos_period: StepWord
     base: Vertex
 
-    def __post_init__(self):
-        _validate_spec(self)
+
+class InfinitePathSpec(_SpecFields):
+    """The record of a spec's fields, validated in ``__new__``: a spec that
+    could intersect itself raises SelfIntersecting."""
+
+    def __new__(cls, neg_period: StepWord, core: StepWord, pos_period: StepWord, base: Vertex):
+        spec = super().__new__(cls, neg_period, core, pos_period, base)
+        _validate_spec(spec)
+        return spec
 
     # -- realization ---------------------------------------------------
 

@@ -20,10 +20,10 @@ path-equivalent strings.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .errors import NotAGroundSector
 from .lattice import AXES, Direction, Region, reverse_direction, sub
@@ -44,8 +44,7 @@ class VerdictKind(Enum):
     NOT_GROUND_SECTOR = "NotGroundSector"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Why a configuration is outside every ground sector."""
 
     direction: Direction
@@ -53,15 +52,13 @@ class Witness:
     pair: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(NamedTuple):
     kind: str  # "straighten" or "drop_loop"
     index: int
     region: Region | None = None
 
 
-@dataclass(frozen=True)
-class SectorVerdict:
+class SectorVerdict(NamedTuple):
     kind: VerdictKind
     witness: Witness | None = None
     script: tuple[ScriptStep, ...] = ()
@@ -210,8 +207,7 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
 Tau = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StringClassTag:
+class StringClassTag(NamedTuple):
     """Tail class of one string.
 
     ``P``: both tails pinned to straight rays (two anchors),
@@ -226,8 +222,7 @@ class StringClassTag:
     anchors: frozenset[tuple[Direction, Tau]]
 
 
-@dataclass(frozen=True)
-class SectorLabel:
+class SectorLabel(NamedTuple):
     g: int
     tags: tuple[StringClassTag, ...]
 
@@ -363,8 +358,7 @@ def surgery_move(sol: Solution, i: int, j: int) -> Solution:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     n_strings: int
     raw_count: int
     raw_count_alt: int

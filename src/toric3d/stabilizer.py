@@ -21,11 +21,10 @@ reached from each flipped qubit by fixed per-axis deltas.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product, repeat
 from operator import eq, gt, le, mul, xor
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels
 from .errors import DimensionMismatch, MultipleCrossings, OutOfRegion, TooLarge
@@ -150,8 +149,7 @@ class FiniteLattice:
         ]
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class PauliOperator(NamedTuple):
     """Phase-free Pauli: x and z supports over a lattice's qubits as int bitsets."""
 
     x: int
@@ -528,8 +526,7 @@ def configuration_flip(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NetCheckReport:
+class NetCheckReport(NamedTuple):
     n: int
     gauge_order: int
     gauge_supports_distinct: bool

@@ -10,8 +10,7 @@ for charge counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .errors import (
     AlreadyMonotonicInRegion,
@@ -55,16 +54,28 @@ from .paths import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _ConfigurationFields(NamedTuple):
     charges: tuple[Vertex, ...]
     strings: tuple[InfinitePathSpec, ...]
     loops: tuple[FinitePath, ...]
 
-    def __post_init__(self):
-        for i, loop in enumerate(self.loops):
+
+class Configuration(_ConfigurationFields):
+    """The record of a configuration's fields, validated in ``__new__``: an
+    open loop raises InvalidConfiguration."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        charges: tuple[Vertex, ...],
+        strings: tuple[InfinitePathSpec, ...],
+        loops: tuple[FinitePath, ...],
+    ):
+        for i, loop in enumerate(loops):
             if not loop.closed:
                 raise InvalidConfiguration(f"loop {i} is not closed")
+        return super().__new__(cls, charges, strings, loops)
 
 
 def make_configuration(
@@ -77,8 +88,7 @@ def make_configuration(
     )
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     region: Region
     flux_energy: int
     charge_energy: int
@@ -117,8 +127,7 @@ def energy(cfg: Configuration, region: Region) -> EnergyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(NamedTuple):
     """In-plane shadow of a path: the steps along ``drop_axis`` removed.
 
     ``dropped`` records ``(original_index, direction)`` for each removed step.
@@ -218,7 +227,7 @@ def _reroute_single_bad_axis(steps: Sequence[Direction]) -> tuple[Direction, ...
     nu = max(sorted(used - {_bad_axes(steps)[0]}), key=axes.count)
     shadow = _project((0, 0, 0), steps, nu)
     straight = monotone_staircase((0, 0, 0), shadow.displacement)
-    return _lift_steps(replace(shadow, steps=straight))
+    return _lift_steps(shadow._replace(steps=straight))
 
 
 def _straighten_pass(steps: Sequence[Direction]) -> tuple[Direction, ...]:

@@ -46,8 +46,10 @@ from toric3d.paths import (
     _extent,
     _primitive,
     _word_displacement,
+    is_monotonic,
     monotone_staircase,
     path_from_steps,
+    word_is_monotone,
 )
 from toric3d.sectors import _octahedral_tables
 from toric3d.stabilizer import pauli_from_keys
@@ -197,13 +199,25 @@ def reference_block(n: int):
     return vertices, sorted(interior), sorted(boundary), sorted(faces)
 
 
+def reference_support(v: int) -> set[int]:
+    """Coordinates set in ``v``: one C-level ``str.find`` per set bit, so the
+    Python work grows with the weight, not with the length."""
+    bits = bin(v)[:1:-1]
+    out = set()
+    i = bits.find("1")
+    while i >= 0:
+        out.add(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
 def reference_syndrome_energy(lat, flip, region: Region) -> int:
     """2 x stabilizers in ``region`` anticommuting with ``flip``, testing every
     star and plaquette of the region one edge at a time."""
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
-    z_flips = _kernels.support(flip.z)
-    x_flips = _kernels.support(flip.x)
+    z_flips = reference_support(flip.z)
+    x_flips = reference_support(flip.x)
     violated = 0
     for v in region.vertices():
         if v not in lat.vertex_set:
@@ -488,10 +502,7 @@ def _extent_bound(spec: InfinitePathSpec, side: int) -> int:
 
 def unchecked_spec(neg, core, pos, base) -> InfinitePathSpec:
     """An ``InfinitePathSpec`` built without running its validation."""
-    spec = object.__new__(InfinitePathSpec)
-    for name, value in zip(("neg_period", "core", "pos_period", "base"), (neg, core, pos, base)):
-        object.__setattr__(spec, name, value)
-    return spec
+    return tuple.__new__(InfinitePathSpec, (neg, core, pos, base))
 
 
 def _parallel_factor(u: Vertex, v: Vertex) -> int | None:
@@ -671,7 +682,7 @@ def reference_single_bad_runs(steps):
 def reference_straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
     """One straightening pass inside ``region``; strictly lowers the in-region
     edge count and never changes edges outside the region."""
-    from toric3d.paths import replace_window, word_is_monotone
+    from toric3d.paths import replace_window
     from toric3d.transforms import _bad_axes, _case_three, _reroute_single_bad_axis, _segment_steps
 
     t_lo, t_hi, steps = _segment_steps(spec, region)
@@ -947,7 +958,6 @@ def reference_classify(cfg, strict_gss: bool = False):
     """``sectors.classify`` as it was when it straightened each non-monotone
     string in every candidate region and kept the first region whose result
     is monotone: the reference for the verdict read off segment letters."""
-    from toric3d.paths import is_monotonic
     from toric3d.sectors import (
         ScriptStep,
         SectorVerdict,
@@ -1084,14 +1094,12 @@ def random_nonmonotone_spec(rng):
         if core:
             d = core[int(rng.integers(0, len(core)))]
             core.insert(int(rng.integers(0, len(core) + 1)), reverse_direction(d))
+        if word_is_monotone(neg + tuple(core) + pos):
+            continue
         try:
-            spec = InfinitePathSpec(neg, tuple(core), pos, base)
+            return InfinitePathSpec(neg, tuple(core), pos, base)
         except SelfIntersecting:
             continue
-        from toric3d.paths import is_monotonic
-
-        if not is_monotonic(spec)[0]:
-            return spec
     raise RuntimeError("could not sample a non-monotone spec")
 
 

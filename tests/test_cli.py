@@ -475,10 +475,13 @@ def test_broken_pipe_keeps_exit_code(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_out():
-    # only verify's checks need the F2 verifier, and nothing needs numpy
+    # only verify's checks need the F2 verifier, nothing needs numpy, and no
+    # record is a dataclass (``dataclasses`` pulls in ``inspect``)
     env = dict(os.environ, PYTHONPATH=str(Path(toric3d.__file__).parents[1]))
-    probe = "import sys, toric3d.cli; sys.exit(bool({'numpy', 'toric3d.stabilizer'} & set(sys.modules)))"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    left_out = "{'numpy', 'dataclasses', 'inspect', 'toric3d.stabilizer'}"
+    probe = f"import sys, toric3d.cli, toric3d; print(sorted({left_out} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
     probe = (
         "import sys, toric3d.cli; code = toric3d.cli.main(['verify', '--checks', 'energy', '--samples', '5']);"
         " sys.exit(code or 'numpy' in sys.modules)"

@@ -1,0 +1,118 @@
+"""The record contract: field-wise repr, equality and hash, immutability,
+validation at construction, and the cached core walk."""
+
+import pytest
+
+from toric3d import paths
+from toric3d.errors import InvalidConfiguration, SelfIntersecting
+from toric3d.lattice import Region
+from toric3d.paths import InfinitePathSpec, path_from_steps, spec_from_strings
+from toric3d.sectors import (
+    ScriptStep,
+    SectorVerdict,
+    VerdictKind,
+    Witness,
+    sector_label,
+)
+from toric3d.transforms import Configuration, energy, make_configuration
+
+X, Y, Z = 0, 1, 2
+_LINE = spec_from_strings("Z+", "X+Y+", "Z+", (1, 0, -1))
+_OPEN = path_from_steps((0, 0, 0), ((X, 1), (Y, 1)))
+_SQUARE = path_from_steps((0, 0, 0), ((X, 1), (Y, 1), (X, -1), (Y, -1)))
+
+
+def test_spec_repr():
+    assert repr(_LINE) == (
+        "InfinitePathSpec(neg_period=((2, 1),), core=((0, 1), (1, 1)),"
+        " pos_period=((2, 1),), base=(1, 0, -1))"
+    )
+
+
+def test_sector_label_repr():
+    label = sector_label(make_configuration(strings=[_LINE]))
+    assert repr(label) == (
+        "SectorLabel(g=0, tags=(StringClassTag(kind='P', directions=frozenset({(2, -1), (2, 1)}),"
+        " anchors=frozenset({((2, 1), (2, 1)), ((2, -1), (1, 0))})),))"
+    )
+
+
+def test_sector_verdict_repr():
+    verdict = SectorVerdict(
+        VerdictKind.NOT_GROUND_SECTOR,
+        Witness((Z, 1), pair=(0, 1)),
+        (ScriptStep("straighten", 0, Region((0, 0, 0), (1, 2, 3))), ScriptStep("drop_loop", 1)),
+    )
+    assert repr(verdict) == (
+        "SectorVerdict(kind=<VerdictKind.NOT_GROUND_SECTOR: 'NotGroundSector'>,"
+        " witness=Witness(direction=(2, 1), string_index=None, pair=(0, 1)),"
+        " script=(ScriptStep(kind='straighten', index=0, region=Region(lo=(0, 0, 0), hi=(1, 2, 3))),"
+        " ScriptStep(kind='drop_loop', index=1, region=None)), frustration_free=False)"
+    )
+
+
+def test_records_compare_and_hash_by_field():
+    again = spec_from_strings("Z+", "X+Y+", "Z+", (1, 0, -1))
+    assert again == _LINE and hash(again) == hash(_LINE)
+    assert Witness((Z, 1), 0) == Witness((Z, 1), string_index=0)
+    assert len({ScriptStep("drop_loop", 0), ScriptStep("drop_loop", 0)}) == 1
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (_LINE, "core"),
+        (make_configuration(strings=[_LINE]), "strings"),
+        (_OPEN, "closed"),
+        (Witness((Z, 1)), "pair"),
+        (SectorVerdict(VerdictKind.GROUND_STATE), "kind"),
+        (energy(make_configuration(strings=[_LINE]), Region((0, 0, 0), (2, 2, 2))), "flux_energy"),
+    ],
+)
+def test_fields_are_read_only(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+_BAD_SPEC = (((Z, 1),), ((Z, -1),), ((Z, 1),), (0, 0, 0))
+
+
+def test_bad_spec_raises_positionally():
+    with pytest.raises(SelfIntersecting):
+        InfinitePathSpec(*_BAD_SPEC)
+
+
+def test_bad_spec_raises_by_keyword():
+    names = ("neg_period", "core", "pos_period", "base")
+    with pytest.raises(SelfIntersecting):
+        InfinitePathSpec(**dict(zip(names, _BAD_SPEC)))
+    with pytest.raises(SelfIntersecting, match="period word has zero net displacement"):
+        InfinitePathSpec(neg_period=((X, 1), (X, -1)), core=(), pos_period=((Z, 1),), base=(0, 0, 0))
+
+
+def test_configuration_rejects_an_open_loop():
+    with pytest.raises(InvalidConfiguration, match="^loop 1 is not closed$"):
+        Configuration((), (), (_SQUARE, _OPEN))
+    with pytest.raises(InvalidConfiguration, match="^loop 0 is not closed$"):
+        Configuration(charges=(), strings=(), loops=(_OPEN,))
+    assert Configuration((), (), (_SQUARE,)).loops == (_SQUARE,)
+
+
+def test_core_vertices_computed_once(monkeypatch):
+    core = ((X, 1), (Y, 1), (X, 1))
+    walks = []
+    cumulative = paths._cumulative
+
+    def counting(word, *start):
+        if word is core:
+            walks.append(word)
+        return cumulative(word, *start)
+
+    monkeypatch.setattr(paths, "_cumulative", counting)
+    spec = InfinitePathSpec(((Z, 1),), core, ((Z, 1),), (0, 0, 0))
+    first = spec.core_vertices
+    assert spec.core_vertices is first
+    spec.walk_in(Region((0, 0, 0), (1, 1, 1)))
+    assert first == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]
+    assert len(walks) == 1
+
