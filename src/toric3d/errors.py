@@ -18,7 +18,10 @@ class MalformedBoundary(Toric3dError):
 
 
 class InvalidConfiguration(Toric3dError):
-    """A configuration violates a structural invariant (open loop, infinite overlap)."""
+    """A configuration violates a structural invariant: an open loop, or
+    strings that ``deoverlap`` cannot detour apart before surgery (strings
+    sharing an infinite ray, say).  Building a configuration accepts shared
+    edges, which cancel mod 2 in ``energy``."""
 
 
 class EndpointMismatch(Toric3dError):

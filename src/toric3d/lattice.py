@@ -186,7 +186,9 @@ class Region(NamedTuple):
     hi: Vertex
 
     def contains_vertex(self, v: Vertex) -> bool:
-        return all(self.lo[a] <= v[a] <= self.hi[a] for a in AXES)
+        (lx, ly, lz), (hx, hy, hz) = self
+        x, y, z = v
+        return lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
 
     def contains_edge(self, e: Edge) -> bool:
         u, w = boundary_edge(e)
@@ -218,7 +220,24 @@ def region_of(lo: Vertex, hi: Vertex) -> Region:
 
 
 def bounding_region(vertices: Iterable[Vertex]) -> Region:
-    columns = tuple(zip(*vertices))
-    if not columns:
+    """The least region holding ``vertices``, in one pass over them: a
+    coordinate below its running low cannot also top its running high."""
+    it = iter(vertices)
+    first = next(it, None)
+    if first is None:
         raise ValueError("bounding_region of no vertices")
-    return Region(tuple(map(min, columns)), tuple(map(max, columns)))
+    (lx, ly, lz) = (hx, hy, hz) = first
+    for x, y, z in it:
+        if x < lx:
+            lx = x
+        elif x > hx:
+            hx = x
+        if y < ly:
+            ly = y
+        elif y > hy:
+            hy = y
+        if z < lz:
+            lz = z
+        elif z > hz:
+            hz = z
+    return Region((lx, ly, lz), (hx, hy, hz))

@@ -8,20 +8,30 @@ bi-infinite walk
 * ``steps(t)`` cycles ``pos_period`` for ``t >= len(core)``,
 * ``steps(t)`` cycles ``neg_period`` read right-to-left for ``t < 0``.
 
-``vertex(0) == base`` and ``vertex(t+1) == vertex(t) + steps(t)``.  Validation
-certifies non-self-intersection with a finite argument: period displacements
-must be nonzero, a truncation window sized from the tail geometry is checked
-for repeated vertices, and parallel same-heading tails get an exact periodic
-overlap check.  Specs whose tails defeat the window bounds are rejected rather
-than guessed at.
+``vertex(0) == base`` and ``vertex(t+1) == vertex(t) + steps(t)``.
+
+Every tail read uses one arithmetic model.  Letter ``i`` of a tail period sits
+at ``v + q * disp`` in period ``q``, affine in ``q``, so the periods in which
+its vertex, or both ends of its edge, lie in a box form one interval
+(:func:`_periods`).  ``walk_in`` lists tails from these intervals, ``count_in``
+counts them, and path equivalence reads each ray's anchor off them; nothing
+walks a tail to find where it leaves a box.
+
+Validation accepts a spec in closed form (:func:`_self_avoiding`): period
+displacements are nonzero, the core's vertices are distinct, the tail vertices
+inside the core's box miss them, and no two tail letters' vertex families
+meet, decided from the letters' cosets and plane coordinates.  Only a
+rejection walks a truncation window sized from the tail geometry, to name the
+parameter of the first revisit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
@@ -53,8 +63,9 @@ StepWord = tuple[Direction, ...]
 
 _MOVES: dict[Direction, Vertex] = {d: direction_vector(d) for d in DIRECTIONS}
 
-# the letters one tail walk may take to leave a region: 10**6 take about 4 s
-# (energy of one straight string, 2-vCPU VM, Python 3.11)
+# the letters a walk of one tail may take to leave a region.  Tails are read
+# in closed form, so the cap no longer bounds time; regions past it stay
+# TooLarge, with the bound such a walk would need
 MAX_TAIL_LETTERS = 10**6
 
 
@@ -334,13 +345,13 @@ class InfinitePathSpec(_SpecFields):
     def walk_in(self, region: Region) -> list[tuple[int, EdgeKey | None]]:
         """``(t, key)`` for every walked parameter ``t`` with ``vertex(t)`` in
         ``region``; ``key`` is edge ``t``'s key when both its endpoints lie in
-        ``region``, else None.
+        ``region``, else None.  Each parameter is listed once; the order of
+        the list is not part of the contract.
 
         Lists every core edge from ``core_keys`` when ``region`` contains
         ``core_box``, else scans ``core_vertices`` for the ones inside; then
-        walks each tail outward period by period, and a tail stops after the
-        first period whose vertices all lie past ``region`` along the tail's
-        escape axis.
+        lists each tail letter's periods from :func:`_periods`, without
+        walking the tail.
         """
         if region.contains_region(self.core_box):
             hits = list(enumerate(self.core_keys))
@@ -353,10 +364,64 @@ class InfinitePathSpec(_SpecFields):
                 for t, (key, here, nxt) in enumerate(zip(self.core_keys, inside, inside[1:]))
                 if here
             ]
-        nc = len(self.core)
-        hits += _walk(region, self.junction, nc, +1, self.pos_period, self.pos_displacement)
-        hits += _walk(region, self.base, -1, -1, self.neg_period[::-1], self.neg_displacement)
+        for tail in self._tails:
+            _check_tail_cap(tail, region)
+            dx, dy, dz = disp = tail.disp
+            for t, dt, v, lo, hi, a in tail.letters:
+                qs = _periods(v, v, disp, region)
+                if qs:
+                    ks = _periods(lo, hi, disp, region)
+                    x, y, z = lo
+                    hits += [
+                        (t + q * dt, ((x + q * dx, y + q * dy, z + q * dz), a) if q in ks else None)
+                        for q in qs
+                    ]
         return hits
+
+    def count_in(self, region: Region) -> tuple[int, Region | None]:
+        """The number of edges with both endpoints in ``region``, and a box
+        inside ``region`` holding all of them (None when there are none):
+        ``core_box`` or a scan of the core, and one :func:`_periods` range per
+        tail letter."""
+        nc = len(self.core)
+        if region.contains_region(self.core_box):
+            count, corners = nc, list(self.core_box) if nc else []
+        else:
+            (lx, ly, lz), (hx, hy, hz) = region
+            cv = self.core_vertices
+            inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in cv]
+            count = sum(map(bool.__and__, inside, inside[1:]))
+            corners = [v for v, here in zip(cv, inside) if here] if count else []
+        for tail in self._tails:
+            _check_tail_cap(tail, region)
+            dx, dy, dz = disp = tail.disp
+            for _, _, _, lo, hi, _ in tail.letters:
+                ks = _periods(lo, hi, disp, region)
+                if ks:
+                    count += len(ks)
+                    for (x, y, z), q in ((lo, ks[0]), (lo, ks[-1]), (hi, ks[0]), (hi, ks[-1])):
+                        corners.append((x + q * dx, y + q * dy, z + q * dz))
+        return count, bounding_region(corners) if corners else None
+
+    @cached_property
+    def _tails(self) -> tuple[_Tail, _Tail]:
+        """The positive and the negative tail, each walked outward.  Edge
+        ``nc + i`` leaves ``vertex(nc + i)``; edge ``-1 - i``, the letter
+        ``neg_period[-1 - i]`` stepped against, reaches ``vertex(-1 - i)``.
+        An edge key's base is the lesser of the edge's two ends."""
+        nc, npp, nn = len(self.core), len(self.pos_period), len(self.neg_period)
+        ps = [add(self.junction, v) for v in self._pos_cum]
+        ns = [sub(self.base, v) for v in self._neg_suffix]
+        pos = [(nc + i, npp, ps[i], *sorted(ps[i : i + 2]), a) for i, (a, _) in enumerate(self.pos_period)]
+        neg = [
+            (-1 - i, -nn, ns[i + 1], *sorted(ns[i : i + 2]), a)
+            for i, (a, _) in enumerate(self.neg_period[::-1])
+        ]
+        dpos, dneg = self.pos_displacement, self.neg_displacement
+        return (
+            _Tail(self.junction, dpos, _escape_axis(dpos), tuple(pos)),
+            _Tail(self.base, dneg, _escape_axis(dneg), tuple(neg)),
+        )
 
 
 def _cycle(word: StepWord, lo: int, hi: int) -> StepWord:
@@ -366,52 +431,53 @@ def _cycle(word: StepWord, lo: int, hi: int) -> StepWord:
     return (word * ((start + n - 1) // len(word) + 1))[start : start + n]
 
 
-def _walk(region: Region, start: Vertex, t: int, dt: int, word: StepWord, disp: Vertex):
-    """One tail of :meth:`InfinitePathSpec.walk_in`: edges ``t, t+dt, ...``
-    walked outward from ``start`` along ``word`` (the letters in walking order)
-    period by period until a period lies past ``region`` along the escape axis
-    of ``disp``, or raise TooLarge when that takes more than
-    ``MAX_TAIL_LETTERS`` letters.  Walking backward (``dt = -1``) each letter
-    is stepped against, and ``vertex(t)`` is the vertex reached rather than
-    the one left."""
-    (lx, ly, lz), (hx, hy, hz) = region
-    axis = _escape_axis(disp)
+class _Tail(NamedTuple):
+    """One tail walked outward from ``start``, ``disp`` per period, escaping
+    along ``axis``.  Letter ``(t, dt, v, lo, hi, axis)`` walks edge
+    ``t + q * dt`` of period ``q``, whose vertex ``vertex(t + q * dt)`` is
+    ``v + q * disp`` and whose key is ``(lo + q * disp, axis)``, ``hi`` being
+    the key's other end."""
+
+    start: Vertex
+    disp: Vertex
+    axis: int
+    letters: tuple[tuple[int, int, Vertex, Vertex, Vertex, int], ...]
+
+
+def _periods(lo: Vertex, hi: Vertex, disp: Vertex, box: Region) -> range:
+    """The periods ``q >= 0`` with ``lo + q * disp`` and ``hi + q * disp``
+    both in ``box``, for ``lo <= hi`` componentwise: a tail letter's vertex
+    (``lo == hi``) or the two ends of its edge.  Affine in ``q``, so an
+    interval, bounded as ``disp`` is nonzero."""
+    q0, q1 = 0, None
+    for l, h, d, bl, bh in zip(lo, hi, disp, *box):
+        if d > 0:
+            q0 = max(q0, -((l - bl) // d))
+            top = (bh - h) // d
+        elif d < 0:
+            q0 = max(q0, -((bh - h) // -d))
+            top = (l - bl) // -d
+        elif bl <= l and h <= bh:
+            continue
+        else:
+            return range(0)
+        if q1 is None or top < q1:
+            q1 = top
+    return range(q0, q1 + 1)
+
+
+def _check_tail_cap(tail: _Tail, box: Region) -> None:
+    """Raise TooLarge when walking ``tail`` until a period lies past ``box``
+    along its escape axis could take more than ``MAX_TAIL_LETTERS`` letters:
+    a period gains ``|disp|`` along that axis and strays at most its length."""
+    disp, axis, n = tail.disp, tail.axis, len(tail.letters)
     sign = 1 if disp[axis] > 0 else -1
-    limit = region.hi[axis] if sign > 0 else -region.lo[axis]
-    # a period gains |disp[axis]| along the axis and strays at most len(word)
-    n = len(word)
-    bound = ((max(0, limit - sign * start[axis]) + n) // abs(disp[axis]) + 2) * n
+    limit = box.hi[axis] if sign > 0 else -box.lo[axis]
+    bound = ((max(0, limit - sign * tail.start[axis]) + n) // abs(disp[axis]) + 2) * n
     if bound > MAX_TAIL_LETTERS:
         raise TooLarge(
             f"a tail needs up to {bound} steps to leave the region (at most {MAX_TAIL_LETTERS})"
         )
-    # per letter: move, axis, whether the edge key's base is the vertex reached
-    # (the lesser endpoint), and the move along the signed escape axis
-    moves = []
-    for a, s in word:
-        move = _MOVES[a, s * dt]
-        moves.append((*move, a, (s > 0) != (dt > 0), sign * move[axis]))
-    backward = dt < 0
-    x, y, z = start
-    escape = sign * start[axis]
-    inside = lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
-    while True:
-        past = escape > limit
-        for dx, dy, dz, a, key_at_next, de in moves:
-            nx, ny, nz = x + dx, y + dy, z + dz
-            nxt_inside = lx <= nx <= hx and ly <= ny <= hy and lz <= nz <= hz
-            if nxt_inside if backward else inside:
-                if inside and nxt_inside:
-                    yield t, ((nx, ny, nz) if key_at_next else (x, y, z), a)
-                else:
-                    yield t, None
-            t += dt
-            x, y, z, inside = nx, ny, nz, nxt_inside
-            escape += de
-            if escape <= limit:
-                past = False
-        if past:
-            return
 
 
 def spec_from_strings(neg: str, core: str, pos: str, base: Vertex = (0, 0, 0)) -> InfinitePathSpec:
@@ -485,10 +551,133 @@ def _primitive(v: Vertex) -> tuple[Vertex, int]:
 def _validate_spec(spec: InfinitePathSpec) -> None:
     if not spec.neg_period or not spec.pos_period:
         raise SelfIntersecting("period words must be nonempty")
-    dpos, dneg_out = spec.pos_displacement, spec.neg_displacement
-    if dpos == (0, 0, 0) or dneg_out == (0, 0, 0):
+    if spec.pos_displacement == (0, 0, 0) or spec.neg_displacement == (0, 0, 0):
         raise SelfIntersecting("period word has zero net displacement")
+    if not _self_avoiding(spec):
+        _name_revisit(spec)
 
+
+def _self_avoiding(spec: InfinitePathSpec) -> bool:
+    """Whether the bi-infinite walk visits no vertex twice (so no edge
+    twice), decided in closed form.  The core's vertices are distinct; the
+    tail vertices inside ``core_box`` (the only ones that can meet the core)
+    miss them; and the tails' vertex families ``v + q * disp`` (``q >= 0``,
+    one per tail letter) meet neither themselves nor each other."""
+    core = spec.core_vertices
+    seen = set(core)
+    if len(seen) != len(core):
+        return False
+    box, nc = spec.core_box, len(spec.core)
+    for tail in spec._tails:
+        dx, dy, dz = disp = tail.disp
+        # a family only moves on along the escape axis: skip the letters
+        # already past the box there
+        a, sign = tail.axis, 1 if disp[tail.axis] > 0 else -1
+        reach = sign * (box.hi if sign > 0 else box.lo)[a]
+        for t, dt, (x, y, z), _, _, _ in tail.letters:
+            if sign * (x, y, z)[a] > reach:
+                continue
+            for q in _periods((x, y, z), (x, y, z), disp, box):
+                if (x + q * dx, y + q * dy, z + q * dz) in seen and t + q * dt != nc:
+                    return False
+    pos, neg = spec._tails
+    return _tail_apart(pos) and _tail_apart(neg) and _tails_apart(pos, neg)
+
+
+def _coset(v: Vertex, u: Vertex, axis: int) -> tuple[Vertex, int]:
+    """``(r, k)`` with ``v == r + k * u`` and ``r`` the same for every point
+    of ``v + Z * u``, for ``u[axis] != 0``."""
+    k = v[axis] // u[axis]
+    return (v[0] - k * u[0], v[1] - k * u[1], v[2] - k * u[2]), k
+
+
+def _tail_apart(tail: _Tail) -> bool:
+    """Whether the letters' families ``v + q * disp`` are pairwise disjoint:
+    no two letter vertices differ by a multiple of ``disp``."""
+    cosets = {_coset(v, tail.disp, tail.axis)[0] for _, _, v, _, _, _ in tail.letters}
+    return len(cosets) == len(tail.letters)
+
+
+def _tails_apart(pos: _Tail, neg: _Tail) -> bool:
+    """Whether no positive family ``v + q * d`` meets a negative family
+    ``w + r * e`` (``q, r >= 0``), decided in closed form from the letters'
+    cosets along a common line, or else their plane coordinates, with only
+    the letter pairs that sorting leaves able to meet tested one by one."""
+    d, e = pos.disp, neg.disp
+    vs = [v for _, _, v, _, _, _ in pos.letters]
+    ws = [w for _, _, w, _, _, _ in neg.letters]
+    n = _cross(d, e)
+    if n == (0, 0, 0):
+        # common line: d == g * u and e == b * u along a primitive u, and two
+        # points of one coset of Z * u meet when their indices do
+        u, g = _primitive(d)
+        axis = _escape_axis(u)
+        b = e[axis] // u[axis]
+        pos_cosets = [_coset(v, u, axis) for v in vs]
+        neg_cosets = [_coset(w, u, axis) for w in ws]
+        h = math.gcd(g, b)
+        if b > 0:
+            # same heading: k + q * g == l + r * b has a solution with q, r
+            # >= 0 exactly when h divides l - k
+            return not {(r, k % h) for r, k in pos_cosets} & {(r, l % h) for r, l in neg_cosets}
+        # opposite headings: l - k == q * g + j * |b| for some q, j >= 0, so
+        # only the positive indices k <= l of l's coset can meet it; the j
+        # with j * |b| == l - k (mod g) recur with period g / h
+        b = -b
+        below: dict[Vertex, list[int]] = {}
+        for r, k in sorted(pos_cosets, key=lambda c: c[1]):
+            below.setdefault(r, []).append(k)
+        for r, l in neg_cosets:
+            ks = below.get(r, [])
+            for k in ks[: bisect_right(ks, l)]:
+                if any((l - k - j * b) % g == 0 for j in range(min((l - k) // b, g // h - 1) + 1)):
+                    return False
+        return True
+    # independent headings: in coordinates S, S2 along the common plane
+    # normal to n, the positive family moves S and the negative family S2,
+    # each by n . n per period; a negative letter meets a positive one of its
+    # plane and residues with S <= its S and S2 >= its S2
+    m = _dot(n, n)
+    along_d, along_e = _cross(e, n), _cross(n, d)
+
+    def coordinates(v):
+        s, s2 = _dot(along_d, v), _dot(along_e, v)
+        return (_dot(n, v), s % m, s2 % m), s, s2
+
+    targets: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for w in ws:
+        key, s, s2 = coordinates(w)
+        targets.setdefault(key, []).append((s, s2))
+    groups: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for v in vs:
+        key, s, s2 = coordinates(v)
+        if key in targets:
+            groups.setdefault(key, []).append((s, s2))
+    for key, entries in groups.items():
+        # S ascending beside the running maximum of S2
+        entries.sort()
+        ss, top = [s for s, _ in entries], list(accumulate((s2 for _, s2 in entries), max))
+        for s, s2 in targets[key]:
+            i = bisect_right(ss, s)
+            if i and top[i - 1] >= s2:
+                return False
+    return True
+
+
+def _cross(u: Vertex, v: Vertex) -> Vertex:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u: Vertex, v: Vertex) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _name_revisit(spec: InfinitePathSpec) -> None:
+    """Name the first revisit of a spec that is not self-avoiding: walk a
+    truncation window certified to hold one and raise SelfIntersecting at
+    the first repeated edge or vertex (or at colliding same-heading tail
+    windows)."""
+    dpos, dneg_out = spec.pos_displacement, spec.neg_displacement
     nn = len(spec.neg_period)
 
     # window vertex sets of the first tail period on each side
@@ -621,17 +810,36 @@ def _comparison_window(p: InfinitePathSpec, q: InfinitePathSpec) -> Region:
 
 def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):
     """(anchor, outward edge keys) for the positive and negative ray.  Each
-    ray starts at the first vertex past its tail's last vertex in ``window``,
-    found by the tail walks of :meth:`InfinitePathSpec.walk_in`; ``window``
-    holds the core with a margin, so each walk meets it."""
-    nc = len(spec.core)
-    pos = _walk(window, spec.junction, nc, +1, spec.pos_period, spec.pos_displacement)
-    a = max(t for t, _ in pos) + 1
-    neg = _walk(window, spec.base, -1, -1, spec.neg_period[::-1], spec.neg_displacement)
-    b = min(t for t, _ in neg) - 1
-    pos_keys = tuple(e.key for e in spec.edges(a, a + length - 1))
-    neg_keys = tuple(e.key for e in reversed(spec.edges(b - length, b - 1)))
-    return (spec.vertex(a), pos_keys), (spec.vertex(b), neg_keys)
+    ray starts at the first vertex past its tail's last vertex in ``window``;
+    ``window`` holds the core with a margin, so each tail meets it.  A
+    negative letter's vertex is the outer end of its edge, so that ray's
+    first edge lies one letter further out."""
+    pos, neg = spec._tails
+    a, b = _last_in(pos, window) + 1, _last_in(neg, window) + 1
+    return (
+        (spec.vertex(len(spec.core) + a), _ray_keys(pos, a, length)),
+        (spec.vertex(-1 - b), _ray_keys(neg, b + 1, length)),
+    )
+
+
+def _last_in(tail: _Tail, window: Region) -> int:
+    """The largest outward index ``q * n + i`` (letter ``i`` of ``n``, period
+    ``q``) whose vertex lies in ``window``, read off each letter's last
+    period there."""
+    _check_tail_cap(tail, window)
+    n = len(tail.letters)
+    ranges = ((i, _periods(v, v, tail.disp, window)) for i, (_, _, v, _, _, _) in enumerate(tail.letters))
+    return max(qs[-1] * n + i for i, qs in ranges if qs)
+
+
+def _ray_keys(tail: _Tail, k: int, length: int) -> tuple[EdgeKey, ...]:
+    """The keys of ``length`` tail edges walked outward from outward index ``k``."""
+    n, (dx, dy, dz) = len(tail.letters), tail.disp
+    keys = []
+    for q, i in map(divmod, range(k, k + length), [n] * length):
+        _, _, _, (x, y, z), _, axis = tail.letters[i]
+        keys.append(((x + q * dx, y + q * dy, z + q * dz), axis))
+    return tuple(keys)
 
 
 def path_equivalent(p: InfinitePathSpec, q: InfinitePathSpec) -> bool:

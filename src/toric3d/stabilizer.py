@@ -4,7 +4,7 @@ Everything here works with Pauli supports only: an operator is a pair of
 int bitsets (x flips, z flips) over the qubit edges of a finite block,
 and all statements reduce to symplectic parities and F2 ranks.  This module
 is the cross-check for the combinatorial energy and linking computations.
-It reads explicit edge sets and shares no tail walk with ``energy``:
+It reads explicit edge sets and shares no tail read with ``energy``:
 ``configuration_flip`` takes each string's crossing of ``clip`` from one
 explicit ``edges`` window sized from the tail displacements.
 
@@ -447,8 +447,9 @@ def _tail_letters(clip: Region, start: Vertex, period: int, disp: Vertex) -> int
     """Letters after which a tail walked from ``start``, ``period`` letters
     and ``disp`` per period, has left ``clip`` for good: each period gains
     ``|disp|`` along its escape axis and strays at most ``period`` letters
-    back.  Raise TooLarge past ``MAX_TAIL_LETTERS``.  This is the bound of
-    ``walk_in``'s tail walk, restated so that the flip reads no tail walk."""
+    back.  Raise TooLarge past ``MAX_TAIL_LETTERS``.  This is the cap that
+    ``walk_in`` and ``energy`` put on a tail, restated so that the flip
+    shares no tail read with them."""
     axis = max(AXES, key=lambda a: abs(disp[a]))
     sign = 1 if disp[axis] > 0 else -1
     limit = clip.hi[axis] if sign > 0 else -clip.lo[axis]

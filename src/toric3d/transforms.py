@@ -10,6 +10,8 @@ for charge counting.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
 from typing import Container, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -29,9 +31,11 @@ from .lattice import (
     EdgeKey,
     Region,
     Vertex,
+    add,
     bounding_region,
     dual_face_of_edge,
     face_edges,
+    unit,
 )
 from .paths import (
     FinitePath,
@@ -98,14 +102,51 @@ class EnergyReport(NamedTuple):
         return self.flux_energy + self.charge_energy
 
 
-def flux_chain_in_region(cfg: Configuration, region: Region) -> set[EdgeKey]:
-    """Mod-2 sum of all flux edges inside ``region`` (shared edges cancel)."""
-    chain: set[EdgeKey] = set()
-    for spec in cfg.strings:
-        chain ^= {key for _, key in spec.walk_in(region) if key is not None}
+def _flux_count(cfg: Configuration, region: Region) -> int:
+    """The number of edges inside ``region`` that an odd number of strings
+    and loops walk (shared edges cancel mod 2).
+
+    Sums each string's count and the size of the loops' own mod-2 chain,
+    then lists keys only inside the boxes where two of their in-region hulls
+    overlap, where every shared edge lies: an edge walked by ``m`` of them
+    counts ``m - m % 2`` too many."""
+    counts = [spec.count_in(region) for spec in cfg.strings]
+    loops: set[EdgeKey] = set()
     for loop in cfg.loops:
-        chain ^= {e.key for e in loop.edges if region.contains_edge(e)}
-    return chain
+        loops ^= {e.key for e in loop.edges if region.contains_edge(e)}
+    parts: list[InfinitePathSpec | set[EdgeKey]] = list(cfg.strings)
+    hulls = [hull for _, hull in counts]
+    if loops and cfg.strings:
+        parts.append(loops)
+        hulls.append(_meet(region, bounding_region(v for loop in cfg.loops for v in loop.vertices)))
+    # per part, the overlaps with every other part, listed once in one box
+    boxes: list[list[Region]] = [[] for _ in parts]
+    for i, j in combinations(range(len(parts)), 2):
+        box = _meet(hulls[i], hulls[j])
+        if box is not None:
+            boxes[i].append(box)
+            boxes[j].append(box)
+    walked: Counter[EdgeKey] = Counter()
+    for part, meets in zip(parts, boxes):
+        if meets:
+            walked.update(_keys_in(part, bounding_region(v for box in meets for v in box)))
+    return len(loops) + sum(count for count, _ in counts) - sum(m - m % 2 for m in walked.values())
+
+
+def _keys_in(part: InfinitePathSpec | set[EdgeKey], box: Region) -> set[EdgeKey]:
+    """The keys of a string's edges, or of a set of edge keys, in ``box``."""
+    if isinstance(part, InfinitePathSpec):
+        return {key for _, key in part.walk_in(box) if key is not None}
+    return {(b, a) for b, a in part if box.contains_vertex(b) and box.contains_vertex(add(b, unit(a)))}
+
+
+def _meet(a: Region | None, b: Region | None) -> Region | None:
+    """The box both ``a`` and ``b`` contain, or None."""
+    if a is None or b is None:
+        return None
+    ((ax, ay, az), (bx, by, bz)), ((cx, cy, cz), (dx, dy, dz)) = a, b
+    lo, hi = (max(ax, cx), max(ay, cy), max(az, cz)), (min(bx, dx), min(by, dy), min(bz, dz))
+    return Region(lo, hi) if lo[0] <= hi[0] and lo[1] <= hi[1] and lo[2] <= hi[2] else None
 
 
 def energy(cfg: Configuration, region: Region) -> EnergyReport:
@@ -114,7 +155,7 @@ def energy(cfg: Configuration, region: Region) -> EnergyReport:
 
     Coincident excitations fuse away: shared flux edges and doubled charges
     cancel mod 2 before counting."""
-    flux = 2 * len(flux_chain_in_region(cfg, region))
+    flux = 2 * _flux_count(cfg, region)
     live: set[Vertex] = set()
     for c in cfg.charges:
         live.symmetric_difference_update({tuple(c)})

@@ -50,6 +50,7 @@ from toric3d.paths import (
     monotone_staircase,
     path_from_steps,
     word_is_monotone,
+    word_is_self_avoiding,
 )
 from toric3d.sectors import _octahedral_tables
 from toric3d.stabilizer import pauli_from_keys
@@ -343,6 +344,18 @@ def reference_count_edges_in_region(spec: InfinitePathSpec, region: Region) -> i
     walk_tail(nc, +1)
     walk_tail(0, -1)
     return count
+
+
+def flux_chain_in_region(cfg, region: Region) -> set:
+    """Mod-2 sum of all flux edges inside ``region`` (shared edges cancel),
+    as one set XOR per string and loop: the reference for
+    ``transforms.energy``'s flux count."""
+    chain: set = set()
+    for spec in cfg.strings:
+        chain ^= {key for _, key in spec.walk_in(region) if key is not None}
+    for loop in cfg.loops:
+        chain ^= {e.key for e in loop.edges if region.contains_edge(e)}
+    return chain
 
 
 def reference_string_edges_in_region(spec: InfinitePathSpec, region: Region) -> list[Edge]:
@@ -1094,7 +1107,8 @@ def random_nonmonotone_spec(rng):
         if core:
             d = core[int(rng.integers(0, len(core)))]
             core.insert(int(rng.integers(0, len(core) + 1)), reverse_direction(d))
-        if word_is_monotone(neg + tuple(core) + pos):
+        # a core that revisits a vertex can never validate: skip building it
+        if word_is_monotone(neg + tuple(core) + pos) or not word_is_self_avoiding(core):
             continue
         try:
             return InfinitePathSpec(neg, tuple(core), pos, base)

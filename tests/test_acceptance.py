@@ -44,13 +44,13 @@ from toric3d.stabilizer import (
 from toric3d.transforms import (
     _segment_steps,
     energy,
-    flux_chain_in_region,
     linking_parity,
     make_configuration,
     straighten_once,
     surgery,
 )
 from ._gen import (
+    flux_chain_in_region,
     bfs_distance,
     chain_xor_check,
     equivalent_variant,

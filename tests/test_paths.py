@@ -2,7 +2,7 @@
 
 import pytest
 
-from toric3d.errors import MalformedBoundary, MultipleCrossings, NotConnected, SelfIntersecting
+from toric3d.errors import MalformedBoundary, MultipleCrossings, NotConnected, SelfIntersecting, TooLarge
 from toric3d.lattice import (
     Face,
     Region,
@@ -17,7 +17,9 @@ from toric3d.lattice import (
 from toric3d.paths import (
     InfinitePathSpec,
     _comparison_window,
+    _self_avoiding,
     _tail_rays,
+    _tails_apart,
     aligned_window,
     enclosing_region,
     infinity_directions,
@@ -31,12 +33,13 @@ from toric3d.paths import (
     validate_finite_path,
     validate_surface,
 )
-from toric3d.transforms import _segment_steps, flux_chain_in_region, make_configuration
+from toric3d.transforms import _segment_steps, energy, make_configuration
 from ._gen import (
     _random_word,
     brute_count_edges,
     edges_in_region,
     equivalent_variant,
+    flux_chain_in_region,
     random_core,
     random_monotone_spec,
     random_spec,
@@ -411,9 +414,18 @@ def _walk_count(spec, region):
 
 
 def test_count_straight_line_fencepost():
+    """Also at scale: ``energy`` counts the line's 800000 in-region edges from
+    its tail letters without walking them, and a region that a tail walk
+    would need more than ``MAX_TAIL_LETTERS`` steps to leave is still
+    TooLarge, with the same message."""
     s = spec_from_strings("Z+", "", "Z+")
     assert _walk_count(s, region_of((0, 0, 0), (0, 0, 5))) == 5
     assert _walk_count(s, region_of((4, 4, 0), (6, 6, 9))) == 0
+    line = make_configuration(strings=[s])
+    assert energy(line, region_of((-1, -1, -400000), (1, 1, 400000))).flux_energy == 1600000
+    with pytest.raises(TooLarge) as error:
+        energy(line, region_of((-1, -1, -2000000), (1, 1, 2000000)))
+    assert str(error.value) == "a tail needs up to 2000003 steps to leave the region (at most 1000000)"
 
 
 def test_count_staircase():
@@ -433,6 +445,7 @@ def test_count_matches_brute_force(rng):
         chain = flux_chain_in_region(make_configuration(strings=[s]), region)
         assert chain <= {e.key for e in edges_in_region(region)}
         assert len(chain) == _walk_count(s, region)
+        assert energy(make_configuration(strings=[s]), region).flux_energy == 2 * len(chain)
 
 
 def test_enclosing_region_straight_line():
@@ -564,6 +577,7 @@ def test_walk_matches_reference_loops(rng):
             assert _walk_count(spec, region) == reference_count_edges_in_region(spec, region)
             expected = {e.key for e in reference_string_edges_in_region(spec, region)}
             assert flux_chain_in_region(cfg, region) == expected
+            assert energy(cfg, region).flux_energy == 2 * len(expected)
             segment = _segment_or_message(_segment_steps, spec, region)
             assert segment == _segment_or_message(reference_segment_steps, spec, region)
             outcomes.add(segment if isinstance(segment, str) else "one stretch")
@@ -588,7 +602,23 @@ def _rejection(build):
     return None
 
 
+# Tails that meet only each other, outside the core: heading opposite ways
+# along one line (in their first periods, and further out), the same way,
+# and independently.
+TAIL_PAIR_COLLISIONS = [
+    ("X+Z+Z+X-", "Z-", "X+Z+Z+X-", (0, 0, 1)),
+    ("Z+X+Z+X-", "X-" + "Z-" * 10 + "X+", "X+Z+X-Z+", (0, 0, 10)),
+    ("Z-", "Y+X+X+Y-", "Z+X-X-Z+X+X+", (0, 0, 0)),
+    ("Z-", "Y+X+X+Y-", "X-Z+", (0, 0, 0)),
+]
+
+
 def test_validate_spec_messages_match_reference(rng):
+    """The closed-form certificate accepts exactly the specs the reference's
+    certified window accepts, and every rejection keeps its message: short
+    random words, tails that meet only each other, and periods of up to 9
+    letters, half of them pulled along one axis so that the tails often head
+    along a common line."""
     cases = [
         (parse_steps("Z+"), parse_steps("Z+Z-"), parse_steps("Z+"), (0, 0, 0)),
         (parse_steps("Z+"), parse_steps("X+Y+X-Y-"), parse_steps("Z+"), (0, 0, 0)),
@@ -596,17 +626,40 @@ def test_validate_spec_messages_match_reference(rng):
         (parse_steps("X+Z+"), parse_steps(""), parse_steps("X-Z-"), (0, 0, 0)),
         (parse_steps("X+"), parse_steps(""), parse_steps("X+X-"), (0, 0, 0)),
     ]
+    collisions = [tuple(map(parse_steps, words[:3])) + (words[3],) for words in TAIL_PAIR_COLLISIONS]
+    for neg, core, pos, base in collisions:
+        assert not _tails_apart(*unchecked_spec(neg, core, pos, base)._tails)
+    cases += collisions
     for _ in range(400):
         base = tuple(int(x) for x in rng.integers(-2, 3, 3))
         neg, pos = _random_word(rng, 3), _random_word(rng, 3)
         cases.append((neg, random_core(rng, max_len=10), pos, base))
-    kinds = set()
+    for i in range(1200):
+        neg, pos = _random_word(rng, 6), _random_word(rng, 6)
+        if i % 2:
+            axis = int(rng.integers(0, 3))
+            neg, pos = (
+                tuple(w[j] for j in rng.permutation(len(w)))
+                for w in (word + ((axis, int(rng.choice((-1, 1)))),) * 3 for word in (neg, pos))
+            )
+        base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+        cases.append((neg, random_core(rng, max_len=10, self_avoiding=True), pos, base))
+    outcomes = []
     for neg, core, pos, base in cases:
-        expected = _rejection(lambda: reference_validate_spec(unchecked_spec(neg, core, pos, base)))
+        spec = unchecked_spec(neg, core, pos, base)
+        expected = _rejection(lambda: reference_validate_spec(spec))
         assert _rejection(lambda: InfinitePathSpec(neg, core, pos, base)) == expected
-        if expected is not None:
-            kinds.add(expected.split(" at ")[0])
-    assert {"edge revisited", "vertex revisited"} <= kinds
+        if expected != "period word has zero net displacement":
+            assert _self_avoiding(spec) == (expected is None)
+        outcomes.append(expected)
+    assert outcomes[5 : 5 + len(collisions)] == [
+        "edge revisited at parameter -12",
+        "vertex revisited at parameter 11",
+        "tail windows collide on a shared line",
+        "vertex revisited at parameter 6",
+    ]
+    assert {"edge revisited", "vertex revisited"} <= {o.split(" at ")[0] for o in outcomes if o}
+    assert outcomes.count(None) >= 150 and len(set(outcomes)) >= 100
 
 
 # Same-heading specs whose negative period backtracks: walking the certified
@@ -641,9 +694,14 @@ def _outcome(build):
 
 def test_validate_spec_matches_reference_on_long_cores(rng):
     """1280-step zigzag and oscillating cores under random tails, some with a
-    backtrack spliced in deep inside the core."""
+    backtrack spliced in deep inside the core, and 20000-letter periods,
+    whose tails the closed form must not compare letter pair by letter
+    pair."""
     oscillating = parse_steps("X+Z+X-Z+Y+Z+Y-Z+" * 160)
-    cases = []
+    cases = [
+        (parse_steps(neg * 20000), parse_steps(core), parse_steps(pos * 20000), (0, 0, 0))
+        for neg, core, pos in (("Z+", "", "Z+"), ("X+", "Y+", "Z+"), ("Z-", "X+", "Z+"))
+    ]
     for i in range(24):
         core = zigzag_core(rng, 1280) if i % 2 else oscillating
         if i % 3 == 0:

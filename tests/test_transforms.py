@@ -30,12 +30,12 @@ from toric3d.paths import (
     validate_surface,
     word_is_monotone,
 )
+from toric3d.stabilizer import FiniteLattice, configuration_flip, syndrome_energy
 from toric3d.transforms import (
     _bad_axes,
     _reroute_single_bad_axis,
     _single_bad_runs,
     energy,
-    flux_chain_in_region,
     lift,
     linking_parity,
     make_configuration,
@@ -45,6 +45,9 @@ from toric3d.transforms import (
     surgery,
 )
 from ._gen import (
+    equivalent_variant,
+    flux_chain_in_region,
+    random_loop,
     _random_word,
     bfs_distance,
     chain_xor_check,
@@ -91,6 +94,56 @@ def test_overlapping_strings_cancel():
     cfg = make_configuration(strings=[a, b])
     rep = energy(cfg, region_of((-3, -3, -3), (3, 3, 3)))
     assert rep.flux_energy == 0
+
+
+# Strings sharing an infinite ray: a pair of the verify workload (gen seed 5)
+# whose first string's positive tail runs down the second string's line
+# x = 5, z = 1 from y = 4, and two copies of the straight Z+ line.
+SHARED_RAY_STRINGS = [
+    [spec_from_strings("X-", "Z-X-", "Y-", (6, 4, 2)), spec_from_strings("Y-", "Y-", "Y-", (5, 3, 1))],
+    [spec_from_strings("Z+", "", "Z+")] * 2,
+]
+
+
+def test_energy_cancels_shared_infinite_rays():
+    """The shared edges in the region are subtracted from the per-string
+    counts: energy equals the set-XOR chain and the syndrome energy of the
+    verifier's flip on a block holding the region and its clip."""
+    lat = FiniteLattice(21)
+    region = region_of((0, 0, 0), (8, 8, 8))
+    clip = region.inflate(2)
+    flux = []
+    for strings in SHARED_RAY_STRINGS:
+        cfg = make_configuration(strings=strings)
+        rep = energy(cfg, region)
+        assert rep.flux_energy == 2 * len(flux_chain_in_region(cfg, region))
+        assert syndrome_energy(lat, configuration_flip(lat, cfg, region, clip), region) == rep.total
+        assert rep.flux_energy < 2 * sum(s.count_in(region)[0] for s in strings)
+        flux.append(rep.flux_energy)
+    assert flux == [16, 0]
+
+
+def test_energy_matches_reference_chain_where_hulls_overlap(rng):
+    """Strings beside finite edits and copies of themselves (so sharing both
+    tails, an edge walked by up to three of them) and loops, some repeated,
+    in regions around, inside and beside their cores."""
+    checked = shared = 0
+    for _ in range(60):
+        s = random_spec(rng, max_core=12, lo=-3, hi=3, self_avoiding=True)
+        strings = [s, equivalent_variant(rng, s)] + [s] * int(rng.integers(0, 2))
+        strings += [random_spec(rng) for _ in range(int(rng.integers(0, 2)))]
+        loops = [random_loop(rng, lo=-2, hi=3) for _ in range(int(rng.integers(0, 3)))]
+        cfg = make_configuration(strings=strings, loops=loops + loops[:1])
+        box = enclosing_region(*strings)
+        lo = tuple(int(x) for x in rng.integers(-5, 1, 3))
+        for region in (box, box.inflate(3), Region(box.lo, box.lo), Region(lo, add(lo, (4, 4, 4)))):
+            expected = 2 * len(flux_chain_in_region(cfg, region))
+            assert energy(cfg, region).flux_energy == expected
+            walked = sum(spec.count_in(region)[0] for spec in strings)
+            walked += sum(region.contains_edge(e) for loop in cfg.loops for e in loop.edges)
+            checked += 1
+            shared += 2 * walked > expected
+    assert checked == 240 and shared >= 120
 
 
 def test_energy_difference_region_independent():
