@@ -8,7 +8,8 @@ of row vectors.  Rank, nullspace and solve all come from one elimination.
 from __future__ import annotations
 
 import sys
-from itertools import compress, count
+from itertools import compress, count, repeat
+from operator import xor
 from typing import Iterable
 
 
@@ -87,10 +88,12 @@ def solve(rows: Iterable[int], target: int) -> int | None:
 
 
 def span(basis: Iterable[int]) -> list[int]:
-    """All ``2^k`` XOR combinations of ``k`` basis vectors (iterative doubling)."""
+    """All ``2^k`` XOR combinations of ``k`` basis vectors (iterative doubling):
+    entry ``j`` XORs the vectors whose index is a set bit of ``j``.  The
+    ``repeat`` count stops each doubling at the entries it started with."""
     out = [0]
     for b in basis:
-        out += [v ^ b for v in out]
+        out += map(xor, out, repeat(b, len(out)))
     return out
 
 

@@ -14,8 +14,9 @@ Every tail read uses one arithmetic model.  Letter ``i`` of a tail period sits
 at ``v + q * disp`` in period ``q``, affine in ``q``, so the periods in which
 its vertex, or both ends of its edge, lie in a box form one interval
 (:func:`_periods`).  ``walk_in`` lists tails from these intervals, ``count_in``
-counts them, and path equivalence reads each ray's anchor off them; nothing
-walks a tail to find where it leaves a box.
+counts them, ``params_in`` reads the first and last in-box parameter off their
+ends, and path equivalence reads each ray's anchor off them; nothing walks a
+tail to find where it leaves a box.
 
 Validation accepts a spec in closed form (:func:`_self_avoiding`): period
 displacements are nonzero, the core's vertices are distinct, the tail vertices
@@ -346,7 +347,10 @@ class InfinitePathSpec(_SpecFields):
         """``(t, key)`` for every walked parameter ``t`` with ``vertex(t)`` in
         ``region``; ``key`` is edge ``t``'s key when both its endpoints lie in
         ``region``, else None.  Each parameter is listed once; the order of
-        the list is not part of the contract.
+        the list is not part of the contract.  For callers that need the keys
+        themselves: ``energy`` where two in-region hulls meet, and the shared
+        runs of surgery and ``deoverlap``; counts and parameter ends come
+        from ``count_in`` and ``params_in`` without listing.
 
         Lists every core edge from ``core_keys`` when ``region`` contains
         ``core_box``, else scans ``core_vertices`` for the ones inside; then
@@ -356,9 +360,7 @@ class InfinitePathSpec(_SpecFields):
         if region.contains_region(self.core_box):
             hits = list(enumerate(self.core_keys))
         else:
-            (lx, ly, lz), (hx, hy, hz) = region
-            cv = self.core_vertices
-            inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in cv]
+            inside = self._inside(region)
             hits = [
                 (t, key if nxt else None)
                 for t, (key, here, nxt) in enumerate(zip(self.core_keys, inside, inside[1:]))
@@ -387,11 +389,9 @@ class InfinitePathSpec(_SpecFields):
         if region.contains_region(self.core_box):
             count, corners = nc, list(self.core_box) if nc else []
         else:
-            (lx, ly, lz), (hx, hy, hz) = region
-            cv = self.core_vertices
-            inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in cv]
+            inside = self._inside(region)
             count = sum(map(bool.__and__, inside, inside[1:]))
-            corners = [v for v, here in zip(cv, inside) if here] if count else []
+            corners = [v for v, here in zip(self.core_vertices, inside) if here] if count else []
         for tail in self._tails:
             _check_tail_cap(tail, region)
             dx, dy, dz = disp = tail.disp
@@ -402,6 +402,39 @@ class InfinitePathSpec(_SpecFields):
                     for (x, y, z), q in ((lo, ks[0]), (lo, ks[-1]), (hi, ks[0]), (hi, ks[-1])):
                         corners.append((x + q * dx, y + q * dy, z + q * dz))
         return count, bounding_region(corners) if corners else None
+
+    def params_in(self, region: Region) -> tuple[int, int | None, int | None, int | None, int | None]:
+        """``(count, e_lo, e_hi, v_lo, v_hi)``: the number of edges with both
+        endpoints in ``region``, their least and greatest parameter, and the
+        least and greatest ``t`` with ``vertex(t)`` in ``region`` (None where
+        there is none).  The core gives ``0..nc-1`` outright when ``region``
+        contains ``core_box``, else the ends of a scan of the core; each tail
+        letter adds the ends of one :func:`_periods` range."""
+        nc = len(self.core)
+        if region.contains_region(self.core_box):
+            count, es, vs = nc, [0, nc - 1] if nc else [], [0, nc]
+        else:
+            inside = self._inside(region)
+            edges = list(map(bool.__and__, inside, inside[1:]))
+            count, es, vs = edges.count(True), _ends(edges), _ends(inside)
+        for tail in self._tails:
+            _check_tail_cap(tail, region)
+            disp = tail.disp
+            for t, dt, v, lo, hi, _ in tail.letters:
+                qs = _periods(v, v, disp, region)
+                if qs:
+                    vs += t + qs[0] * dt, t + qs[-1] * dt
+                    ks = _periods(lo, hi, disp, region)
+                    if ks:
+                        count += len(ks)
+                        es += t + ks[0] * dt, t + ks[-1] * dt
+        ends = min(es, default=None), max(es, default=None), min(vs, default=None), max(vs, default=None)
+        return count, *ends
+
+    def _inside(self, region: Region) -> list[bool]:
+        """Whether each of ``core_vertices`` lies in ``region``."""
+        (lx, ly, lz), (hx, hy, hz) = region
+        return [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in self.core_vertices]
 
     @cached_property
     def _tails(self) -> tuple[_Tail, _Tail]:
@@ -464,6 +497,11 @@ def _periods(lo: Vertex, hi: Vertex, disp: Vertex, box: Region) -> range:
         if q1 is None or top < q1:
             q1 = top
     return range(q0, q1 + 1)
+
+
+def _ends(flags: list[bool]) -> list[int]:
+    """The first and the last index of a True in ``flags``; empty when none."""
+    return [flags.index(True), len(flags) - 1 - flags[::-1].index(True)] if True in flags else []
 
 
 def _check_tail_cap(tail: _Tail, box: Region) -> None:

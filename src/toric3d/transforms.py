@@ -237,17 +237,16 @@ def _lift_steps(rerouted: Projection) -> tuple[Direction, ...]:
 def _segment_steps(spec: InfinitePathSpec, region: Region) -> tuple[int, int, tuple[Direction, ...]]:
     """The single in-region stretch of the path, or raise MultipleCrossings.
 
-    ``walk_in`` lists each parameter once, so the in-region edges form one
-    stretch exactly when their parameters span as many values as there are;
-    the stretch's word is a ``realize_steps`` slice."""
-    hits = spec.walk_in(region)
-    edge_ts = [t for t, key in hits if key is not None]
-    if not edge_ts:
+    Read off ``params_in`` without listing a key: each parameter counts once,
+    so the in-region edges form one stretch exactly when their parameters
+    span as many values as there are; the stretch's word is a
+    ``realize_steps`` slice."""
+    count, t_lo, t_hi, v_lo, v_hi = spec.params_in(region)
+    if not count:
         raise MultipleCrossings("path has no edge inside the region")
-    t_lo, t_hi = min(edge_ts), max(edge_ts)
-    if t_hi - t_lo + 1 != len(edge_ts):
+    if t_hi - t_lo + 1 != count:
         raise MultipleCrossings("path crosses the region more than once")
-    if min(hits)[0] < t_lo or max(hits)[0] > t_hi + 1:
+    if v_lo < t_lo or v_hi > t_hi + 1:
         raise MultipleCrossings("path touches the region outside its crossing")
     return t_lo, t_hi + 1, spec.realize_steps(t_lo, t_hi)
 

@@ -1,5 +1,9 @@
 """F2 bitset kernels against plain-integer references."""
 
+from functools import reduce
+from itertools import compress, product
+from operator import xor
+
 import pytest
 
 from toric3d import _kernels as K
@@ -103,3 +107,17 @@ def test_span_sizes():
     span = K.span([1 << i for i in range(3)])
     assert len(span) == 8
     assert len(set(span)) == 8
+
+
+def test_span_matches_product_reference(rng):
+    """Entry ``j`` of the span XORs the basis vectors at the set bits of
+    ``j``: element by element against ``itertools.product``, whose first
+    factor is the most significant bit, so it reads the basis reversed."""
+    bases = [[]] + [
+        [_random_vector(rng, int(rng.integers(1, 70))) for _ in range(k)] for k in (1, 2, 3, 5, 8, 11)
+    ]
+    bases.append([5, 5, 0, 3])  # dependent and zero vectors repeat entries
+    for basis in bases:
+        expected = [reduce(xor, compress(basis[::-1], bits), 0) for bits in product((0, 1), repeat=len(basis))]
+        assert K.span(basis) == expected
+        assert K.span(iter(basis)) == expected

@@ -32,8 +32,10 @@ from toric3d.paths import (
     truncate,
     validate_finite_path,
     validate_surface,
+    word_is_monotone,
 )
-from toric3d.transforms import _segment_steps, energy, make_configuration
+from toric3d.sectors import classify
+from toric3d.transforms import _segment_steps, energy, make_configuration, straighten_fixpoint
 from ._gen import (
     _random_word,
     brute_count_edges,
@@ -561,6 +563,18 @@ def _segment_or_message(find, spec, region):
         return str(ex)
 
 
+def _first_last(ts):
+    return (ts[0], ts[-1]) if ts else (None, None)
+
+
+ALL_SEGMENT_OUTCOMES = {
+    "one stretch",
+    "path has no edge inside the region",
+    "path crosses the region more than once",
+    "path touches the region outside its crossing",
+}
+
+
 def test_walk_matches_reference_loops(rng):
     checked = tail_hits = 0
     outcomes = set()
@@ -574,6 +588,8 @@ def test_walk_matches_reference_loops(rng):
             hits = list(spec.walk_in(region))
             params = sorted(t for t, key in hits if key is not None), sorted(t for t, _ in hits)
             assert params == reference_region_params(spec, region)
+            edge_ts, vertex_ts = params
+            assert spec.params_in(region) == (len(edge_ts), *_first_last(edge_ts), *_first_last(vertex_ts))
             assert _walk_count(spec, region) == reference_count_edges_in_region(spec, region)
             expected = {e.key for e in reference_string_edges_in_region(spec, region)}
             assert flux_chain_in_region(cfg, region) == expected
@@ -586,12 +602,53 @@ def test_walk_matches_reference_loops(rng):
     # every spec's tail-only regions hold tail vertices
     n_specs = 60 + len(LONG_WALK_SPECS)
     assert checked == n_specs * 21 and tail_hits >= n_specs * 3
-    assert outcomes == {
-        "one stretch",
-        "path has no edge inside the region",
-        "path crosses the region more than once",
-        "path touches the region outside its crossing",
-    }
+    assert outcomes == ALL_SEGMENT_OUTCOMES
+
+
+def test_segment_lists_no_key(rng, monkeypatch):
+    """``_segment_steps``, and ``classify`` and ``straighten_fixpoint``
+    through it, read the in-region stretch off ``params_in``: with
+    ``walk_in`` raising, they still reach every segment outcome, and each
+    straightened stretch is monotone.  ``test_walk_matches_reference_loops``
+    compares the same segments with the reference."""
+
+    def no_walk(self, region):
+        raise AssertionError("walk_in called")
+
+    monkeypatch.setattr(InfinitePathSpec, "walk_in", no_walk)
+    outcomes = set()
+    scripts = 0
+    for spec in _walk_specs(rng):
+        scripts += len(classify(make_configuration(strings=[spec])).script)
+        for region in _walk_regions(rng, spec):
+            segment = _segment_or_message(_segment_steps, spec, region)
+            outcome = _segment_or_message(straighten_fixpoint, spec, region)
+            if isinstance(segment, str):
+                assert outcome == segment
+                outcomes.add(segment)
+                continue
+            straightened, passes = outcome
+            assert (passes == 0) == word_is_monotone(segment[2])
+            _, t_end, steps = _segment_steps(straightened, region)
+            assert word_is_monotone(steps) and straightened.vertex(t_end) == spec.vertex(segment[1])
+            outcomes.add("one stretch")
+    assert outcomes == ALL_SEGMENT_OUTCOMES and scripts >= len(LONG_WALK_SPECS)
+
+
+def test_segment_straight_line_at_scale():
+    """The straight ``Z+`` line crosses a long region once, found from its
+    tail letters' period ranges, and straightens in 0 passes; a region that
+    a tail walk would need more than ``MAX_TAIL_LETTERS`` steps to leave is
+    still TooLarge, with the same message."""
+    s = spec_from_strings("Z+", "", "Z+")
+    region = region_of((-1, -1, -400000), (1, 1, 400000))
+    t_lo, t_end, steps = _segment_steps(s, region)
+    assert (t_lo, t_end) == (-400000, 400000) and steps == parse_steps("Z+") * 800000
+    straightened, passes = straighten_fixpoint(s, region)
+    assert straightened is s and passes == 0
+    with pytest.raises(TooLarge) as error:
+        _segment_steps(s, region_of((-1, -1, -2000000), (1, 1, 2000000)))
+    assert str(error.value) == "a tail needs up to 2000003 steps to leave the region (at most 1000000)"
 
 
 def _rejection(build):
