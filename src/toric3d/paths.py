@@ -18,12 +18,14 @@ counts them, ``params_in`` reads the first and last in-box parameter off their
 ends, and path equivalence reads each ray's anchor off them; nothing walks a
 tail to find where it leaves a box.
 
-Validation accepts a spec in closed form (:func:`_self_avoiding`): period
-displacements are nonzero, the core's vertices are distinct, the tail vertices
-inside the core's box miss them, and no two tail letters' vertex families
-meet, decided from the letters' cosets and plane coordinates.  Only a
-rejection walks a truncation window sized from the tail geometry, to name the
-parameter of the first revisit.
+Validation accepts a spec in closed form.  A monotone string, whose letters
+keep one sign per axis, is accepted by its letters alone.  Otherwise
+(:func:`_self_avoiding`) period displacements are nonzero, the core's vertices
+are distinct, the tail vertices inside the core's box miss them, and no two
+tail letters' vertex families meet, decided from the letters' cosets and
+plane coordinates; a monotone core is walked only when a tail vertex falls
+inside its box.  Only a rejection walks a truncation window sized from the
+tail geometry, to name the parameter of the first revisit.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
 from . import _kernels
@@ -140,8 +142,7 @@ def word_is_self_avoiding(steps: Sequence[Direction]) -> bool:
 def word_is_monotone(steps: Iterable[Direction]) -> bool:
     """Whether ``steps`` walks each axis one way only: keyed by axis, its
     letters keep one sign each."""
-    letters = set(steps)
-    return len(dict(letters)) == len(letters)
+    return _one_sign_per_axis(set(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,10 @@ def validate_surface(faces: Iterable[Face]) -> Surface:
 
 
 def _word_displacement(word: Iterable[Direction]) -> Vertex:
-    counts = Counter(word)
+    return _displacement(Counter(word))
+
+
+def _displacement(counts: Counter[Direction]) -> Vertex:
     return tuple(counts[a, 1] - counts[a, -1] for a in AXES)
 
 
@@ -279,8 +283,21 @@ class InfinitePathSpec(_SpecFields):
 
     @cached_property
     def core_box(self) -> Region:
-        """The bounding box of ``core_vertices``."""
+        """The bounding box of ``core_vertices``.  A monotone core moves each
+        coordinate one way only, so its box is that of ``base`` and
+        ``junction``, read without walking the core."""
+        if self._core_monotone:
+            return bounding_region((self.base, self.junction))
         return bounding_region(self.core_vertices)
+
+    @cached_property
+    def _core_counts(self) -> Counter[Direction]:
+        """How often the core walks each direction."""
+        return Counter(self.core)
+
+    @cached_property
+    def _core_monotone(self) -> bool:
+        return _one_sign_per_axis(self._core_counts.keys())
 
     @cached_property
     def core_keys(self) -> list[EdgeKey]:
@@ -306,9 +323,11 @@ class InfinitePathSpec(_SpecFields):
         """Displacement per period walking the negative tail outward (to -inf)."""
         return scale(self._neg_suffix[-1], -1)
 
-    @property
+    @cached_property
     def junction(self) -> Vertex:
-        return self.core_vertices[-1]
+        """``vertex(len(core))``: ``base`` plus the core's displacement, read
+        off its letter counts without walking a vertex."""
+        return add(self.base, _displacement(self._core_counts))
 
     def step(self, t: int) -> Direction:
         nc = len(self.core)
@@ -587,12 +606,28 @@ def _primitive(v: Vertex) -> tuple[Vertex, int]:
 
 
 def _validate_spec(spec: InfinitePathSpec) -> None:
+    """Raise SelfIntersecting unless the spec's walk is self-avoiding.
+
+    After the period checks, a string whose letters keep one sign per axis
+    across both periods and the core is accepted outright: along it
+    ``sum(s_a * v_a)`` rises by 1 per step, so no vertex repeats.  Any other
+    string goes to :func:`_self_avoiding`, and a rejection to
+    :func:`_name_revisit`, which names the first revisit."""
     if not spec.neg_period or not spec.pos_period:
         raise SelfIntersecting("period words must be nonempty")
     if spec.pos_displacement == (0, 0, 0) or spec.neg_displacement == (0, 0, 0):
         raise SelfIntersecting("period word has zero net displacement")
+    if _one_sign_per_axis(spec._core_counts.keys() | {*spec.neg_period, *spec.pos_period}):
+        return
     if not _self_avoiding(spec):
         _name_revisit(spec)
+
+
+def _one_sign_per_axis(letters: AbstractSet[Direction]) -> bool:
+    """Whether ``letters`` are directions keeping one sign per axis: a word
+    of them is monotone.  Anything else takes the walk, which rejects a
+    letter that is no direction."""
+    return letters <= _MOVES.keys() and len(dict(letters)) == len(letters)
 
 
 def _self_avoiding(spec: InfinitePathSpec) -> bool:
@@ -600,11 +635,16 @@ def _self_avoiding(spec: InfinitePathSpec) -> bool:
     twice), decided in closed form.  The core's vertices are distinct; the
     tail vertices inside ``core_box`` (the only ones that can meet the core)
     miss them; and the tails' vertex families ``v + q * disp`` (``q >= 0``,
-    one per tail letter) meet neither themselves nor each other."""
-    core = spec.core_vertices
-    seen = set(core)
-    if len(seen) != len(core):
-        return False
+    one per tail letter) meet neither themselves nor each other.
+
+    A monotone core's vertices are distinct without a walk, and its vertex
+    set is built only when a tail vertex other than the junction falls
+    inside ``core_box``."""
+    seen = None
+    if not spec._core_monotone:
+        seen = set(spec.core_vertices)
+        if len(seen) != len(spec.core) + 1:
+            return False
     box, nc = spec.core_box, len(spec.core)
     for tail in spec._tails:
         dx, dy, dz = disp = tail.disp
@@ -616,7 +656,11 @@ def _self_avoiding(spec: InfinitePathSpec) -> bool:
             if sign * (x, y, z)[a] > reach:
                 continue
             for q in _periods((x, y, z), (x, y, z), disp, box):
-                if (x + q * dx, y + q * dy, z + q * dz) in seen and t + q * dt != nc:
+                if t + q * dt == nc:
+                    continue
+                if seen is None:
+                    seen = set(spec.core_vertices)
+                if (x + q * dx, y + q * dy, z + q * dz) in seen:
                     return False
     pos, neg = spec._tails
     return _tail_apart(pos) and _tail_apart(neg) and _tails_apart(pos, neg)
@@ -885,8 +929,11 @@ def path_equivalent(p: InfinitePathSpec, q: InfinitePathSpec) -> bool:
 
     Outside a window containing both cores plus full tail periods, both paths
     are exact periodic rays; equivalence reduces to the four rays pairing up
-    with identical edge sets, decided from anchors and period words.
+    with identical edge sets, decided from anchors and period words.  Equal
+    specs realize the same walk and return True without a comparison.
     """
+    if p == q:
+        return True
     window = _comparison_window(p, q)
     length = 2 * (
         len(p.pos_period) + len(p.neg_period) + len(q.pos_period) + len(q.neg_period)

@@ -1,5 +1,7 @@
 """Paths layer: validation, truncation, tail analysis, equivalence."""
 
+from collections import Counter
+
 import pytest
 
 from toric3d.errors import MalformedBoundary, MultipleCrossings, NotConnected, SelfIntersecting, TooLarge
@@ -763,7 +765,7 @@ def test_validate_spec_matches_reference_on_long_cores(rng):
         core = zigzag_core(rng, 1280) if i % 2 else oscillating
         if i % 3 == 0:
             at = int(rng.integers(200, 1100))
-            core = core[:at] + (core[at - 1][0], -core[at - 1][1]) + core[at:]
+            core = core[:at] + ((core[at - 1][0], -core[at - 1][1]),) + core[at:]
         base = tuple(int(x) for x in rng.integers(-2, 3, 3))
         cases.append((_random_word(rng, 3), core, _random_word(rng, 3), base))
     outcomes = []
@@ -772,4 +774,57 @@ def test_validate_spec_matches_reference_on_long_cores(rng):
         assert _outcome(lambda: InfinitePathSpec(neg, core, pos, base)) == expected
         outcomes.append(expected)
     assert None in outcomes
+    assert all(o is None or o[0] is SelfIntersecting for o in outcomes)
     assert {"edge revisited", "vertex revisited"} <= {o[1].split(" at ")[0] for o in outcomes if o}
+
+
+def _signed_word(rng, signs, length):
+    """``length`` letters along random axes, each with its axis' sign."""
+    return tuple((int(a), signs[int(a)]) for a in rng.integers(0, 3, length))
+
+
+def _certified(neg, core, pos, base):
+    """The outcome of building the spec, checked against the reference; an
+    accepted spec also has the box and junction of its walked core.  Returns
+    the outcome and, for an accepted spec, whether the build walked the
+    core."""
+    expected = _outcome(lambda: reference_validate_spec(unchecked_spec(neg, core, pos, base)))
+    assert _outcome(lambda: InfinitePathSpec(neg, core, pos, base)) == expected
+    if expected is not None:
+        return expected, None
+    spec = InfinitePathSpec(neg, core, pos, base)
+    walked = "core_vertices" in vars(spec)
+    box, junction = spec.core_box, spec.junction
+    assert box == bounding_region(spec.core_vertices) and junction == spec.core_vertices[-1]
+    return None, walked
+
+
+def test_validate_spec_certifies_monotone_strings(rng):
+    """A string whose letters keep one sign per axis is accepted without a
+    walk of its core, as the reference accepts it: cores of up to 300
+    letters, and the empty core."""
+    for i in range(300):
+        signs = {a: int(rng.choice((-1, 1))) for a in range(3)}
+        neg, pos = (_signed_word(rng, signs, int(rng.integers(1, 4))) for _ in range(2))
+        length = 0 if i % 10 == 5 else int(rng.integers(1, 300 if i % 10 == 0 else 40))
+        core = _signed_word(rng, signs, length)
+        base = tuple(int(x) for x in rng.integers(-3, 4, 3))
+        assert _certified(neg, core, pos, base) == (None, False)
+
+
+def test_validate_spec_monotone_core_matches_reference(rng):
+    """Monotone cores under tails that turn back into the core's box, and the
+    empty core under random tails, against the reference: rejected, accepted
+    after a tail vertex inside the box made the core's vertex set, and
+    accepted without it."""
+    seen = Counter()
+    for i in range(900):
+        signs = {a: int(rng.choice((-1, 1))) for a in range(3)}
+        core = () if i % 6 == 0 else _signed_word(rng, signs, int(rng.integers(2, 30)))
+        neg, pos = _random_word(rng, 4), _random_word(rng, 4)
+        base = tuple(int(x) for x in rng.integers(-3, 4, 3))
+        outcome, walked = _certified(neg, core, pos, base)
+        seen[bool(core), outcome and outcome[1].split(" at ")[0], walked] += 1
+    assert seen[True, "edge revisited", None] >= 100 and seen[True, "vertex revisited", None] >= 10
+    assert seen[True, None, True] >= 50 and seen[True, None, False] >= 50
+    assert seen[False, "edge revisited", None] >= 20 and seen[False, None, False] >= 30

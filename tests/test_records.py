@@ -5,16 +5,17 @@ import pytest
 
 from toric3d import paths
 from toric3d.errors import InvalidConfiguration, SelfIntersecting
-from toric3d.lattice import Region
-from toric3d.paths import InfinitePathSpec, path_from_steps, spec_from_strings
+from toric3d.lattice import Region, parse_steps
+from toric3d.paths import InfinitePathSpec, path_equivalent, path_from_steps, spec_from_strings
 from toric3d.sectors import (
     ScriptStep,
     SectorVerdict,
     VerdictKind,
     Witness,
+    classify,
     sector_label,
 )
-from toric3d.transforms import Configuration, energy, make_configuration
+from toric3d.transforms import Configuration, energy, make_configuration, straighten_fixpoint
 
 X, Y, Z = 0, 1, 2
 _LINE = spec_from_strings("Z+", "X+Y+", "Z+", (1, 0, -1))
@@ -90,6 +91,14 @@ def test_bad_spec_raises_by_keyword():
         InfinitePathSpec(neg_period=((X, 1), (X, -1)), core=(), pos_period=((Z, 1),), base=(0, 0, 0))
 
 
+def test_core_letter_that_is_no_direction_is_not_certified():
+    """The monotone certificate reads only letters that are directions: a
+    core letter of two steps keeps one sign per axis, yet the core walk
+    still rejects it."""
+    with pytest.raises(KeyError):
+        InfinitePathSpec(((Z, 1),), ((X, 2),), ((Z, 1),), (0, 0, 0))
+
+
 def test_configuration_rejects_an_open_loop():
     with pytest.raises(InvalidConfiguration, match="^loop 1 is not closed$"):
         Configuration((), (), (_SQUARE, _OPEN))
@@ -115,4 +124,44 @@ def test_core_vertices_computed_once(monkeypatch):
     spec.walk_in(Region((0, 0, 0), (1, 1, 1)))
     assert first == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]
     assert len(walks) == 1
+
+
+def test_monotone_string_core_never_walked(monkeypatch):
+    """A whole-monotone string is accepted by its letters: building it,
+    ``classify``, ``energy`` on a region holding its core box,
+    ``straighten_fixpoint`` and ``path_equivalent`` with itself, or with an
+    equal spec built apart, walk neither its core nor its rays.  An unequal
+    but equivalent pair still compares rays."""
+    core = parse_steps("X+Y+Z+" * 40 + "X+" * 7)
+    walks, rays = [], []
+    cumulative, tail_rays = paths._cumulative, paths._tail_rays
+
+    def counting(word, *start):
+        if word == core:
+            walks.append(word)
+        return cumulative(word, *start)
+
+    def counting_rays(spec, *args):
+        rays.append(spec)
+        return tail_rays(spec, *args)
+
+    monkeypatch.setattr(paths, "_cumulative", counting)
+    monkeypatch.setattr(paths, "_tail_rays", counting_rays)
+    spec = InfinitePathSpec(parse_steps("Z+X+"), core, parse_steps("Y+"), (1, -2, 0))
+    region = spec.core_box.inflate(2)
+    cfg = make_configuration(strings=[spec])
+    assert classify(cfg).kind is VerdictKind.GROUND_STATE
+    flux = energy(cfg, region).flux_energy
+    assert straighten_fixpoint(spec, region) == (spec, 0)
+    twin = InfinitePathSpec(spec.neg_period, tuple(list(core)), spec.pos_period, spec.base)
+    assert twin == spec and twin.core is not spec.core
+    assert path_equivalent(spec, spec) and path_equivalent(spec, twin)
+    assert walks == [] and rays == []
+    assert spec.core_box == Region((1, -2, 0), (48, 38, 40))
+    assert flux == 2 * sum(key is not None for _, key in spec.walk_in(region))
+
+    bent = spec_from_strings("Z+", "X+Z+Z+X-", "Z+")
+    straight, passes = straighten_fixpoint(bent, bent.core_box.inflate(1))
+    assert passes and straight != bent
+    assert path_equivalent(bent, straight) and rays == [bent, straight]
 
