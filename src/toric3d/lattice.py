@@ -143,6 +143,17 @@ def face_edges(f: Face) -> tuple[Edge, Edge, Edge, Edge]:
     )
 
 
+def face_keys(f: Face) -> tuple[EdgeKey, EdgeKey, EdgeKey, EdgeKey]:
+    """The keys of :func:`face_edges` of ``f`` in the same order, read off
+    its normal without building an edge."""
+    b = (x, y, z) = f.base
+    if f.normal == 0:
+        return ((b, 1), ((x, y + 1, z), 2), ((x, y, z + 1), 1), (b, 2))
+    if f.normal == 1:
+        return ((b, 0), ((x + 1, y, z), 2), ((x, y, z + 1), 0), (b, 2))
+    return ((b, 0), ((x + 1, y, z), 1), ((x, y + 1, z), 0), (b, 1))
+
+
 def edges_of_vertex(v: Vertex) -> tuple[Edge, ...]:
     """The six canonical edges incident to ``v``."""
     out = []

@@ -54,12 +54,11 @@ from .lattice import (
     direction_vector,
     edge_direction,
     edge_from,
-    face_edges,
+    face_keys,
     parse_steps,
     reverse_direction,
     scale,
     sub,
-    unit,
 )
 
 StepWord = tuple[Direction, ...]
@@ -161,19 +160,20 @@ class Surface(NamedTuple):
         return self.boundary is None
 
 
-def _boundary_chain(faces: Sequence[Face]) -> set[EdgeKey]:
-    odd: set[EdgeKey] = set()
-    for f in faces:
-        for e in face_edges(f):
-            odd.symmetric_difference_update({e.key})
-    return odd
-
-
 def _order_cycle(keys: set[EdgeKey]) -> FinitePath:
+    """Walk a boundary chain as one simple cycle, or raise MalformedBoundary.
+
+    Each key is listed at its base and at its far end, in the chain's
+    iteration order.  The walk starts at the least vertex and leaves it along
+    the first key listed there; that choice fixes the cycle's orientation,
+    which decides the strings surgery reverses.  Every later vertex is left
+    along its one key that is not the key it was entered by."""
     by_vertex: dict[Vertex, list[EdgeKey]] = {}
-    for (base, axis) in keys:
-        for v in (base, add(base, unit(axis))):
-            by_vertex.setdefault(v, []).append((base, axis))
+    for key in keys:
+        base, axis = key
+        x, y, z = base
+        by_vertex.setdefault(base, []).append(key)
+        by_vertex.setdefault((x + (axis == 0), y + (axis == 1), z + (axis == 2)), []).append(key)
     if any(len(ks) != 2 for ks in by_vertex.values()):
         raise MalformedBoundary("boundary chain is not a union of simple cycles")
     start = min(by_vertex)
@@ -181,13 +181,16 @@ def _order_cycle(keys: set[EdgeKey]) -> FinitePath:
     v = start
     prev_key = None
     while True:
-        options = [k for k in by_vertex[v] if k != prev_key]
-        key = options[0]
+        first, second = by_vertex[v]
+        key = second if first == prev_key else first
         base, axis = key
-        sign = +1 if base == v else -1
-        e = Edge(base, axis, sign)
-        walk.append(e)
-        v = boundary_edge(e)[1]
+        if base == v:
+            walk.append(Edge(base, axis, +1))
+            x, y, z = base
+            v = (x + (axis == 0), y + (axis == 1), z + (axis == 2))
+        else:
+            walk.append(Edge(base, axis, -1))
+            v = base
         prev_key = key
         if v == start:
             break
@@ -197,7 +200,12 @@ def _order_cycle(keys: set[EdgeKey]) -> FinitePath:
 
 
 def validate_surface(faces: Iterable[Face]) -> Surface:
-    """Classify a face set as an open or closed non-self-intersecting surface."""
+    """Classify a face set as an open or closed non-self-intersecting surface.
+
+    One pass over the faces reads each face's four edge keys in closed form
+    (:func:`face_keys`): it sets their bits in the face's row of the F2
+    incidence matrix, whose nullspace finds closed sub-surfaces, and toggles
+    them in the boundary chain, the keys on an odd number of faces."""
     face_list = list(faces)
     if not face_list:
         raise MalformedBoundary("a surface needs at least one face")
@@ -205,13 +213,19 @@ def validate_surface(faces: Iterable[Face]) -> Surface:
         raise SelfIntersecting("face repeated in surface")
 
     edge_index: dict[EdgeKey, int] = {}
-    rows = [
-        _kernels.vector(edge_index.setdefault(e.key, len(edge_index)) for e in face_edges(f))
-        for f in face_list
-    ]
+    rows = []
+    chain: set[EdgeKey] = set()
+    for f in face_list:
+        row = 0
+        for key in face_keys(f):
+            row |= 1 << edge_index.setdefault(key, len(edge_index))
+            if key in chain:
+                chain.remove(key)
+            else:
+                chain.add(key)
+        rows.append(row)
     kernel = _kernels.nullspace(rows)
 
-    chain = _boundary_chain(face_list)
     if not chain:
         # closed: the only null combination may be the full face set
         if kernel != [(1 << len(face_list)) - 1]:
@@ -868,7 +882,7 @@ def is_monotonic(spec: InfinitePathSpec) -> tuple[bool, dict[int, int] | None]:
     Returns the per-axis sign assignment for the axes actually used; unused
     axes are free and omitted.
     """
-    used = set(spec.neg_period) | set(spec.core) | set(spec.pos_period)
+    used = spec._core_counts.keys() | {*spec.neg_period, *spec.pos_period}
     signs = dict(used)
     return (True, signs) if len(signs) == len(used) else (False, None)
 

@@ -34,7 +34,7 @@ from .lattice import (
     add,
     bounding_region,
     dual_face_of_edge,
-    face_edges,
+    face_keys,
     unit,
 )
 from .paths import (
@@ -467,17 +467,23 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
 
 
 def _faces_connected(surface: Surface) -> bool:
-    faces = list(surface.faces)
+    """Whether the faces form one piece, faces sharing an edge joined: a
+    search over each face's four edge keys, listed once.  An open surface
+    from :func:`validate_surface` always passes: split into two groups that
+    share no edge, it would hold a closed group, or a boundary that meets
+    itself at a vertex or falls in two cycles, all rejected there.  A
+    ``Surface`` built by hand may not pass."""
+    faces = [face_keys(f) for f in surface.faces]
     key_to_faces: dict[EdgeKey, list[int]] = {}
-    for i, f in enumerate(faces):
-        for e in face_edges(f):
-            key_to_faces.setdefault(e.key, []).append(i)
+    for i, keys in enumerate(faces):
+        for key in keys:
+            key_to_faces.setdefault(key, []).append(i)
     seen = {0}
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        for e in face_edges(faces[i]):
-            for j in key_to_faces[e.key]:
+        for key in faces[i]:
+            for j in key_to_faces[key]:
                 if j not in seen:
                     seen.add(j)
                     frontier.append(j)

@@ -16,6 +16,7 @@ from toric3d import _kernels
 from toric3d.errors import (
     AlreadyMonotonicInRegion,
     DimensionMismatch,
+    MalformedBoundary,
     MultipleCrossings,
     OutOfRegion,
     SelfIntersecting,
@@ -41,6 +42,7 @@ from toric3d.lattice import (
 from toric3d.paths import (
     FinitePath,
     InfinitePathSpec,
+    Surface,
     _cumulative,
     _escape_axis,
     _extent,
@@ -49,6 +51,7 @@ from toric3d.paths import (
     is_monotonic,
     monotone_staircase,
     path_from_steps,
+    validate_finite_path,
     word_is_monotone,
     word_is_self_avoiding,
 )
@@ -725,6 +728,73 @@ def reference_straighten_fixpoint(spec: InfinitePathSpec, region: Region):
         count += 1
 
 
+# The surface validator that read each face's edges as ``Edge`` records, in
+# one pass for the incidence rows and another for the boundary chain: the
+# reference for the one-pass ``validate_surface`` over closed-form face keys.
+
+
+def _reference_boundary_chain(faces):
+    odd = set()
+    for f in faces:
+        for e in face_edges(f):
+            odd.symmetric_difference_update({e.key})
+    return odd
+
+
+def _reference_order_cycle(keys) -> FinitePath:
+    by_vertex = {}
+    for (base, axis) in keys:
+        for v in (base, add(base, unit(axis))):
+            by_vertex.setdefault(v, []).append((base, axis))
+    if any(len(ks) != 2 for ks in by_vertex.values()):
+        raise MalformedBoundary("boundary chain is not a union of simple cycles")
+    start = min(by_vertex)
+    walk = []
+    v = start
+    prev_key = None
+    while True:
+        options = [k for k in by_vertex[v] if k != prev_key]
+        key = options[0]
+        base, axis = key
+        sign = +1 if base == v else -1
+        e = Edge(base, axis, sign)
+        walk.append(e)
+        v = boundary_edge(e)[1]
+        prev_key = key
+        if v == start:
+            break
+    if len(walk) != len(keys):
+        raise MalformedBoundary("boundary chain has more than one component")
+    return validate_finite_path(walk)
+
+
+def reference_validate_surface(faces) -> Surface:
+    """Classify a face set as an open or closed non-self-intersecting surface."""
+    face_list = list(faces)
+    if not face_list:
+        raise MalformedBoundary("a surface needs at least one face")
+    if len(set(face_list)) != len(face_list):
+        raise SelfIntersecting("face repeated in surface")
+
+    edge_index = {}
+    rows = [
+        _kernels.vector(edge_index.setdefault(e.key, len(edge_index)) for e in face_edges(f))
+        for f in face_list
+    ]
+    kernel = _kernels.nullspace(rows)
+
+    chain = _reference_boundary_chain(face_list)
+    if not chain:
+        # closed: the only null combination may be the full face set
+        if kernel != [(1 << len(face_list)) - 1]:
+            raise SelfIntersecting("closed surface contains a closed proper sub-surface")
+        return Surface(frozenset(face_list), None)
+    if kernel:
+        raise SelfIntersecting("surface contains a closed proper sub-surface")
+    boundary = _reference_order_cycle(chain)
+    return Surface(frozenset(face_list), boundary)
+
+
 # Surgery before it found each string's overlap once: the reference for
 # ``transforms.surgery``.  It walks a reversed string again and rebuilds the
 # run's key set for every boundary edge.
@@ -1115,6 +1185,23 @@ def random_nonmonotone_spec(rng):
         except SelfIntersecting:
             continue
     raise RuntimeError("could not sample a non-monotone spec")
+
+
+def random_membrane_faces(rng) -> set[Face]:
+    """The faces of up to 3 rectangles in one plane; their union may have a
+    hole or fall in pieces."""
+    normal = int(rng.integers(0, 3))
+    a1, a2 = (a for a in AXES if a != normal)
+    level = int(rng.integers(-1, 2))
+    faces = set()
+    for _ in range(int(rng.integers(1, 4))):
+        (u0, v0), (w, h) = rng.integers(0, 4, 2), rng.integers(1, 4, 2)
+        for u in range(u0, u0 + w):
+            for v in range(v0, v0 + h):
+                base = [level] * 3
+                base[a1], base[a2] = int(u), int(v)
+                faces.add(Face(tuple(base), normal))
+    return faces
 
 
 def random_loop(rng, lo=0, hi=3) -> FinitePath:

@@ -15,6 +15,7 @@ from toric3d.lattice import (
     dual_edge_of_face,
     dual_face_of_edge,
     face_edges,
+    face_keys,
     primal_face_of_edge,
     parse_steps,
     region_of,
@@ -29,6 +30,13 @@ def test_boundary_edge_examples():
     assert boundary_edge(Edge((0, 0, 0), 2, +1)) == ((0, 0, 0), (0, 0, 1))
     assert boundary_edge(Edge((0, 0, 0), 2, -1)) == ((0, 0, 1), (0, 0, 0))
     assert boundary_edge(Edge((2, -1, 5), 0, +1)) == ((2, -1, 5), (3, -1, 5))
+
+
+def test_face_keys_are_the_keys_of_face_edges():
+    for normal in AXES:
+        for base in product(range(-2, 2), repeat=3):
+            f = Face(base, normal)
+            assert face_keys(f) == tuple(e.key for e in face_edges(f))
 
 
 def test_boundary_face_is_closed_square():

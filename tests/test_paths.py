@@ -4,7 +4,14 @@ from collections import Counter
 
 import pytest
 
-from toric3d.errors import MalformedBoundary, MultipleCrossings, NotConnected, SelfIntersecting, TooLarge
+from toric3d.errors import (
+    MalformedBoundary,
+    MultipleCrossings,
+    NotConnected,
+    SelfIntersecting,
+    Toric3dError,
+    TooLarge,
+)
 from toric3d.lattice import (
     Face,
     Region,
@@ -18,6 +25,7 @@ from toric3d.lattice import (
 )
 from toric3d.paths import (
     InfinitePathSpec,
+    Surface,
     _comparison_window,
     _self_avoiding,
     _tail_rays,
@@ -37,7 +45,7 @@ from toric3d.paths import (
     word_is_monotone,
 )
 from toric3d.sectors import classify
-from toric3d.transforms import _segment_steps, energy, make_configuration, straighten_fixpoint
+from toric3d.transforms import _faces_connected, _segment_steps, energy, make_configuration, straighten_fixpoint
 from ._gen import (
     _random_word,
     brute_count_edges,
@@ -45,6 +53,7 @@ from ._gen import (
     equivalent_variant,
     flux_chain_in_region,
     random_core,
+    random_membrane_faces,
     random_monotone_spec,
     random_spec,
     reference_count_edges_in_region,
@@ -53,6 +62,7 @@ from ._gen import (
     reference_string_edges_in_region,
     reference_tail_rays,
     reference_validate_spec,
+    reference_validate_surface,
     unchecked_spec,
     zigzag_core,
 )
@@ -167,6 +177,76 @@ def test_closed_plus_extra_face_rejected():
     ]
     with pytest.raises((SelfIntersecting, MalformedBoundary)):
         validate_surface(faces)
+
+
+def _surface_outcome(validate, faces):
+    try:
+        return validate(faces)
+    except Toric3dError as ex:
+        return type(ex).__name__, str(ex)
+
+
+def _square(o, normal, side=2):
+    a1, a2 = (a for a in (X, Y, Z) if a != normal)
+    out = []
+    for u in range(side):
+        for v in range(side):
+            base = list(o)
+            base[a1] += u
+            base[a2] += v
+            out.append(Face(tuple(base), normal))
+    return out
+
+
+_FIXED_FACE_SETS = {
+    "empty": [],
+    "repeated_face": [Face((1, -2, 0), X)] * 2,
+    "unit_cube": _unit_cube((0, 0, 0)),
+    "cube_plus_far_face": _unit_cube((-1, 0, 2)) + [Face((5, 5, 5), Z)],
+    "cube_plus_touching_face": _unit_cube((0, 0, 0)) + [Face((1, 0, 0), Z)],
+    "two_cubes": _unit_cube((0, 0, 0)) + _unit_cube((3, 0, 0)),
+    "two_far_squares": _square((0, 0, 0), Z) + _square((6, -3, 1), Z),
+    "squares_meeting_at_a_corner": _square((0, 0, 0), Y) + _square((2, 0, 2), Y),
+    **{
+        f"face_{'xyz'[n]}_{base}": [Face(base, n)]
+        for n in (X, Y, Z)
+        for base in ((0, 0, 0), (-3, 2, -1))
+    },
+}
+
+
+def test_validate_surface_matches_reference(rng):
+    """One pass over closed-form face keys gives the surface of the
+    two-pass ``Edge``-record validator, boundary edges in the same order
+    (the orientation surgery reads), or the same error type and message:
+    on random unions of up to 3 rectangles in one plane, each listed sorted
+    and shuffled, and on fixed closed, repeated, split and single-face sets.
+    Every open surface accepted is edge-connected, as surgery checks."""
+    cases = list(_FIXED_FACE_SETS.values())
+    for _ in range(1500):
+        faces = sorted(random_membrane_faces(rng))
+        cases += [faces, [faces[i] for i in rng.permutation(len(faces))]]
+    outcomes = Counter()
+    for faces in cases:
+        got = _surface_outcome(validate_surface, faces)
+        want = _surface_outcome(reference_validate_surface, faces)
+        assert got == want  # a Surface compares its faces and its boundary's edges in order
+        if not isinstance(got, Surface):
+            outcomes[got] += 1
+        elif got.closed:
+            outcomes["closed"] += 1
+        else:
+            assert _faces_connected(got)
+            outcomes["open"] += 1
+    assert outcomes["open"] > 1000 and outcomes["closed"] == 1
+    assert {key for key in outcomes if key not in ("open", "closed")} == {
+        ("MalformedBoundary", "a surface needs at least one face"),
+        ("MalformedBoundary", "boundary chain is not a union of simple cycles"),
+        ("MalformedBoundary", "boundary chain has more than one component"),
+        ("SelfIntersecting", "face repeated in surface"),
+        ("SelfIntersecting", "surface contains a closed proper sub-surface"),
+        ("SelfIntersecting", "closed surface contains a closed proper sub-surface"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +400,20 @@ def test_inverse_u_not_monotonic():
 def test_staircase_monotonic():
     mono, signs = is_monotonic(spec_from_strings("X+Y+", "", "X+Y+"))
     assert mono and signs == {X: 1, Y: 1}
+
+
+def test_is_monotonic_matches_the_set_of_every_letter(rng):
+    """Read from the core's cached letter counts, the verdict and signs
+    equal those of a set built over every letter of the spec."""
+    specs = [random_spec(rng, max_core=12) for _ in range(300)]
+    specs += [random_monotone_spec(rng) for _ in range(100)]
+    verdicts = Counter()
+    for spec in specs:
+        used = set(spec.neg_period) | set(spec.core) | set(spec.pos_period)
+        signs = dict(used)
+        assert is_monotonic(spec) == ((True, signs) if len(signs) == len(used) else (False, None))
+        verdicts[len(signs) == len(used)] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 def test_monotone_implies_disjoint_sides(rng):

@@ -20,6 +20,7 @@ from toric3d.lattice import Face, Region, add, direction_vector, parse_steps, re
 from toric3d.paths import (
     MAX_TAIL_LETTERS,
     InfinitePathSpec,
+    Surface,
     _word_displacement,
     enclosing_region,
     infinity_directions,
@@ -48,6 +49,7 @@ from ._gen import (
     equivalent_variant,
     flux_chain_in_region,
     random_loop,
+    random_membrane_faces,
     _random_word,
     bfs_distance,
     chain_xor_check,
@@ -596,19 +598,8 @@ def test_surgery_matches_reference(rng):
 def _random_membrane(rng):
     """Up to 3 rectangles of faces in one plane, or None when their union
     is no valid surface (a hole, or two pieces)."""
-    normal = int(rng.integers(0, 3))
-    a1, a2 = (a for a in (X, Y, Z) if a != normal)
-    level = int(rng.integers(-1, 2))
-    faces = set()
-    for _ in range(int(rng.integers(1, 4))):
-        (u0, v0), (w, h) = rng.integers(0, 4, 2), rng.integers(1, 4, 2)
-        for u in range(u0, u0 + w):
-            for v in range(v0, v0 + h):
-                base = [level] * 3
-                base[a1], base[a2] = int(u), int(v)
-                faces.add(Face(tuple(base), normal))
     try:
-        return validate_surface(sorted(faces))
+        return validate_surface(sorted(random_membrane_faces(rng)))
     except Toric3dError:
         return None
 
@@ -662,6 +653,16 @@ def test_surgery_matches_reference_on_random_membranes(rng):
     assert outcomes["MultipleOverlapRuns"] and outcomes[1] and outcomes[2] and outcomes[3]
     # the reference's check that a run is one arc along the boundary never fires
     assert not any("not contiguous along the boundary" in m for m in messages)
+
+
+def test_surgery_rejects_a_hand_built_surface_in_two_pieces():
+    """``validate_surface`` never returns faces in two pieces, but a
+    ``Surface`` is a public record: surgery checks its faces itself."""
+    line = spec_from_strings("Z+", "", "Z+", (0, 0, 0))
+    one = validate_surface([Face((0, 0, 0), Y)])
+    surf = Surface(one.faces | {Face((5, 5, 5), Y)}, one.boundary)
+    with pytest.raises(InvalidSurface, match="^surface faces are not edge-connected$"):
+        surgery(make_configuration(strings=[line]), surf)
 
 
 def test_surgery_no_overlap_rejected():
