@@ -178,6 +178,7 @@ def _order_cycle(keys: set[EdgeKey]) -> FinitePath:
         raise MalformedBoundary("boundary chain is not a union of simple cycles")
     start = min(by_vertex)
     walk: list[Edge] = []
+    vertices = [start]
     v = start
     prev_key = None
     while True:
@@ -191,12 +192,15 @@ def _order_cycle(keys: set[EdgeKey]) -> FinitePath:
         else:
             walk.append(Edge(base, axis, -1))
             v = base
+        vertices.append(v)
         prev_key = key
         if v == start:
             break
     if len(walk) != len(keys):
         raise MalformedBoundary("boundary chain has more than one component")
-    return validate_finite_path(walk)
+    # every vertex has degree 2 and one component was walked, so the walk is
+    # a simple closed path
+    return FinitePath(tuple(walk), tuple(vertices), True)
 
 
 def validate_surface(faces: Iterable[Face]) -> Surface:

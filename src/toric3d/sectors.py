@@ -302,14 +302,34 @@ def _images(a: Assignment) -> tuple[Assignment, ...]:
     return tuple(_SHARED[min((t[p], t[m]), (t[m], t[p]))] for t in _octahedral_tables())
 
 
-def canonical_solution(sol: Solution) -> Solution:
-    """Minimum over octahedral symmetry, string order, and D+/D- swaps.
+def _key(sol: Solution) -> Solution:
+    """``sol`` up to string order and D+/D- swaps: each assignment at its
+    smaller encoding, sorted."""
+    return tuple(sorted(min(a, a[::-1]) for a in sol))
 
-    Swap and order minimize independently per string, so each assignment
-    contributes its smaller encoding and the tuple is sorted: one column of
-    cached images per table.
+
+def _orbit(sol: Solution) -> list[Solution]:
+    """The keys of ``sol``'s 48 octahedral images, one column of cached
+    images per table.  Their minimum is the canonical form: the minimum over
+    symmetry, string order and swaps, as swap and order minimize
+    independently per string."""
+    return [tuple(sorted(col)) for col in zip(*map(_images, sol))]
+
+
+def _orbit_table(sols: list[Solution]) -> dict[Solution, Solution]:
+    """Map the key of every solution in ``sols`` to its canonical form.
+
+    A key not yet in the table starts a new orbit: its 48 image keys are
+    built once and all mapped to their minimum.  Every key of that orbit is
+    one of them, so each later key is one lookup, and the table's values
+    first appear in the order of each orbit's first solution.
     """
-    return min(tuple(sorted(col)) for col in zip(*map(_images, sol)))
+    canon_of: dict[Solution, Solution] = {}
+    for key in map(_key, sols):
+        if key not in canon_of:
+            images = _orbit(key)
+            canon_of.update(dict.fromkeys(images, min(images)))
+    return canon_of
 
 
 def _case_two(sol: Solution) -> str:
@@ -386,22 +406,36 @@ def _raw_solutions(n_strings: int) -> list[Solution]:
     return [sol for sol, _ in partial]
 
 
-def _raw_count_alt(n_strings: int, used: int = 0) -> int:
+def _raw_count_alt(n_strings: int) -> int:
     """Independent ordering: choose disjoint direction sets first, then count
-    the ways to split each into two nonempty sides; ``used`` holds the
-    directions of the strings chosen so far."""
-    if n_strings == 0:
-        return 1
-    return sum(
-        (2 ** d.bit_count() - 2) * _raw_count_alt(n_strings - 1, used | d)
-        for d in range(64)
-        if d.bit_count() >= 2 and not d & used
-    )
+    the ways to split each into two nonempty sides.  A subproblem is the
+    number of strings left and the directions ``used`` so far; each is
+    solved once per call."""
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(left: int, used: int) -> int:
+        if left == 0:
+            return 1
+        if (left, used) not in memo:
+            memo[left, used] = sum(
+                (2 ** d.bit_count() - 2) * count(left - 1, used | d)
+                for d in range(64)
+                if d.bit_count() >= 2 and not d & used
+            )
+        return memo[left, used]
+
+    return count(n_strings, 0)
 
 
-def _reduction_closure(rep: Solution, classify_fn) -> frozenset[str]:
-    """Cases reachable from ``rep`` by three rounds of surgery moves."""
-    seen = {canonical_solution(rep)}
+def _reduction_closure(
+    rep: Solution, classify_fn, canon_of: dict[Solution, Solution]
+) -> frozenset[str]:
+    """Cases reachable from ``rep`` by three rounds of surgery moves.
+
+    Every swap and surgery image of a raw solution is itself a raw solution,
+    so ``canon_of``, the orbit table of all raw solutions, holds the key of
+    every move."""
+    seen = {canon_of[_key(rep)]}
     frontier = [rep]
     cases = {classify_fn(rep)}
     for _ in range(3):
@@ -415,7 +449,7 @@ def _reduction_closure(rep: Solution, classify_fn) -> frozenset[str]:
                         if i == j:
                             continue
                         moved = surgery_move(var, i, j)
-                        canon = canonical_solution(moved)
+                        canon = canon_of[_key(moved)]
                         if canon not in seen:
                             seen.add(canon)
                             nxt.append(moved)
@@ -427,23 +461,22 @@ def _reduction_closure(rep: Solution, classify_fn) -> frozenset[str]:
 def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
     """Brute-force all tail-direction assignments satisfying the ground
     sector condition, fold them under octahedral symmetry, and name the
-    surviving cases."""
+    surviving cases.
+
+    The orbit table, built for this call only, computes each orbit's 48
+    images once; every other raw solution and every surgery move of the
+    reduction closure is a lookup in it.  The orbits keep the order of their
+    first raw solutions."""
     sols = _raw_solutions(n_strings)
     classify_fn = _case_two if n_strings == 2 else _case_three
-    # the canonical form ignores string order and swaps, so it is computed
-    # once per such class; each class's key first appears at its first raw
-    # solution, which keeps the orbits in the order of their first solutions
-    orbits: dict[Solution, str] = {}
-    for key in dict.fromkeys(tuple(sorted(min(a, a[::-1]) for a in sol)) for sol in sols):
-        canon = canonical_solution(key)
-        if canon not in orbits:
-            orbits[canon] = classify_fn(canon)
+    canon_of = _orbit_table(sols)
+    orbits = {canon: classify_fn(canon) for canon in dict.fromkeys(canon_of.values())}
 
     reducible = {"IV.A"} if n_strings == 2 else {"B", "C"}
     targets: dict[str, set[str]] = {}
     for canon, case in orbits.items():
         if case in reducible:
-            targets.setdefault(case, set()).update(_reduction_closure(canon, classify_fn))
+            targets.setdefault(case, set()).update(_reduction_closure(canon, classify_fn, canon_of))
     return EnumerationReport(
         n_strings=n_strings,
         raw_count=len(sols),

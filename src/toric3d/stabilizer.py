@@ -556,19 +556,26 @@ def _fiber_checks(nets: list[int], n_interior: int, interior_basis: list[int]):
 
     Interior qubits are the low bits, so each boundary condition's nets (its
     fiber) form one run, and two nets differ on the boundary exactly when
-    their XOR exceeds the interior mask.  The fibers are equal when the
-    aligned blocks of ``2^k`` nets each keep one boundary.  The least element
-    of a coset of the interior group ``G`` is zero on ``G``'s leading bits,
-    so the sorted coset is that element XOR the sorted ``G``: the boundary
-    bit-flip pairs every fiber with a coset when each block's ``j``-th net is
-    its first XOR ``G[j]``.
+    their XOR exceeds the interior mask.  When the list splits into aligned
+    blocks of ``2^k`` nets that each keep one boundary (their first and last
+    net agree on it), no run starts inside a block, so the runs are counted
+    over the block starts; otherwise over every net.  The fibers are equal
+    when the blocks keep one boundary and each run is one block.  The least
+    element of a coset of the interior group ``G`` is zero on ``G``'s
+    leading bits, so the sorted coset is that element XOR the sorted ``G``:
+    the boundary bit-flip pairs every fiber with a coset when each block's
+    ``j``-th net is its first XOR ``G[j]``.
     """
     fiber = 2 ** len(interior_basis)
     mask = repeat((1 << n_interior) - 1)
-    runs = len(nets) and 1 + sum(map(gt, map(xor, nets, islice(nets, 1, None)), mask))
-    fibers_equal = len(nets) == runs * fiber and all(
+    blocks_keep_boundary = len(nets) % fiber == 0 and all(
         map(le, map(xor, islice(nets, 0, None, fiber), islice(nets, fiber - 1, None, fiber)), mask)
     )
+    step = fiber if blocks_keep_boundary else 1
+    runs = len(nets) and 1 + sum(
+        map(gt, map(xor, islice(nets, 0, None, step), islice(nets, step, None, step)), mask)
+    )
+    fibers_equal = blocks_keep_boundary and len(nets) == runs * fiber
     group = sorted(_kernels.span(interior_basis))
     bijection = fibers_equal and all(
         all(map(eq, islice(nets, j, None, fiber), map(xor, islice(nets, 0, None, fiber), repeat(group[j]))))

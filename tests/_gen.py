@@ -977,10 +977,10 @@ def reference_raw_count_alt(n_strings: int) -> int:
     return total
 
 
-# ``sectors.canonical_solution`` as one sorted candidate per symmetry table,
-# and the n = 1 fiber loop of ``stabilizer.surface_net_checks`` stepping one
-# net at a time, kept to check the cached images and the whole-list passes
-# against.
+# The canonical form of a solution as one sorted candidate per symmetry
+# table, the reduction closure that recomputes it for every surgery move, and
+# the n = 1 fiber loop of ``stabilizer.surface_net_checks`` stepping one net
+# at a time, kept to check the orbit table and the whole-list passes against.
 
 
 def reference_canonical_solution(sol):
@@ -994,6 +994,33 @@ def reference_canonical_solution(sol):
         if best is None or cand < best:
             best = cand
     return best
+
+
+def reference_reduction_closure(rep, classify_fn):
+    """Cases reachable from ``rep`` by three rounds of surgery moves."""
+    from toric3d.sectors import surgery_move
+
+    seen = {reference_canonical_solution(rep)}
+    frontier = [rep]
+    cases = {classify_fn(rep)}
+    for _ in range(3):
+        nxt = []
+        for sol in frontier:
+            n = len(sol)
+            for swaps in product((0, 1), repeat=n):
+                var = tuple((m, p) if sw else (p, m) for (p, m), sw in zip(sol, swaps))
+                for i in range(n):
+                    for j in range(n):
+                        if i == j:
+                            continue
+                        moved = surgery_move(var, i, j)
+                        canon = reference_canonical_solution(moved)
+                        if canon not in seen:
+                            seen.add(canon)
+                            nxt.append(moved)
+                            cases.add(classify_fn(moved))
+        frontier = nxt
+    return frozenset(cases)
 
 
 def reference_fiber_checks(nets, n_interior: int, interior_basis):

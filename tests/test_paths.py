@@ -237,6 +237,7 @@ def test_validate_surface_matches_reference(rng):
             outcomes["closed"] += 1
         else:
             assert _faces_connected(got)
+            assert got.boundary == validate_finite_path(got.boundary.edges)
             outcomes["open"] += 1
     assert outcomes["open"] > 1000 and outcomes["closed"] == 1
     assert {key for key in outcomes if key not in ("open", "closed")} == {

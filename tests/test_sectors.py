@@ -24,11 +24,12 @@ from toric3d.sectors import (
     VerdictKind,
     _case_three,
     _case_two,
+    _orbit,
+    _orbit_table,
     _raw_count_alt,
     _raw_solutions,
     _script_region,
     _string_tag,
-    canonical_solution,
     charge_parity,
     classify,
     enumerate_gsc_solutions,
@@ -49,6 +50,7 @@ from ._gen import (
     reference_classify,
     reference_raw_count_alt,
     reference_raw_solutions,
+    reference_reduction_closure,
     zigzag_core,
 )
 
@@ -556,7 +558,7 @@ def test_surgery_move_keeps_validity():
     moved = surgery_move(sol, 0, 1)
     for p, m in moved:
         assert p and m and not (p & m)
-    assert canonical_solution(moved) == canonical_solution(surgery_move(sol, 0, 1))
+    assert min(_orbit(moved)) == min(_orbit(surgery_move(sol, 0, 1)))
 
 
 def _images(sol):
@@ -579,17 +581,63 @@ def test_canonical_solution_matches_reference(n):
     raw = set(sols)
     assert all(var in raw for sol in sols for var in _images(sol))
     for sol in sols:
-        assert canonical_solution(sol) == reference_canonical_solution(sol), sol
+        assert min(_orbit(sol)) == reference_canonical_solution(sol), sol
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_enumeration_orbits_match_reference(n):
-    # one canonical form per string-order/swap class: the same orbits, in
-    # the order of the first raw solution of each, with the same cases
+def _reference_orbits(n):
+    """Each orbit's canonical form with its case, in the order of the first
+    raw solution of each."""
     classify_fn = _case_two if n == 2 else _case_three
     expected = {}
     for sol in reference_raw_solutions(n):
         canon = reference_canonical_solution(sol)
         if canon not in expected:
             expected[canon] = classify_fn(canon)
-    assert list(enumerate_gsc_solutions(n).orbits.items()) == list(expected.items())
+    return expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_enumeration_orbits_match_reference(n):
+    # one canonical form per string-order/swap class: the same orbits, in
+    # the order of the first raw solution of each, with the same cases
+    assert list(enumerate_gsc_solutions(n).orbits.items()) == list(_reference_orbits(n).items())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_table_maps_every_raw_key_to_its_canonical_form(n):
+    # the table holds the key (string order and swaps forgotten) of every
+    # raw solution, mapped to that solution's canonical form
+    table = _orbit_table(_raw_solutions(n))
+    for sol in reference_raw_solutions(n):
+        key = tuple(sorted(min(a, a[::-1]) for a in sol))
+        assert table[key] == reference_canonical_solution(sol), sol
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduction_targets_match_reference(n):
+    # the closure looks its surgery moves up in the orbit table; the
+    # reference recomputes the canonical form of each move
+    classify_fn = _case_two if n == 2 else _case_three
+    reducible = {"IV.A"} if n == 2 else {"B", "C"}
+    expected = {}
+    for canon, case in _reference_orbits(n).items():
+        if case in reducible:
+            expected.setdefault(case, set()).update(reference_reduction_closure(canon, classify_fn))
+    assert enumerate_gsc_solutions(n).reduction_targets == {k: frozenset(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("n, orbits", [(2, 22), (3, 3)])
+def test_enumeration_builds_image_columns_once_per_orbit(monkeypatch, n, orbits):
+    # one call of the image-column helper per orbit: later keys and the
+    # closure's surgery moves are table lookups
+    import toric3d.sectors as sectors
+
+    calls = []
+
+    def counted(sol):
+        calls.append(sol)
+        return _orbit(sol)
+
+    monkeypatch.setattr(sectors, "_orbit", counted)
+    assert len(enumerate_gsc_solutions(n).orbits) == orbits
+    assert len(calls) == orbits

@@ -241,6 +241,31 @@ def test_fiber_checks_match_reference_on_synthetic_nets():
     assert {(False, False), (True, False)} <= verdicts
 
 
+def test_fiber_checks_count_runs_over_block_starts():
+    # a full-size fiber added on a boundary value the list already holds
+    # keeps every aligned block on one boundary, so the runs are counted
+    # over the block starts, yet they are fewer than len / fiber; two single
+    # nets on fresh boundary values after the list's leave a last block of
+    # fewer than ``fiber`` nets that changes boundary; the empty list has no
+    # runs and vacuously equal fibers
+    rng = random.Random(20261019)
+    for case in range(400):
+        n_interior = rng.randrange(3, 8)
+        nets, basis, group = _synthetic_nets(rng, n_interior, case % 4)
+        boundary = rng.choice(nets) >> n_interior
+        r = rng.randrange(1 << n_interior)
+        merged = sorted(nets + [boundary << n_interior | r ^ g for g in group])
+        expected = reference_fiber_checks(merged, n_interior, basis)
+        assert expected == (len(merged) // len(group) - 1, False, False)
+        assert _fiber_checks(merged, n_interior, basis) == expected, (case, merged, basis)
+        tail = nets + [b << n_interior | rng.randrange(1 << n_interior) for b in (16, 17)]
+        expected = reference_fiber_checks(tail, n_interior, basis)
+        assert expected[0] == len(set(v >> n_interior for v in nets)) + 2
+        assert _fiber_checks(tail, n_interior, basis) == expected, (case, tail, basis)
+    for basis in ([], [1], [1, 6]):
+        assert _fiber_checks([], 3, basis) == reference_fiber_checks([], 3, basis) == (0, True, True)
+
+
 def test_fiber_checks_build_no_list_of_nets(nets_n1):
     # the passes are lazy: any list derived from the 2^18 nets would hold
     # at least 2 MiB of pointers, far above this bound
