@@ -131,21 +131,11 @@ class Face(NamedTuple):
     normal: Axis
 
 
-def face_edges(f: Face) -> tuple[Edge, Edge, Edge, Edge]:
-    """The four boundary edges of ``f``, ordered as a closed walk."""
-    a1, a2 = [a for a in AXES if a != f.normal]
-    b = f.base
-    return (
-        Edge(b, a1, +1),
-        Edge(add(b, unit(a1)), a2, +1),
-        Edge(add(b, unit(a2)), a1, -1),
-        Edge(b, a2, -1),
-    )
-
-
 def face_keys(f: Face) -> tuple[EdgeKey, EdgeKey, EdgeKey, EdgeKey]:
-    """The keys of :func:`face_edges` of ``f`` in the same order, read off
-    its normal without building an edge."""
+    """The keys of the four boundary edges of ``f`` in the order of a closed
+    walk from ``base``: along the lesser in-plane axis, along the greater,
+    back along the lesser and back along the greater.  Read off the normal
+    without building an edge."""
     b = (x, y, z) = f.base
     if f.normal == 0:
         return ((b, 1), ((x, y + 1, z), 2), ((x, y, z + 1), 1), (b, 2))

@@ -13,10 +13,12 @@ bi-infinite walk
 Every tail read uses one arithmetic model.  Letter ``i`` of a tail period sits
 at ``v + q * disp`` in period ``q``, affine in ``q``, so the periods in which
 its vertex, or both ends of its edge, lie in a box form one interval
-(:func:`_periods`).  ``walk_in`` lists tails from these intervals, ``count_in``
-counts them, ``params_in`` reads the first and last in-box parameter off their
-ends, and path equivalence reads each ray's anchor off them; nothing walks a
-tail to find where it leaves a box.
+(:func:`_periods`).  ``edges_in`` lists tail edges from these intervals,
+``count_in`` counts them and ``params_in`` reads the first and last in-box
+parameter off their ends; nothing walks a tail to find where it leaves a box.
+A tail that such a walk would need more than ``MAX_TAIL_LETTERS`` letters to
+leave is TooLarge in all three.  Path equivalence reads no box: it compares
+the closed-form class of each tail's eventual edge set (:func:`_ray_class`).
 
 Validation accepts a spec in closed form.  A monotone string, whose letters
 keep one sign per axis, is accepted by its letters alone.  Otherwise
@@ -380,41 +382,24 @@ class InfinitePathSpec(_SpecFields):
         steps = self.realize_steps(a, b)
         return list(map(edge_from, _cumulative(steps, self.vertex(a)), steps))
 
-    def walk_in(self, region: Region) -> list[tuple[int, EdgeKey | None]]:
-        """``(t, key)`` for every walked parameter ``t`` with ``vertex(t)`` in
-        ``region``; ``key`` is edge ``t``'s key when both its endpoints lie in
-        ``region``, else None.  Each parameter is listed once; the order of
-        the list is not part of the contract.  For callers that need the keys
-        themselves: ``energy`` where two in-region hulls meet, and the shared
-        runs of surgery and ``deoverlap``; counts and parameter ends come
-        from ``count_in`` and ``params_in`` without listing.
-
-        Lists every core edge from ``core_keys`` when ``region`` contains
-        ``core_box``, else scans ``core_vertices`` for the ones inside; then
-        lists each tail letter's periods from :func:`_periods`, without
-        walking the tail.
-        """
+    def edges_in(self, region: Region) -> dict[EdgeKey, int]:
+        """The key of every edge with both endpoints in ``region``, mapped to
+        its parameter, in no promised order: the core's from ``core_keys``
+        when ``region`` contains ``core_box``, else from a scan of the core,
+        and each tail letter's from its :func:`_periods` range.  For callers
+        that need the keys; ``count_in`` and ``params_in`` list none."""
         if region.contains_region(self.core_box):
-            hits = list(enumerate(self.core_keys))
+            hits = dict(zip(self.core_keys, range(len(self.core))))
         else:
             inside = self._inside(region)
-            hits = [
-                (t, key if nxt else None)
-                for t, (key, here, nxt) in enumerate(zip(self.core_keys, inside, inside[1:]))
-                if here
-            ]
+            hits = {key: t for t, key in enumerate(self.core_keys) if inside[t] and inside[t + 1]}
         for tail in self._tails:
             _check_tail_cap(tail, region)
             dx, dy, dz = disp = tail.disp
-            for t, dt, v, lo, hi, a in tail.letters:
-                qs = _periods(v, v, disp, region)
-                if qs:
-                    ks = _periods(lo, hi, disp, region)
-                    x, y, z = lo
-                    hits += [
-                        (t + q * dt, ((x + q * dx, y + q * dy, z + q * dz), a) if q in ks else None)
-                        for q in qs
-                    ]
+            for t, dt, _, lo, hi, a in tail.letters:
+                x, y, z = lo
+                for q in _periods(lo, hi, disp, region):
+                    hits[(x + q * dx, y + q * dy, z + q * dz), a] = t + q * dt
         return hits
 
     def count_in(self, region: Region) -> tuple[int, Region | None]:
@@ -903,61 +888,33 @@ def enclosing_region(*specs: InfinitePathSpec) -> Region:
 # ---------------------------------------------------------------------------
 
 
-def _comparison_window(p: InfinitePathSpec, q: InfinitePathSpec) -> Region:
-    pad = len(p.neg_period) + len(p.pos_period) + len(q.neg_period) + len(q.pos_period) + 1
-    return enclosing_region(p, q).inflate(pad)
-
-
-def _tail_rays(spec: InfinitePathSpec, window: Region, length: int):
-    """(anchor, outward edge keys) for the positive and negative ray.  Each
-    ray starts at the first vertex past its tail's last vertex in ``window``;
-    ``window`` holds the core with a margin, so each tail meets it.  A
-    negative letter's vertex is the outer end of its edge, so that ray's
-    first edge lies one letter further out."""
-    pos, neg = spec._tails
-    a, b = _last_in(pos, window) + 1, _last_in(neg, window) + 1
-    return (
-        (spec.vertex(len(spec.core) + a), _ray_keys(pos, a, length)),
-        (spec.vertex(-1 - b), _ray_keys(neg, b + 1, length)),
-    )
-
-
-def _last_in(tail: _Tail, window: Region) -> int:
-    """The largest outward index ``q * n + i`` (letter ``i`` of ``n``, period
-    ``q``) whose vertex lies in ``window``, read off each letter's last
-    period there."""
-    _check_tail_cap(tail, window)
-    n = len(tail.letters)
-    ranges = ((i, _periods(v, v, tail.disp, window)) for i, (_, _, v, _, _, _) in enumerate(tail.letters))
-    return max(qs[-1] * n + i for i, qs in ranges if qs)
-
-
-def _ray_keys(tail: _Tail, k: int, length: int) -> tuple[EdgeKey, ...]:
-    """The keys of ``length`` tail edges walked outward from outward index ``k``."""
-    n, (dx, dy, dz) = len(tail.letters), tail.disp
-    keys = []
-    for q, i in map(divmod, range(k, k + length), [n] * length):
-        _, _, _, (x, y, z), _, axis = tail.letters[i]
-        keys.append(((x + q * dx, y + q * dy, z + q * dz), axis))
-    return tuple(keys)
+def _ray_class(tail: _Tail, word: StepWord) -> tuple[Vertex, int, frozenset[tuple[Vertex, int, int]]]:
+    """The class of the edge set ``tail`` walks from some period on, for
+    ``word`` its period word: the heading ``u``, the set's least period
+    ``m`` along ``u``, and each letter's edge family as its coset of
+    ``Z * u``, axis and index mod ``m``.  Two tails end in the same edge set
+    exactly when their classes agree.  A shift that maps the set onto itself
+    maps the walk onto itself, so ``m`` is the displacement of ``word``'s
+    primitive root: ``Z+`` and ``Z+Z+`` have one class."""
+    u, g = _primitive(tail.disp)
+    n = len(word)
+    root = next(d for d in range(1, n + 1) if n % d == 0 and word[d:] == word[:-d])
+    m = g * root // n
+    cosets = [(_coset(lo, u, tail.axis), axis) for _, _, _, lo, _, axis in tail.letters]
+    return u, m, frozenset((r, axis, k % m) for (r, k), axis in cosets)
 
 
 def path_equivalent(p: InfinitePathSpec, q: InfinitePathSpec) -> bool:
     """Whether the realized edge sets differ in only finitely many edges.
 
-    Outside a window containing both cores plus full tail periods, both paths
-    are exact periodic rays; equivalence reduces to the four rays pairing up
-    with identical edge sets, decided from anchors and period words.  Equal
-    specs realize the same walk and return True without a comparison.
+    A spec's two tails share no vertex, so a tail can end inside only one
+    tail of the other spec: the specs are equivalent exactly when their
+    tails' classes (:func:`_ray_class`) pair up, straight or flipped.
+    Equal specs realize the same walk and return True without a comparison.
     """
     if p == q:
         return True
-    window = _comparison_window(p, q)
-    length = 2 * (
-        len(p.pos_period) + len(p.neg_period) + len(q.pos_period) + len(q.neg_period)
-    ) + 4
-    p_pos, p_neg = _tail_rays(p, window, length)
-    q_pos, q_neg = _tail_rays(q, window, length)
-    straight = p_pos == q_pos and p_neg == q_neg
-    flipped = p_pos == q_neg and p_neg == q_pos
-    return straight or flipped
+    (p_pos, p_neg), (q_pos, q_neg) = p._tails, q._tails
+    a = _ray_class(p_pos, p.pos_period), _ray_class(p_neg, p.neg_period)
+    b = _ray_class(q_pos, q.pos_period), _ray_class(q_neg, q.neg_period)
+    return a == b or a == b[::-1]

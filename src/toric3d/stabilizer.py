@@ -39,7 +39,7 @@ from .lattice import (
     boundary_edge,
     edge_from,
     edges_of_vertex,
-    face_edges,
+    face_keys,
     primal_face_of_edge,
     sub,
     unit,
@@ -144,7 +144,7 @@ class FiniteLattice:
     @cached_property
     def face_matrix(self) -> list[int]:
         return [
-            _kernels.vector(self.edge_index[e.key] for e in face_edges(f))
+            _kernels.vector(self.edge_index[key] for key in face_keys(f))
             for f in self.faces
         ]
 
@@ -190,7 +190,7 @@ def star(lat: FiniteLattice, v: Vertex) -> PauliOperator:
 
 
 def plaquette(lat: FiniteLattice, f: Face) -> PauliOperator:
-    return pauli_from_keys(lat, z_keys=[e.key for e in face_edges(f)])
+    return pauli_from_keys(lat, z_keys=face_keys(f))
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
@@ -448,7 +448,7 @@ def _tail_letters(clip: Region, start: Vertex, period: int, disp: Vertex) -> int
     and ``disp`` per period, has left ``clip`` for good: each period gains
     ``|disp|`` along its escape axis and strays at most ``period`` letters
     back.  Raise TooLarge past ``MAX_TAIL_LETTERS``.  This is the cap that
-    ``walk_in`` and ``energy`` put on a tail, restated so that the flip
+    ``edges_in`` and ``energy`` put on a tail, restated so that the flip
     shares no tail read with them."""
     axis = max(AXES, key=lambda a: abs(disp[a]))
     sign = 1 if disp[axis] > 0 else -1
@@ -544,9 +544,9 @@ def _edge_rows_over_faces(lat: FiniteLattice, edge_keys: Sequence[EdgeKey]) -> l
     face_index = {f: i for i, f in enumerate(lat.faces)}
     incident: dict[EdgeKey, list[int]] = {k: [] for k in edge_keys}
     for f, i in face_index.items():
-        for e in face_edges(f):
-            if e.key in incident:
-                incident[e.key].append(i)
+        for key in face_keys(f):
+            if key in incident:
+                incident[key].append(i)
     return [_kernels.vector(incident[k]) for k in edge_keys]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     AlreadyMonotonicInRegion,
@@ -133,10 +133,10 @@ def _flux_count(cfg: Configuration, region: Region) -> int:
     return len(loops) + sum(count for count, _ in counts) - sum(m - m % 2 for m in walked.values())
 
 
-def _keys_in(part: InfinitePathSpec | set[EdgeKey], box: Region) -> set[EdgeKey]:
+def _keys_in(part: InfinitePathSpec | set[EdgeKey], box: Region) -> Iterable[EdgeKey]:
     """The keys of a string's edges, or of a set of edge keys, in ``box``."""
     if isinstance(part, InfinitePathSpec):
-        return {key for _, key in part.walk_in(box) if key is not None}
+        return part.edges_in(box).keys()
     return {(b, a) for b, a in part if box.contains_vertex(b) and box.contains_vertex(add(b, unit(a)))}
 
 
@@ -347,11 +347,6 @@ def straighten_fixpoint(spec: InfinitePathSpec, region: Region) -> tuple[Infinit
 # ---------------------------------------------------------------------------
 
 
-def _overlap(spec: InfinitePathSpec, keys: Container[EdgeKey], window: Region) -> dict[int, EdgeKey]:
-    """Parameter to key of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
-    return {t: key for t, key in spec.walk_in(window) if key is not None and key in keys}
-
-
 def deoverlap(cfg: Configuration) -> Configuration:
     """Perturb later strings by unit detours until no two share an edge."""
     strings = list(cfg.strings)
@@ -393,8 +388,8 @@ def _first_shared_run(strings: Sequence[InfinitePathSpec]) -> tuple[int, int, in
                 + len(strings[j].pos_period)
             ) + 2
             window = enclosing_region(strings[i], strings[j]).inflate(pad)
-            keys_i = {key for _, key in strings[i].walk_in(window)}
-            ts = _overlap(strings[j], keys_i, window)
+            keys_i = strings[i].edges_in(window)
+            ts = [t for key, t in strings[j].edges_in(window).items() if key in keys_i]
             if ts:
                 t_lo, t_hi = _contiguous_runs(ts)[0]
                 return j, t_lo, t_hi + 1
@@ -429,7 +424,7 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
     touched = []
     strings = list(cfg.strings)
     for idx, spec in enumerate(strings):
-        overlap = _overlap(spec, position.keys(), window)
+        overlap = {t: key for key, t in spec.edges_in(window).items() if key in position}
         if not overlap:
             continue
         runs = _contiguous_runs(overlap)

@@ -29,10 +29,10 @@ from toric3d.lattice import (
     Vertex,
     add,
     boundary_edge,
+    bounding_region,
     direction_vector,
     edge_from,
     edges_of_vertex,
-    face_edges,
     primal_face_of_edge,
     reverse_direction,
     scale,
@@ -43,9 +43,11 @@ from toric3d.paths import (
     FinitePath,
     InfinitePathSpec,
     Surface,
+    _check_tail_cap,
     _cumulative,
     _escape_axis,
     _extent,
+    _periods,
     _primitive,
     _word_displacement,
     is_monotonic,
@@ -64,6 +66,19 @@ DIRS6 = [(a, s) for a in AXES for s in (+1, -1)]
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+
+def face_edges(f: Face) -> tuple[Edge, Edge, Edge, Edge]:
+    """The four boundary edges of ``f``, ordered as a closed walk, built as
+    ``Edge`` records: the reference for ``lattice.face_keys``."""
+    a1, a2 = [a for a in AXES if a != f.normal]
+    b = f.base
+    return (
+        Edge(b, a1, +1),
+        Edge(add(b, unit(a1)), a2, +1),
+        Edge(add(b, unit(a2)), a1, -1),
+        Edge(b, a2, -1),
+    )
 
 
 def primal_edge_of_face(f: Face) -> Edge:
@@ -149,8 +164,6 @@ def chain_xor_check(chains: list[set], target: set) -> bool:
 def fill_cycle(boundary_keys: set, box: Region):
     """A set of dual faces inside ``box`` whose boundary is the given chain,
     found by solving the face-boundary linear system over F2."""
-    from toric3d.lattice import face_edges
-
     faces = []
     for normal in AXES:
         a1, a2 = [a for a in AXES if a != normal]
@@ -308,7 +321,39 @@ def reference_charge_tails(lat, charges) -> set:
     return z_chain
 
 # Three period-by-period tail walks, each rebuilding ``spec.vertex(t)`` and an
-# ``Edge`` per step: the references for ``InfinitePathSpec.walk_in``.
+# ``Edge`` per step, and the listing that read every tail letter's vertex and
+# edge periods: the references for ``InfinitePathSpec.edges_in``.
+
+
+def reference_walk_in(spec: InfinitePathSpec, region: Region) -> list:
+    """``(t, key)`` for every walked parameter ``t`` with ``vertex(t)`` in
+    ``region``; ``key`` is edge ``t``'s key when both its endpoints lie in
+    ``region``, else None.  Lists every core edge from ``core_keys`` when
+    ``region`` contains ``core_box``, else scans ``core_vertices`` for the
+    ones inside; then lists each tail letter's vertex periods, and the edge
+    periods among them, from ``paths._periods``."""
+    if region.contains_region(spec.core_box):
+        hits = list(enumerate(spec.core_keys))
+    else:
+        inside = spec._inside(region)
+        hits = [
+            (t, key if nxt else None)
+            for t, (key, here, nxt) in enumerate(zip(spec.core_keys, inside, inside[1:]))
+            if here
+        ]
+    for tail in spec._tails:
+        _check_tail_cap(tail, region)
+        dx, dy, dz = disp = tail.disp
+        for t, dt, v, lo, hi, a in tail.letters:
+            qs = _periods(v, v, disp, region)
+            if qs:
+                ks = _periods(lo, hi, disp, region)
+                x, y, z = lo
+                hits += [
+                    (t + q * dt, ((x + q * dx, y + q * dy, z + q * dz), a) if q in ks else None)
+                    for q in qs
+                ]
+    return hits
 
 
 def reference_count_edges_in_region(spec: InfinitePathSpec, region: Region) -> int:
@@ -355,7 +400,7 @@ def flux_chain_in_region(cfg, region: Region) -> set:
     ``transforms.energy``'s flux count."""
     chain: set = set()
     for spec in cfg.strings:
-        chain ^= {key for _, key in spec.walk_in(region) if key is not None}
+        chain ^= {key for _, key in reference_walk_in(spec, region) if key is not None}
     for loop in cfg.loops:
         chain ^= {e.key for e in loop.edges if region.contains_edge(e)}
     return chain
@@ -454,9 +499,8 @@ def reference_segment_steps(spec: InfinitePathSpec, region: Region):
 def reference_tail_rays(spec: InfinitePathSpec, window: Region, length: int):
     """(anchor, outward edge keys) for the positive and negative ray.
 
-    The tail-ray search before it read :meth:`InfinitePathSpec.walk_in`'s
-    tail walk: each tail is stepped with ``spec.vertex(t)`` out to the window
-    plus the period's extent, the reference for ``paths._tail_rays``."""
+    Each tail is stepped with ``spec.vertex(t)`` out to the window plus the
+    period's extent; the rays of :func:`reference_path_equivalent`."""
 
     def touched(t):
         return window.contains_vertex(spec.vertex(t)) or window.contains_vertex(
@@ -514,6 +558,23 @@ def _extent_bound(spec: InfinitePathSpec, side: int) -> int:
     word = spec.pos_period if side > 0 else spec.neg_period
     cum = _cumulative(word)
     return max(_extent(cum, a) for a in AXES) + 1
+
+
+def reference_path_equivalent(p: InfinitePathSpec, q: InfinitePathSpec) -> bool:
+    """Path equivalence by comparing rays: outside a window holding both
+    cores with a margin of every period's length, each tail is an exact
+    periodic ray, and the specs are equivalent when the four rays pair up,
+    straight or flipped, with equal anchors and equal keys for twice every
+    period's length plus four edges.  The reference for
+    ``paths.path_equivalent``."""
+    if p == q:
+        return True
+    periods = len(p.neg_period) + len(p.pos_period) + len(q.neg_period) + len(q.pos_period)
+    window = bounding_region(v for s in (p, q) for v in s.core_vertices).inflate(periods + 1)
+    length = 2 * periods + 4
+    p_pos, p_neg = reference_tail_rays(p, window, length)
+    q_pos, q_neg = reference_tail_rays(q, window, length)
+    return (p_pos == q_pos and p_neg == q_neg) or (p_pos == q_neg and p_neg == q_pos)
 
 
 def unchecked_spec(neg, core, pos, base) -> InfinitePathSpec:
@@ -802,7 +863,7 @@ def reference_validate_surface(faces) -> Surface:
 
 def _reference_overlap_params(spec: InfinitePathSpec, keys, window: Region) -> list[int]:
     """Sorted parameters of ``spec``'s edges inside ``window`` whose keys are in ``keys``."""
-    return sorted(t for t, key in spec.walk_in(window) if key is not None and key in keys)
+    return sorted(t for t, key in reference_walk_in(spec, window) if key is not None and key in keys)
 
 
 def reference_surgery(cfg, surface):
@@ -810,7 +871,7 @@ def reference_surgery(cfg, surface):
     resplice across the boundary arcs.  The output edge chain equals the
     input chain XOR the boundary chain."""
     from toric3d.errors import InvalidSurface, MultipleOverlapRuns, NoOverlap
-    from toric3d.lattice import bounding_region, edge_direction
+    from toric3d.lattice import edge_direction
     from toric3d.paths import aligned_window, reverse_spec
     from toric3d.transforms import Configuration, _contiguous_runs, _faces_connected, deoverlap
 

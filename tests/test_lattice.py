@@ -14,13 +14,12 @@ from toric3d.lattice import (
     boundary_edge,
     dual_edge_of_face,
     dual_face_of_edge,
-    face_edges,
     face_keys,
     primal_face_of_edge,
     parse_steps,
     region_of,
 )
-from ._gen import edges_in_region, primal_edge_of_face, reference_parse_steps
+from ._gen import edges_in_region, face_edges, primal_edge_of_face, reference_parse_steps
 
 coords = st.integers(min_value=-5, max_value=5)
 vertices = st.tuples(coords, coords, coords)

@@ -26,9 +26,7 @@ from toric3d.lattice import (
 from toric3d.paths import (
     InfinitePathSpec,
     Surface,
-    _comparison_window,
     _self_avoiding,
-    _tail_rays,
     _tails_apart,
     aligned_window,
     enclosing_region,
@@ -57,12 +55,13 @@ from ._gen import (
     random_monotone_spec,
     random_spec,
     reference_count_edges_in_region,
+    reference_path_equivalent,
     reference_region_params,
     reference_segment_steps,
     reference_string_edges_in_region,
-    reference_tail_rays,
     reference_validate_spec,
     reference_validate_surface,
+    reference_walk_in,
     unchecked_spec,
     zigzag_core,
 )
@@ -485,8 +484,8 @@ def test_equivalence_relation_properties(rng):
         assert path_equivalent(a, other) == path_equivalent(other, a)
 
 
-def test_tail_rays_match_reference(rng):
-    """The rays read off the tail walks equal those of the reference walk,
+def test_path_equivalent_matches_reference(rng):
+    """The tail classes give the verdict of the reference's ray comparison,
     on random, zigzag and long self-avoiding cores paired with a finite edit
     of themselves or with one another."""
     specs = _walk_specs(rng)
@@ -494,12 +493,65 @@ def test_tail_rays_match_reference(rng):
     pairs += [(specs[i], specs[j]) for i, j in rng.integers(0, len(specs), (240, 2))]
     equivalent = 0
     for p, q in pairs:
-        window = _comparison_window(p, q)
-        length = 2 * (len(p.pos_period) + len(p.neg_period) + len(q.pos_period) + len(q.neg_period))
-        for s in (p, q):
-            assert _tail_rays(s, window, length + 4) == reference_tail_rays(s, window, length + 4)
-        equivalent += path_equivalent(p, q)
+        verdict = path_equivalent(p, q)
+        assert verdict == reference_path_equivalent(p, q)
+        equivalent += verdict
     assert equivalent >= len(specs)
+
+
+def _redescribed(rng, spec):
+    """The same walk under another description: the core re-cut at
+    parameters ``a <= 0`` and ``b >= len(core)`` a random number of letters
+    into the tails, and each period word read from its cut (a rotation),
+    taken once or twice."""
+    nn, nc, npp = len(spec.neg_period), len(spec.core), len(spec.pos_period)
+    a, b = -int(rng.integers(0, 2 * nn + 1)), nc + int(rng.integers(0, 2 * npp + 1))
+    neg = spec.realize_steps(a - int(rng.integers(1, 3)) * nn, a - 1)
+    pos = spec.realize_steps(b, b + int(rng.integers(1, 3)) * npp - 1)
+    return InfinitePathSpec(neg, spec.realize_steps(a, b - 1), pos, spec.vertex(a))
+
+
+def test_path_equivalent_matches_reference_on_redescribed_specs(rng):
+    """Each spec against a re-description of itself, reversed half of the
+    time, and then with its base shifted by a unit vector or by a multiple
+    of a tail displacement half of the time: the tail classes give the
+    reference's verdict, and both verdicts are common."""
+    specs = [random_spec(rng, max_period=3) for _ in range(150)]
+    specs += [random_spec(rng, max_period=4, max_core=20, self_avoiding=True) for _ in range(100)]
+    specs += [random_monotone_spec(rng) for _ in range(50)]
+    verdicts = []
+    for spec in specs:
+        q = _redescribed(rng, spec)
+        if rng.random() < 0.5:
+            q = reverse_spec(q)
+        if rng.random() < 0.5:
+            axis, k = int(rng.integers(0, 3)), int(rng.integers(-2, 3)) or 1
+            shift = (unit(axis), q.pos_displacement, q.neg_displacement)[int(rng.integers(0, 3))]
+            q = InfinitePathSpec(q.neg_period, q.core, q.pos_period, add(q.base, tuple(k * c for c in shift)))
+        verdict = path_equivalent(spec, q)
+        assert verdict == reference_path_equivalent(spec, q) == path_equivalent(q, spec)
+        verdicts.append(verdict)
+    assert len(specs) / 3 <= sum(verdicts) <= len(specs) * 3 / 4
+
+
+def test_path_equivalent_reads_no_window():
+    """The tail classes read no comparison window: the ``Z+`` line is
+    equivalent to its copy ``10**7`` steps along itself, which the window
+    search found TooLarge, and not to its copy ``10**7`` steps across it.
+    A 5042-letter period word, against a rotation of itself re-anchored on
+    its own walk and left at its base, gets the reference's verdicts."""
+    line = spec_from_strings("Z+", "", "Z+")
+    assert path_equivalent(line, spec_from_strings("Z+", "", "Z+", base=(0, 0, 10**7)))
+    assert not path_equivalent(line, spec_from_strings("Z+", "", "Z+", base=(10**7, 0, 0)))
+    word = "X+" + "Z+" * 5039 + "X-Z+"
+    spec = spec_from_strings(word, "", word)
+    rotated = spec.pos_period[2500:] + spec.pos_period[:2500]
+    verdicts = []
+    for base in (spec.vertex(2500), spec.base):
+        q = InfinitePathSpec(rotated, (), rotated, base)
+        verdicts.append(path_equivalent(spec, q))
+        assert verdicts[-1] == reference_path_equivalent(spec, q)
+    assert verdicts == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +560,8 @@ def test_tail_rays_match_reference(rng):
 
 
 def _walk_count(spec, region):
-    """Realized edges with both endpoints inside ``region``, read off the walk."""
-    return sum(key is not None for _, key in spec.walk_in(region))
+    """Realized edges with both endpoints inside ``region``, as listed."""
+    return len(spec.edges_in(region))
 
 
 def test_count_straight_line_fencepost():
@@ -645,7 +697,7 @@ def _walk_regions(rng, spec):
 
 def _core_box_regions(spec):
     """``core_box``, the box one step short of it on each of its six faces,
-    and the box one step beyond it: ``walk_in`` lists the core from
+    and the box one step beyond it: ``edges_in`` lists the core from
     ``core_keys`` in the first and last, and scans it in the other six."""
     lo, hi = spec.core_box
     short = [Region(add(lo, unit(a)), hi) for a in range(3)]
@@ -682,7 +734,8 @@ def test_walk_matches_reference_loops(rng):
         contained = [r.contains_region(spec.core_box) for r in _core_box_regions(spec)]
         assert contained == [True] + [False] * 6 + [True]
         for region in _walk_regions(rng, spec):
-            hits = list(spec.walk_in(region))
+            hits = reference_walk_in(spec, region)
+            assert spec.edges_in(region) == {key: t for t, key in hits if key is not None}
             params = sorted(t for t, key in hits if key is not None), sorted(t for t, _ in hits)
             assert params == reference_region_params(spec, region)
             edge_ts, vertex_ts = params
@@ -705,14 +758,14 @@ def test_walk_matches_reference_loops(rng):
 def test_segment_lists_no_key(rng, monkeypatch):
     """``_segment_steps``, and ``classify`` and ``straighten_fixpoint``
     through it, read the in-region stretch off ``params_in``: with
-    ``walk_in`` raising, they still reach every segment outcome, and each
+    ``edges_in`` raising, they still reach every segment outcome, and each
     straightened stretch is monotone.  ``test_walk_matches_reference_loops``
     compares the same segments with the reference."""
 
     def no_walk(self, region):
-        raise AssertionError("walk_in called")
+        raise AssertionError("edges_in called")
 
-    monkeypatch.setattr(InfinitePathSpec, "walk_in", no_walk)
+    monkeypatch.setattr(InfinitePathSpec, "edges_in", no_walk)
     outcomes = set()
     scripts = 0
     for spec in _walk_specs(rng):

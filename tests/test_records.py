@@ -121,7 +121,7 @@ def test_core_vertices_computed_once(monkeypatch):
     spec = InfinitePathSpec(((Z, 1),), core, ((Z, 1),), (0, 0, 0))
     first = spec.core_vertices
     assert spec.core_vertices is first
-    spec.walk_in(Region((0, 0, 0), (1, 1, 1)))
+    spec.edges_in(Region((0, 0, 0), (1, 1, 1)))
     assert first == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0)]
     assert len(walks) == 1
 
@@ -130,23 +130,23 @@ def test_monotone_string_core_never_walked(monkeypatch):
     """A whole-monotone string is accepted by its letters: building it,
     ``classify``, ``energy`` on a region holding its core box,
     ``straighten_fixpoint`` and ``path_equivalent`` with itself, or with an
-    equal spec built apart, walk neither its core nor its rays.  An unequal
-    but equivalent pair still compares rays."""
+    equal spec built apart, neither walk its core nor read a tail class.  An
+    unequal but equivalent pair still reads the classes of its four tails."""
     core = parse_steps("X+Y+Z+" * 40 + "X+" * 7)
-    walks, rays = [], []
-    cumulative, tail_rays = paths._cumulative, paths._tail_rays
+    walks, classes = [], []
+    cumulative, ray_class = paths._cumulative, paths._ray_class
 
     def counting(word, *start):
         if word == core:
             walks.append(word)
         return cumulative(word, *start)
 
-    def counting_rays(spec, *args):
-        rays.append(spec)
-        return tail_rays(spec, *args)
+    def counting_classes(tail, word):
+        classes.append(word)
+        return ray_class(tail, word)
 
     monkeypatch.setattr(paths, "_cumulative", counting)
-    monkeypatch.setattr(paths, "_tail_rays", counting_rays)
+    monkeypatch.setattr(paths, "_ray_class", counting_classes)
     spec = InfinitePathSpec(parse_steps("Z+X+"), core, parse_steps("Y+"), (1, -2, 0))
     region = spec.core_box.inflate(2)
     cfg = make_configuration(strings=[spec])
@@ -156,12 +156,13 @@ def test_monotone_string_core_never_walked(monkeypatch):
     twin = InfinitePathSpec(spec.neg_period, tuple(list(core)), spec.pos_period, spec.base)
     assert twin == spec and twin.core is not spec.core
     assert path_equivalent(spec, spec) and path_equivalent(spec, twin)
-    assert walks == [] and rays == []
+    assert walks == [] and classes == []
     assert spec.core_box == Region((1, -2, 0), (48, 38, 40))
-    assert flux == 2 * sum(key is not None for _, key in spec.walk_in(region))
+    assert flux == 2 * len(spec.edges_in(region))
 
     bent = spec_from_strings("Z+", "X+Z+Z+X-", "Z+")
     straight, passes = straighten_fixpoint(bent, bent.core_box.inflate(1))
     assert passes and straight != bent
-    assert path_equivalent(bent, straight) and rays == [bent, straight]
+    assert path_equivalent(bent, straight)
+    assert classes == [bent.pos_period, bent.neg_period, straight.pos_period, straight.neg_period]
 

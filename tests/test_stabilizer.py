@@ -610,10 +610,10 @@ def test_configuration_flip_shares_no_tail_walk(rng, lat13, monkeypatch):
     energies = [energy(cfg, region).total for cfg in cfgs]
 
     def no_walk(self, region):
-        raise AssertionError("walk_in called")
+        raise AssertionError("edges_in called")
 
-    monkeypatch.setattr(InfinitePathSpec, "walk_in", no_walk)
-    with pytest.raises(AssertionError, match="walk_in called"):
+    monkeypatch.setattr(InfinitePathSpec, "edges_in", no_walk)
+    with pytest.raises(AssertionError, match="edges_in called"):
         energy(cfgs[0], region)
     syndromes = [syndrome_energy(lat13, configuration_flip(lat13, cfg, region, clip), region) for cfg in cfgs]
     assert syndromes == energies
