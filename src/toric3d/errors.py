@@ -45,7 +45,7 @@ class MultipleOverlapRuns(Toric3dError):
 
 
 class InvalidSurface(Toric3dError):
-    """Surface unsuitable for surgery (closed, disconnected, or malformed)."""
+    """A valid surface that surgery cannot use: a closed one."""
 
 
 class OutOfRegion(Toric3dError):

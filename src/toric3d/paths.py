@@ -151,17 +151,6 @@ def word_is_monotone(steps: Iterable[Direction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Surface(NamedTuple):
-    """A validated face set; ``boundary`` is None exactly for closed surfaces."""
-
-    faces: frozenset[Face]
-    boundary: FinitePath | None
-
-    @property
-    def closed(self) -> bool:
-        return self.boundary is None
-
-
 def _order_cycle(keys: set[EdgeKey]) -> FinitePath:
     """Walk a boundary chain as one simple cycle, or raise MalformedBoundary.
 
@@ -205,42 +194,65 @@ def _order_cycle(keys: set[EdgeKey]) -> FinitePath:
     return FinitePath(tuple(walk), tuple(vertices), True)
 
 
-def validate_surface(faces: Iterable[Face]) -> Surface:
-    """Classify a face set as an open or closed non-self-intersecting surface.
+class _SurfaceFields(NamedTuple):
+    faces: frozenset[Face]
+    boundary: FinitePath | None
 
-    One pass over the faces reads each face's four edge keys in closed form
-    (:func:`face_keys`): it sets their bits in the face's row of the F2
-    incidence matrix, whose nullspace finds closed sub-surfaces, and toggles
-    them in the boundary chain, the keys on an odd number of faces."""
-    face_list = list(faces)
-    if not face_list:
-        raise MalformedBoundary("a surface needs at least one face")
-    if len(set(face_list)) != len(face_list):
-        raise SelfIntersecting("face repeated in surface")
 
-    edge_index: dict[EdgeKey, int] = {}
-    rows = []
-    chain: set[EdgeKey] = set()
-    for f in face_list:
-        row = 0
-        for key in face_keys(f):
-            row |= 1 << edge_index.setdefault(key, len(edge_index))
-            if key in chain:
-                chain.remove(key)
-            else:
-                chain.add(key)
-        rows.append(row)
-    kernel = _kernels.nullspace(rows)
+class Surface(_SurfaceFields):
+    """A face set validated in ``__new__`` as one open or closed
+    non-self-intersecting surface, with ``boundary`` derived: None exactly
+    when closed.  One pass over the faces, in the given order, sets each
+    face's four edge keys (:func:`face_keys`) in its row of the F2 incidence
+    matrix, whose nullspace finds closed sub-surfaces, and toggles them in
+    the boundary chain; that order fixes the boundary's orientation."""
 
-    if not chain:
-        # closed: the only null combination may be the full face set
-        if kernel != [(1 << len(face_list)) - 1]:
-            raise SelfIntersecting("closed surface contains a closed proper sub-surface")
-        return Surface(frozenset(face_list), None)
-    if kernel:
-        raise SelfIntersecting("surface contains a closed proper sub-surface")
-    boundary = _order_cycle(chain)
-    return Surface(frozenset(face_list), boundary)
+    __slots__ = ()
+
+    def __new__(cls, faces: Iterable[Face]):
+        face_list = list(faces)
+        if not face_list:
+            raise MalformedBoundary("a surface needs at least one face")
+        if len(set(face_list)) != len(face_list):
+            raise SelfIntersecting("face repeated in surface")
+
+        edge_index: dict[EdgeKey, int] = {}
+        rows = []
+        chain: set[EdgeKey] = set()
+        for f in face_list:
+            row = 0
+            for key in face_keys(f):
+                row |= 1 << edge_index.setdefault(key, len(edge_index))
+                if key in chain:
+                    chain.remove(key)
+                else:
+                    chain.add(key)
+            rows.append(row)
+        kernel = _kernels.nullspace(rows)
+
+        if not chain:
+            # closed: the only null combination may be the full face set
+            if kernel != [(1 << len(face_list)) - 1]:
+                raise SelfIntersecting("closed surface contains a closed proper sub-surface")
+            boundary = None
+        elif kernel:
+            raise SelfIntersecting("surface contains a closed proper sub-surface")
+        else:
+            boundary = _order_cycle(chain)
+        return super().__new__(cls, frozenset(face_list), boundary)
+
+    def __reduce__(self):
+        # copies and pickles restore the validated fields as they are: the
+        # faces alone, in another order, could orient the boundary the other way
+        return self._make, (tuple(self),)
+
+    @property
+    def closed(self) -> bool:
+        return self.boundary is None
+
+
+# the public name of the validating constructor
+validate_surface = Surface
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,6 @@ def _sector_witness(cfg: Configuration, strict_gss: bool = False) -> Witness | N
                 common = dsets[i].all & dsets[j].all
                 if common:
                     return Witness(min(common), pair=(i, j))
-        # pairwise-disjoint direction sets of size >= 2 cannot exceed three
-        # strings over six directions
-        assert len(cfg.strings) <= 3
     return None
 
 
@@ -164,9 +161,12 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
     """Full decision: ground state / ground sector with repair script / neither.
 
     A non-monotone string of a ground sector is straightened in the first of
-    its script regions (padded 1, 2, 4 or 8 times) where
+    its script regions (padded 1, 2, 4, ... times) where
     :func:`_straightens_monotone` holds.  It crosses each once: each holds its
-    core, and its tails walk each axis one way.  Nothing is straightened here.
+    core, and its tails walk each axis one way.  Some pad is enough: each axis
+    a tail walks gains a period displacement along it, so the segment's
+    displacement there grows with the pad until its sign is the tail's; a
+    pad past the tail cap raises TooLarge.  Nothing is straightened here.
     ``strict_gss`` switches the multi-string condition to the literal
     total-intersection reading instead of pairwise disjointness.
     """
@@ -180,16 +180,14 @@ def classify(cfg: Configuration, strict_gss: bool = False) -> SectorVerdict:
         mono, _ = is_monotonic(spec)
         if not mono:
             all_monotone = False
-            for pad in (1, 2, 4, 8):
+            pad = 1
+            while True:
                 region = _script_region(spec, pad)
                 t_lo, t_hi, _ = _segment_steps(spec, region)
                 if _straightens_monotone(spec, t_lo, t_hi):
-                    script.append(ScriptStep("straighten", i, region))
                     break
-            else:
-                raise AssertionError(
-                    f"no straightening region found for sector-valid string {i}"
-                )
+                pad *= 2
+            script.append(ScriptStep("straighten", i, region))
     for k in range(len(cfg.loops)):
         script.append(ScriptStep("drop_loop", k))
 
@@ -361,8 +359,9 @@ def _case_two(sol: Solution) -> str:
 
 
 def _case_three(sol: Solution) -> str:
+    # three pairwise-disjoint sets of at least two directions (p and m are
+    # nonempty and disjoint) use all six, two each
     masks = [p | m for p, m in sol]
-    assert all(d.bit_count() == 2 for d in masks)
     pairs = sum(1 for d in masks if any(d == 0b11 << (2 * a) for a in AXES))
     return {3: "A", 1: "B", 0: "C"}[pairs]
 

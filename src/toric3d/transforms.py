@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import (
     AlreadyMonotonicInRegion,
@@ -29,12 +29,12 @@ from .lattice import (
     DIRECTIONS,
     Direction,
     EdgeKey,
+    Face,
     Region,
     Vertex,
     add,
     bounding_region,
     dual_face_of_edge,
-    face_keys,
     unit,
 )
 from .paths import (
@@ -412,8 +412,6 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
     input chain XOR the boundary chain."""
     if surface.closed:
         raise InvalidSurface("surgery needs an open surface")
-    if not _faces_connected(surface):
-        raise InvalidSurface("surface faces are not edge-connected")
     cfg = deoverlap(cfg)
     boundary = surface.boundary
     position = {e.key: i for i, e in enumerate(boundary.edges)}
@@ -461,38 +459,15 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
     return Configuration(cfg.charges, tuple(strings), cfg.loops)
 
 
-def _faces_connected(surface: Surface) -> bool:
-    """Whether the faces form one piece, faces sharing an edge joined: a
-    search over each face's four edge keys, listed once.  An open surface
-    from :func:`validate_surface` always passes: split into two groups that
-    share no edge, it would hold a closed group, or a boundary that meets
-    itself at a vertex or falls in two cycles, all rejected there.  A
-    ``Surface`` built by hand may not pass."""
-    faces = [face_keys(f) for f in surface.faces]
-    key_to_faces: dict[EdgeKey, list[int]] = {}
-    for i, keys in enumerate(faces):
-        for key in keys:
-            key_to_faces.setdefault(key, []).append(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for key in faces[i]:
-            for j in key_to_faces[key]:
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-    return len(seen) == len(faces)
-
-
 # ---------------------------------------------------------------------------
 # linking
 # ---------------------------------------------------------------------------
 
 
-def linking_parity(loop: FinitePath, surface: Surface) -> int:
-    """Parity of the number of loop edges piercing the surface."""
+def linking_parity(loop: FinitePath, faces: AbstractSet[Face]) -> int:
+    """Parity of the number of loop edges piercing the face set: any 2-chain,
+    not only a valid ``Surface``'s faces."""
     if not loop.closed:
         raise InvalidConfiguration("linking parity needs a closed loop")
-    hits = sum(1 for e in loop.edges if dual_face_of_edge(e) in surface.faces)
+    hits = sum(1 for e in loop.edges if dual_face_of_edge(e) in faces)
     return hits & 1

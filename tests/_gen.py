@@ -33,6 +33,7 @@ from toric3d.lattice import (
     direction_vector,
     edge_from,
     edges_of_vertex,
+    face_keys,
     primal_face_of_edge,
     reverse_direction,
     scale,
@@ -830,7 +831,8 @@ def _reference_order_cycle(keys) -> FinitePath:
 
 
 def reference_validate_surface(faces) -> Surface:
-    """Classify a face set as an open or closed non-self-intersecting surface."""
+    """Classify a face set as an open or closed non-self-intersecting surface.
+    The result is built without ``Surface``'s own validation."""
     face_list = list(faces)
     if not face_list:
         raise MalformedBoundary("a surface needs at least one face")
@@ -849,11 +851,35 @@ def reference_validate_surface(faces) -> Surface:
         # closed: the only null combination may be the full face set
         if kernel != [(1 << len(face_list)) - 1]:
             raise SelfIntersecting("closed surface contains a closed proper sub-surface")
-        return Surface(frozenset(face_list), None)
+        return tuple.__new__(Surface, (frozenset(face_list), None))
     if kernel:
         raise SelfIntersecting("surface contains a closed proper sub-surface")
     boundary = _reference_order_cycle(chain)
-    return Surface(frozenset(face_list), boundary)
+    return tuple.__new__(Surface, (frozenset(face_list), boundary))
+
+
+def _faces_connected(surface: Surface) -> bool:
+    """Whether the faces form one piece, faces sharing an edge joined: a
+    search over each face's four edge keys, listed once.  Every open
+    ``Surface`` passes: split into two groups that share no edge, it would
+    hold a closed group, or a boundary that meets itself at a vertex or falls
+    in two cycles, all rejected when the surface is built.  The oracle for
+    that claim, which surgery relies on without checking."""
+    faces = [face_keys(f) for f in surface.faces]
+    key_to_faces = {}
+    for i, keys in enumerate(faces):
+        for key in keys:
+            key_to_faces.setdefault(key, []).append(i)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for key in faces[i]:
+            for j in key_to_faces[key]:
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+    return len(seen) == len(faces)
 
 
 # Surgery before it found each string's overlap once: the reference for
@@ -873,7 +899,7 @@ def reference_surgery(cfg, surface):
     from toric3d.errors import InvalidSurface, MultipleOverlapRuns, NoOverlap
     from toric3d.lattice import edge_direction
     from toric3d.paths import aligned_window, reverse_spec
-    from toric3d.transforms import Configuration, _contiguous_runs, _faces_connected, deoverlap
+    from toric3d.transforms import Configuration, _contiguous_runs, deoverlap
 
     if surface.closed:
         raise InvalidSurface("surgery needs an open surface")

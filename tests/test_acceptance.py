@@ -273,12 +273,12 @@ def test_c08_linking_sign(rng, lat):
                     base[a2] += j
                     faces.append(Face(tuple(base), normal))
             surf = validate_surface(faces)
-            parity = linking_parity(loop, surf)
+            parity = linking_parity(loop, surf.faces)
             sym = 0 if commutes(string_op(lat, loop), membrane_op(lat, faces)) else 1
             assert parity == sym
         surf = validate_surface([Face((0, 0, 0), Z)])
         wrap = path_from_steps((1, 1, 0), parse_steps("Z+Y+Z-Y-"))
-        assert linking_parity(wrap, surf) == 1
+        assert linking_parity(wrap, surf.faces) == 1
         assert not commutes(string_op(lat, wrap), membrane_op(lat, surf.faces))
 
 

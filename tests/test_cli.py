@@ -342,6 +342,31 @@ def test_straighten_command(monkeypatch):
     assert report["results"][0]["steps"] >= 1
 
 
+# a core that drifts 98 steps against tails gaining one step per period
+DRIFTING_CORE = json.dumps(
+    {
+        "strings": [
+            {"neg_period": "Z+X+", "core": "Y+" + "X-" * 98 + "Y+", "pos_period": "Z+X+", "base": [0, 0, 0]}
+        ]
+    }
+)
+
+
+def test_core_drifting_against_its_tails(monkeypatch):
+    """The tails outrun the core only past pad 8; every command on the
+    document ends in a JSON report with exit 0, straightening in the script
+    region that classify reports."""
+    report, code = _run_with_stdin(monkeypatch, ["classify"], DRIFTING_CORE)
+    assert code == 0
+    assert report["verdict"]["kind"] == "GroundSectorNotGroundState"
+    (step,) = report["verdict"]["script"]
+    region = "--region=" + ":".join(",".join(map(str, corner)) for corner in step["region"])
+    for argv in (["validate"], ["energy", region], ["straighten", region]):
+        report, code = _run_with_stdin(monkeypatch, argv, DRIFTING_CORE)
+        assert code == 0 and report["command"] == argv[0]
+    assert report["results"][0]["steps"] >= 1
+
+
 def test_surgery_command(monkeypatch, tmp_path):
     faces = [{"base": [x, 0, z], "normal": "y"} for x in range(2) for z in range(3)]
     surf_file = tmp_path / "surface.json"

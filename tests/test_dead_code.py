@@ -3,7 +3,8 @@ non-dunder method or property of its classes, is exported or referred to by
 the package or the benchmark (tests do not count); a method or property
 counts as used only through an attribute access (``x.name``), so a local
 variable of the same name does not keep it.  Every module-level import of a
-module is used by that module."""
+module is used by that module.  Every ``assert`` and ``raise AssertionError``
+in the package is listed with the reason construction cannot stand in for it."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,16 @@ KEPT = {
     ("lattice", "dual_edge_of_face"): "the inverse the duality test pairs with primal_face_of_edge",
     ("sectors", "run_script"): "executes the repair script that classify reports",
     ("sectors", "SectorVerdict.is_ground_state"): "public verdict property, the counterpart of is_ground_sector",
+}
+
+# runtime self-checks kept, each for a stated reason; a check that re-tests
+# what construction already guarantees is deleted instead
+ASSERTIONS = {
+    ("sectors", "_case_two"): (
+        "the surgery moves over all two-string solutions include size profiles"
+        " (3, 2) and (4, 2), which only the closure's first-encounter order keeps"
+        " from reaching it"
+    ),
 }
 
 
@@ -104,3 +115,35 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.add((module, name))
     assert unused == set()
+
+
+def _is_assertion(node: ast.AST) -> bool:
+    """An ``assert``, or a ``raise`` of ``AssertionError`` (class or call)."""
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def _assertion_scopes(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """``(module, innermost enclosing function)`` of each assertion, with
+    ``<module>`` outside every function."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if _is_assertion(child):
+                found.add((module, scope))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_assertions_are_listed():
+    found = set()
+    for module, tree in _modules().items():
+        found |= _assertion_scopes(module, tree)
+    assert found == set(ASSERTIONS)

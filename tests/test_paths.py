@@ -43,8 +43,9 @@ from toric3d.paths import (
     word_is_monotone,
 )
 from toric3d.sectors import classify
-from toric3d.transforms import _faces_connected, _segment_steps, energy, make_configuration, straighten_fixpoint
+from toric3d.transforms import _segment_steps, energy, make_configuration, straighten_fixpoint
 from ._gen import (
+    _faces_connected,
     _random_word,
     brute_count_edges,
     edges_in_region,
@@ -220,7 +221,8 @@ def test_validate_surface_matches_reference(rng):
     (the orientation surgery reads), or the same error type and message:
     on random unions of up to 3 rectangles in one plane, each listed sorted
     and shuffled, and on fixed closed, repeated, split and single-face sets.
-    Every open surface accepted is edge-connected, as surgery checks."""
+    Every open surface accepted is edge-connected, which surgery relies on
+    without checking."""
     cases = list(_FIXED_FACE_SETS.values())
     for _ in range(1500):
         faces = sorted(random_membrane_faces(rng))

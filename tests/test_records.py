@@ -1,12 +1,15 @@
 """The record contract: field-wise repr, equality and hash, immutability,
 validation at construction, and the cached core walk."""
 
+import copy
+import pickle
+
 import pytest
 
 from toric3d import paths
-from toric3d.errors import InvalidConfiguration, SelfIntersecting
-from toric3d.lattice import Region, parse_steps
-from toric3d.paths import InfinitePathSpec, path_equivalent, path_from_steps, spec_from_strings
+from toric3d.errors import InvalidConfiguration, MalformedBoundary, SelfIntersecting
+from toric3d.lattice import Face, Region, parse_steps
+from toric3d.paths import InfinitePathSpec, Surface, path_equivalent, path_from_steps, spec_from_strings
 from toric3d.sectors import (
     ScriptStep,
     SectorVerdict,
@@ -89,6 +92,30 @@ def test_bad_spec_raises_by_keyword():
         InfinitePathSpec(**dict(zip(names, _BAD_SPEC)))
     with pytest.raises(SelfIntersecting, match="period word has zero net displacement"):
         InfinitePathSpec(neg_period=((X, 1), (X, -1)), core=(), pos_period=((Z, 1),), base=(0, 0, 0))
+
+
+def test_surface_in_two_pieces_raises_positionally_and_by_keyword():
+    """A ``Surface`` validates its faces when built, so no surface in two
+    pieces reaches surgery."""
+    pieces = [Face((0, 0, 0), Y), Face((5, 5, 5), Y)]
+    with pytest.raises(MalformedBoundary, match="^boundary chain has more than one component$"):
+        Surface(pieces)
+    with pytest.raises(MalformedBoundary, match="^boundary chain has more than one component$"):
+        Surface(faces=pieces)
+    one = Surface(faces=pieces[:1])
+    assert one.faces == frozenset(pieces[:1]) and len(one.boundary) == 4
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_surface_copies_keep_their_boundary(copy_of):
+    surface = Surface([Face((0, 0, 0), Z), Face((1, 0, 0), Z), Face((1, 1, 0), Z)])
+    again = copy_of(surface)
+    assert type(again) is Surface and again == surface
+    assert again.boundary.edges == surface.boundary.edges
 
 
 def test_core_letter_that_is_no_direction_is_not_certified():

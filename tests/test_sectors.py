@@ -144,6 +144,20 @@ def test_classify_never_straightens(monkeypatch):
     assert v.script == (ScriptStep("straighten", 0, _script_region(two_bad_axes, 1)),)
 
 
+@pytest.mark.parametrize("period, k", [("Z+X+", 98), ("Z+Z+Z+Z+Z+X+", 60)])
+def test_core_drifting_against_its_tails_classifies(period, k):
+    """A core drifting ``k`` steps against tails that gain one step per
+    period along it needs pad 16: classify keeps doubling the pad, and the
+    script lands on a monotone, path-equivalent string."""
+    spec = spec_from_strings(period, "Y+" + "X-" * k + "Y+", period)
+    cfg = make_configuration(strings=[spec])
+    v = classify(cfg)
+    assert v.kind is VerdictKind.GROUND_SECTOR_NOT_GROUND_STATE
+    assert v.script == (ScriptStep("straighten", 0, _script_region(spec, 16)),)
+    out = run_script(cfg, v.script).strings[0]
+    assert is_monotonic(out)[0] and path_equivalent(spec, out)
+
+
 def test_long_oscillating_core_classifies_fast():
     # 5120 steps: straightening it would take about 1280 passes of 5120 letters
     spec = spec_from_strings("Z+", "X+Z+X-Z+Y+Z+Y-Z+" * 640, "Z+")

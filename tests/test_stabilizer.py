@@ -323,7 +323,7 @@ def test_linking_parity_matches_symplectic_form(rng, lat9):
         z0 = int(rng.integers(-2, 3))
         faces = [Face((x0 + i, y0 + j, z0), Z) for i in range(w) for j in range(h)]
         surf = validate_surface(faces)
-        parity = linking_parity(loop, surf)
+        parity = linking_parity(loop, surf.faces)
         sym = 0 if commutes(string_op(lat9, loop), membrane_op(lat9, faces)) else 1
         assert parity == sym
 
