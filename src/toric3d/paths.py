@@ -581,16 +581,28 @@ def replace_window(
     The replacement must connect ``vertex(t_lo)`` to ``vertex(t_hi)``; tails
     are preserved by aligning the cut points with full periods.
     """
-    a, b = aligned_window(spec, t_lo, t_hi)
-    disp = sub(spec.vertex(t_hi), spec.vertex(t_lo))
-    if _word_displacement(tuple(new_steps)) != disp:
+    new_steps = tuple(new_steps)
+    if _word_displacement(new_steps) != sub(spec.vertex(t_hi), spec.vertex(t_lo)):
         raise ValueError("replacement steps do not connect the window endpoints")
-    core = (
-        spec.realize_steps(a, t_lo - 1)
-        + tuple(new_steps)
-        + spec.realize_steps(t_hi, b - 1)
-    )
-    return InfinitePathSpec(spec.neg_period, core, spec.pos_period, spec.vertex(a))
+    return InfinitePathSpec(*_spliced(spec, t_lo, t_hi, new_steps))
+
+
+def _splice_monotone(spec: InfinitePathSpec, t_lo: int, t_hi: int, new_steps: StepWord) -> InfinitePathSpec:
+    """:func:`replace_window` without its checks, the one certified way to
+    build a spec: ``[t_lo, t_hi)`` must be every edge of ``spec`` inside a
+    box region that holds no other vertex of it, and ``new_steps`` a
+    monotone word from ``vertex(t_lo)`` to ``vertex(t_hi)``.  Such a word
+    stays in the box of its two ends, inside the region, so it visits no
+    vertex twice and misses every vertex kept; the periods are the same, so
+    the spec is self-avoiding."""
+    return InfinitePathSpec._make(_spliced(spec, t_lo, t_hi, new_steps))
+
+
+def _spliced(spec: InfinitePathSpec, t_lo: int, t_hi: int, new_steps: StepWord) -> tuple:
+    """The fields of the spec with ``new_steps`` on ``[t_lo, t_hi)``."""
+    a, b = aligned_window(spec, t_lo, t_hi)
+    core = spec.realize_steps(a, t_lo - 1) + new_steps + spec.realize_steps(t_hi, b - 1)
+    return spec.neg_period, core, spec.pos_period, spec.vertex(a)
 
 
 def aligned_window(spec: InfinitePathSpec, t_lo: int, t_hi: int) -> tuple[int, int]:

@@ -41,6 +41,8 @@ from .paths import (
     FinitePath,
     InfinitePathSpec,
     Surface,
+    _displacement,
+    _splice_monotone,
     _word_displacement,
     aligned_window,
     enclosing_region,
@@ -186,47 +188,33 @@ class Projection(NamedTuple):
 
 def project(path: FinitePath, nu: int) -> Projection:
     """Drop all steps along axis ``nu``, keeping order and a drop record."""
-    return _project(path.start, path.steps, nu)
-
-
-def _project(start: Vertex, steps: Sequence[Direction], nu: int) -> Projection:
     kept: list[Direction] = []
     dropped: list[tuple[int, Direction]] = []
-    for i, d in enumerate(steps):
+    for i, d in enumerate(path.steps):
         if d[0] == nu:
             dropped.append((i, d))
         else:
             kept.append(d)
-    return Projection(start, tuple(kept), nu, tuple(dropped))
-
-
-def _plane_displacement(steps: Iterable[Direction], nu: int) -> Vertex:
-    return _word_displacement([d for d in steps if d[0] != nu])
+    return Projection(path.start, tuple(kept), nu, tuple(dropped))
 
 
 def lift(original: FinitePath, rerouted: Projection) -> FinitePath:
     """Reinsert dropped steps into a rerouted projection.
 
-    Each dropped step goes back after the same number of in-plane steps it
-    originally followed (clamped to the rerouted length).  The result starts
-    at the original start vertex and ends at its original end.
+    The ``k``-th dropped step goes back after the first ``index - k``
+    rerouted steps, the in-plane steps it originally followed (all of them
+    if fewer; nondecreasing in ``k``).  The result starts at the original
+    start vertex and ends at its original end.
     """
     nu = rerouted.drop_axis
-    if _plane_displacement(original.steps, nu) != _plane_displacement(rerouted.steps, nu):
+    if project(original, nu).displacement != _word_displacement(d for d in rerouted.steps if d[0] != nu):
         raise EndpointMismatch("rerouted projection does not match the original shadow")
-    return path_from_steps(original.start, _lift_steps(rerouted))
-
-
-def _lift_steps(rerouted: Projection) -> tuple[Direction, ...]:
-    """The step word of :func:`lift`: the ``k``-th dropped step goes back
-    after the first ``index - k`` rerouted steps, the in-plane steps it
-    followed in the original (all of them if fewer; nondecreasing in ``k``)."""
     steps, merged, done = rerouted.steps, [], 0
     for k, (i, d) in enumerate(rerouted.dropped):
         merged += steps[done : i - k]
         merged.append(d)
         done = i - k
-    return (*merged, *steps[done:])
+    return path_from_steps(original.start, (*merged, *steps[done:]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,30 +239,38 @@ def _segment_steps(spec: InfinitePathSpec, region: Region) -> tuple[int, int, tu
     return t_lo, t_hi + 1, spec.realize_steps(t_lo, t_hi)
 
 
-def _bad_axes(steps: Sequence[Direction]) -> list[int]:
+def _bad_axes(steps: Iterable[Direction]) -> list[int]:
     letters = set(steps)
     return [a for a in AXES if (a, 1) in letters and (a, -1) in letters]
 
 
 def _reroute_single_bad_axis(steps: Sequence[Direction]) -> tuple[Direction, ...]:
-    """Monotone replacement for a stretch that oscillates along one axis only."""
-    used = {d[0] for d in steps}
-    if len(used) <= 2:
-        # in-plane: a direct monotone reroute between the endpoints
-        return monotone_staircase((0, 0, 0), _word_displacement(steps))
-    # drop the most used monotone axis, straighten the shadow, then lift
-    axes = [a for a, _ in steps]
-    nu = max(sorted(used - {_bad_axes(steps)[0]}), key=axes.count)
-    shadow = _project((0, 0, 0), steps, nu)
-    straight = monotone_staircase((0, 0, 0), shadow.displacement)
-    return _lift_steps(shadow._replace(steps=straight))
+    """Monotone replacement for a stretch that oscillates along one axis
+    only, built in one pass from one ``Counter`` of the word.
+
+    In-plane it is the staircase between the ends.  Otherwise the monotone
+    axis ``nu`` walked most is dropped: each ``nu`` step stays where it is,
+    the other slots take the staircase of the rest of the displacement in
+    order until it runs out, and any staircase steps left go at the end,
+    which is what :func:`lift` makes of the straightened projection."""
+    counts = Counter(steps)
+    disp = _displacement(counts)
+    walked = [counts[a, 1] + counts[a, -1] for a in AXES]
+    if not all(walked):
+        return monotone_staircase((0, 0, 0), disp)
+    bad = next(a for a in AXES if counts[a, 1] and counts[a, -1])
+    nu = max((a for a in AXES if a != bad), key=walked.__getitem__)
+    shadow = iter(monotone_staircase((0, 0, 0), tuple(0 if a == nu else c for a, c in enumerate(disp))))
+    lifted = [d if d[0] == nu else next(shadow, None) for d in steps]
+    return (*filter(None, lifted), *shadow)
 
 
-def _straighten_pass(steps: Sequence[Direction]) -> tuple[Direction, ...]:
-    """One straightening move on a non-monotone segment word: a shorter
-    self-avoiding word between the same endpoints.  A monotone word is the
-    shortest between them, so the whole-segment staircase always progresses."""
-    if len(_bad_axes(steps)) == 1:
+def _straighten_pass(steps: Sequence[Direction], letters: set[Direction]) -> tuple[Direction, ...]:
+    """One straightening move on a non-monotone segment word with the set of
+    its ``letters``: a shorter self-avoiding word between the same endpoints.
+    A monotone word is the shortest between them, so the whole-segment
+    staircase always progresses."""
+    if len(_bad_axes(letters)) == 1:
         return _reroute_single_bad_axis(steps)
     return _case_three(steps) or monotone_staircase((0, 0, 0), _word_displacement(steps))
 
@@ -283,9 +279,10 @@ def straighten_once(spec: InfinitePathSpec, region: Region) -> InfinitePathSpec:
     """One straightening pass inside ``region``; strictly lowers the in-region
     edge count and never changes edges outside the region."""
     t_lo, t_hi, steps = _segment_steps(spec, region)
-    if word_is_monotone(steps):
+    letters = set(steps)
+    if word_is_monotone(letters):
         raise AlreadyMonotonicInRegion("segment is already monotone in the region")
-    return replace_window(spec, t_lo, t_hi, _straighten_pass(steps))
+    return replace_window(spec, t_lo, t_hi, _straighten_pass(steps, letters))
 
 
 def _single_bad_runs(steps: Sequence[Direction]) -> list[tuple[int, int, int]]:
@@ -331,15 +328,17 @@ def straighten_fixpoint(spec: InfinitePathSpec, region: Region) -> tuple[Infinit
     """Straighten until the in-region segment is monotone; returns the new
     spec and the number of :func:`straighten_once` passes.
 
-    Each pass reroutes monotonically between segment vertices, so inside
-    the box region: the new word is the whole in-region stretch, and the
-    string is walked once and rebuilt at most once."""
+    Each pass rewrites the segment word between the same two vertices, so
+    the string is walked once and rebuilt at most once, without validation
+    (:func:`~toric3d.paths._splice_monotone`): the segment is the string's
+    whole in-region stretch, and the final monotone word stays inside the
+    box region, so it cannot meet the rest of the string."""
     t_lo, t_hi, steps = _segment_steps(spec, region)
-    count = 0
-    while not word_is_monotone(steps):
-        steps = _straighten_pass(steps)
-        count += 1
-    return (replace_window(spec, t_lo, t_hi, steps) if count else spec), count
+    count, letters = 0, set(steps)
+    while not word_is_monotone(letters):
+        steps = _straighten_pass(steps, letters)
+        count, letters = count + 1, set(steps)
+    return (_splice_monotone(spec, t_lo, t_hi, steps) if count else spec), count
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from toric3d import transforms
+from toric3d import paths, transforms
 from toric3d.errors import (
     AlreadyMonotonicInRegion,
     EndpointMismatch,
@@ -429,11 +429,9 @@ def _straightened(fixpoint, spec, region):
     return (fixed.neg_period, fixed.core, fixed.pos_period, fixed.base), passes
 
 
-def test_fixpoint_matches_reference(rng):
-    """Straightening on the segment word gives the spec, pass count and error
-    of the loop that re-walks and rebuilds the spec every pass, on random,
-    zigzag and 40-step self-avoiding cores over covering, clipping and random
-    boxes, and on the oscillating core."""
+def _fixpoint_cases(rng):
+    """Random, zigzag and 40-step self-avoiding cores over covering,
+    clipping and random boxes, and the oscillating core."""
     specs = [random_spec(rng, max_period=3, max_core=12) for _ in range(100)]
     specs += [
         random_spec(rng, max_period=3, max_core=40, lo=-6, hi=6, self_avoiding=True)
@@ -454,29 +452,65 @@ def test_fixpoint_matches_reference(rng):
         hi = tuple(l + int(x) for l, x in zip(lo, rng.integers(0, 8, 3)))
         for region in (box.inflate(int(rng.integers(0, 4))), Region(box.lo, mid), Region(lo, hi)):
             cases.append((spec, region))
-    cases += [(spec, enclosing_region(spec).inflate(2)) for spec in map(_oscillating, (80, 160, 320))]
+    return cases + [(spec, enclosing_region(spec).inflate(2)) for spec in map(_oscillating, (80, 160, 320))]
+
+
+def test_fixpoint_matches_reference(rng):
+    """Straightening on the segment word gives the spec, pass count and error
+    of the loop that re-walks and rebuilds the spec every pass."""
     outcomes = set()
-    for spec, region in cases:
+    for spec, region in _fixpoint_cases(rng):
         got = _straightened(straighten_fixpoint, spec, region)
         assert got == _straightened(reference_straighten_fixpoint, spec, region)
         outcomes.add(got[0] if isinstance(got[0], str) else min(got[1], 2))
     assert outcomes == {"MultipleCrossings", 0, 1, 2}
 
 
+def test_certified_splice_matches_full_validation(rng, monkeypatch):
+    """Every spec the fixpoint builds without validation is one that full
+    validation accepts unchanged."""
+    spliced = []
+    real = transforms._splice_monotone
+
+    def recorded(*args):
+        spliced.append(real(*args))
+        return spliced[-1]
+
+    monkeypatch.setattr(transforms, "_splice_monotone", recorded)
+    for spec, region in _fixpoint_cases(rng):
+        done = len(spliced)
+        try:
+            fixed, passes = straighten_fixpoint(spec, region)
+        except MultipleCrossings:
+            continue
+        assert spliced[done:] == ([fixed] if passes else [])
+    assert len(spliced) > 100
+    for fixed in spliced:
+        assert type(fixed) is InfinitePathSpec
+        assert InfinitePathSpec(*fixed) == fixed
+
+
 def test_fixpoint_walks_and_rebuilds_once(monkeypatch):
+    """The fixpoint reads its segment once and rebuilds the string once,
+    through the certified splice: no ``replace_window``, no validation."""
+    spec = _oscillating(320)
     calls = Counter()
-    for name in ("_segment_steps", "replace_window"):
-        real = getattr(transforms, name)
+    for module, name in (
+        (transforms, "_segment_steps"),
+        (transforms, "_splice_monotone"),
+        (transforms, "replace_window"),
+        (paths, "_validate_spec"),
+    ):
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(transforms, name, counted)
-    spec = _oscillating(320)
+        monkeypatch.setattr(module, name, counted)
     fixed, passes = straighten_fixpoint(spec, enclosing_region(spec).inflate(2))
+    assert calls == {"_segment_steps": 1, "_splice_monotone": 1}
     assert passes > 50 and is_monotonic(fixed)[0]
-    assert calls == {"_segment_steps": 1, "replace_window": 1}
 
 
 # ---------------------------------------------------------------------------
