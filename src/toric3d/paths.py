@@ -216,13 +216,13 @@ class Surface(_SurfaceFields):
         if len(set(face_list)) != len(face_list):
             raise SelfIntersecting("face repeated in surface")
 
-        edge_index: dict[EdgeKey, int] = {}
+        bit_of: dict[EdgeKey, int] = {}
         rows = []
         chain: set[EdgeKey] = set()
         for f in face_list:
             row = 0
             for key in face_keys(f):
-                row |= 1 << edge_index.setdefault(key, len(edge_index))
+                row |= 1 << bit_of.setdefault(key, len(bit_of))
                 if key in chain:
                     chain.remove(key)
                 else:

@@ -1,8 +1,9 @@
 """Exact F2 stabilizer verifier on finite blocks.
 
 Everything here works with Pauli supports only: an operator is a pair of
-int bitsets (x flips, z flips) over the qubit edges of a finite block,
-and all statements reduce to symplectic parities and F2 ranks.  This module
+int bitsets (x flips, z flips) over the qubit edges of a finite block, bit
+``c`` standing for the edge whose cell code is ``c``, and all statements
+reduce to symplectic parities and F2 ranks.  This module
 is the cross-check for the combinatorial energy and linking computations.
 It reads explicit edge sets and shares no tail read with ``energy``:
 ``configuration_flip`` takes each string's crossing of ``clip`` from one
@@ -12,10 +13,11 @@ The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
 every edge with at least one endpoint among them, every face with at least
 one corner among them, and the extra edges of those faces as a boundary
 fringe.  Qubits live on all these edges.  The block's geometry is read in
-closed form from its bounds: the edge lists, whether a region's plaquettes
-lie in the block, and the z-range of each column of edges that a curtain or
-charge tail fills.  Syndromes count stabilizers by integer cell codes
-reached from each flipped qubit by fixed per-axis deltas.
+closed form from its bounds: the edge lists, whether an edge, a vertex or a
+region's plaquettes lie in the block, and the z-range of each column of
+edges that a curtain or charge tail fills.  Syndromes count stabilizers by
+the cell codes reached from each flipped qubit's code by fixed per-axis
+deltas.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import islice, product, repeat
-from operator import eq, gt, le, mul, xor
+from operator import eq, gt, le, xor
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels
@@ -69,13 +71,37 @@ def _edge_axes(classes: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[in
 _EDGE_AXES = {c: _edge_axes(c) for c in product(range(3), repeat=3)}
 
 
+def _plaquette_offsets(axis: int) -> tuple[tuple[Vertex, int], ...]:
+    """Dual-edge keys, relative to an edge's base, of the four plaquettes
+    around an edge along ``axis``: the faces ``(base, n)`` and
+    ``(base - e_m, n)`` for each normal ``n != axis`` (``m`` the third axis),
+    each keyed by its dual edge one step down the normal."""
+    out: list[tuple[Vertex, int]] = []
+    for normal in AXES:
+        if normal != axis:
+            d = sub((0, 0, 0), unit(normal))
+            out += [(d, normal), (sub(d, unit(3 - axis - normal)), normal)]
+    return tuple(out)
+
+
+_PLAQUETTE_OFFSETS = tuple(_plaquette_offsets(a) for a in AXES)
+
+
 class FiniteLattice:
-    """Finite block with dense edge indexing.
+    """Finite block whose qubits are indexed by their cell codes.
 
     Edges and faces are listed in closed form, in sorted key order.  An edge
     is interior when an endpoint lies in the cube.  It is in the fringe when
     one of its faces has a corner in the cube: its own axis reaches the cube
     and at most one of its two other coordinates lies one step outside.
+
+    The cell ``(v, axis)`` has the code ``3 * linear(v) + axis``, where
+    ``linear`` numbers the grid of side ``n + 4`` that starts two steps below
+    the cube: bit ``code(key)`` of a Pauli bitset is the qubit ``key``, and
+    every star and plaquette of a qubit gets a non-negative code too.  A star
+    is coded as its vertex's cell along x, a plaquette as its dual edge's
+    cell, and both sit at fixed code deltas from the qubit's own code, one
+    tuple per qubit axis.
     """
 
     def __init__(self, n: int):
@@ -104,13 +130,25 @@ class FiniteLattice:
                 self.boundary_edges += product(run, fringe)
             if cx == cy == 1:
                 self.vertices += column[1:-1]
-        self.vertex_set = set(self.vertices)
         self.qubits: list[EdgeKey] = self.interior_edges + self.boundary_edges
         self.n_qubits = len(self.qubits)
-        self.edge_index: dict[EdgeKey, int] = dict(zip(self.qubits, range(self.n_qubits)))
+        self.width, self.shift = n + 4, 2 - lo
+        self.strides = (3 * self.width**2, 3 * self.width, 3)
+        self.origin = sum(self.strides) * self.shift
+        self.star_deltas = tuple((-a, self.strides[a] - a) for a in AXES)
+        self.plaquette_deltas = tuple(
+            tuple(self.code((d, normal)) - self.code(((0, 0, 0), a)) for d, normal in _PLAQUETTE_OFFSETS[a])
+            for a in AXES
+        )
 
     def __repr__(self):
         return f"FiniteLattice(n={self.n}, qubits={self.n_qubits})"
+
+    def code(self, key: EdgeKey) -> int:
+        """The cell code of ``key``: the bit of the qubit ``key``."""
+        (x, y, z), axis = key
+        sx, sy, sz = self.strides
+        return x * sx + y * sy + z * sz + axis + self.origin
 
     @cached_property
     def faces(self) -> list[Face]:
@@ -126,31 +164,38 @@ class FiniteLattice:
         ]
 
     @cached_property
-    def cell_codes(self) -> "_CellCodes":
-        return _CellCodes(self.n, self.lo[0])
-
-    @cached_property
     def star_matrix(self) -> list[int]:
-        index = self.edge_index
-        return [
-            _kernels.vector(
-                (index[v, 0], index[v, 1], index[v, 2],
-                 index[(x - 1, y, z), 0], index[(x, y - 1, z), 1], index[(x, y, z - 1), 2])
-            )
-            for v in self.vertices
-            for x, y, z in [v]
-        ]
+        # a star's six edges sit at its code minus the star deltas, so every
+        # row is one pattern shifted to its star's code
+        deltas = [d for pair in self.star_deltas for d in pair]
+        top = max(deltas)
+        pattern = _kernels.vector(top - d for d in deltas)
+        return [pattern << s - top for s in map(self.code, zip(self.vertices, repeat(0)))]
 
     @cached_property
     def face_matrix(self) -> list[int]:
-        return [
-            _kernels.vector(self.edge_index[key] for key in face_keys(f))
-            for f in self.faces
-        ]
+        return [_kernels.vector(map(self.code, face_keys(f))) for f in self.faces]
+
+
+def _column(lat: FiniteLattice, x: int, y: int, axis: int) -> tuple[int, int] | None:
+    """The z-range of the block's edges ``((x, y, z), axis)``, or None when
+    the block has none.  An edge lies in the block when its own coordinate
+    runs from one step below the cube to its top, and its two others lie at
+    most one step outside the cube, not both outside."""
+    lo, hi = lat.lo[0], lat.hi[0]
+    if not (lo - 1 <= x <= hi + 1 and lo - 1 <= y <= hi + 1):
+        return None
+    if axis == 2:
+        return (lo - 1, hi) if lo <= x <= hi or lo <= y <= hi else None
+    along, across = (x, y) if axis == 0 else (y, x)
+    if along > hi:
+        return None
+    return (lo - 1, hi + 1) if lo <= across <= hi else (lo, hi)
 
 
 class PauliOperator(NamedTuple):
-    """Phase-free Pauli: x and z supports over a lattice's qubits as int bitsets."""
+    """Phase-free Pauli: x and z supports over a lattice's qubits as int
+    bitsets, bit ``lat.code(key)`` for the qubit ``key``."""
 
     x: int
     z: int
@@ -165,26 +210,27 @@ class PauliOperator(NamedTuple):
         return self.z.bit_count()
 
 
-def _indices(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
+def _codes(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
     out = []
     for k in keys:
-        idx = lat.edge_index.get(k)
-        if idx is None:
+        (x, y, z), axis = k
+        span = _column(lat, x, y, axis)
+        if span is None or not span[0] <= z <= span[1]:
             raise OutOfRegion(f"edge {k} is outside the lattice block")
-        out.append(idx)
+        out.append(lat.code(k))
     return out
 
 
 def pauli_from_keys(
     lat: FiniteLattice, x_keys: Iterable[EdgeKey] = (), z_keys: Iterable[EdgeKey] = ()
 ) -> PauliOperator:
-    x = _kernels.vector(_indices(lat, x_keys))
-    z = _kernels.vector(_indices(lat, z_keys))
+    x = _kernels.vector(_codes(lat, x_keys))
+    z = _kernels.vector(_codes(lat, z_keys))
     return PauliOperator(x, z, lat.n_qubits)
 
 
 def star(lat: FiniteLattice, v: Vertex) -> PauliOperator:
-    if tuple(v) not in lat.vertex_set:
+    if not Region(lat.lo, lat.hi).contains_vertex(v):
         raise OutOfRegion(f"vertex {v} is outside the lattice block")
     return pauli_from_keys(lat, x_keys=[e.key for e in edges_of_vertex(tuple(v))])
 
@@ -256,68 +302,25 @@ def _check_plaquettes_in_block(lat: FiniteLattice, lo: Vertex, dual_hi: list[Ver
                 raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
 
 
-def _plaquette_offsets(axis: int) -> tuple[tuple[Vertex, int], ...]:
-    """Dual-edge keys, relative to an edge's base, of the four plaquettes
-    around an edge along ``axis``: the faces ``(base, n)`` and
-    ``(base - e_m, n)`` for each normal ``n != axis`` (``m`` the third axis),
-    each keyed by its dual edge one step down the normal."""
-    out: list[tuple[Vertex, int]] = []
-    for normal in AXES:
-        if normal != axis:
-            d = sub((0, 0, 0), unit(normal))
-            out += [(d, normal), (sub(d, unit(3 - axis - normal)), normal)]
-    return tuple(out)
-
-
-_PLAQUETTE_OFFSETS = tuple(_plaquette_offsets(a) for a in AXES)
-
-
-class _CellCodes:
-    """Integer codes ``3 * linear(v) + axis`` of the cells ``(v, axis)`` near
-    a side-``n`` block, where ``linear`` numbers the grid of side ``n + 4``
-    that starts two steps below the cube: every star and plaquette of a qubit
-    gets a non-negative code.  A star is coded as its vertex's cell along x,
-    a plaquette as its dual edge's cell, and both sit at fixed code deltas
-    from the qubit's own code, one tuple per qubit axis."""
-
-    def __init__(self, n: int, lo: int):
-        self.width, self.shift = n + 4, 2 - lo
-        self.strides = (3 * self.width**2, 3 * self.width, 3)
-        self.star_deltas = tuple((-a, self.strides[a] - a) for a in AXES)
-        self.plaquette_deltas = tuple(
-            tuple(self._delta(d) + normal - a for d, normal in _PLAQUETTE_OFFSETS[a]) for a in AXES
-        )
-        self.origin = self._delta((self.shift,) * 3)
-
-    def _delta(self, d: Vertex) -> int:
-        return sum(map(mul, d, self.strides))
-
-    def count_odd(
-        self, keys: Iterable[EdgeKey], deltas: tuple[tuple[int, ...], ...], boxes: Sequence[Region]
-    ) -> int:
-        """How many cells, reached an odd number of times from the qubits
-        ``keys`` by their axis's ``deltas``, lie in ``boxes[axis]``; only
-        those cells are decoded."""
-        sx, sy, sz = self.strides
-        origin = self.origin
-        counts = Counter([
-            code + d
-            for (x, y, z), a in keys
-            for code in [x * sx + y * sy + z * sz + a + origin]
-            for d in deltas[a]
-        ])
-        w, s = self.width, self.shift
-        # the boxes in the grid's coordinates
-        boxes = [(lx + s, ly + s, lz + s, hx + s, hy + s, hz + s) for (lx, ly, lz), (hx, hy, hz) in boxes]
-        inside = 0
-        for code, count in counts.items():
-            if count & 1:
-                cell, axis = divmod(code, 3)
-                xy, z = divmod(cell, w)
-                x, y = divmod(xy, w)
-                lx, ly, lz, hx, hy, hz = boxes[axis]
-                inside += lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
-        return inside
+def _count_odd(
+    lat: FiniteLattice, codes: Iterable[int], deltas: tuple[tuple[int, ...], ...], boxes: Sequence[Region]
+) -> int:
+    """How many cells, reached an odd number of times from the qubit
+    ``codes`` by their axis's ``deltas``, lie in ``boxes[axis]``; only
+    those cells are decoded."""
+    counts = Counter([code + d for code in codes for d in deltas[code % 3]])
+    w, s = lat.width, lat.shift
+    # the boxes in the grid's coordinates
+    boxes = [(lx + s, ly + s, lz + s, hx + s, hy + s, hz + s) for (lx, ly, lz), (hx, hy, hz) in boxes]
+    inside = 0
+    for code, count in counts.items():
+        if count & 1:
+            cell, axis = divmod(code, 3)
+            xy, z = divmod(cell, w)
+            x, y = divmod(xy, w)
+            lx, ly, lz, hx, hy, hz = boxes[axis]
+            inside += lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
+    return inside
 
 
 def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> int:
@@ -327,7 +330,7 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     plaquettes to their dual edge read in dual coordinates, counted when both
     dual endpoints lie in the region.  Only the flip's support is read: each
     z-flipped edge toggles its two endpoint stars and each x-flipped edge its
-    four plaquettes, reached from the edge's integer cell code by fixed
+    four plaquettes, reached from the edge's cell code, its bit, by fixed
     deltas, so the work grows with the flip's weight; only the stabilizers
     toggled an odd number of times are decoded and tested against the region.
     """
@@ -338,21 +341,17 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     # stays below the region's top along the edge's axis
     dual_hi = [sub(hi, unit(normal)) for normal in AXES]
     _check_plaquettes_in_block(lat, lo, dual_hi)
-    codes, qubits = lat.cell_codes, lat.qubits
     star_box = Region(tuple(map(max, lo, lat.lo)), tuple(map(min, hi, lat.hi)))
-    violated = codes.count_odd(
-        map(qubits.__getitem__, _kernels.support(flip.z)), codes.star_deltas, [star_box]
-    )
-    violated += codes.count_odd(
-        map(qubits.__getitem__, _kernels.support(flip.x)),
-        codes.plaquette_deltas,
-        [Region(lo, d_hi) for d_hi in dual_hi],
+    violated = _count_odd(lat, _kernels.support(flip.z), lat.star_deltas, [star_box])
+    violated += _count_odd(
+        lat, _kernels.support(flip.x), lat.plaquette_deltas, [Region(lo, d_hi) for d_hi in dual_hi]
     )
     return 2 * violated
 
 
-def gauge_rank(n: int) -> int:
-    """F2 rank of the star generators on the side-``n`` block."""
+def gauge_rank(n: int | FiniteLattice) -> int:
+    """F2 rank of the star generators on the side-``n`` block, or on ``n``
+    itself when it is a ``FiniteLattice`` already built."""
     lat = n if isinstance(n, FiniteLattice) else FiniteLattice(n)
     return _kernels.rank(lat.star_matrix)
 
@@ -362,44 +361,10 @@ def gauge_rank(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _column(lat: FiniteLattice, x: int, y: int, axis: int) -> tuple[int, int] | None:
-    """The z-range of the block's edges ``((x, y, z), axis)``, or None when
-    the block has none.  An edge lies in the block when its own coordinate
-    runs from one step below the cube to its top, and its two others lie at
-    most one step outside the cube, not both outside."""
-    lo, hi = lat.lo[0], lat.hi[0]
-    if not (lo - 1 <= x <= hi + 1 and lo - 1 <= y <= hi + 1):
-        return None
-    if axis == 2:
-        return (lo - 1, hi) if lo <= x <= hi or lo <= y <= hi else None
-    along, across = (x, y) if axis == 0 else (y, x)
-    if along > hi:
-        return None
-    return (lo - 1, hi + 1) if lo <= across <= hi else (lo, hi)
-
-
 def _column_bits(lat: FiniteLattice, x: int, y: int, axis: int, bottom: int, top: int) -> int:
     """Bitset of the block's edges ``((x, y, z), axis)`` for ``bottom <= z <=
-    top``, all in the block.  The edges at heights in the cube follow each
-    other in ``qubits`` at a fixed stride, the number of same-list edges at
-    each vertex of that run of the column; the ones just below and above the
-    cube are looked up."""
-    lo, hi = lat.lo[0], lat.hi[0]
-    index = lat.edge_index
-    bits = 0
-    if bottom < lo:
-        bits |= 1 << index[(x, y, bottom), axis]
-        bottom = lo
-    if top > hi:
-        bits |= 1 << index[(x, y, top), axis]
-        top = hi
-    if bottom <= top:
-        # the classes of x and y, as in _EDGE_AXES
-        inner, fringe = _EDGE_AXES[(x >= lo) + (x > hi), (y >= lo) + (y > hi), 1]
-        stride = len(inner if axis in inner else fringe)
-        run = ((1 << stride * (top - bottom + 1)) - 1) // ((1 << stride) - 1)
-        bits |= run << index[(x, y, bottom), axis]
-    return bits
+    top``, all in the block: their codes step by 3 along z."""
+    return ((1 << 3 * (top - bottom + 1)) - 1) // 7 << lat.code(((x, y, bottom), axis))
 
 
 def _column_sum(lat: FiniteLattice, tops: Iterable[tuple[int, int, int, int]]) -> int:

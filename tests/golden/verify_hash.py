@@ -1,11 +1,14 @@
 """Check the ``verify`` output hash: the sha256 over
-``repr((combinatorial, syndrome, hex(flip.x), hex(flip.z)))`` for every op
-of ``perfbench/gen.py`` seeds 5, 31, 77 and 101, in generation order, on the
-workload's block and region, against ``EXPECTED``.  Every op's ``check``
+``repr((combinatorial, syndrome, x_keys, z_keys))`` for every op of
+``perfbench/gen.py`` seeds 5, 31, 77 and 101, in generation order, on the
+workload's block and region, against ``EXPECTED``.  ``x_keys`` and
+``z_keys`` are the sorted edge keys of the flip's two supports, so the
+digest does not depend on which bit a qubit takes.  Each bit is decoded
+through ``pauli_from_keys(lat, x_keys=[k])`` for every ``k`` in
+``lat.qubits``, once per block; the script exits 1 unless that map is one
+to one, so the keys say exactly what the bits say.  Every op's ``check``
 runs too; the script exits 1 on the first failed check or when the digest
-differs from ``EXPECTED``, printing both digests.  The flip's supports are
-hashed as ``hex``: the ``repr`` of a bitset over the side-21 block's 34650
-qubits exceeds Python's 4300-digit limit for ``int`` to ``str``.
+differs from ``EXPECTED``, printing both digests.
 
 Run from the repository root against the tree whose outputs are compared::
 
@@ -31,13 +34,27 @@ from tracer import Tracer  # noqa: E402
 from worker import Verify  # noqa: E402
 
 SEEDS = (5, 31, 77, 101)
-EXPECTED = "762f0a03b849370b17f31189d080924b7f57179d31e5619d0ec843cd8172689c"
+EXPECTED = "64942aff7222053c4395d8398bb0f98f17ed8a277301798053d3c78ac08e1a56"
 
 
 def main() -> int:
     inputs = {"block": gen.VERIFY_BLOCK, "region": gen.VERIFY_REGION}
     workload = Verify(inputs, Tracer(enabled=False), None)
     t, st = workload.t, workload.st
+    lat = workload.lat
+    key_of = {st.pauli_from_keys(lat, x_keys=[k]).x.bit_length() - 1: k for k in lat.qubits}
+    if len(key_of) != len(lat.qubits):
+        print("two qubits share a bit", file=sys.stderr)
+        return 1
+
+    def keys(bits: int) -> list:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(key_of[low.bit_length() - 1])
+            bits ^= low
+        return sorted(out)
+
     digest = hashlib.sha256()
     ops = 0
     for seed in SEEDS:
@@ -45,14 +62,14 @@ def main() -> int:
             for doc in ops_of_pass:
                 _specs, cfg = workload.configuration(doc, "core20")
                 combinatorial = t.energy(cfg, workload.region).total
-                flip = st.configuration_flip(workload.lat, cfg, workload.region, workload.clip)
-                syndrome = st.syndrome_energy(workload.lat, flip, workload.region)
+                flip = st.configuration_flip(lat, cfg, workload.region, workload.clip)
+                syndrome = st.syndrome_energy(lat, flip, workload.region)
                 res = {"combinatorial": combinatorial, "syndrome": syndrome}
                 error = workload.check(doc, res)
                 if error is not None:
                     print(f"seed {seed}, op {ops}: {error}", file=sys.stderr)
                     return 1
-                digest.update(repr((combinatorial, syndrome, hex(flip.x), hex(flip.z))).encode())
+                digest.update(repr((combinatorial, syndrome, keys(flip.x), keys(flip.z))).encode())
                 ops += 1
     got = digest.hexdigest()
     print(f"{got}  {ops} ops")

@@ -1,6 +1,7 @@
 """F2 verifier: block structure, operator algebra, exhaustive checks."""
 
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -50,6 +51,7 @@ from toric3d.stabilizer import (
 from toric3d.transforms import energy, linking_parity, make_configuration
 from ._gen import (
     membrane_op,
+    qubit_bits,
     random_loop,
     random_spec,
     reference_block,
@@ -60,6 +62,7 @@ from ._gen import (
     reference_segment_steps,
     reference_syndrome_energy,
     string_op,
+    support_keys,
 )
 
 X, Y, Z = 0, 1, 2
@@ -393,6 +396,32 @@ def test_block_matches_reference_construction(n):
     assert lat.faces == faces
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_block_membership_in_closed_form(n):
+    """On the block's box widened by 3, ``pauli_from_keys`` accepts exactly
+    the listed qubits, each at its own code's bit, and ``star`` exactly the
+    listed vertices; the qubit codes are distinct, each its axis mod 3."""
+    lat = FiniteLattice(n)
+    qubits, vertices = set(lat.qubits), set(lat.vertices)
+    box = range(lat.lo[0] - 3, lat.hi[0] + 4)
+    for v in product(box, box, box):
+        for axis in range(3):
+            key = (v, axis)
+            if key in qubits:
+                assert pauli_from_keys(lat, x_keys=[key]).x == 1 << lat.code(key)
+            else:
+                with pytest.raises(OutOfRegion, match=re.escape(f"edge {key} is outside the lattice block")):
+                    pauli_from_keys(lat, z_keys=[key])
+        if v in vertices:
+            assert star(lat, v).x_weight == 6
+        else:
+            with pytest.raises(OutOfRegion, match=re.escape(f"vertex {v} is outside the lattice block")):
+                star(lat, v)
+    codes = [lat.code(key) for key in lat.qubits]
+    assert len(set(codes)) == len(codes)
+    assert all(c % 3 == axis for c, (_, axis) in zip(codes, lat.qubits))
+
+
 def _energy_or_out_of_region(fn, lat, flip, region):
     try:
         return fn(lat, flip, region)
@@ -406,9 +435,11 @@ def test_syndrome_energy_matches_dense_reference(rng, n):
     with corners in [lo-3, hi+2] and sides up to n+2, including whether the
     region's plaquettes leave the block."""
     lat = FiniteLattice(n)
+    bits = qubit_bits(lat)
 
     def random_bits(p):
-        return _kernels.vector((rng.random(lat.n_qubits) < p).nonzero()[0].tolist())
+        drawn = (rng.random(lat.n_qubits) < p).nonzero()[0].tolist()
+        return _kernels.vector(bits[lat.qubits[i]] for i in drawn)
 
     flips = [PauliOperator(random_bits(p), random_bits(p), lat.n_qubits) for p in (0.05, 0.2, 0.5)]
     lo, hi = lat.lo[0] - 3, lat.hi[0] + 2
@@ -456,7 +487,8 @@ def test_energy_law_side33_block(rng):
 @pytest.mark.parametrize("n", range(1, 12))
 def test_star_matrix_matches_rows_of_edges_of_vertex(n):
     lat = FiniteLattice(n)
-    rows = [_kernels.vector(lat.edge_index[e.key] for e in edges_of_vertex(v)) for v in lat.vertices]
+    bits = qubit_bits(lat)
+    rows = [_kernels.vector(bits[e.key] for e in edges_of_vertex(v)) for v in lat.vertices]
     assert lat.star_matrix == rows
 
 
@@ -487,7 +519,7 @@ def test_curtain_edges_match_reference(rng, n):
         ]
         edges = [e for path in paths for e in path]
         want = reference_curtain_edges(lat, edges)
-        got = {lat.qubits[i] for i in _kernels.support(_curtain_edges(lat, edges))}
+        got = support_keys(lat, _curtain_edges(lat, edges))
         assert got == want, (n, case, edges)
         reached |= {"fringe" for key in want if key in fringe}
         reached |= {"floor" for (_, _, z), _ in want if z == lo - 1}
@@ -508,7 +540,7 @@ def test_charge_tails_match_reference(n):
         charges += [(x, y, rng.randint(lo - 2, hi + 2)) for x, y, _ in charges[: rng.randint(0, 2)]]
         want = reference_charge_tails(lat, charges)
         tops = [(x, y, 2, z - 1) for x, y, z in charges]
-        got = {lat.qubits[i] for i in _kernels.support(_column_sum(lat, tops))}
+        got = support_keys(lat, _column_sum(lat, tops))
         assert got == want, (n, case, charges)
         reached |= {"floor" for (_, _, z), _ in want if z == lo - 1}
         reached |= {"fringe" for (x, y, _), _ in want if not (lo <= x <= hi and lo <= y <= hi)}
