@@ -12,12 +12,13 @@ explicit ``edges`` window sized from the tail displacements.
 The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
 every edge with at least one endpoint among them, every face with at least
 one corner among them, and the extra edges of those faces as a boundary
-fringe.  Qubits live on all these edges.  The block's geometry is read in
-closed form from its bounds: the edge lists, whether an edge, a vertex or a
-region's plaquettes lie in the block, and the z-range of each column of
-edges that a curtain or charge tail fills.  Syndromes count stabilizers by
-the cell codes reached from each flipped qubit's code by fixed per-axis
-deltas.
+fringe.  Qubits live on all these edges.  A block keeps only its bounds and
+its code arithmetic, and its geometry is read from them: each column's
+z-range (``_column``) is the one rule for which edges it holds, which the
+Paulis, curtains and charge tails obey and from which the edge lists are
+built on first read; whether a vertex or a region's plaquettes lie in the
+block is read in closed form.  Syndromes count stabilizers by the cell
+codes reached from each flipped qubit's code by fixed per-axis deltas.
 """
 
 from __future__ import annotations
@@ -50,27 +51,6 @@ from .paths import MAX_TAIL_LETTERS, InfinitePathSpec
 from .transforms import Configuration
 
 
-def _edge_axes(classes: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axes of the interior and of the fringe edges based at a vertex whose
-    coordinates have the given classes (0 one step below the cube, 1 in it,
-    2 one step above): an edge's own coordinate must not lie above the cube,
-    and it is interior with both other coordinates in the cube, fringe with
-    one of them outside."""
-    inner, fringe = [], []
-    for axis in AXES:
-        if classes[axis] == 2:
-            continue
-        transverse = sum(classes[a] != 1 for a in AXES if a != axis)
-        if transverse == 0:
-            inner.append(axis)
-        elif transverse == 1:
-            fringe.append(axis)
-    return tuple(inner), tuple(fringe)
-
-
-_EDGE_AXES = {c: _edge_axes(c) for c in product(range(3), repeat=3)}
-
-
 def _plaquette_offsets(axis: int) -> tuple[tuple[Vertex, int], ...]:
     """Dual-edge keys, relative to an edge's base, of the four plaquettes
     around an edge along ``axis``: the faces ``(base, n)`` and
@@ -90,10 +70,13 @@ _PLAQUETTE_OFFSETS = tuple(_plaquette_offsets(a) for a in AXES)
 class FiniteLattice:
     """Finite block whose qubits are indexed by their cell codes.
 
-    Edges and faces are listed in closed form, in sorted key order.  An edge
-    is interior when an endpoint lies in the cube.  It is in the fringe when
-    one of its faces has a corner in the cube: its own axis reaches the cube
-    and at most one of its two other coordinates lies one step outside.
+    Building one computes only the bounds and the code arithmetic, and
+    ``n_qubits`` is the closed form ``3n (n + 1) (n + 4)``.  The vertices,
+    the edges and the faces are listed in sorted key order on first read,
+    the edges from ``_column``.  An edge is interior when an endpoint lies
+    in the cube.  It is in the fringe when one of its faces has a corner in
+    the cube: its own axis reaches the cube and at most one of its two other
+    coordinates lies one step outside.
 
     The cell ``(v, axis)`` has the code ``3 * linear(v) + axis``, where
     ``linear`` numbers the grid of side ``n + 4`` that starts two steps below
@@ -112,26 +95,8 @@ class FiniteLattice:
         hi = lo + n - 1
         self.lo = (lo, lo, lo)
         self.hi = (hi, hi, hi)
-        self.vertices: list[Vertex] = []
-        self.interior_edges: list[EdgeKey] = []
-        self.boundary_edges: list[EdgeKey] = []
-        # the widened cube column by column, each column (x, y) in three runs
-        # along z: one step below the cube, in it and one step above.  Every
-        # vertex of a run has the same edge axes, and the keys at a vertex
-        # share its tuple.
-        w = n + 2
-        grid = list(product(range(lo - 1, hi + 2), repeat=3))
-        classes = (0, *(1,) * n, 2)
-        for start, (cx, cy) in zip(range(0, len(grid), w), product(classes, repeat=2)):
-            column = grid[start : start + w]
-            for run, cz in ((column[:1], 0), (column[1:-1], 1), (column[-1:], 2)):
-                inner, fringe = _EDGE_AXES[cx, cy, cz]
-                self.interior_edges += product(run, inner)
-                self.boundary_edges += product(run, fringe)
-            if cx == cy == 1:
-                self.vertices += column[1:-1]
-        self.qubits: list[EdgeKey] = self.interior_edges + self.boundary_edges
-        self.n_qubits = len(self.qubits)
+        # per axis n^2 (n + 1) interior edges and 4n (n + 1) fringe edges
+        self.n_qubits = 3 * n * (n + 1) * (n + 4)
         self.width, self.shift = n + 4, 2 - lo
         self.strides = (3 * self.width**2, 3 * self.width, 3)
         self.origin = sum(self.strides) * self.shift
@@ -149,6 +114,40 @@ class FiniteLattice:
         (x, y, z), axis = key
         sx, sy, sz = self.strides
         return x * sx + y * sy + z * sz + axis + self.origin
+
+    @cached_property
+    def vertices(self) -> list[Vertex]:
+        cube = range(self.lo[0], self.hi[0] + 1)
+        return list(product(cube, cube, cube))
+
+    def _edges(self, interior: bool) -> list[EdgeKey]:
+        """The interior or the fringe edges, in sorted key order, read off
+        each column's ``_column`` z-range: an edge along ``axis`` is interior
+        when its two other coordinates, ``axis - 1`` and ``axis - 2``, lie in
+        the cube."""
+        lo, hi = self.lo[0], self.hi[0]
+        near = range(lo - 1, hi + 2)
+        out: list[EdgeKey] = []
+        for x, y in product(near, near):
+            spans = [_column(self, x, y, axis) for axis in AXES]
+            for z in near:
+                inside = (lo <= x <= hi, lo <= y <= hi, lo <= z <= hi)
+                for axis, span in enumerate(spans):
+                    if span and span[0] <= z <= span[1] and (inside[axis - 1] and inside[axis - 2]) == interior:
+                        out.append(((x, y, z), axis))
+        return out
+
+    @cached_property
+    def interior_edges(self) -> list[EdgeKey]:
+        return self._edges(True)
+
+    @cached_property
+    def boundary_edges(self) -> list[EdgeKey]:
+        return self._edges(False)
+
+    @cached_property
+    def qubits(self) -> list[EdgeKey]:
+        return self.interior_edges + self.boundary_edges
 
     @cached_property
     def faces(self) -> list[Face]:

@@ -416,7 +416,7 @@ def surgery(cfg: Configuration, surface: Surface) -> Configuration:
     cfg = deoverlap(cfg)
     boundary = surface.boundary
     position = {e.key: i for i, e in enumerate(boundary.edges)}
-    window = bounding_region(boundary.vertices).inflate(2)
+    window = bounding_region(boundary.vertices)  # holds both ends of every boundary key
 
     # per touched string: its boundary arc (first, last position along the
     # cycle), index, first and last overlap parameter, and the aligned spec

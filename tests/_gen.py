@@ -193,10 +193,12 @@ def fill_cycle(boundary_keys: set, box: Region):
     return [f for i, f in enumerate(faces) if combo >> i & 1]
 
 
+@lru_cache(maxsize=None)
 def reference_block(n: int):
     """Vertices, sorted interior edges, sorted fringe edges and sorted faces
     of the side-``n`` block, collected by walking every vertex's edges and
-    faces (the dict-of-tuples construction the closed form replaced)."""
+    faces (the dict-of-tuples construction the closed form replaced).
+    Cached per side; callers must not mutate the lists."""
     lo = -(n // 2)
     vertices = list(product(range(lo, lo + n), range(lo, lo + n), range(lo, lo + n)))
     interior = {}
@@ -218,26 +220,36 @@ def reference_block(n: int):
     return vertices, sorted(interior), sorted(boundary), sorted(faces)
 
 
-def reference_support(v: int) -> set[int]:
+@lru_cache(maxsize=16)
+def reference_support(v: int) -> frozenset[int]:
     """Coordinates set in ``v``: one C-level ``str.find`` per set bit, so the
-    Python work grows with the weight, not with the length."""
+    Python work grows with the weight, not with the length.  Cached, because
+    the dense syndrome reference reads the same few flips once per region."""
     bits = bin(v)[:1:-1]
     out = set()
     i = bits.find("1")
     while i >= 0:
         out.add(i)
         i = bits.find("1", i + 1)
-    return out
+    return frozenset(out)
 
 
 @lru_cache(maxsize=8)
 def qubit_bits(lat) -> dict:
-    """Each qubit key the block lists, with its bit ``lat.code(key)``.  The
-    references read block membership from ``lat.qubits`` and
-    ``lat.vertices``, never from the closed-form column ranges, and take
-    only the bit position from the code.  Cached per lattice, because the
-    dense references call it once per region; callers must not mutate it."""
-    return {key: lat.code(key) for key in lat.qubits}
+    """Each qubit key of the block, with its bit ``lat.code(key)``.  The
+    references read block membership from ``reference_block(lat.n)``, never
+    from the closed-form column ranges nor from the lists the block builds
+    from them, and take only the bit position from the code.  Cached per
+    lattice, because the dense references call it once per region; callers
+    must not mutate it."""
+    _, interior, boundary, _ = reference_block(lat.n)
+    return {key: lat.code(key) for key in interior + boundary}
+
+
+@lru_cache(maxsize=16)
+def reference_vertices(n: int) -> frozenset:
+    """The side-``n`` block's vertices, from ``reference_block``."""
+    return frozenset(reference_block(n)[0])
 
 
 def support_keys(lat, bits: int) -> set:
@@ -254,7 +266,7 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
         raise DimensionMismatch("flip built on a different lattice")
     z_flips = reference_support(flip.z)
     x_flips = reference_support(flip.x)
-    bits, vertices = qubit_bits(lat), set(lat.vertices)
+    bits, vertices = qubit_bits(lat), reference_vertices(lat.n)
     violated = 0
     for v in region.vertices():
         if v not in vertices:

@@ -399,10 +399,12 @@ def test_block_matches_reference_construction(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_block_membership_in_closed_form(n):
     """On the block's box widened by 3, ``pauli_from_keys`` accepts exactly
-    the listed qubits, each at its own code's bit, and ``star`` exactly the
-    listed vertices; the qubit codes are distinct, each its axis mod 3."""
+    the reference block's qubits, each at its own code's bit, and ``star``
+    exactly its vertices; the qubit codes are distinct, each its axis mod 3."""
     lat = FiniteLattice(n)
-    qubits, vertices = set(lat.qubits), set(lat.vertices)
+    ref_vertices, interior, boundary, _ = reference_block(n)
+    keys = interior + boundary
+    qubits, vertices = set(keys), set(ref_vertices)
     box = range(lat.lo[0] - 3, lat.hi[0] + 4)
     for v in product(box, box, box):
         for axis in range(3):
@@ -417,9 +419,33 @@ def test_block_membership_in_closed_form(n):
         else:
             with pytest.raises(OutOfRegion, match=re.escape(f"vertex {v} is outside the lattice block")):
                 star(lat, v)
-    codes = [lat.code(key) for key in lat.qubits]
+    codes = [lat.code(key) for key in keys]
     assert len(set(codes)) == len(codes)
-    assert all(c % 3 == axis for c, (_, axis) in zip(codes, lat.qubits))
+    assert all(c % 3 == axis for c, (_, axis) in zip(codes, keys))
+
+
+_LISTS = ("vertices", "interior_edges", "boundary_edges", "qubits")
+
+
+@pytest.mark.parametrize("n", [13, 21, 33])
+def test_block_builds_nothing_up_front(n):
+    """A block keeps only its bounds: building it, and building and reading
+    a configuration's flip on it, lists no vertex and no edge."""
+    lat = FiniteLattice(n)
+    assert not set(_LISTS) & set(vars(lat))
+    region = region_of((0, 0, 0), (4, 4, 4))
+    u = spec_from_strings("Z+", "X+X+", "Z-", base=(1, 2, 3))
+    loop = path_from_steps((1, 1, 1), parse_steps("X+Y+X-Y-"))
+    cfg = make_configuration(charges=[(2, 2, 2), (0, 0, 0)], strings=[u], loops=[loop])
+    flip = configuration_flip(lat, cfg, region, region.inflate(2))
+    assert syndrome_energy(lat, flip, region) == energy(cfg, region).total > 0
+    assert not set(_LISTS) & set(vars(lat))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_qubit_count_closed_form(n):
+    lat = FiniteLattice(n)
+    assert lat.n_qubits == len(lat.qubits)
 
 
 def _energy_or_out_of_region(fn, lat, flip, region):
