@@ -3,12 +3,13 @@
 An F2 vector is a non-negative ``int`` with bit ``i`` set for coordinate
 ``i``; addition is ``^`` and weight is ``int.bit_count``.  A matrix is a list
 of row vectors.  Rank, nullspace and solve all come from one elimination.
+Surface validation and the verifier's exhaustive block checks eliminate
+these rows; a Pauli's support is a set of cell codes, not a vector here.
 """
 
 from __future__ import annotations
 
-import sys
-from itertools import compress, count, repeat
+from itertools import repeat
 from operator import xor
 from typing import Iterable
 
@@ -19,23 +20,6 @@ def vector(indices: Iterable[int]) -> int:
     for i in indices:
         v ^= 1 << i
     return v
-
-
-def support(v: int) -> set[int]:
-    """Coordinates set in ``v``: the nonzero 64-bit words of its bytes, each
-    split at its lowest set bit until it is spent, so the Python work grows
-    with the weight, not with the length."""
-    n_bytes = 8 * ((v.bit_length() + 63) >> 6)
-    words = memoryview(v.to_bytes(n_bytes, sys.byteorder)).cast("Q").tolist()
-    if sys.byteorder == "big":  # the most significant word comes first
-        words.reverse()
-    out = set()
-    for base, w in compress(zip(count(0, 64), words), words):
-        while w:
-            low = w & -w
-            out.add(base + low.bit_length() - 1)
-            w ^= low
-    return out
 
 
 def eliminate(rows: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
@@ -95,8 +79,3 @@ def span(basis: Iterable[int]) -> list[int]:
     for b in basis:
         out += map(xor, out, repeat(b, len(out)))
     return out
-
-
-def symplectic_parity(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Commutation parity of two Pauli supports: 1 means they anticommute."""
-    return ((x1 & z2) ^ (z1 & x2)).bit_count() & 1

@@ -465,7 +465,7 @@ _CHECKS = {
 }
 # the commutation check pairs every star with every face: n = 3 is 3888 pairs
 _MAX_COMMUTATION_N = 3
-# an energy sample takes about 0.8 ms (2-vCPU VM, Python 3.11): 8 s at the cap
+# an energy sample takes about 0.5 ms (2-vCPU VM, Python 3.11): 5-6 s at the cap
 _MAX_SAMPLES = 10_000
 
 

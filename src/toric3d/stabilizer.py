@@ -1,13 +1,15 @@
 """Exact F2 stabilizer verifier on finite blocks.
 
 Everything here works with Pauli supports only: an operator is a pair of
-int bitsets (x flips, z flips) over the qubit edges of a finite block, bit
-``c`` standing for the edge whose cell code is ``c``, and all statements
-reduce to symplectic parities and F2 ranks.  This module
-is the cross-check for the combinatorial energy and linking computations.
-It reads explicit edge sets and shares no tail read with ``energy``:
-``configuration_flip`` takes each string's crossing of ``clip`` from one
-explicit ``edges`` window sized from the tail displacements.
+sets of cell codes (x flips, z flips) over the qubit edges of a finite
+block, and all statements reduce to symplectic parities and F2 ranks.  A
+support's size is its weight, not the block's; only the elimination rows
+of the exhaustive checks are int bitsets, bit ``c`` for the code ``c``.
+This module is the cross-check for the combinatorial energy and linking
+computations.  It reads explicit edge sets and shares no tail read with
+``energy``: ``configuration_flip`` takes each string's crossing of
+``clip`` from one explicit ``edges`` window sized from the tail
+displacements.
 
 The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
 every edge with at least one endpoint among them, every face with at least
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import eq, gt, le, xor
 from typing import Iterable, NamedTuple, Sequence
 
@@ -80,7 +82,7 @@ class FiniteLattice:
 
     The cell ``(v, axis)`` has the code ``3 * linear(v) + axis``, where
     ``linear`` numbers the grid of side ``n + 4`` that starts two steps below
-    the cube: bit ``code(key)`` of a Pauli bitset is the qubit ``key``, and
+    the cube: a Pauli support holds ``code(key)`` for the qubit ``key``, and
     every star and plaquette of a qubit gets a non-negative code too.  A star
     is coded as its vertex's cell along x, a plaquette as its dual edge's
     cell, and both sit at fixed code deltas from the qubit's own code, one
@@ -110,7 +112,8 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n}, qubits={self.n_qubits})"
 
     def code(self, key: EdgeKey) -> int:
-        """The cell code of ``key``: the bit of the qubit ``key``."""
+        """The cell code of ``key``: the qubit ``key`` in a Pauli support,
+        and its bit in an elimination row."""
         (x, y, z), axis = key
         sx, sy, sz = self.strides
         return x * sx + y * sy + z * sz + axis + self.origin
@@ -193,23 +196,29 @@ def _column(lat: FiniteLattice, x: int, y: int, axis: int) -> tuple[int, int] | 
 
 
 class PauliOperator(NamedTuple):
-    """Phase-free Pauli: x and z supports over a lattice's qubits as int
-    bitsets, bit ``lat.code(key)`` for the qubit ``key``."""
+    """Phase-free Pauli: x and z supports over a lattice's qubits as sets of
+    cell codes, ``lat.code(key)`` for the qubit ``key``."""
 
-    x: int
-    z: int
+    x: frozenset[int]
+    z: frozenset[int]
     n_qubits: int
 
     @property
     def x_weight(self) -> int:
-        return self.x.bit_count()
+        return len(self.x)
 
     @property
     def z_weight(self) -> int:
-        return self.z.bit_count()
+        return len(self.z)
 
 
-def _codes(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
+def _odd(items: Iterable) -> frozenset:
+    """The items that occur an odd number of times: their sum mod 2."""
+    return frozenset(item for item, count in Counter(items).items() if count & 1)
+
+
+def _codes(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> frozenset[int]:
+    """The codes of ``keys`` mod 2: a repeated key cancels."""
     out = []
     for k in keys:
         (x, y, z), axis = k
@@ -217,15 +226,13 @@ def _codes(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> list[int]:
         if span is None or not span[0] <= z <= span[1]:
             raise OutOfRegion(f"edge {k} is outside the lattice block")
         out.append(lat.code(k))
-    return out
+    return _odd(out)
 
 
 def pauli_from_keys(
     lat: FiniteLattice, x_keys: Iterable[EdgeKey] = (), z_keys: Iterable[EdgeKey] = ()
 ) -> PauliOperator:
-    x = _kernels.vector(_codes(lat, x_keys))
-    z = _kernels.vector(_codes(lat, z_keys))
-    return PauliOperator(x, z, lat.n_qubits)
+    return PauliOperator(_codes(lat, x_keys), _codes(lat, z_keys), lat.n_qubits)
 
 
 def star(lat: FiniteLattice, v: Vertex) -> PauliOperator:
@@ -246,11 +253,12 @@ def conjugation_sign(p: PauliOperator, observable: PauliOperator) -> int:
     """Sign picked up by ``observable`` under conjugation by ``p`` (0 or 1).
 
     Conjugation by a Pauli never changes a Pauli's support, only its sign,
-    which is the symplectic pairing of the two.
+    which is the symplectic pairing of the two: the parity of the qubits
+    where one's x meets the other's z.
     """
     if p.n_qubits != observable.n_qubits:
         raise DimensionMismatch("operators live on different lattices")
-    return _kernels.symplectic_parity(p.x, p.z, observable.x, observable.z)
+    return (len(p.x & observable.z) + len(p.z & observable.x)) & 1
 
 
 def truncation_stable(
@@ -329,7 +337,7 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     plaquettes to their dual edge read in dual coordinates, counted when both
     dual endpoints lie in the region.  Only the flip's support is read: each
     z-flipped edge toggles its two endpoint stars and each x-flipped edge its
-    four plaquettes, reached from the edge's cell code, its bit, by fixed
+    four plaquettes, reached from the edge's cell code by fixed
     deltas, so the work grows with the flip's weight; only the stabilizers
     toggled an odd number of times are decoded and tested against the region.
     """
@@ -341,10 +349,8 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     dual_hi = [sub(hi, unit(normal)) for normal in AXES]
     _check_plaquettes_in_block(lat, lo, dual_hi)
     star_box = Region(tuple(map(max, lo, lat.lo)), tuple(map(min, hi, lat.hi)))
-    violated = _count_odd(lat, _kernels.support(flip.z), lat.star_deltas, [star_box])
-    violated += _count_odd(
-        lat, _kernels.support(flip.x), lat.plaquette_deltas, [Region(lo, d_hi) for d_hi in dual_hi]
-    )
+    violated = _count_odd(lat, flip.z, lat.star_deltas, [star_box])
+    violated += _count_odd(lat, flip.x, lat.plaquette_deltas, [Region(lo, d_hi) for d_hi in dual_hi])
     return 2 * violated
 
 
@@ -360,27 +366,19 @@ def gauge_rank(n: int | FiniteLattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _column_bits(lat: FiniteLattice, x: int, y: int, axis: int, bottom: int, top: int) -> int:
-    """Bitset of the block's edges ``((x, y, z), axis)`` for ``bottom <= z <=
-    top``, all in the block: their codes step by 3 along z."""
-    return ((1 << 3 * (top - bottom + 1)) - 1) // 7 << lat.code(((x, y, bottom), axis))
-
-
-def _column_sum(lat: FiniteLattice, tops: Iterable[tuple[int, int, int, int]]) -> int:
-    """Bitset of the mod-2 sum, over each ``(x, y, axis, top)``, of the
+def _column_sum(lat: FiniteLattice, tops: Iterable[tuple[int, int, int, int]]) -> frozenset[int]:
+    """Codes of the mod-2 sum, over each ``(x, y, axis, top)``, of the
     block's edges ``((x, y, z), axis)`` from ``z = top`` down to the column's
     floor; a top outside the column adds nothing.  Each column is summed
     whole: an edge at height ``z`` is added once per top at or above it, so
     with the tops of odd multiplicity sorted, the runs between alternate
-    tops remain."""
-    columns: dict[tuple[int, int, int], set[int]] = {}
-    for x, y, axis, top in tops:
-        odd = columns.setdefault((x, y, axis), set())
-        if top in odd:
-            odd.remove(top)
-        else:
-            odd.add(top)
-    bits = 0
+    tops remain.  A run's codes step by 3 along z, and runs of distinct
+    columns or between alternate tops are disjoint, so their union is the
+    sum."""
+    columns: dict[tuple[int, int, int], list[int]] = {}
+    for x, y, axis, top in _odd(tops):
+        columns.setdefault((x, y, axis), []).append(top)
+    runs = []
     for (x, y, axis), odd in columns.items():
         span = _column(lat, x, y, axis)
         if span is None:
@@ -390,12 +388,13 @@ def _column_sum(lat: FiniteLattice, tops: Iterable[tuple[int, int, int, int]]) -
         if len(bounds) & 1:
             bounds.insert(0, floor - 1)
         for below, top in zip(bounds[::2], bounds[1::2]):
-            bits ^= _column_bits(lat, x, y, axis, below + 1, top)
-    return bits
+            start = lat.code(((x, y, below + 1), axis))
+            runs.append(range(start, start + 3 * (top - below), 3))
+    return frozenset(chain.from_iterable(runs))
 
 
-def _curtain_edges(lat: FiniteLattice, dual_edges: Iterable[Edge]) -> int:
-    """Bitset of the primal edges piercing the vertical dual faces that hang
+def _curtain_edges(lat: FiniteLattice, dual_edges: Iterable[Edge]) -> frozenset[int]:
+    """Codes of the primal edges piercing the vertical dual faces that hang
     below the horizontal edges of a dual path, clipped at the block's lower
     fringe.  The membrane's boundary is the path itself plus descender and
     floor junk near the block frontier.  Below the dual edge ``(x, y, z)``
@@ -614,4 +613,4 @@ def growing_membrane_pauli(lat: FiniteLattice, line_start: Vertex, length: int) 
     """Membrane hanging below a dual +x segment of the given length."""
     x, y, z = line_start
     edges = [Edge((x + k, y, z), 0) for k in range(length)]
-    return PauliOperator(_curtain_edges(lat, edges), 0, lat.n_qubits)
+    return PauliOperator(_curtain_edges(lat, edges), frozenset(), lat.n_qubits)

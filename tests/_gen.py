@@ -220,26 +220,13 @@ def reference_block(n: int):
     return vertices, sorted(interior), sorted(boundary), sorted(faces)
 
 
-@lru_cache(maxsize=16)
-def reference_support(v: int) -> frozenset[int]:
-    """Coordinates set in ``v``: one C-level ``str.find`` per set bit, so the
-    Python work grows with the weight, not with the length.  Cached, because
-    the dense syndrome reference reads the same few flips once per region."""
-    bits = bin(v)[:1:-1]
-    out = set()
-    i = bits.find("1")
-    while i >= 0:
-        out.add(i)
-        i = bits.find("1", i + 1)
-    return frozenset(out)
-
-
 @lru_cache(maxsize=8)
 def qubit_bits(lat) -> dict:
-    """Each qubit key of the block, with its bit ``lat.code(key)``.  The
+    """Each qubit key of the block, with its code ``lat.code(key)``: the
+    qubit in a Pauli support, its bit in an elimination row.  The
     references read block membership from ``reference_block(lat.n)``, never
     from the closed-form column ranges nor from the lists the block builds
-    from them, and take only the bit position from the code.  Cached per
+    from them, and take only the code itself from ``lat``.  Cached per
     lattice, because the dense references call it once per region; callers
     must not mutate it."""
     _, interior, boundary, _ = reference_block(lat.n)
@@ -252,11 +239,11 @@ def reference_vertices(n: int) -> frozenset:
     return frozenset(reference_block(n)[0])
 
 
-def support_keys(lat, bits: int) -> set:
-    """The qubit keys whose bits are set in ``bits``; a set bit that no
-    qubit of the block holds raises KeyError."""
+def support_keys(lat, codes) -> set:
+    """The qubit keys of the cell ``codes``; a code that no qubit of the
+    block holds raises KeyError."""
     key_of = {c: k for k, c in qubit_bits(lat).items()}
-    return {key_of[c] for c in reference_support(bits)}
+    return {key_of[c] for c in codes}
 
 
 def reference_syndrome_energy(lat, flip, region: Region) -> int:
@@ -264,8 +251,6 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
     star and plaquette of the region one edge at a time."""
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
-    z_flips = reference_support(flip.z)
-    x_flips = reference_support(flip.x)
     bits, vertices = qubit_bits(lat), reference_vertices(lat.n)
     violated = 0
     for v in region.vertices():
@@ -273,7 +258,7 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
             continue
         parity = 0
         for e in edges_of_vertex(v):
-            parity ^= bits[e.key] in z_flips
+            parity ^= bits[e.key] in flip.z
         violated += parity
     for axis in AXES:
         hi = list(region.hi)
@@ -289,7 +274,7 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
                 if idx is None:
                     ok = False
                     break
-                parity ^= idx in x_flips
+                parity ^= idx in flip.x
             if not ok:
                 raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
             violated += parity

@@ -3,10 +3,10 @@
 ``perfbench/gen.py`` seeds 5, 31, 77 and 101, in generation order, on the
 workload's block and region, against ``EXPECTED``.  ``x_keys`` and
 ``z_keys`` are the sorted edge keys of the flip's two supports, so the
-digest does not depend on which bit a qubit takes.  Each bit is decoded
+digest does not depend on which code a qubit takes.  Each code is decoded
 through ``pauli_from_keys(lat, x_keys=[k])`` for every ``k`` in
 ``lat.qubits``, once per block; the script exits 1 unless that map is one
-to one, so the keys say exactly what the bits say.  Every op's ``check``
+to one, so the keys say exactly what the codes say.  Every op's ``check``
 runs too; the script exits 1 on the first failed check or when the digest
 differs from ``EXPECTED``, printing both digests.
 
@@ -42,18 +42,13 @@ def main() -> int:
     workload = Verify(inputs, Tracer(enabled=False), None)
     t, st = workload.t, workload.st
     lat = workload.lat
-    key_of = {st.pauli_from_keys(lat, x_keys=[k]).x.bit_length() - 1: k for k in lat.qubits}
+    key_of = {code: k for k in lat.qubits for code in st.pauli_from_keys(lat, x_keys=[k]).x}
     if len(key_of) != len(lat.qubits):
-        print("two qubits share a bit", file=sys.stderr)
+        print("two qubits share a code", file=sys.stderr)
         return 1
 
-    def keys(bits: int) -> list:
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(key_of[low.bit_length() - 1])
-            bits ^= low
-        return sorted(out)
+    def keys(codes) -> list:
+        return sorted(key_of[c] for c in codes)
 
     digest = hashlib.sha256()
     ops = 0

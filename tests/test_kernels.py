@@ -8,8 +8,6 @@ import pytest
 
 from toric3d import _kernels as K
 
-from ._gen import reference_support
-
 
 def _ref_rank(rows_as_ints):
     """Gaussian elimination on python ints."""
@@ -42,34 +40,7 @@ def test_popcount_matches_int_bitcount(rng):
     bits = rng.integers(0, 2, 300)
     v = K.vector(i for i, b in enumerate(bits) if b)
     assert v.bit_count() == bin(v).count("1") == int(bits.sum())
-    assert K.support(v) == {i for i, b in enumerate(bits) if b}
     assert K.vector([3, 5, 3]) == 1 << 5
-
-
-@pytest.mark.parametrize(
-    "v",
-    [0, 1, 1 << 63, 1 << 64, 1 << 127, (1 << 64) - 1, (1 << 128) - 1, ((1 << 64) - 1) << 64, (1 << 64) | 1],
-)
-def test_support_matches_reference_on_word_edges(v):
-    assert K.support(v) == reference_support(v)
-
-
-def test_support_matches_reference_on_random_ints(rng):
-    for _ in range(200):
-        nbits = int(rng.integers(1, 34651))
-        weight = int(rng.integers(0, min(nbits, 400) + 1))
-        v = K.vector(int(i) for i in rng.choice(nbits, size=weight, replace=False))
-        assert K.support(v) == reference_support(v)
-    dense = int.from_bytes(rng.bytes(34650 // 8), "little")
-    assert K.support(dense) == reference_support(dense)
-
-
-def test_symplectic_parity_reference(rng):
-    n = 150
-    for _ in range(30):
-        x1, z1, x2, z2 = (_random_vector(rng, n) for _ in range(4))
-        expected = (bin(x1 & z2).count("1") + bin(z1 & x2).count("1")) & 1
-        assert K.symplectic_parity(x1, z1, x2, z2) == expected
 
 
 @pytest.mark.parametrize("shape", [(10, 8), (25, 60), (40, 200), (64, 64)])

@@ -3,7 +3,7 @@
 import random
 import re
 import tracemalloc
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -81,8 +81,8 @@ def test_block_counts():
     assert len(lat3.vertices) == 27
 
 
-_OP1 = PauliOperator(0, 0, FiniteLattice(1).n_qubits)
-_OP2 = PauliOperator(0, 0, FiniteLattice(2).n_qubits)
+_OP1 = PauliOperator(frozenset(), frozenset(), FiniteLattice(1).n_qubits)
+_OP2 = PauliOperator(frozenset(), frozenset(), FiniteLattice(2).n_qubits)
 
 
 @pytest.mark.parametrize(
@@ -148,7 +148,34 @@ def test_syndrome_examples(lat9):
     open_path = path_from_steps((0, 0, 0), parse_steps("X+X+X+"))
     assert syndrome_energy(lat9, string_op(lat9, open_path), region) == 4
     assert syndrome_energy(lat9, membrane_op(lat9, [Face((0, 0, 0), Z)]), region) == 8
-    assert syndrome_energy(lat9, PauliOperator(0, 0, lat9.n_qubits), region) == 0
+    assert syndrome_energy(lat9, PauliOperator(frozenset(), frozenset(), lat9.n_qubits), region) == 0
+
+
+def test_conjugation_sign_matches_per_qubit_count(rng, lat9):
+    """The sign from two set intersections against a qubit-by-qubit count of
+    where one operator's x meets the other's z, on random code-set Paulis
+    drawn from the reference block's codes."""
+    codes = list(qubit_bits(lat9).values())
+
+    def random_pauli():
+        x, z = (frozenset(compress(codes, rng.random(len(codes)) < p)) for p in rng.random(2) * 0.1)
+        return PauliOperator(x, z, lat9.n_qubits)
+
+    signs = set()
+    for _ in range(40):
+        p, q = random_pauli(), random_pauli()
+        count = sum((c in p.x and c in q.z) + (c in p.z and c in q.x) for c in codes)
+        assert conjugation_sign(p, q) == count % 2 == conjugation_sign(q, p)
+        signs.add(count % 2)
+    assert signs == {0, 1}
+
+
+def test_repeated_keys_cancel(lat9):
+    key = ((0, 0, 0), X)
+    assert pauli_from_keys(lat9, x_keys=[key, key]) == PauliOperator(frozenset(), frozenset(), lat9.n_qubits)
+    assert pauli_from_keys(lat9, x_keys=[key] * 3, z_keys=[key] * 4).x == {lat9.code(key)}
+    with pytest.raises(OutOfRegion):
+        pauli_from_keys(lat9, z_keys=[((9, 9, 9), Z), ((9, 9, 9), Z)])
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 8), (3, 27)])
@@ -399,7 +426,7 @@ def test_block_matches_reference_construction(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_block_membership_in_closed_form(n):
     """On the block's box widened by 3, ``pauli_from_keys`` accepts exactly
-    the reference block's qubits, each at its own code's bit, and ``star``
+    the reference block's qubits, each as its own code, and ``star``
     exactly its vertices; the qubit codes are distinct, each its axis mod 3."""
     lat = FiniteLattice(n)
     ref_vertices, interior, boundary, _ = reference_block(n)
@@ -410,7 +437,7 @@ def test_block_membership_in_closed_form(n):
         for axis in range(3):
             key = (v, axis)
             if key in qubits:
-                assert pauli_from_keys(lat, x_keys=[key]).x == 1 << lat.code(key)
+                assert pauli_from_keys(lat, x_keys=[key]).x == {lat.code(key)}
             else:
                 with pytest.raises(OutOfRegion, match=re.escape(f"edge {key} is outside the lattice block")):
                     pauli_from_keys(lat, z_keys=[key])
@@ -442,6 +469,30 @@ def test_block_builds_nothing_up_front(n):
     assert not set(_LISTS) & set(vars(lat))
 
 
+def test_verifier_scales_with_the_flip_not_the_block():
+    """A string whose core climbs ``(X+Y+)^(h/2)`` and then ``Z+X-Z+``,
+    tails ``Z+``, based at ``(0, 0, -h)``, and two charges, in the ``±h``
+    cube on a block of side ``n ~ 4h``: the syndrome matches the energy, and
+    the verifier allocates under 32 MiB at its peak, where XOR-ing columns
+    into block-wide ints peaked at 70 MiB at n = 401."""
+    for n, total, weight in [(201, 306, 7065), (401, 606, 26615)]:
+        h = n // 4
+        spec = spec_from_strings("Z+", "X+Y+" * (h // 2) + "Z+X-Z+", "Z+", base=(0, 0, -h))
+        cfg = make_configuration(charges=[(2, 0, 2), (0, 2, 2)], strings=[spec])
+        region = region_of((-h, -h, -h), (h, h, h))
+        tracemalloc.start()
+        try:
+            lat = FiniteLattice(n)
+            flip = configuration_flip(lat, cfg, region, region.inflate(2))
+            syndrome = syndrome_energy(lat, flip, region)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert syndrome == energy(cfg, region).total == total
+        assert flip.x_weight + flip.z_weight == weight
+        assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_qubit_count_closed_form(n):
     lat = FiniteLattice(n)
@@ -465,7 +516,7 @@ def test_syndrome_energy_matches_dense_reference(rng, n):
 
     def random_bits(p):
         drawn = (rng.random(lat.n_qubits) < p).nonzero()[0].tolist()
-        return _kernels.vector(bits[lat.qubits[i]] for i in drawn)
+        return frozenset(bits[lat.qubits[i]] for i in drawn)
 
     flips = [PauliOperator(random_bits(p), random_bits(p), lat.n_qubits) for p in (0.05, 0.2, 0.5)]
     lo, hi = lat.lo[0] - 3, lat.hi[0] + 2
