@@ -26,8 +26,9 @@ keep one sign per axis, is accepted by its letters alone.  Otherwise
 are distinct, the tail vertices inside the core's box miss them, and no two
 tail letters' vertex families meet, decided from the letters' cosets and
 plane coordinates; a monotone core is walked only when a tail vertex falls
-inside its box.  Only a rejection walks a truncation window sized from the
-tail geometry, to name the parameter of the first revisit.
+inside its box.  Only a rejection walks, once, a truncation window sized
+from the same tail records, to name the parameter of the first revisit;
+tails with one heading that the coset test finds meeting take no walk.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
@@ -639,7 +640,9 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     across both periods and the core is accepted outright: along it
     ``sum(s_a * v_a)`` rises by 1 per step, so no vertex repeats.  Any other
     string goes to :func:`_self_avoiding`, and a rejection to
-    :func:`_name_revisit`, which names the first revisit."""
+    :func:`_name_revisit`, which reads the same ``_tails`` and the same
+    same-heading test (:func:`_tails_apart`) and walks its window once to
+    name the first revisit."""
     if not spec.neg_period or not spec.pos_period:
         raise SelfIntersecting("period words must be nonempty")
     if spec.pos_displacement == (0, 0, 0) or spec.neg_displacement == (0, 0, 0):
@@ -782,99 +785,49 @@ def _dot(u: Vertex, v: Vertex) -> int:
 
 
 def _name_revisit(spec: InfinitePathSpec) -> None:
-    """Name the first revisit of a spec that is not self-avoiding: walk a
-    truncation window certified to hold one and raise SelfIntersecting at
-    the first repeated edge or vertex (or at colliding same-heading tail
-    windows)."""
-    dpos, dneg_out = spec.pos_displacement, spec.neg_displacement
-    nn = len(spec.neg_period)
+    """Name the first revisit of a spec :func:`_self_avoiding` rejected:
+    walk once a truncation window certified to hold it, sized from the
+    cached ``_tails``, and raise SelfIntersecting at its first repeated edge
+    or vertex.  The window's bounds split by heading as :func:`_tails_apart`
+    splits it; tails with one heading that its coset test finds meeting
+    meet again ever further out, so they are rejected without a walk."""
+    pos, neg = spec._tails
+    dpos, dneg = pos.disp, neg.disp
+    # enough tail periods to carry each tail past the core's box and the
+    # first period of either tail, both of its ends included
+    all_vs = [*spec.core_box, add(pos.start, dpos), neg.start]
+    all_vs += [v for tail in (pos, neg) for _, _, v, _, _, _ in tail.letters]
+    k_pos, k_neg = (_extent(all_vs, t.axis) // abs(t.disp[t.axis]) + 1 for t in (pos, neg))
+    n = _cross(dpos, dneg)
+    if n != (0, 0, 0):
+        # independent headings: Cramer bound over the two axes other than
+        # the first nonzero component of n, whose minor is that component
+        i = next(a for a in AXES if n[a])
+        a, b = (c for c in AXES if c != i)
+        ra, rb, det = _extent(all_vs, a) + 2, _extent(all_vs, b) + 2, abs(n[i])
+        k_pos = max(k_pos, (ra * abs(dneg[b]) + rb * abs(dneg[a])) // det + 1)
+        k_neg = max(k_neg, (ra * abs(dpos[b]) + rb * abs(dpos[a])) // det + 1)
+    elif dpos[pos.axis] * dneg[pos.axis] < 0:
+        # opposite headings along a common line: bounded interaction
+        a = pos.axis
+        bound = (_extent(all_vs, a) + 2) // min(abs(dpos[a]), abs(dneg[a])) + 1
+        k_pos, k_neg = max(k_pos, bound), max(k_neg, bound)
+    elif not _tails_apart(pos, neg):
+        raise SelfIntersecting("tail windows collide on a shared line")
+    k_pos, k_neg = max(3, k_pos) + 1, max(3, k_neg) + 1
 
-    # window vertex sets of the first tail period on each side
-    base = tuple(spec.base)
-    core_vs = spec.core_vertices
-    junction = core_vs[-1]
-    w_pos = [add(junction, v) for v in spec._pos_cum]
-    w_neg = [sub(base, v) for v in spec._neg_suffix]
-
-    # enough tail periods to carry each tail past every window and core
-    # vertex: the core's extents are those of its box's two corners
-    all_vs = [*spec.core_box, *w_pos, *w_neg]
-
-    def _windows_needed(disp):
-        axis = _escape_axis(disp)
-        return _extent(all_vs, axis) // abs(disp[axis]) + 1
-
-    k_pos, k_neg = _windows_needed(dpos), _windows_needed(dneg_out)
-
-    # the tail headings are parallel exactly when every 2x2 minor vanishes;
-    # ``u_pos`` is primitive, so ``dneg_out`` is then ``q * u_pos``
-    u_pos, g_pos = _primitive(dpos)
-    axis = _escape_axis(u_pos)
-    q = dneg_out[axis] // u_pos[axis]
-    minors = [(a, b, dpos[a] * dneg_out[b] - dpos[b] * dneg_out[a]) for a, b in combinations(AXES, 2)]
-    nonsingular = [m for m in minors if m[2]]
-    if nonsingular:
-        # independent tail headings: Cramer bound over the last nonzero minor
-        a, b, det = nonsingular[-1]
-        ra = _extent(all_vs, a) + 2
-        rb = _extent(all_vs, b) + 2
-        jmax = (ra * abs(dneg_out[b]) + rb * abs(dneg_out[a])) // abs(det) + 1
-        kmax = (ra * abs(dpos[b]) + rb * abs(dpos[a])) // abs(det) + 1
-        k_pos = max(k_pos, jmax)
-        k_neg = max(k_neg, kmax)
-    elif q < 0:
-        # tails head opposite ways along a common line: bounded interaction
-        span = _extent(all_vs, axis) + 2
-        bound = span // min(abs(dpos[axis]), abs(dneg_out[axis])) + 1
-        k_pos = max(k_pos, bound)
-        k_neg = max(k_neg, bound)
-    else:
-        # Same heading: exact periodic overlap test on the far tails.
-        # A collision of window copies depends only on m = j*p - k*q (in
-        # units of the primitive vector u), and every multiple of gcd(p, q)
-        # is realized arbitrarily far out, so any hit is a genuine
-        # self-intersection.
-        g = math.gcd(g_pos, q)
-        span = (
-            _extent(w_pos, axis)
-            + _extent(w_neg, axis)
-            + abs(junction[axis] - base[axis])
-            + 2
-        )
-        m_max = span // abs(u_pos[axis]) + 1
-        neg_set = set(w_neg)
-        for m in range(-m_max, m_max + 1):
-            if m % g != 0:
-                continue
-            shift = scale(u_pos, m)
-            if any(add(w, shift) in neg_set for w in w_pos):
-                raise SelfIntersecting("tail windows collide on a shared line")
-
-    k_pos = max(3, k_pos) + 1
-    k_neg = max(3, k_neg) + 1
-
-    # walk the certified truncation once, reusing the core's vertices;
-    # distinct vertices imply distinct edges, and only a repeat needs the
-    # step-by-step check to be named
-    lo = -k_neg * nn
-    walked = (
-        _cumulative(spec.neg_period * k_neg, spec.vertex(lo))
-        + core_vs[1:]
-        + _cumulative(spec.pos_period * k_pos, junction)[1:]
-    )
-    if len(set(walked)) == len(walked):
-        return
-    word = spec.neg_period * k_neg + spec.core + spec.pos_period * k_pos
-    keys = set()
-    seen_v = {walked[0]}
-    for t, (a, s), cur, nxt in zip(range(lo, lo + len(word)), word, walked, walked[1:]):
-        key = (cur if s > 0 else nxt, a)
-        if key in keys:
-            raise SelfIntersecting(f"edge revisited at parameter {t}")
-        keys.add(key)
-        if nxt in seen_v:
-            raise SelfIntersecting(f"vertex revisited at parameter {t}")
-        seen_v.add(nxt)
+    # step t walks from walked[i - 1] to walked[i], i = t - lo + 1; up to the
+    # first repeat every vertex has one time, so a repeated edge is a step
+    # undoing the one before it
+    lo = -k_neg * len(spec.neg_period)
+    hi = len(spec.core) + k_pos * len(spec.pos_period) - 1
+    walked = _cumulative(spec.realize_steps(lo, hi), spec.vertex(lo))
+    seen = set()
+    for i, v in enumerate(walked):
+        if v in seen:
+            what = "edge" if walked[i - 2] == v else "vertex"
+            raise SelfIntersecting(f"{what} revisited at parameter {lo + i - 1}")
+        seen.add(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1265,6 +1265,21 @@ def zigzag_core(rng, length):
     return tuple(pattern[i % 4] for i in range(length))
 
 
+def sweep_words(s: int, L: int, R: int, reject: bool = False) -> tuple[str, str, str]:
+    """The ``(neg_period, core, pos_period)`` words of a string based at the
+    origin whose positive tail sweeps its core's box: the period
+    ``Z- (Y-^L Z- Y+^L Z-)^R X- Z+^(2R+1) X-`` is a planar snake of
+    displacement ``(-2, 0, 0)``, so about ``s / 2`` of its periods lie in the
+    box.  The core ``Z+^s X+^s Y+^s`` makes a valid string; with ``reject``
+    the core ``Y+^(s-1) Z+^s X+^s Y+`` puts a core vertex on the last in-box
+    period, so validation names a revisit in a window of about ``s / 2``
+    periods."""
+    snake = "Z-" + ("Y-" * L + "Z-" + "Y+" * L + "Z-") * R + "X-" + "Z+" * (2 * R + 1) + "X-"
+    if reject:
+        return "Z+", "Y+" * (s - 1) + "Z+" * s + "X+" * s + "Y+", snake
+    return "Z+", "Z+" * s + "X+" * s + "Y+" * s, snake
+
+
 def random_spec(
     rng, base_lo=-2, base_hi=2, monotone_tails=False, max_core=6, max_period=2, **core_box
 ):

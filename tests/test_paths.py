@@ -63,6 +63,7 @@ from ._gen import (
     reference_validate_spec,
     reference_validate_surface,
     reference_walk_in,
+    sweep_words,
     unchecked_spec,
     zigzag_core,
 )
@@ -869,6 +870,33 @@ def test_validate_spec_messages_match_reference(rng):
     ]
     assert {"edge revisited", "vertex revisited"} <= {o.split(" at ")[0] for o in outcomes if o}
     assert outcomes.count(None) >= 150 and len(set(outcomes)) >= 100
+
+
+def test_validate_spec_same_heading_tails_at_size():
+    """``TAIL_PAIR_COLLISIONS[2]`` with its snake ``m`` letters wide, and a
+    wide same-heading pair whose tails run in two planes: the rejection
+    names the collision, and the outcome matches the reference's."""
+    cases = [
+        ("Z-", "Y+" + "X+" * m + "Y-", "Z+" + "X-" * m + "Z+" + "X+" * m, (0, 0, 0)) for m in (400, 2000)
+    ]
+    cases.append(("Z-", "Y+" + "X+" * 2000 + "Y-" * 2, "Z+" + "X-" * 2000 + "Z+" + "X+" * 2000, (0, 0, 0)))
+    outcomes = []
+    for neg, core, pos, base in cases:
+        spec = unchecked_spec(parse_steps(neg), parse_steps(core), parse_steps(pos), base)
+        expected = _rejection(lambda: reference_validate_spec(spec))
+        assert _rejection(lambda: InfinitePathSpec(*spec)) == expected
+        assert _tails_apart(*spec._tails) == (expected is None)
+        outcomes.append(expected)
+    assert outcomes == ["tail windows collide on a shared line"] * 2 + [None]
+
+
+def test_validate_spec_names_the_revisit_of_a_sweeping_tail():
+    """The rejecting sweep at s = 250 (L = 100, R = 20): the first revisit
+    lies about 125 periods of 4084 letters out along the positive tail, a
+    window too large for the reference's walk."""
+    with pytest.raises(SelfIntersecting) as error:
+        spec_from_strings(*sweep_words(250, 100, 20, reject=True))
+    assert str(error.value) == "vertex revisited at parameter 511251"
 
 
 # Same-heading specs whose negative period backtracks: walking the certified
