@@ -23,10 +23,11 @@ the closed-form class of each tail's eventual edge set (:func:`_ray_class`).
 Validation accepts a spec in closed form.  A monotone string, whose letters
 keep one sign per axis, is accepted by its letters alone.  Otherwise
 (:func:`_self_avoiding`) period displacements are nonzero, the core's vertices
-are distinct, the tail vertices inside the core's box miss them, and no two
-tail letters' vertex families meet, decided from the letters' cosets and
-plane coordinates; a monotone core is walked only when a tail vertex falls
-inside its box.  Only a rejection walks, once, a truncation window sized
+are distinct, and no tail letter's vertex family meets another's or the
+core.  One coset rule of ``Z * disp`` decides a tail against itself and
+against the core, whose cosets are indexed once per tail from its vertices
+in the box of the ends of the families' in-box runs; the two tails meet by
+cosets or plane coordinates.  Only a rejection walks, once, a truncation window sized
 from the same tail records, to name the parameter of the first revisit;
 tails with one heading that the coset test finds meeting take no walk.
 """
@@ -37,7 +38,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import MalformedBoundary, NotConnected, SelfIntersecting, TooLarge
@@ -639,10 +640,11 @@ def _validate_spec(spec: InfinitePathSpec) -> None:
     After the period checks, a string whose letters keep one sign per axis
     across both periods and the core is accepted outright: along it
     ``sum(s_a * v_a)`` rises by 1 per step, so no vertex repeats.  Any other
-    string goes to :func:`_self_avoiding`, and a rejection to
-    :func:`_name_revisit`, which reads the same ``_tails`` and the same
-    same-heading test (:func:`_tails_apart`) and walks its window once to
-    name the first revisit."""
+    string goes to :func:`_self_avoiding`, which meets each tail's families
+    with the core by one coset index read from the box of the ends of their
+    in-box runs, and a rejection to :func:`_name_revisit`, which reads the same
+    ``_tails`` and the same same-heading test (:func:`_tails_apart`) and
+    walks its window once to name the first revisit."""
     if not spec.neg_period or not spec.pos_period:
         raise SelfIntersecting("period words must be nonempty")
     if spec.pos_displacement == (0, 0, 0) or spec.neg_displacement == (0, 0, 0):
@@ -662,38 +664,40 @@ def _one_sign_per_axis(letters: AbstractSet[Direction]) -> bool:
 
 def _self_avoiding(spec: InfinitePathSpec) -> bool:
     """Whether the bi-infinite walk visits no vertex twice (so no edge
-    twice), decided in closed form.  The core's vertices are distinct; the
-    tail vertices inside ``core_box`` (the only ones that can meet the core)
-    miss them; and the tails' vertex families ``v + q * disp`` (``q >= 0``,
-    one per tail letter) meet neither themselves nor each other.
+    twice), decided in closed form: the core's vertices are distinct, and
+    each tail letter's vertex family ``v + q * disp`` (``q >= 0``) meets
+    neither another letter's family, the core nor the other tail's.
 
-    A monotone core's vertices are distinct without a walk, and its vertex
-    set is built only when a tail vertex other than the junction falls
-    inside ``core_box``."""
-    seen = None
-    if not spec._core_monotone:
-        seen = set(spec.core_vertices)
-        if len(seen) != len(spec.core) + 1:
-            return False
+    Two points meet when they share a coset of ``Z * disp`` (:func:`_coset`)
+    and its index.  So a tail's letters need distinct cosets, and a family's
+    run of periods in ``core_box`` past the junction meets the core when a
+    core vertex of its coset has an index at or past the run's first (that
+    vertex is in ``core_box``, so in the run).  Each tail reads the greatest
+    index per coset from the core vertices in the box of its runs' ends; a
+    monotone core is walked only when a family enters ``core_box``."""
+    if not spec._core_monotone and len(set(spec.core_vertices)) != len(spec.core) + 1:
+        return False
     box, nc = spec.core_box, len(spec.core)
     for tail in spec._tails:
-        dx, dy, dz = disp = tail.disp
-        # a family only moves on along the escape axis: skip the letters
-        # already past the box there
-        a, sign = tail.axis, 1 if disp[tail.axis] > 0 else -1
-        reach = sign * (box.hi if sign > 0 else box.lo)[a]
-        for t, dt, (x, y, z), _, _, _ in tail.letters:
-            if sign * (x, y, z)[a] > reach:
-                continue
-            for q in _periods((x, y, z), (x, y, z), disp, box):
-                if t + q * dt == nc:
-                    continue
-                if seen is None:
-                    seen = set(spec.core_vertices)
-                if (x + q * dx, y + q * dy, z + q * dz) in seen:
-                    return False
-    pos, neg = spec._tails
-    return _tail_apart(pos) and _tail_apart(neg) and _tails_apart(pos, neg)
+        disp, cosets, runs = tail.disp, set(), []
+        for t, _, v, _, _, _ in tail.letters:
+            r, k = _coset(v, disp, tail.axis)
+            if r in cosets:
+                return False
+            cosets.add(r)
+            # the junction is the positive tail's own first vertex
+            qs = _periods(v, v, disp, box)[t == nc :]
+            if qs:
+                runs.append((r, k + qs[0], v, qs[0], qs[-1]))
+        if runs:
+            ends = (add(v, scale(disp, q)) for _, _, v, q0, q1 in runs for q in (q0, q1))
+            tops: dict[Vertex, int] = {}
+            for w in compress(spec.core_vertices, spec._inside(bounding_region(ends))):
+                r, k = _coset(w, disp, tail.axis)
+                tops[r] = max(k, tops.get(r, k))
+            if any(tops.get(r, k - 1) >= k for r, k, _, _, _ in runs):
+                return False
+    return _tails_apart(*spec._tails)
 
 
 def _coset(v: Vertex, u: Vertex, axis: int) -> tuple[Vertex, int]:
@@ -701,13 +705,6 @@ def _coset(v: Vertex, u: Vertex, axis: int) -> tuple[Vertex, int]:
     of ``v + Z * u``, for ``u[axis] != 0``."""
     k = v[axis] // u[axis]
     return (v[0] - k * u[0], v[1] - k * u[1], v[2] - k * u[2]), k
-
-
-def _tail_apart(tail: _Tail) -> bool:
-    """Whether the letters' families ``v + q * disp`` are pairwise disjoint:
-    no two letter vertices differ by a multiple of ``disp``."""
-    cosets = {_coset(v, tail.disp, tail.axis)[0] for _, _, v, _, _, _ in tail.letters}
-    return len(cosets) == len(tail.letters)
 
 
 def _tails_apart(pos: _Tail, neg: _Tail) -> bool:

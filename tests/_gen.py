@@ -1280,6 +1280,45 @@ def sweep_words(s: int, L: int, R: int, reject: bool = False) -> tuple[str, str,
     return "Z+", "Z+" * s + "X+" * s + "Y+" * s, snake
 
 
+def opposite_heading_words(N: int) -> tuple[str, str, str, Vertex]:
+    """The ``(neg_period, core, pos_period, base)`` of a valid string whose
+    tails head opposite ways along the z axis, ``2N`` per period: the
+    positive tail covers column ``(0, 0)`` at ``z mod 2N < N`` and the
+    negative tail at ``z mod 2N >= N``, so the two tails share that column
+    with ``N`` letters each and never meet."""
+    return (
+        "X-" + "Z+" * (N + 1) + "X+" + "Z+" * (N - 1),
+        "Y+" + "Z-" * (4 * N - 1) + "Y-",
+        "Z+" * (N - 1) + "X+" + "Z+" * (N + 1) + "X-",
+        (0, 0, 4 * N - 1),
+    )
+
+
+def common_line_spec(rng, same_heading: bool):
+    """``(neg, core, pos, base)`` with both tails along one axis, the same
+    or opposite ways outward: each period is 1 to 3 copies of one axis
+    letter and up to two sidestep pairs, permuted until the word is
+    self-avoiding, under a self-avoiding core.  The tails meet the core,
+    each other or themselves often enough that both verdicts are common."""
+    axis, sign = int(rng.integers(0, 3)), int(rng.choice((-1, 1)))
+    sides = [a for a in AXES if a != axis]
+
+    def period(s):
+        word = [(axis, s)] * int(rng.integers(1, 4))
+        for _ in range(int(rng.integers(0, 3))):
+            b = sides[int(rng.integers(0, 2))]
+            word += [(b, 1), (b, -1)]
+        while True:
+            word = [word[j] for j in rng.permutation(len(word))]
+            if word_is_self_avoiding(word):
+                return tuple(word)
+
+    # the negative period is read outward against its letters
+    pos, neg = period(sign), period(-sign if same_heading else sign)
+    base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+    return neg, random_core(rng, max_len=10, self_avoiding=True), pos, base
+
+
 def random_spec(
     rng, base_lo=-2, base_hi=2, monotone_tails=False, max_core=6, max_period=2, **core_box
 ):

@@ -1,18 +1,22 @@
-"""Time ``validate`` on the sweep documents of ``tests._gen.sweep_words``:
-strings whose positive tail sweeps the core's box for about ``s / 2``
-periods, the valid ones and the variants whose first revisit lies on the
-last in-box period.  Each document runs in a fresh ``python -m toric3d.cli
-validate`` with the document on stdin; the script prints one Markdown table
-row per document with the child's wall time, exit code and peak resident
-set (``ru_maxrss`` of that child alone).
+"""Time ``validate`` on the worst-case documents of ``tests._gen``: the
+sweeps of ``sweep_words``, strings whose positive tail sweeps the core's box
+for about ``s / 2`` periods, the valid ones and the variants whose first
+revisit lies on the last in-box period; and the valid strings of
+``opposite_heading_words``, whose tails share one column with ``N`` letters
+each.  Each document runs in a fresh ``python -m toric3d.cli validate``
+with the document on stdin; the script prints one Markdown table row per
+document with the child's wall time, exit code and peak resident set
+(``ru_maxrss`` of that child alone).
 
 Run from the repository root against the tree to be measured::
 
     PYTHONPATH=src:. python tests/golden/worst_case.py
 
-It takes about 30 s on a 2-vCPU VM, and one child holds a few hundred MiB
-(the s = 1000 rejection); it is not part of the test suite.  Compare trees
-on one machine, one after the other: the times include interpreter start.
+It takes about 20 s on a 2-vCPU VM, 12 s of it the opposite-heading
+N = 4000 row, whose tail check is quadratic in N; one child holds a few
+hundred MiB (the s = 1000 rejection).  It is not part of the test suite.
+Compare trees on one machine, one after the other: the times include
+interpreter start.
 """
 
 from __future__ import annotations
@@ -23,22 +27,32 @@ import subprocess
 import sys
 import time
 
-from tests._gen import sweep_words
+from tests._gen import opposite_heading_words, sweep_words
 
 # (s, L, R, reject)
-DOCUMENTS = [
+SWEEPS = [
     (2000, 200, 50, False),
     (4000, 200, 100, False),
+    (8000, 200, 100, False),
     (250, 100, 20, True),
     (500, 100, 20, True),
     (1000, 100, 20, True),
 ]
+OPPOSITE_HEADING = [1000, 2000, 4000]
 
 
-def run(s: int, L: int, R: int, reject: bool) -> tuple[float, int, float]:
+def documents():
+    """``(variant, parameters, (neg, core, pos, base))`` per table row."""
+    for s, L, R, reject in SWEEPS:
+        yield "rejection" if reject else "acceptance", f"{s}, {L}, {R}", (*sweep_words(s, L, R, reject), (0, 0, 0))
+    for N in OPPOSITE_HEADING:
+        yield "opposite heading", f"N = {N}", opposite_heading_words(N)
+
+
+def run(neg: str, core: str, pos: str, base) -> tuple[float, int, float]:
     """Wall seconds, exit code and peak RSS in MiB of one ``validate``."""
-    neg, core, pos = sweep_words(s, L, R, reject)
-    doc = json.dumps({"strings": [{"neg_period": neg, "core": core, "pos_period": pos}]}).encode()
+    string = {"neg_period": neg, "core": core, "pos_period": pos, "base": list(base)}
+    doc = json.dumps({"strings": [string]}).encode()
     start = time.perf_counter()
     child = subprocess.Popen(
         [sys.executable, "-m", "toric3d.cli", "validate"],
@@ -56,11 +70,10 @@ def run(s: int, L: int, R: int, reject: bool) -> tuple[float, int, float]:
 def main() -> int:
     print("| variant | s, L, R | core letters | period letters | wall time (s) | exit | max RSS (MiB) |")
     print("|---|---|---|---|---|---|---|")
-    for s, L, R, reject in DOCUMENTS:
-        _, core, pos = sweep_words(s, L, R, reject)
-        wall, code, rss = run(s, L, R, reject)
-        variant = "rejection" if reject else "acceptance"
-        print(f"| {variant} | {s}, {L}, {R} | {len(core) // 2} | {len(pos) // 2} | {wall:.2f} | {code} | {rss:.0f} |")
+    for variant, parameters, words in documents():
+        wall, code, rss = run(*words)
+        _, core, pos, _ = words
+        print(f"| {variant} | {parameters} | {len(core) // 2} | {len(pos) // 2} | {wall:.2f} | {code} | {rss:.0f} |")
         sys.stdout.flush()
     return 0
 

@@ -16,7 +16,7 @@ from toric3d.errors import SelfIntersecting
 from toric3d.lattice import add, reverse_direction
 from toric3d.paths import InfinitePathSpec
 
-from ._gen import _random_word, random_core, unchecked_spec
+from ._gen import _random_word, common_line_spec, random_core, unchecked_spec
 
 # the 48 signed axis permutations: axis a goes to perm[a], scaled by signs[a]
 SYMMETRIES = [(perm, signs) for perm in permutations(range(3)) for signs in product((1, -1), repeat=3)]
@@ -63,13 +63,12 @@ def _random_specs(rng, count):
         yield neg, random_core(rng, max_len=10, self_avoiding=True), pos, base
 
 
-def test_validation_verdict_is_invariant_under_symmetries_translation_and_reversal():
-    """1500 random specs, each against six of the 48 signed axis
+def _verdicts_of_images(rng, specs):
+    """Each spec's verdict, checked against six of the 48 signed axis
     permutations (all 48 in turn), a random base translation and its
-    orientation reversal: 12,000 images, each with the spec's verdict."""
-    rng = np.random.default_rng(20261020)
-    verdicts, images = [], 0
-    for i, (neg, core, pos, base) in enumerate(_random_specs(rng, 1500)):
+    orientation reversal: eight images per spec."""
+    verdicts = []
+    for i, (neg, core, pos, base) in enumerate(specs):
         verdict = _accepted(neg, core, pos, base)
         verdicts.append(verdict)
         for j in range(6):
@@ -78,6 +77,25 @@ def test_validation_verdict_is_invariant_under_symmetries_translation_and_revers
         shift = tuple(int(x) for x in rng.integers(-50, 51, 3))
         assert _accepted(neg, core, pos, add(base, shift)) == verdict, (shift, neg, core, pos, base)
         assert _accepted(*_reversed(neg, core, pos, base)) == verdict, (neg, core, pos, base)
-        images += 8
-    assert images == 12000
+    return verdicts
+
+
+def test_validation_verdict_is_invariant_under_symmetries_translation_and_reversal():
+    """1500 random specs, each against six of the 48 signed axis
+    permutations (all 48 in turn), a random base translation and its
+    orientation reversal: 12,000 images, each with the spec's verdict."""
+    rng = np.random.default_rng(20261020)
+    verdicts = _verdicts_of_images(rng, _random_specs(rng, 1500))
+    assert 8 * len(verdicts) == 12000
     assert verdicts.count(True) >= 150 and verdicts.count(False) >= 150
+
+
+def test_validation_verdict_is_invariant_on_common_line_tails():
+    """The same images of 600 specs whose tails run along one axis,
+    alternately the same and opposite ways outward (``common_line_spec``),
+    so that ``paths._tails_apart`` takes its common-line branches: 4800
+    images, each with the spec's verdict."""
+    rng = np.random.default_rng(20261022)
+    verdicts = _verdicts_of_images(rng, (common_line_spec(rng, same_heading=i % 2 == 0) for i in range(600)))
+    for heading in (verdicts[0::2], verdicts[1::2]):
+        assert heading.count(True) >= 40 and heading.count(False) >= 40

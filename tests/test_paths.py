@@ -1,7 +1,9 @@
 """Paths layer: validation, truncation, tail analysis, equivalence."""
 
+import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from toric3d.errors import (
@@ -48,6 +50,7 @@ from ._gen import (
     _faces_connected,
     _random_word,
     brute_count_edges,
+    common_line_spec,
     edges_in_region,
     equivalent_variant,
     flux_chain_in_region,
@@ -897,6 +900,36 @@ def test_validate_spec_names_the_revisit_of_a_sweeping_tail():
     with pytest.raises(SelfIntersecting) as error:
         spec_from_strings(*sweep_words(250, 100, 20, reject=True))
     assert str(error.value) == "vertex revisited at parameter 511251"
+
+
+def test_validate_spec_accepts_a_sweeping_tail_in_linear_work():
+    """The valid sweep at s = 2000 (L = 200, R = 50): a 20,204-letter period
+    sweeps the 6000-letter core's box for about 1000 periods.  Each letter
+    is one coset lookup, not one probe per in-box period, so the build takes
+    a small fraction of a second of CPU time."""
+    start = time.process_time()
+    spec_from_strings(*sweep_words(2000, 200, 50))
+    assert time.process_time() - start < 1.0
+
+
+def test_validate_spec_messages_match_reference_on_common_line_tails():
+    """2000 specs whose tails run along one axis (``common_line_spec``),
+    alternately the same and opposite ways outward, so every spec that
+    reaches :func:`_tails_apart` takes one of its common-line branches: each
+    rejection keeps the reference's message, ``_self_avoiding`` holds
+    exactly on the accepted specs, and each heading has both verdicts."""
+    rng = np.random.default_rng(20261021)
+    seen = Counter()
+    for i in range(2000):
+        neg, core, pos, base = common_line_spec(rng, same_heading=i % 2 == 0)
+        spec = unchecked_spec(neg, core, pos, base)
+        expected = _rejection(lambda: reference_validate_spec(spec))
+        assert _rejection(lambda: InfinitePathSpec(neg, core, pos, base)) == expected
+        assert _self_avoiding(spec) == (expected is None)
+        seen[i % 2 == 0, expected and expected.split(" at ")[0]] += 1
+    for same in (True, False):
+        assert seen[same, None] >= 100 and sum(n for (h, o), n in seen.items() if h == same and o) >= 100
+    assert {o for _, o in seen} == {None, "edge revisited", "vertex revisited", "tail windows collide on a shared line"}
 
 
 # Same-heading specs whose negative period backtracks: walking the certified
