@@ -8,7 +8,7 @@ of the exhaustive checks are int bitsets, bit ``c`` for the code ``c``.
 This module is the cross-check for the combinatorial energy and linking
 computations.  It reads explicit edge sets and shares no tail read with
 ``energy``: ``configuration_flip`` takes each string's crossing of
-``clip`` from one explicit ``edges`` window sized from the tail
+``clip`` from one explicit window of ``realize_steps`` sized from the tail
 displacements.
 
 The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
@@ -19,8 +19,11 @@ its code arithmetic, and its geometry is read from them: each column's
 z-range (``_column``) is the one rule for which edges it holds, which the
 Paulis, curtains and charge tails obey and from which the edge lists are
 built on first read; whether a vertex or a region's plaquettes lie in the
-block is read in closed form.  Syndromes count stabilizers by the cell
-codes reached from each flipped qubit's code by fixed per-axis deltas.
+block is read in closed form.  Syndromes read a support as z-runs of cell
+codes: the stabilizers toggled an odd number of times form runs too, whose
+ends are the points that the support's run ends, shifted by fixed per-axis
+code deltas, reach an odd number of times.  Only those ends are counted, and
+each odd run is decoded once and clipped to the region.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .lattice import (
     sub,
     unit,
 )
-from .paths import MAX_TAIL_LETTERS, InfinitePathSpec
+from .paths import MAX_TAIL_LETTERS, InfinitePathSpec, _cumulative
 from .transforms import Configuration
 
 
@@ -310,23 +313,45 @@ def _check_plaquettes_in_block(lat: FiniteLattice, lo: Vertex, dual_hi: list[Ver
 
 
 def _count_odd(
-    lat: FiniteLattice, codes: Iterable[int], deltas: tuple[tuple[int, ...], ...], boxes: Sequence[Region]
+    lat: FiniteLattice, codes: frozenset[int], deltas: tuple[tuple[int, ...], ...], boxes: Sequence[Region]
 ) -> int:
     """How many cells, reached an odd number of times from the qubit
-    ``codes`` by their axis's ``deltas``, lie in ``boxes[axis]``; only
-    those cells are decoded."""
-    counts = Counter([code + d for code in codes for d in deltas[code % 3]])
-    w, s = lat.width, lat.shift
-    # the boxes in the grid's coordinates
-    boxes = [(lx + s, ly + s, lz + s, hx + s, hy + s, hz + s) for (lx, ly, lz), (hx, hy, hz) in boxes]
-    inside = 0
-    for code, count in counts.items():
+    ``codes`` by their axis's ``deltas``, lie in ``boxes[axis]``, read from
+    the runs' ends.
+
+    A support's codes step by 3 along a z-column, so it is a union of
+    z-runs, and its run bounds (each run's first code and the code one past
+    its last) are ``codes ^ (codes + 3)``.  A run ``[s, e)`` shifted by
+    ``d`` changes parity only at ``s + d`` and ``e + d``, so the points
+    reached an odd number of times from the bounds are the bounds of the odd
+    cells' runs.  Split by residue mod 3 and sorted, they pair off
+    alternately into runs; only each run's first cell is decoded, and its
+    z-range is clipped to its axis's box.  This is exact because no run
+    wraps into the next column: qubit grid heights lie in ``1..n+2``, below
+    ``width - 1``, so ``c + 3`` never leaves the column of ``c``, and odd
+    cells lie at grid heights ``1..n+3`` in the star call and ``0..n+2`` in
+    the plaquette call, so none sits on both sides of a column boundary.
+    The work grows with the run count, plus one set pass over the codes."""
+    bounds = codes ^ frozenset([c + 3 for c in codes])
+    counts = Counter([b + d for b in bounds for d in deltas[b % 3]])
+    ends: tuple[list[int], ...] = ([], [], [])
+    for point, count in counts.items():
         if count & 1:
-            cell, axis = divmod(code, 3)
-            xy, z = divmod(cell, w)
+            ends[point % 3].append(point)
+    w, s = lat.width, lat.shift
+    inside = 0
+    for axis, points in enumerate(ends):
+        if not points:
+            continue
+        (lx, ly, lz), (hx, hy, hz) = boxes[axis]
+        # the box in the grid's coordinates
+        lx, ly, lz, hx, hy, hz = lx + s, ly + s, lz + s, hx + s, hy + s, hz + s
+        points.sort()
+        for start, end in zip(points[::2], points[1::2]):
+            xy, z = divmod(start // 3, w)
             x, y = divmod(xy, w)
-            lx, ly, lz, hx, hy, hz = boxes[axis]
-            inside += lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
+            if lx <= x <= hx and ly <= y <= hy:
+                inside += max(0, min(hz, z + (end - start) // 3 - 1) - max(lz, z) + 1)
     return inside
 
 
@@ -337,9 +362,11 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     plaquettes to their dual edge read in dual coordinates, counted when both
     dual endpoints lie in the region.  Only the flip's support is read: each
     z-flipped edge toggles its two endpoint stars and each x-flipped edge its
-    four plaquettes, reached from the edge's cell code by fixed
-    deltas, so the work grows with the flip's weight; only the stabilizers
-    toggled an odd number of times are decoded and tested against the region.
+    four plaquettes, reached from the edge's cell code by fixed deltas.  The
+    support is read as z-runs: only the runs' ends are shifted by the
+    deltas, and each run of odd stabilizers is decoded once and clipped to
+    the region, so the work grows with the run count plus one set pass over
+    the flip's weight (``_count_odd``).
     """
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
@@ -371,20 +398,21 @@ def _column_sum(lat: FiniteLattice, tops: Iterable[tuple[int, int, int, int]]) -
     block's edges ``((x, y, z), axis)`` from ``z = top`` down to the column's
     floor; a top outside the column adds nothing.  Each column is summed
     whole: an edge at height ``z`` is added once per top at or above it, so
-    with the tops of odd multiplicity sorted, the runs between alternate
-    tops remain.  A run's codes step by 3 along z, and runs of distinct
-    columns or between alternate tops are disjoint, so their union is the
-    sum."""
+    with the column's tops sorted, the runs between alternate tops remain; a
+    repeated top pairs with itself into an empty run, so repeats cancel
+    without a parity pass.  A run's codes step by 3 along z, and runs of
+    distinct columns or between alternate tops are disjoint, so their union
+    is the sum."""
     columns: dict[tuple[int, int, int], list[int]] = {}
-    for x, y, axis, top in _odd(tops):
+    for x, y, axis, top in tops:
         columns.setdefault((x, y, axis), []).append(top)
     runs = []
-    for (x, y, axis), odd in columns.items():
+    for (x, y, axis), heights in columns.items():
         span = _column(lat, x, y, axis)
         if span is None:
             continue
         floor, ceiling = span
-        bounds = sorted(z for z in odd if floor <= z <= ceiling)
+        bounds = sorted(z for z in heights if floor <= z <= ceiling)
         if len(bounds) & 1:
             bounds.insert(0, floor - 1)
         for below, top in zip(bounds[::2], bounds[1::2]):
@@ -427,17 +455,19 @@ def _tail_letters(clip: Region, start: Vertex, period: int, disp: Vertex) -> int
 def _crossing(spec: InfinitePathSpec, clip: Region) -> list[Edge]:
     """The edges of the string's single crossing of ``clip``, or raise
     MultipleCrossings.  The crossing is read from one explicit window of
-    ``spec.edges``, wide enough that both tails have left ``clip`` for good:
-    it runs from the first to the last edge with both endpoints in ``clip``,
-    and must hold every such edge and every vertex in ``clip``."""
+    steps, ``spec.realize_steps(a, b - 1)`` walked from ``spec.vertex(a)``,
+    wide enough that both tails have left ``clip`` for good: it runs from
+    the first to the last edge with both endpoints in ``clip``, and must
+    hold every such edge and every vertex in ``clip``.  Only the crossing's
+    edges are built."""
     b = len(spec.core) + _tail_letters(clip, spec.junction, len(spec.pos_period), spec.pos_displacement)
     a = -_tail_letters(clip, spec.base, len(spec.neg_period), spec.neg_displacement)
-    edges = spec.edges(a, b - 1)
+    steps = spec.realize_steps(a, b - 1)
+    # vertex i of the window starts step i; the last vertex closes it
+    vertices = _cumulative(steps, spec.vertex(a))
     (lx, ly, lz), (hx, hy, hz) = clip
-    # vertex i of the window starts edge i; the last edge's end closes it
-    vertices = [boundary_edge(e)[0] for e in edges] + [boundary_edge(edges[-1])[1]]
     inside = [lx <= x <= hx and ly <= y <= hy and lz <= z <= hz for x, y, z in vertices]
-    crossing = [i for i in range(len(edges)) if inside[i] and inside[i + 1]]
+    crossing = [i for i in range(len(steps)) if inside[i] and inside[i + 1]]
     if not crossing:
         raise MultipleCrossings("path has no edge inside the region")
     first, last = crossing[0], crossing[-1]
@@ -446,7 +476,7 @@ def _crossing(spec: InfinitePathSpec, clip: Region) -> list[Edge]:
     touched = [i for i, here in enumerate(inside) if here]
     if touched[0] < first or touched[-1] > last + 1:
         raise MultipleCrossings("path touches the region outside its crossing")
-    return edges[first : last + 1]
+    return list(map(edge_from, vertices[first : last + 1], steps[first : last + 1]))
 
 
 def _extend_clear_of(path_edges: list[Edge], region: Region) -> list[Edge]:
