@@ -4,7 +4,7 @@ An F2 vector is a non-negative ``int`` with bit ``i`` set for coordinate
 ``i``; addition is ``^`` and weight is ``int.bit_count``.  A matrix is a list
 of row vectors.  Rank, nullspace and solve all come from one elimination.
 Surface validation and the verifier's exhaustive block checks eliminate
-these rows; a Pauli's support is a set of cell codes, not a vector here.
+these rows; a Pauli's support is a set of run bounds, not a vector here.
 """
 
 from __future__ import annotations

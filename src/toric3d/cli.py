@@ -362,13 +362,14 @@ def _check_commutation(n: int) -> dict:
     from . import stabilizer
 
     lat = stabilizer.FiniteLattice(n)
+    plaquettes = [stabilizer.plaquette(lat, f) for f in lat.faces]
     bad = 0
     checked = 0
     for v in lat.vertices:
         sv = stabilizer.star(lat, v)
-        for f in lat.faces:
+        for pf in plaquettes:
             checked += 1
-            if not stabilizer.commutes(sv, stabilizer.plaquette(lat, f)):
+            if not stabilizer.commutes(sv, pf):
                 bad += 1
     return {"name": "commutation", "pairs": checked, "violations": bad, "pass": bad == 0}
 

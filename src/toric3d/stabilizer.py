@@ -1,13 +1,16 @@
 """Exact F2 stabilizer verifier on finite blocks.
 
 Everything here works with Pauli supports only: an operator is a pair of
-sets of cell codes (x flips, z flips) over the qubit edges of a finite
-block, and all statements reduce to symplectic parities and F2 ranks.  A
-support's size is its weight, not the block's; only the elimination rows
-of the exhaustive checks are int bitsets, bit ``c`` for the code ``c``.
-This module is the cross-check for the combinatorial energy and linking
-computations.  It reads explicit edge sets and shares no tail read with
-``energy``: ``configuration_flip`` takes each string's crossing of
+supports (x flips, z flips) over the qubit edges of a finite block, and all
+statements reduce to symplectic parities and F2 ranks.  A qubit is its cell
+code, and codes step by 3 along a z-column, so a support is a union of
+z-runs; it is stored as its run bounds ``S ^ (S + 3)``, the codes where
+membership changes as one walks up a column.  Work grows with the run
+count, not with the weight and not with the block; only the elimination
+rows of the exhaustive checks are int bitsets, bit ``c`` for the code
+``c``.  This module is the cross-check for the combinatorial energy and
+linking computations.  It reads explicit edge sets and shares no tail read
+with ``energy``: ``configuration_flip`` takes each string's crossing of
 ``clip`` from one explicit window of ``realize_steps`` sized from the tail
 displacements.
 
@@ -19,18 +22,19 @@ its code arithmetic, and its geometry is read from them: each column's
 z-range (``_column``) is the one rule for which edges it holds, which the
 Paulis, curtains and charge tails obey and from which the edge lists are
 built on first read; whether a vertex or a region's plaquettes lie in the
-block is read in closed form.  Syndromes read a support as z-runs of cell
-codes: the stabilizers toggled an odd number of times form runs too, whose
-ends are the points that the support's run ends, shifted by fixed per-axis
-code deltas, reach an odd number of times.  Only those ends are counted, and
-each odd run is decoded once and clipped to the region.
+block is read in closed form.  Curtains and charge tails are summed per
+column into run bounds.  Syndromes shift only the bounds: the stabilizers
+toggled an odd number of times form runs too, whose bounds are the points
+that the support's bounds, shifted by fixed per-axis code deltas, reach an
+odd number of times; each odd run is decoded once and clipped to the
+region.  The conjugation sign is read from the bounds in one sorted merge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 from operator import eq, gt, le, xor
 from typing import Iterable, NamedTuple, Sequence
 
@@ -85,11 +89,11 @@ class FiniteLattice:
 
     The cell ``(v, axis)`` has the code ``3 * linear(v) + axis``, where
     ``linear`` numbers the grid of side ``n + 4`` that starts two steps below
-    the cube: a Pauli support holds ``code(key)`` for the qubit ``key``, and
-    every star and plaquette of a qubit gets a non-negative code too.  A star
-    is coded as its vertex's cell along x, a plaquette as its dual edge's
-    cell, and both sit at fixed code deltas from the qubit's own code, one
-    tuple per qubit axis.
+    the cube: the qubit ``key`` has the code ``code(key)``, and every star
+    and plaquette of a qubit gets a non-negative code too.  A star is coded
+    as its vertex's cell along x, a plaquette as its dual edge's cell, and
+    both sit at fixed code deltas from the qubit's own code, one tuple per
+    qubit axis.
     """
 
     def __init__(self, n: int):
@@ -115,8 +119,8 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n}, qubits={self.n_qubits})"
 
     def code(self, key: EdgeKey) -> int:
-        """The cell code of ``key``: the qubit ``key`` in a Pauli support,
-        and its bit in an elimination row."""
+        """The cell code of ``key``: the qubit ``key`` in a Pauli support's
+        runs, and its bit in an elimination row."""
         (x, y, z), axis = key
         sx, sy, sz = self.strides
         return x * sx + y * sy + z * sz + axis + self.origin
@@ -199,8 +203,13 @@ def _column(lat: FiniteLattice, x: int, y: int, axis: int) -> tuple[int, int] | 
 
 
 class PauliOperator(NamedTuple):
-    """Phase-free Pauli: x and z supports over a lattice's qubits as sets of
-    cell codes, ``lat.code(key)`` for the qubit ``key``."""
+    """Phase-free Pauli over a lattice's qubits.  ``x`` and ``z`` hold each
+    support ``S``, a set of cell codes (``lat.code(key)`` for the qubit
+    ``key``), as its run bounds ``S ^ (S + 3)``: the codes where membership
+    changes as one walks up a z-column.  The map is one to one, since the
+    bounds pair off into the runs again (``_runs``), and it is linear: the
+    bounds of a sum are the XOR of the bounds.  A weight is the runs' total
+    length, read without listing a code."""
 
     x: frozenset[int]
     z: frozenset[int]
@@ -208,16 +217,33 @@ class PauliOperator(NamedTuple):
 
     @property
     def x_weight(self) -> int:
-        return len(self.x)
+        return _weight(self.x)
 
     @property
     def z_weight(self) -> int:
-        return len(self.z)
+        return _weight(self.z)
 
 
 def _odd(items: Iterable) -> frozenset:
     """The items that occur an odd number of times: their sum mod 2."""
     return frozenset(item for item, count in Counter(items).items() if count & 1)
+
+
+def _runs(bounds: Iterable[int]) -> list[tuple[list[int], list[int]]]:
+    """Per residue mod 3, the starts and the ends of the runs
+    ``range(start, end, 3)`` whose bounds are ``bounds``: split by residue
+    and sorted, the bounds pair off alternately.  No run spans two columns,
+    because each column holds an even number of bounds."""
+    by_residue: tuple[list[int], ...] = ([], [], [])
+    for b in bounds:
+        by_residue[b % 3].append(b)
+    for points in by_residue:
+        points.sort()
+    return [(points[::2], points[1::2]) for points in by_residue]
+
+
+def _weight(bounds: frozenset[int]) -> int:
+    return sum(sum(ends) - sum(starts) for starts, ends in _runs(bounds)) // 3
 
 
 def _codes(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> frozenset[int]:
@@ -232,10 +258,15 @@ def _codes(lat: FiniteLattice, keys: Iterable[EdgeKey]) -> frozenset[int]:
     return _odd(out)
 
 
+def _bounds(codes: frozenset[int]) -> frozenset[int]:
+    """The run bounds of the support ``codes``."""
+    return codes ^ frozenset([c + 3 for c in codes])
+
+
 def pauli_from_keys(
     lat: FiniteLattice, x_keys: Iterable[EdgeKey] = (), z_keys: Iterable[EdgeKey] = ()
 ) -> PauliOperator:
-    return PauliOperator(_codes(lat, x_keys), _codes(lat, z_keys), lat.n_qubits)
+    return PauliOperator(_bounds(_codes(lat, x_keys)), _bounds(_codes(lat, z_keys)), lat.n_qubits)
 
 
 def star(lat: FiniteLattice, v: Vertex) -> PauliOperator:
@@ -252,16 +283,42 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     return conjugation_sign(p, q) == 0
 
 
+def _overlap_parity(a: frozenset[int], b: frozenset[int]) -> int:
+    """``|A & B| mod 2`` for the supports whose run bounds are ``a`` and
+    ``b``, read from the bounds in one sorted merge.
+
+    A cell lies in ``A`` when an odd number of the bounds of its residue
+    lie at or below it.  So, past some code ``K`` of that residue beyond
+    every bound, ``|A & B|`` counts mod 2 over the same-residue pairs of
+    bounds ``a, b`` the cells from ``max(a, b)`` to ``K``.  Every column
+    holds an even number of bounds, so the pairs are even in number and
+    only the parity of the sum of ``max(a, b)`` is left (a code and its
+    cell index have one parity, 3 being odd).  In the merged order each
+    bound is the max of its pairs with the other set's bounds of its
+    residue already passed, and supports whose bounds do not interleave
+    are disjoint."""
+    if not a or not b or max(a) <= min(b) or max(b) <= min(a):
+        return 0
+    passed = ([0, 0, 0], [0, 0, 0])  # parity of the bounds passed, per set and residue
+    parity = 0
+    for key in sorted([2 * c for c in a] + [2 * c + 1 for c in b]):
+        c, side = divmod(key, 2)
+        parity ^= c & passed[1 - side][c % 3]
+        passed[side][c % 3] ^= 1
+    return parity
+
+
 def conjugation_sign(p: PauliOperator, observable: PauliOperator) -> int:
     """Sign picked up by ``observable`` under conjugation by ``p`` (0 or 1).
 
     Conjugation by a Pauli never changes a Pauli's support, only its sign,
     which is the symplectic pairing of the two: the parity of the qubits
-    where one's x meets the other's z.
+    where one's x meets the other's z, read from the run bounds without
+    expanding them (``_overlap_parity``).
     """
     if p.n_qubits != observable.n_qubits:
         raise DimensionMismatch("operators live on different lattices")
-    return (len(p.x & observable.z) + len(p.z & observable.x)) & 1
+    return _overlap_parity(p.x, observable.z) ^ _overlap_parity(p.z, observable.x)
 
 
 def truncation_stable(
@@ -313,41 +370,31 @@ def _check_plaquettes_in_block(lat: FiniteLattice, lo: Vertex, dual_hi: list[Ver
 
 
 def _count_odd(
-    lat: FiniteLattice, codes: frozenset[int], deltas: tuple[tuple[int, ...], ...], boxes: Sequence[Region]
+    lat: FiniteLattice, bounds: frozenset[int], deltas: tuple[tuple[int, ...], ...], boxes: Sequence[Region]
 ) -> int:
-    """How many cells, reached an odd number of times from the qubit
-    ``codes`` by their axis's ``deltas``, lie in ``boxes[axis]``, read from
-    the runs' ends.
+    """How many cells, reached an odd number of times from the support with
+    run ``bounds`` by their axis's ``deltas``, lie in ``boxes[axis]``, read
+    from the runs' ends.  A cell's axis is its residue mod 3; the star
+    deltas reach residue 0 only, so the star call passes one box.
 
-    A support's codes step by 3 along a z-column, so it is a union of
-    z-runs, and its run bounds (each run's first code and the code one past
-    its last) are ``codes ^ (codes + 3)``.  A run ``[s, e)`` shifted by
-    ``d`` changes parity only at ``s + d`` and ``e + d``, so the points
-    reached an odd number of times from the bounds are the bounds of the odd
-    cells' runs.  Split by residue mod 3 and sorted, they pair off
-    alternately into runs; only each run's first cell is decoded, and its
-    z-range is clipped to its axis's box.  This is exact because no run
-    wraps into the next column: qubit grid heights lie in ``1..n+2``, below
-    ``width - 1``, so ``c + 3`` never leaves the column of ``c``, and odd
-    cells lie at grid heights ``1..n+3`` in the star call and ``0..n+2`` in
-    the plaquette call, so none sits on both sides of a column boundary.
-    The work grows with the run count, plus one set pass over the codes."""
-    bounds = codes ^ frozenset([c + 3 for c in codes])
+    A run ``[s, e)`` shifted by ``d`` changes parity only at ``s + d`` and
+    ``e + d``, so the points reached an odd number of times from the bounds
+    are the bounds of the odd cells' runs.  They pair off into runs
+    (``_runs``); only each run's first cell is decoded, and its z-range is
+    clipped to its axis's box.  This is exact because no run wraps into the
+    next column: qubit grid heights lie in ``1..n+2``, below ``width - 1``,
+    so ``c + 3`` never leaves the column of ``c``, and odd cells lie at grid
+    heights ``1..n+3`` in the star call and ``0..n+2`` in the plaquette
+    call, so none sits on both sides of a column boundary.  The work grows
+    with the run count, not with the weight."""
     counts = Counter([b + d for b in bounds for d in deltas[b % 3]])
-    ends: tuple[list[int], ...] = ([], [], [])
-    for point, count in counts.items():
-        if count & 1:
-            ends[point % 3].append(point)
     w, s = lat.width, lat.shift
     inside = 0
-    for axis, points in enumerate(ends):
-        if not points:
-            continue
-        (lx, ly, lz), (hx, hy, hz) = boxes[axis]
+    for box, (starts, ends) in zip(boxes, _runs([point for point, count in counts.items() if count & 1])):
+        (lx, ly, lz), (hx, hy, hz) = box
         # the box in the grid's coordinates
         lx, ly, lz, hx, hy, hz = lx + s, ly + s, lz + s, hx + s, hy + s, hz + s
-        points.sort()
-        for start, end in zip(points[::2], points[1::2]):
+        for start, end in zip(starts, ends):
             xy, z = divmod(start // 3, w)
             x, y = divmod(xy, w)
             if lx <= x <= hx and ly <= y <= hy:
@@ -363,10 +410,10 @@ def syndrome_energy(lat: FiniteLattice, flip: PauliOperator, region: Region) -> 
     dual endpoints lie in the region.  Only the flip's support is read: each
     z-flipped edge toggles its two endpoint stars and each x-flipped edge its
     four plaquettes, reached from the edge's cell code by fixed deltas.  The
-    support is read as z-runs: only the runs' ends are shifted by the
-    deltas, and each run of odd stabilizers is decoded once and clipped to
-    the region, so the work grows with the run count plus one set pass over
-    the flip's weight (``_count_odd``).
+    support is held as its run bounds: only those are shifted by the deltas,
+    and each run of odd stabilizers is decoded once and clipped to the
+    region, so the work grows with the run count, not with the flip's
+    weight (``_count_odd``).
     """
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
@@ -394,40 +441,30 @@ def gauge_rank(n: int | FiniteLattice) -> int:
 
 
 def _column_sum(lat: FiniteLattice, tops: Iterable[tuple[int, int, int, int]]) -> frozenset[int]:
-    """Codes of the mod-2 sum, over each ``(x, y, axis, top)``, of the
+    """Run bounds of the mod-2 sum, over each ``(x, y, axis, top)``, of the
     block's edges ``((x, y, z), axis)`` from ``z = top`` down to the column's
-    floor; a top outside the column adds nothing.  Each column is summed
-    whole: an edge at height ``z`` is added once per top at or above it, so
-    with the column's tops sorted, the runs between alternate tops remain; a
-    repeated top pairs with itself into an empty run, so repeats cancel
-    without a parity pass.  A run's codes step by 3 along z, and runs of
-    distinct columns or between alternate tops are disjoint, so their union
-    is the sum."""
-    columns: dict[tuple[int, int, int], list[int]] = {}
+    floor; a top outside the column adds nothing.  That run's bounds are the
+    floor's code and the code one past the top, so each top adds those two
+    and repeats cancel in the parity pass.  ``top + 1`` is at most ``hi +
+    2``, inside the column (see ``_count_odd``).  The work grows with the
+    number of tops, not with the length of the runs."""
+    sx, sy, sz = lat.strides
+    out = []
     for x, y, axis, top in tops:
-        columns.setdefault((x, y, axis), []).append(top)
-    runs = []
-    for (x, y, axis), heights in columns.items():
         span = _column(lat, x, y, axis)
-        if span is None:
-            continue
-        floor, ceiling = span
-        bounds = sorted(z for z in heights if floor <= z <= ceiling)
-        if len(bounds) & 1:
-            bounds.insert(0, floor - 1)
-        for below, top in zip(bounds[::2], bounds[1::2]):
-            start = lat.code(((x, y, below + 1), axis))
-            runs.append(range(start, start + 3 * (top - below), 3))
-    return frozenset(chain.from_iterable(runs))
+        if span is not None and span[0] <= top <= span[1]:
+            base = x * sx + y * sy + axis + lat.origin
+            out += (base + span[0] * sz, base + (top + 1) * sz)
+    return _odd(out)
 
 
 def _curtain_edges(lat: FiniteLattice, dual_edges: Iterable[Edge]) -> frozenset[int]:
-    """Codes of the primal edges piercing the vertical dual faces that hang
-    below the horizontal edges of a dual path, clipped at the block's lower
-    fringe.  The membrane's boundary is the path itself plus descender and
-    floor junk near the block frontier.  Below the dual edge ``(x, y, z)``
-    along ``a`` hangs the column of primal edges along ``1 - a`` at
-    ``(x + 1 - a, y + a)``, from height ``z`` down."""
+    """Run bounds of the primal edges piercing the vertical dual faces that
+    hang below the horizontal edges of a dual path, clipped at the block's
+    lower fringe.  The membrane's boundary is the path itself plus
+    descender and floor junk near the block frontier.  Below the dual edge
+    ``(x, y, z)`` along ``a`` hangs the column of primal edges along
+    ``1 - a`` at ``(x + 1 - a, y + a)``, from height ``z`` down."""
     return _column_sum(
         lat,
         ((x + 1 - e.axis, y + e.axis, 1 - e.axis, z) for e in dual_edges if e.axis != 2 for x, y, z in [e.base]),

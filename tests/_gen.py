@@ -246,19 +246,45 @@ def support_keys(lat, codes) -> set:
     return {key_of[c] for c in codes}
 
 
+def reference_bounds(codes) -> frozenset:
+    """The run bounds ``S ^ (S + 3)`` of the support ``S = codes``: the
+    representation a ``PauliOperator`` holds."""
+    codes = frozenset(codes)
+    return codes ^ frozenset(c + 3 for c in codes)
+
+
+@lru_cache(maxsize=64)
+def reference_codes(bounds: frozenset) -> frozenset:
+    """The support whose run bounds are ``bounds``, by prefix parity: walk
+    every code of each residue mod 3 from its lowest bound to its highest,
+    toggling membership at each bound.  A column holds an even number of
+    bounds, so the parity is back to 0 between columns.  Cached, because
+    the dense references read the same flip once per region."""
+    codes = set()
+    for r in range(3):
+        points = sorted(b for b in bounds if b % 3 == r)
+        inside = False
+        for c in range(points[0], points[-1], 3) if points else ():
+            inside ^= c in bounds
+            if inside:
+                codes.add(c)
+    return frozenset(codes)
+
+
 def reference_syndrome_energy(lat, flip, region: Region) -> int:
     """2 x stabilizers in ``region`` anticommuting with ``flip``, testing every
     star and plaquette of the region one edge at a time."""
     if flip.n_qubits != lat.n_qubits:
         raise DimensionMismatch("flip built on a different lattice")
     bits, vertices = qubit_bits(lat), reference_vertices(lat.n)
+    x, z = reference_codes(flip.x), reference_codes(flip.z)
     violated = 0
     for v in region.vertices():
         if v not in vertices:
             continue
         parity = 0
         for e in edges_of_vertex(v):
-            parity ^= bits[e.key] in flip.z
+            parity ^= bits[e.key] in z
         violated += parity
     for axis in AXES:
         hi = list(region.hi)
@@ -274,7 +300,7 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
                 if idx is None:
                     ok = False
                     break
-                parity ^= idx in flip.x
+                parity ^= idx in x
             if not ok:
                 raise OutOfRegion(f"plaquette {f} extends outside the lattice block")
             violated += parity
@@ -1292,6 +1318,35 @@ def opposite_heading_words(N: int) -> tuple[str, str, str, Vertex]:
         "Z+" * (N - 1) + "X+" + "Z+" * (N + 1) + "X-",
         (0, 0, 4 * N - 1),
     )
+
+
+def facing_tails_spec(rng):
+    """``(neg, core, pos, base)`` whose tails run along one axis ``A`` and
+    head toward each other past a short core, so that the spec reaches the
+    opposite-heading branch of ``_tails_apart`` and is mostly rejected
+    there.  In the frame of ``A`` and two lateral axes ``B`` and ``C``,
+    each with a random orientation, the base is on line 0 and the junction
+    ``k`` steps behind it on line ``2B``.  Each period steps onto line
+    ``B``, runs along it and steps back to its home line: the positive tail
+    covers line ``B`` at heights from ``-k`` up, the negative one at
+    heights from 0 down.  The core goes round through lines ``C``,
+    ``B + C`` and ``2B + C``, which neither tail touches."""
+    axes = [int(a) for a in rng.permutation(3)]
+    signs = [int(rng.choice((-1, 1))) for _ in range(3)]
+
+    def letters(*word):
+        return tuple((axes[a], s * signs[a]) for a, s in word)
+
+    k = int(rng.integers(1, 13))
+    a, a2, c, c2 = (int(n) for n in rng.integers(1, (3, 3, 5, 5)))
+    A, B, C = 0, 1, 2
+    pos = letters((B, -1), *[(A, 1)] * a, (B, 1), *[(A, 1)] * c)
+    # the negative period is read outward against its letters: outward it
+    # steps onto line B, runs down it and steps back
+    neg = letters(*[(A, 1)] * c2, (B, 1), *[(A, 1)] * a2, (B, -1))
+    core = letters((C, 1), (B, 1), (B, 1), *[(A, -1)] * k, (C, -1))
+    base = tuple(int(x) for x in rng.integers(-2, 3, 3))
+    return neg, core, pos, base
 
 
 def common_line_spec(rng, same_heading: bool):

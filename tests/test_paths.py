@@ -53,6 +53,7 @@ from ._gen import (
     common_line_spec,
     edges_in_region,
     equivalent_variant,
+    facing_tails_spec,
     flux_chain_in_region,
     random_core,
     random_membrane_faces,
@@ -930,6 +931,38 @@ def test_validate_spec_messages_match_reference_on_common_line_tails():
     for same in (True, False):
         assert seen[same, None] >= 100 and sum(n for (h, o), n in seen.items() if h == same and o) >= 100
     assert {o for _, o in seen} == {None, "edge revisited", "vertex revisited", "tail windows collide on a shared line"}
+
+
+def test_validate_spec_rejects_facing_tails_on_one_line(monkeypatch):
+    """300 specs whose tails run along one line and head toward each other
+    past a short core (``facing_tails_spec``): every verdict and message
+    matches the reference's, ``_self_avoiding`` holds exactly on the
+    accepted specs, and at least 100 builds are rejected in the
+    opposite-heading branch of :func:`_tails_apart`."""
+    import toric3d.paths as paths
+
+    facing_rejections = 0
+
+    def counted(pos, neg):
+        nonlocal facing_rejections
+        apart = _tails_apart(pos, neg)
+        common_line = paths._cross(pos.disp, neg.disp) == (0, 0, 0)
+        facing_rejections += not apart and common_line and pos.disp[pos.axis] * neg.disp[pos.axis] < 0
+        return apart
+
+    rng = np.random.default_rng(20261020)
+    outcomes = Counter()
+    for _ in range(300):
+        neg, core, pos, base = facing_tails_spec(rng)
+        spec = unchecked_spec(neg, core, pos, base)
+        expected = _rejection(lambda: reference_validate_spec(spec))
+        assert _self_avoiding(spec) == (expected is None)
+        with monkeypatch.context() as patch:
+            patch.setattr(paths, "_tails_apart", counted)
+            assert _rejection(lambda: InfinitePathSpec(neg, core, pos, base)) == expected
+        outcomes[expected and expected.split(" at ")[0]] += 1
+    assert facing_rejections >= 100
+    assert outcomes[None] and outcomes["vertex revisited"] >= 100
 
 
 # Same-heading specs whose negative period backtracks: walking the certified

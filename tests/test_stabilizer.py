@@ -30,6 +30,7 @@ from toric3d.stabilizer import (
     FiniteLattice,
     PauliOperator,
     _check_plaquettes_in_block,
+    _codes,
     _column_sum,
     _crossing,
     _curtain_edges,
@@ -56,7 +57,9 @@ from ._gen import (
     random_spec,
     reference_block,
     reference_charge_tails,
+    reference_bounds,
     reference_check_plaquettes_in_block,
+    reference_codes,
     reference_curtain_edges,
     reference_fiber_checks,
     reference_segment_steps,
@@ -152,19 +155,22 @@ def test_syndrome_examples(lat9):
 
 
 def test_conjugation_sign_matches_per_qubit_count(rng, lat9):
-    """The sign from two set intersections against a qubit-by-qubit count of
-    where one operator's x meets the other's z, on random code-set Paulis
-    drawn from the reference block's codes."""
+    """The sign read from the run bounds against a qubit-by-qubit count of
+    where one operator's x meets the other's z, on random code sets drawn
+    from the reference block's codes."""
     codes = list(qubit_bits(lat9).values())
 
-    def random_pauli():
-        x, z = (frozenset(compress(codes, rng.random(len(codes)) < p)) for p in rng.random(2) * 0.1)
-        return PauliOperator(x, z, lat9.n_qubits)
+    def random_supports():
+        return tuple(frozenset(compress(codes, rng.random(len(codes)) < p)) for p in rng.random(2) * 0.1)
+
+    def pauli(x, z):
+        return PauliOperator(reference_bounds(x), reference_bounds(z), lat9.n_qubits)
 
     signs = set()
     for _ in range(40):
-        p, q = random_pauli(), random_pauli()
-        count = sum((c in p.x and c in q.z) + (c in p.z and c in q.x) for c in codes)
+        (px, pz), (qx, qz) = random_supports(), random_supports()
+        p, q = pauli(px, pz), pauli(qx, qz)
+        count = sum((c in px and c in qz) + (c in pz and c in qx) for c in codes)
         assert conjugation_sign(p, q) == count % 2 == conjugation_sign(q, p)
         signs.add(count % 2)
     assert signs == {0, 1}
@@ -173,9 +179,75 @@ def test_conjugation_sign_matches_per_qubit_count(rng, lat9):
 def test_repeated_keys_cancel(lat9):
     key = ((0, 0, 0), X)
     assert pauli_from_keys(lat9, x_keys=[key, key]) == PauliOperator(frozenset(), frozenset(), lat9.n_qubits)
-    assert pauli_from_keys(lat9, x_keys=[key] * 3, z_keys=[key] * 4).x == {lat9.code(key)}
+    assert reference_codes(pauli_from_keys(lat9, x_keys=[key] * 3, z_keys=[key] * 4).x) == {lat9.code(key)}
     with pytest.raises(OutOfRegion):
         pauli_from_keys(lat9, z_keys=[((9, 9, 9), Z), ((9, 9, 9), Z)])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_run_bounds_match_code_set_references(n):
+    """A support is held as its run bounds.  On random supports made of
+    whole block columns, the top cell of columns (grid height ``hi + 1``
+    for x and y edges) and scattered cells: the bounds round-trip through
+    ``reference_bounds`` and ``reference_codes``, ``pauli_from_keys`` holds
+    ``reference_bounds`` of ``_codes`` (repeated keys included), the weights
+    are the supports' sizes, and the conjugation sign matches the per-qubit
+    count.  ``_column_sum`` of random tops in, at the ends of and outside
+    each column holds the bounds of the edges from each top inside it down
+    to the column's floor, the columns read from the reference block."""
+    rng = random.Random(4000 + n)
+    lat = FiniteLattice(n)
+    bits = qubit_bits(lat)
+    columns: dict = {}
+    for key in bits:
+        (x, y, z), axis = key
+        columns.setdefault((x, y, axis), []).append(key)
+    for col in columns.values():
+        col.sort(key=lambda key: key[0][2])
+
+    def random_keys():
+        keys = set()
+        p = rng.random() * 0.3
+        for col in columns.values():
+            r = rng.random()
+            keys ^= set(col) if r < 0.15 else {col[-1]} if r < 0.3 else set()
+            keys ^= {key for key in col if rng.random() < p}
+        return keys
+
+    signs, reached = set(), set()
+    for _ in range(30):
+        supports = [random_keys() for _ in range(4)]
+        codes = [frozenset(bits[key] for key in keys) for keys in supports]
+        for c in codes:
+            assert reference_codes(reference_bounds(c)) == c
+            assert reference_bounds(reference_codes(reference_bounds(c))) == reference_bounds(c)
+        repeated = [list(keys) + [key for key in keys if rng.random() < 0.3] * 2 for keys in supports]
+        ops = [pauli_from_keys(lat, x_keys=repeated[i], z_keys=repeated[i + 1]) for i in (0, 2)]
+        for op, i in zip(ops, (0, 2)):
+            assert op.x == reference_bounds(_codes(lat, repeated[i])) == reference_bounds(codes[i])
+            assert op.z == reference_bounds(_codes(lat, repeated[i + 1])) == reference_bounds(codes[i + 1])
+            assert (op.x_weight, op.z_weight) == (len(reference_codes(op.x)), len(codes[i + 1]))
+        count = len(codes[0] & codes[3]) + len(codes[1] & codes[2])
+        assert conjugation_sign(ops[0], ops[1]) == count % 2 == conjugation_sign(ops[1], ops[0])
+        signs.add(count % 2)
+        tops, want = [], set()
+        for (x, y, axis), col in columns.items():
+            if rng.random() < 0.5:
+                continue
+            floor, ceiling = col[0][0][2], col[-1][0][2]
+            for top in rng.choice([[ceiling], [floor], [floor - 1, ceiling + 1]]) + [
+                rng.randint(floor - 2, ceiling + 2) for _ in range(rng.randrange(3))
+            ]:
+                tops.append((x, y, axis, top))
+                if floor <= top <= ceiling:
+                    want ^= {bits[key] for key in col if key[0][2] <= top}
+                reached.add(top - ceiling if top >= ceiling else top - floor if top <= floor else 0)
+        tops += [(lat.hi[0] + 2, 0, axis, 0) for axis in range(3)]
+        got = _column_sum(lat, tops)
+        assert got == reference_bounds(want)
+        assert PauliOperator(got, frozenset(), lat.n_qubits).x_weight == len(want)
+    assert signs == {0, 1}
+    assert {-1, 0, 1} <= reached
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 8), (3, 27)])
@@ -437,7 +509,7 @@ def test_block_membership_in_closed_form(n):
         for axis in range(3):
             key = (v, axis)
             if key in qubits:
-                assert pauli_from_keys(lat, x_keys=[key]).x == {lat.code(key)}
+                assert reference_codes(pauli_from_keys(lat, x_keys=[key]).x) == {lat.code(key)}
             else:
                 with pytest.raises(OutOfRegion, match=re.escape(f"edge {key} is outside the lattice block")):
                     pauli_from_keys(lat, z_keys=[key])
@@ -473,11 +545,12 @@ def test_verifier_scales_with_the_flip_not_the_block():
     """A string whose core climbs ``(X+Y+)^(h/2)`` and then ``Z+X-Z+``,
     tails ``Z+``, based at ``(0, 0, -h)``, and two charges, in the ``±h``
     cube on a block of side ``n ~ 4h``: the syndrome matches the energy, and
-    the verifier allocates under 32 MiB at its peak, where XOR-ing columns
-    into block-wide ints peaked at 70 MiB at n = 401.  At n = 801 the peak
-    stays under 24 MiB, where counting every stabilizer of every flipped code
-    peaked at 38 MiB."""
-    for n, total, weight, mib in [(201, 306, 7065, 32), (401, 606, 26615, 32), (801, 1206, 103215, 24)]:
+    the verifier allocates under 2 MiB at its peak, block included.  XOR-ing
+    columns into block-wide ints peaked at 70 MiB at n = 401, counting every
+    stabilizer of every flipped code at 38 MiB at n = 801, and a support
+    listing every flipped code at 74 MiB at n = 1601."""
+    rows = [(201, 306, 7065), (401, 606, 26615), (801, 1206, 103215), (1601, 2406, 406415)]
+    for n, total, weight in rows:
         h = n // 4
         spec = spec_from_strings("Z+", "X+Y+" * (h // 2) + "Z+X-Z+", "Z+", base=(0, 0, -h))
         cfg = make_configuration(charges=[(2, 0, 2), (0, 2, 2)], strings=[spec])
@@ -492,7 +565,7 @@ def test_verifier_scales_with_the_flip_not_the_block():
             tracemalloc.stop()
         assert syndrome == energy(cfg, region).total == total
         assert flip.x_weight + flip.z_weight == weight
-        assert peak < mib * 2**20
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -520,7 +593,10 @@ def test_syndrome_energy_matches_dense_reference(rng, n):
         drawn = (rng.random(lat.n_qubits) < p).nonzero()[0].tolist()
         return frozenset(bits[lat.qubits[i]] for i in drawn)
 
-    flips = [PauliOperator(random_bits(p), random_bits(p), lat.n_qubits) for p in (0.05, 0.2, 0.5)]
+    flips = [
+        PauliOperator(reference_bounds(random_bits(p)), reference_bounds(random_bits(p)), lat.n_qubits)
+        for p in (0.05, 0.2, 0.5)
+    ]
     lo, hi = lat.lo[0] - 3, lat.hi[0] + 2
     sides = [(a, b) for a in range(lo, hi + 1) for b in range(a, min(hi, a + n + 1) + 1)]
     for k, (x, y, z) in enumerate(product(sides, repeat=3)):
@@ -554,7 +630,11 @@ def test_syndrome_energy_at_column_ends(n):
         for axis in range(3)
     ]
     layers = [frozenset(c for ((_, _, z), _), c in bits.items() if z == end) for end in (lo - 1, hi + 1)]
-    flips = [PauliOperator(s | layer, s | layer, lat.n_qubits) for s in whole + half for layer in [frozenset()] + layers]
+    flips = [
+        PauliOperator(reference_bounds(s | layer), reference_bounds(s | layer), lat.n_qubits)
+        for s in whole + half
+        for layer in [frozenset()] + layers
+    ]
     ends = range(lo - 3, hi + 3)
     sides = [(lo - 1, hi), (lo, hi - 1), (lo + 1, hi)]
     outcomes = set()
@@ -635,7 +715,7 @@ def test_curtain_edges_match_reference(rng, n):
         ]
         edges = [e for path in paths for e in path]
         want = reference_curtain_edges(lat, edges)
-        got = support_keys(lat, _curtain_edges(lat, edges))
+        got = support_keys(lat, reference_codes(_curtain_edges(lat, edges)))
         assert got == want, (n, case, edges)
         reached |= {"fringe" for key in want if key in fringe}
         reached |= {"floor" for (_, _, z), _ in want if z == lo - 1}
@@ -656,7 +736,7 @@ def test_charge_tails_match_reference(n):
         charges += [(x, y, rng.randint(lo - 2, hi + 2)) for x, y, _ in charges[: rng.randint(0, 2)]]
         want = reference_charge_tails(lat, charges)
         tops = [(x, y, 2, z - 1) for x, y, z in charges]
-        got = support_keys(lat, _column_sum(lat, tops))
+        got = support_keys(lat, reference_codes(_column_sum(lat, tops)))
         assert got == want, (n, case, charges)
         reached |= {"floor" for (_, _, z), _ in want if z == lo - 1}
         reached |= {"fringe" for (x, y, _), _ in want if not (lo <= x <= hi and lo <= y <= hi)}
@@ -681,8 +761,10 @@ def test_repeated_tops_cancel(lat9):
     once = configuration_flip(lat9, make_configuration(charges=charges, loops=loops), region, clip)
     thrice = configuration_flip(lat9, make_configuration(charges=charges * 3, loops=loops * 3), region, clip)
     assert thrice == once
-    assert support_keys(lat9, once.x) == reference_curtain_edges(lat9, [e for loop in loops for e in loop.edges])
-    assert support_keys(lat9, once.z) == reference_charge_tails(lat9, charges)
+    assert support_keys(lat9, reference_codes(once.x)) == reference_curtain_edges(
+        lat9, [e for loop in loops for e in loop.edges]
+    )
+    assert support_keys(lat9, reference_codes(once.z)) == reference_charge_tails(lat9, charges)
     assert once.x and once.z
 
 
