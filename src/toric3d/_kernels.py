@@ -5,13 +5,16 @@ An F2 vector is a non-negative ``int`` with bit ``i`` set for coordinate
 of row vectors.  Rank, nullspace and solve all come from one elimination.
 Surface validation and the verifier's exhaustive block checks eliminate
 these rows; a Pauli's support is a set of run bounds, not a vector here.
+A span too large for a list is read in order as lanes: vectors packed
+``width`` bits apart into one int, lane ``i`` at bit ``width * i``, so one
+big-int operation acts on every lane at once.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import xor
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 def vector(indices: Iterable[int]) -> int:
@@ -79,3 +82,49 @@ def span(basis: Iterable[int]) -> list[int]:
     for b in basis:
         out += map(xor, out, repeat(b, len(out)))
     return out
+
+
+def echelon(basis: Iterable[int]) -> list[int]:
+    """The reduced echelon form of an independent basis: rows with distinct
+    leading bits, in ascending order of them, each clear at the other rows'
+    leading bits.  A dependent basis raises ``ValueError``."""
+    pivots, kernel = eliminate(basis)
+    if kernel:
+        raise ValueError("basis is linearly dependent")
+    leads = sorted(pivots)
+    rows: list[int] = []
+    for lead in leads:
+        row = pivots[lead][0]
+        for lower, reduced in zip(leads, rows):
+            if row >> lower & 1:
+                row ^= reduced
+        rows.append(row)
+    return rows
+
+
+def lane_ones(width: int, lanes: int) -> int:
+    """The packed int with the lowest bit of each of ``lanes`` lanes set."""
+    return ((1 << width * lanes) - 1) // ((1 << width) - 1)
+
+
+def sorted_span(basis: Iterable[int], width: int, chunk_rows: int) -> Iterator[tuple[int, int]]:
+    """The span of an independent basis of vectors below ``2^width``, in
+    ascending order, as ``(packed, lanes)`` chunks of ``2^chunk_rows``
+    consecutive vectors (fewer when the basis is smaller).
+
+    Over the ``echelon`` rows, entry ``j`` of ``span`` increases strictly
+    with ``j``: two entries first differ at the leading bit of the highest
+    row they do not share, which only the larger one holds.  The lowest
+    ``chunk_rows`` rows are packed once by doubling; each combination ``h``
+    of the others, in index order, gives the next chunk ``base ^ h * ones``.
+    A dependent basis raises ``ValueError`` when called, not when read.
+    """
+    rows = echelon(basis)
+    low, high = rows[:chunk_rows], rows[chunk_rows:]
+    base, ones = 0, 1
+    for i, row in enumerate(low):
+        shift = width << i
+        base |= (base ^ row * ones) << shift
+        ones |= ones << shift
+    lanes = 1 << len(low)
+    return ((base ^ h * ones, lanes) for h in span(high))

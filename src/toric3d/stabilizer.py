@@ -8,11 +8,14 @@ z-runs; it is stored as its run bounds ``S ^ (S + 3)``, the codes where
 membership changes as one walks up a column.  Work grows with the run
 count, not with the weight and not with the block; only the elimination
 rows of the exhaustive checks are int bitsets, bit ``c`` for the code
-``c``.  This module is the cross-check for the combinatorial energy and
-linking computations.  It reads explicit edge sets and shares no tail read
-with ``energy``: ``configuration_flip`` takes each string's crossing of
-``clip`` from one explicit window of ``realize_steps`` sized from the tail
-displacements.
+``c``, and at n = 1 their nets are read in ascending order, by
+construction, as chunks of packed lanes: every net is still checked, a few
+big-int operations at a time, with the boundary runs counted over every
+adjacent pair of nets.  This module is the cross-check for the
+combinatorial energy and linking computations.  It reads explicit edge
+sets and shares no tail read with ``energy``: ``configuration_flip`` takes
+each string's crossing of ``clip`` from one explicit window of
+``realize_steps`` sized from the tail displacements.
 
 The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
 every edge with at least one endpoint among them, every face with at least
@@ -34,8 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import islice, product, repeat
-from operator import eq, gt, le, xor
+from itertools import product, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels
@@ -209,7 +211,12 @@ class PauliOperator(NamedTuple):
     changes as one walks up a z-column.  The map is one to one, since the
     bounds pair off into the runs again (``_runs``), and it is linear: the
     bounds of a sum are the XOR of the bounds.  A weight is the runs' total
-    length, read without listing a code."""
+    length, read without listing a code.
+
+    Direct construction must pass well-formed bounds: an even number in each
+    column.  Every constructor here builds only such sets, and nothing
+    checks them at run time; a code set passed as its own bounds gives wrong
+    weights and signs (a single code reads a negative weight)."""
 
     x: frozenset[int]
     z: frozenset[int]
@@ -580,38 +587,59 @@ def _edge_rows_over_faces(lat: FiniteLattice, edge_keys: Sequence[EdgeKey]) -> l
     return [_kernels.vector(incident[k]) for k in edge_keys]
 
 
-def _fiber_checks(nets: list[int], n_interior: int, interior_basis: list[int]):
+# Nets per chunk of the n = 1 checks, as ``2^_CHUNK_ROWS`` lanes: 4096 nets
+# make a 16 KB int at 31 bits a lane, so each chunk's checks are a few
+# C-level big-int operations, while a single int of all 2^18 nets would be
+# slower to shift and hold 1 MB at a time.
+_CHUNK_ROWS = 12
+
+
+def _fiber_checks(chunks: Iterable[tuple[int, int]], width: int, n_interior: int, interior_basis: list[int]):
     """``(boundary_conditions, fibers_equal, bijection)`` of the sorted nets,
-    from lazy passes over the list (it is never copied).
+    read as lanes.  Each chunk is ``(packed, lanes)``: consecutive nets
+    packed ``width`` bits apart, each lane's top bit a clear guard bit.
+    Every chunk but the last holds a whole number of blocks (below).
 
     Interior qubits are the low bits, so each boundary condition's nets (its
     fiber) form one run, and two nets differ on the boundary exactly when
-    their XOR exceeds the interior mask.  When the list splits into aligned
-    blocks of ``2^k`` nets that each keep one boundary (their first and last
-    net agree on it), no run starts inside a block, so the runs are counted
-    over the block starts; otherwise over every net.  The fibers are equal
-    when the blocks keep one boundary and each run is one block.  The least
+    their XOR has a bit at ``n_interior`` or above.  The runs are counted
+    over every adjacent pair of nets: inside a chunk, a pair that differs on
+    the boundary carries into its lane's guard bit, and each seam between
+    chunks is one comparison.  The nets split into aligned blocks of ``2^k``;
+    the fibers are equal when each block keeps one boundary (its first and
+    last lane agree on it) and the runs are as many as the blocks.  The least
     element of a coset of the interior group ``G`` is zero on ``G``'s
     leading bits, so the sorted coset is that element XOR the sorted ``G``:
     the boundary bit-flip pairs every fiber with a coset when each block's
-    ``j``-th net is its first XOR ``G[j]``.
+    ``j``-th lane is its first XOR ``G[j]``.
     """
     fiber = 2 ** len(interior_basis)
-    mask = repeat((1 << n_interior) - 1)
-    blocks_keep_boundary = len(nets) % fiber == 0 and all(
-        map(le, map(xor, islice(nets, 0, None, fiber), islice(nets, fiber - 1, None, fiber)), mask)
-    )
-    step = fiber if blocks_keep_boundary else 1
-    runs = len(nets) and 1 + sum(
-        map(gt, map(xor, islice(nets, 0, None, step), islice(nets, step, None, step)), mask)
-    )
-    fibers_equal = blocks_keep_boundary and len(nets) == runs * fiber
     group = sorted(_kernels.span(interior_basis))
-    bijection = fibers_equal and all(
-        all(map(eq, islice(nets, j, None, fiber), map(xor, islice(nets, 0, None, fiber), repeat(group[j]))))
-        for j in range(1, fiber)
-    )
-    return runs, fibers_equal, bijection
+    guard = 1 << (width - 1)
+    boundary = guard - (1 << n_interior)
+    runs = nets = 0
+    fibers_equal = bijection = True
+    last = size = None
+    for packed, lanes in chunks:
+        if lanes != size:
+            size = lanes
+            ones = _kernels.lane_ones(width, lanes)
+            pairs, carry, guards = boundary * (ones >> width), (guard - 1) * ones, guard * ones
+            starts = _kernels.lane_ones(width * fiber, lanes // fiber)
+            block_ends, kept, whole = width * (fiber - 1), boundary * starts, (guard - 1) * starts
+            flips = [(width * j, g * starts) for j, g in enumerate(group) if j]
+        runs += (((packed ^ packed >> width) & pairs) + carry & guards).bit_count()
+        # across the seam: the first net starts a run, a later chunk's first
+        # net does when it leaves the previous chunk's last net's boundary
+        runs += last is None or (last ^ packed) & boundary != 0
+        last = packed >> width * (lanes - 1)
+        nets += lanes
+        if fibers_equal:
+            fibers_equal = lanes % fiber == 0 and not (packed ^ packed >> block_ends) & kept
+        if fibers_equal and bijection:
+            bijection = all((packed >> shift ^ packed) & whole == flip for shift, flip in flips)
+    fibers_equal = fibers_equal and nets == runs * fiber
+    return runs, fibers_equal, fibers_equal and bijection
 
 
 def surface_net_checks(n: int) -> NetCheckReport:
@@ -644,10 +672,11 @@ def surface_net_checks(n: int) -> NetCheckReport:
 
     boundary_conditions = fibers_equal = bijection = None
     if n == 1:
-        nets = _kernels.span(_kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits)))
-        nets.sort()
+        width = lat.n_qubits + 1  # one guard bit above each net's bits
+        net_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits))
+        nets = _kernels.sorted_span(net_basis, width, _CHUNK_ROWS)
         n_interior = len(lat.interior_edges)
-        boundary_conditions, fibers_equal, bijection = _fiber_checks(nets, n_interior, interior_basis)
+        boundary_conditions, fibers_equal, bijection = _fiber_checks(nets, width, n_interior, interior_basis)
 
     return NetCheckReport(
         n=n,

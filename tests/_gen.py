@@ -1112,7 +1112,8 @@ def reference_raw_count_alt(n_strings: int) -> int:
 # The canonical form of a solution as one sorted candidate per symmetry
 # table, the reduction closure that recomputes it for every surgery move, and
 # the n = 1 fiber loop of ``stabilizer.surface_net_checks`` stepping one net
-# at a time, kept to check the orbit table and the whole-list passes against.
+# at a time, kept to check the orbit table and the lane checks against, with
+# the packer that puts a net list into lanes and the reader that takes it out.
 
 
 def reference_canonical_solution(sol):
@@ -1177,6 +1178,33 @@ def reference_fiber_checks(nets, n_interior: int, interior_basis):
         start = end
     bijection = bijection and fibers_equal
     return boundary_conditions, fibers_equal, bijection
+
+
+def pack_lanes(nets, width: int, chunk: int | None = None) -> list[tuple[int, int]]:
+    """``(packed, lanes)`` chunks of ``chunk`` consecutive nets (all of them
+    when None), net ``i`` of a chunk at bit ``width * i``: the form
+    ``stabilizer._fiber_checks`` reads.  Halves are packed apart and joined,
+    so the 2^18 nets of the side-1 block pack in one chunk without a
+    quadratic pass of shifts."""
+
+    def pack(part):
+        if len(part) <= 64:
+            return sum(v << width * i for i, v in enumerate(part))
+        mid = len(part) // 2
+        return pack(part[:mid]) | pack(part[mid:]) << width * mid
+
+    chunk = chunk or max(len(nets), 1)
+    return [(pack(nets[i : i + chunk]), len(nets[i : i + chunk])) for i in range(0, len(nets), chunk)]
+
+
+def unpack_lanes(chunks, width: int) -> list[int]:
+    """The lanes of ``(packed, lanes)`` chunks in order, read off each
+    chunk's binary digits ``width`` at a time from the low end."""
+    out = []
+    for packed, lanes in chunks:
+        digits = format(packed, "b").zfill(width * lanes)[::-1]
+        out += [int(digits[width * i : width * (i + 1)][::-1], 2) for i in range(lanes)]
+    return out
 
 
 def reference_parse_steps(text: str):

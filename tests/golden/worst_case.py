@@ -13,7 +13,7 @@ of that child alone).
 
 Run from the repository root against the tree to be measured::
 
-    PYTHONPATH=src:. python tests/golden/worst_case.py
+    PYTHONPATH=src python tests/golden/worst_case.py
 
 It takes about 30 s on a 2-vCPU VM, 12 s of it the opposite-heading
 N = 4000 row, whose tail check is quadratic in N, and 6 s the n = 5120
@@ -30,8 +30,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-from tests._gen import opposite_heading_words, sweep_words
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+
+from tests._gen import opposite_heading_words, sweep_words  # noqa: E402
 
 # (s, L, R, reject)
 SWEEPS = [

@@ -2,8 +2,11 @@
 
 import random
 import re
+import sys
 import tracemalloc
+from collections import Counter
 from itertools import compress, product
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from toric3d.paths import (
 from toric3d.stabilizer import (
     FiniteLattice,
     PauliOperator,
+    _CHUNK_ROWS,
     _check_plaquettes_in_block,
     _codes,
     _column_sum,
@@ -52,6 +56,7 @@ from toric3d.stabilizer import (
 from toric3d.transforms import energy, linking_parity, make_configuration
 from ._gen import (
     membrane_op,
+    pack_lanes,
     qubit_bits,
     random_loop,
     random_spec,
@@ -66,6 +71,7 @@ from ._gen import (
     reference_syndrome_energy,
     string_op,
     support_keys,
+    unpack_lanes,
 )
 
 X, Y, Z = 0, 1, 2
@@ -269,20 +275,36 @@ def test_surface_net_checks_n1():
 
 @pytest.fixture(scope="module")
 def nets_n1():
-    """The sorted 2^18 nets of the side-1 block, as ``surface_net_checks(1)``
-    builds them, with its interior size and interior net basis."""
+    """The sorted 2^18 nets of the side-1 block, as a list, with their net
+    basis, their lane width, their interior size and interior net basis."""
     lat = FiniteLattice(1)
     interior_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.interior_edges))
-    nets = _kernels.span(_kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits)))
-    nets.sort()
-    return nets, len(lat.interior_edges), interior_basis
+    basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits))
+    nets = sorted(_kernels.span(basis))
+    return nets, basis, lat.n_qubits + 1, len(lat.interior_edges), interior_basis
+
+
+def _in_lanes(nets, n_interior: int, basis, blocks: int):
+    """``_fiber_checks`` of ``nets`` packed as one chunk, then split into
+    chunks of ``blocks`` blocks each (the last one shorter when ``nets``
+    does not fill it): the two results."""
+    width = max(n_interior, max(nets, default=0).bit_length()) + 1
+    size = blocks * 2 ** len(basis)
+    return [_fiber_checks(pack_lanes(nets, width, chunk), width, n_interior, basis) for chunk in (None, size)]
 
 
 def test_fiber_checks_match_reference_on_the_block(nets_n1):
-    nets, n_interior, basis = nets_n1
+    nets, basis, width, n_interior, interior_basis = nets_n1
     assert len(nets) == 2**18
-    assert _fiber_checks(nets, n_interior, basis) == reference_fiber_checks(nets, n_interior, basis)
-    assert _fiber_checks(nets, n_interior, basis) == (2**17, True, True)
+    expected = reference_fiber_checks(nets, n_interior, interior_basis)
+    assert expected == (2**17, True, True)
+    # the list packed whole and in 1000-net chunks, and the span as
+    # ``surface_net_checks`` reads it: 64 chunks of 4096 sorted nets
+    assert _in_lanes(nets, n_interior, interior_basis, 500) == [expected, expected]
+    chunks = list(_kernels.sorted_span(basis, width, _CHUNK_ROWS))
+    assert [lanes for _, lanes in chunks] == [4096] * 64
+    assert unpack_lanes(chunks, width) == nets
+    assert _fiber_checks(chunks, width, n_interior, interior_basis) == expected
 
 
 def _synthetic_nets(rng: random.Random, n_interior: int, k: int):
@@ -325,7 +347,8 @@ def _mutate(rng: random.Random, nets: list[int], n_interior: int, group: list[in
 def test_fiber_checks_match_reference_on_synthetic_nets():
     # fibers of 1, 2, 4 and 8 nets; each list is checked intact and with one
     # net dropped or duplicated, a low or a high bit flipped, or an extra
-    # fiber of the wrong size
+    # fiber of the wrong size; split into chunks of 1 to 3 blocks, most
+    # lists cross several seams
     rng = random.Random(20261018)
     verdicts = set()
     for case in range(400):
@@ -333,23 +356,22 @@ def test_fiber_checks_match_reference_on_synthetic_nets():
         k = case % 4
         nets, basis, group = _synthetic_nets(rng, n_interior, k)
         runs = len(set(v >> n_interior for v in nets))
-        assert _fiber_checks(nets, n_interior, basis) == (runs, True, True)
+        assert _in_lanes(nets, n_interior, basis, 1 + case % 3) == [(runs, True, True)] * 2
         assert reference_fiber_checks(nets, n_interior, basis) == (runs, True, True)
         bad = _mutate(rng, nets, n_interior, group)
-        got = _fiber_checks(bad, n_interior, basis)
-        assert got == reference_fiber_checks(bad, n_interior, basis), (case, bad, basis)
-        verdicts.add(got[1:])
+        expected = reference_fiber_checks(bad, n_interior, basis)
+        assert _in_lanes(bad, n_interior, basis, 1 + case % 3) == [expected] * 2, (case, bad, basis)
+        verdicts.add(expected[1:])
     # the mutations reach unequal fibers and equal fibers without a bijection
     assert {(False, False), (True, False)} <= verdicts
 
 
-def test_fiber_checks_count_runs_over_block_starts():
+def test_fiber_checks_on_merged_fibers_and_a_short_last_block():
     # a full-size fiber added on a boundary value the list already holds
-    # keeps every aligned block on one boundary, so the runs are counted
-    # over the block starts, yet they are fewer than len / fiber; two single
-    # nets on fresh boundary values after the list's leave a last block of
-    # fewer than ``fiber`` nets that changes boundary; the empty list has no
-    # runs and vacuously equal fibers
+    # keeps every aligned block on one boundary, yet the runs are fewer than
+    # the blocks; two single nets on fresh boundary values after the list's
+    # leave a last block of fewer than ``fiber`` nets that changes boundary;
+    # the empty list has no runs and vacuously equal fibers
     rng = random.Random(20261019)
     for case in range(400):
         n_interior = rng.randrange(3, 8)
@@ -359,27 +381,110 @@ def test_fiber_checks_count_runs_over_block_starts():
         merged = sorted(nets + [boundary << n_interior | r ^ g for g in group])
         expected = reference_fiber_checks(merged, n_interior, basis)
         assert expected == (len(merged) // len(group) - 1, False, False)
-        assert _fiber_checks(merged, n_interior, basis) == expected, (case, merged, basis)
+        assert _in_lanes(merged, n_interior, basis, 1 + case % 3) == [expected] * 2, (case, merged, basis)
         tail = nets + [b << n_interior | rng.randrange(1 << n_interior) for b in (16, 17)]
         expected = reference_fiber_checks(tail, n_interior, basis)
         assert expected[0] == len(set(v >> n_interior for v in nets)) + 2
-        assert _fiber_checks(tail, n_interior, basis) == expected, (case, tail, basis)
+        assert _in_lanes(tail, n_interior, basis, 1 + case % 3) == [expected] * 2, (case, tail, basis)
     for basis in ([], [1], [1, 6]):
-        assert _fiber_checks([], 3, basis) == reference_fiber_checks([], 3, basis) == (0, True, True)
+        assert reference_fiber_checks([], 3, basis) == (0, True, True)
+        assert _in_lanes([], 3, basis, 1) == [(0, True, True)] * 2
 
 
-def test_fiber_checks_build_no_list_of_nets(nets_n1):
-    # the passes are lazy: any list derived from the 2^18 nets would hold
-    # at least 2 MiB of pointers, far above this bound
-    nets, n_interior, basis = nets_n1
+def test_sorted_span_matches_sorted_list_span():
+    # every chunking of a random independent basis reads back, lane by lane
+    # and chunk by chunk, as the sorted list span; a dependent basis is
+    # refused before any chunk is read
+    rng = random.Random(20261021)
+    for case in range(300):
+        k, bits = case % 11, rng.randrange(10, 41)
+        basis, group = [], {0}
+        while len(basis) < k:
+            b = rng.randrange(1, 1 << bits)
+            if b not in group:
+                basis.append(b)
+                group |= {g ^ b for g in group}
+        width = bits + rng.randrange(1, 3)
+        expected = sorted(_kernels.span(basis))
+        for chunk_rows in range(k + 2):
+            chunks = list(_kernels.sorted_span(basis, width, chunk_rows))
+            lanes = 2 ** min(chunk_rows, k)
+            assert [n for _, n in chunks] == [lanes] * (2**k // lanes)
+            assert all(packed.bit_length() <= width * lanes for packed, _ in chunks)
+            assert unpack_lanes(chunks, width) == expected, (case, basis, chunk_rows)
+        if k:
+            for dependent in (basis + [0], basis + [basis[-1]], basis + [rng.choice(sorted(group - {0}))]):
+                rng.shuffle(dependent)
+                with pytest.raises(ValueError):
+                    _kernels.sorted_span(dependent, width, rng.randrange(k + 2))
+
+
+def test_surface_net_checks_n1_holds_no_list_of_nets():
+    # the 2^18 nets are read in chunks of 4096 lanes, one 16 KB int each; a
+    # list of them would hold 2 MiB of pointers alone, and the list version
+    # of the checks peaked at 10.2 MiB
+    surface_net_checks(1)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        _fiber_checks(nets, n_interior, basis)
+        report = surface_net_checks(1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+    assert report.boundary_conditions == 2**17
+    assert peak < 1024 * 1024
+
+
+def _odd_columns(lat: FiniteLattice, bounds) -> set:
+    """The columns holding an odd number of ``bounds``: a column is an axis
+    (the residue mod 3) and the cells ``(x, y)``, one code row of
+    ``lat.strides[1]``."""
+    counts = Counter((b % 3, b // lat.strides[1]) for b in bounds)
+    return {column for column, count in counts.items() if count & 1}
+
+
+def _verify_flips():
+    """Every flip of the ``verify`` workload's draws for gen seeds 5, 31, 77
+    and 101, the ones ``tests/golden/verify_hash.py`` hashes, with its block."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(root))
+    try:
+        import gen
+        from tracer import Tracer
+        from worker import Verify
+    finally:
+        sys.path.remove(str(root))
+    workload = Verify({"block": gen.VERIFY_BLOCK, "region": gen.VERIFY_REGION}, Tracer(enabled=False), None)
+    for seed in (5, 31, 77, 101):
+        for ops_of_pass in gen.generate("verify", seed):
+            for doc in ops_of_pass:
+                _specs, cfg = workload.configuration(doc, "core20")
+                yield workload.lat, configuration_flip(workload.lat, cfg, workload.region, workload.clip)
+
+
+def test_constructors_build_even_bounds_per_column(lat9, lat11):
+    # the invariant ``PauliOperator`` relies on without checking it: each
+    # column holds an even number of bounds, for random key sets with
+    # repeats, every ``verify`` flip and growing membranes; a code set in
+    # place of its bounds breaks it, and its weight reads negative
+    rng = random.Random(20261022)
+    lat1 = FiniteLattice(1)
+    built = []
+    for lat in (lat1, lat9, lat11):
+        for _ in range(100):
+            keys = [rng.choice(lat.qubits) for _ in range(rng.randrange(1, 40))]
+            built.append((lat, pauli_from_keys(lat, x_keys=keys, z_keys=keys[::2] + keys[:3])))
+    flips = list(_verify_flips())
+    assert len(flips) == 3840
+    built += flips
+    for length in range(1, 6):
+        for start in ((0, 0, 2), (-3, -2, 3), (-4, 4, 4), (1, -4, 0)):
+            built.append((lat11, growing_membrane_pauli(lat11, start, length)))
+    for lat, op in built:
+        assert not _odd_columns(lat, op.x) and not _odd_columns(lat, op.z), op
+    assert sum(bool(op.x) for _, op in flips) > 1000 and sum(bool(op.z) for _, op in flips) > 1000
+    malformed = PauliOperator(frozenset({lat1.code(((0, 0, 0), X))}), frozenset(), lat1.n_qubits)
+    assert _odd_columns(lat1, malformed.x) and malformed.x_weight < 0
 
 
 def test_surface_net_checks_n2():
