@@ -19,10 +19,12 @@ path-equivalent strings.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from functools import cache
 from itertools import permutations, product
+from math import factorial
 from typing import NamedTuple
 
 from .errors import NotAGroundSector
@@ -261,8 +263,9 @@ Assignment = tuple[int, int]  # (mask of D+, mask of D-)
 Solution = tuple[Assignment, ...]
 
 
+# each assignment at its smaller encoding, as keys and images hold it
 _CANDIDATES: list[Assignment] = [
-    (p, m) for p in range(1, 64) for m in range(1, 64) if p & m == 0
+    (p, m) for p in range(1, 64) for m in range(p + 1, 64) if p & m == 0
 ]
 
 
@@ -273,18 +276,9 @@ def _octahedral_tables() -> list[list[int]]:
     tables = []
     for perm in permutations(AXES):
         for flips in product((0, 1), repeat=3):
-            bitmap = []
-            for i, (a, s) in enumerate(_DIR_OF_BIT):
-                na = perm[a]
-                ns = -s if flips[a] else s
-                bitmap.append(_BIT_OF_DIR[(na, ns)])
-            table = []
-            for mask in range(64):
-                t = 0
-                for i in range(6):
-                    if mask >> i & 1:
-                        t |= 1 << bitmap[i]
-                table.append(t)
+            table = [0]  # doubled once per direction bit, over the masks below it
+            for a, s in _DIR_OF_BIT:
+                table += [t | 1 << _BIT_OF_DIR[perm[a], -s if flips[a] else s] for t in table]
             tables.append(table)
     return tables
 
@@ -314,45 +308,44 @@ def _orbit(sol: Solution) -> list[Solution]:
     return [tuple(sorted(col)) for col in zip(*map(_images, sol))]
 
 
-def _orbit_table(sols: list[Solution]) -> dict[Solution, Solution]:
-    """Map the key of every solution in ``sols`` to its canonical form.
+def _orbit_table(keys: list[Solution]) -> dict[Solution, Solution]:
+    """Map every key of the orbits of ``keys`` to its canonical form.
 
-    A key not yet in the table starts a new orbit: its 48 image keys are
-    built once and all mapped to their minimum.  Every key of that orbit is
-    one of them, so each later key is one lookup, and the table's values
-    first appear in the order of each orbit's first solution.
+    A key not yet in the table starts a new orbit: its 48 image keys, every
+    key of that orbit, are built once and all mapped to their minimum, so
+    each later key is one lookup.  Ascending ``keys`` reach each orbit first
+    at its minimum, so the table's values first appear in ascending order.
     """
     canon_of: dict[Solution, Solution] = {}
-    for key in map(_key, sols):
+    for key in keys:
         if key not in canon_of:
             images = _orbit(key)
             canon_of.update(dict.fromkeys(images, min(images)))
     return canon_of
 
 
+# the direction masks of the three axes, both ways
+_AXIS_PAIRS = frozenset(0b11 << (2 * a) for a in AXES)
+
+
+def _reversed_mask(mask: int) -> int:
+    """``mask`` with every direction reversed: each axis's two bits swapped."""
+    return (mask & 0b010101) << 1 | (mask >> 1) & 0b010101
+
+
 def _case_two(sol: Solution) -> str:
     (p1, m1), (p2, m2) = sol
     d1, d2 = p1 | m1, p2 | m2
     s1, s2 = d1.bit_count(), d2.bit_count()
-
-    def axis_pair(mask):
-        return any(mask == 0b11 << (2 * a) for a in AXES)
-
-    def comp(mask):
-        out = 0
-        for i in range(6):
-            if mask >> i & 1:
-                out |= 1 << (i ^ 1)
-        return out
-
     if (s1, s2) == (2, 2):
         return "I"
     if (s1, s2) == (2, 3):
-        if axis_pair(d1):
+        if d1 in _AXIS_PAIRS:
             return "II.C"
-        return "II.A" if comp(d1) & d2 == comp(d1) else "II.B"
+        rev = _reversed_mask(d1)
+        return "II.A" if rev & d2 == rev else "II.B"
     if (s1, s2) == (2, 4):
-        return "III.A" if axis_pair(d1) else "III.B"
+        return "III.A" if d1 in _AXIS_PAIRS else "III.B"
     if (s1, s2) == (3, 3):
         return "IV.A"
     raise AssertionError(f"unexpected size profile {(s1, s2)}")
@@ -361,8 +354,7 @@ def _case_two(sol: Solution) -> str:
 def _case_three(sol: Solution) -> str:
     # three pairwise-disjoint sets of at least two directions (p and m are
     # nonempty and disjoint) use all six, two each
-    masks = [p | m for p, m in sol]
-    pairs = sum(1 for d in masks if any(d == 0b11 << (2 * a) for a in AXES))
+    pairs = sum((p | m) in _AXIS_PAIRS for p, m in sol)
     return {3: "A", 1: "B", 0: "C"}[pairs]
 
 
@@ -372,8 +364,7 @@ def surgery_move(sol: Solution, i: int, j: int) -> Solution:
     i's negative side with j's negative side."""
     out = list(sol)
     (pi, mi), (pj, mj) = sol[i], sol[j]
-    out[i] = (pi, pj)
-    out[j] = (mi, mj)
+    out[i], out[j] = (pi, pj), (mi, mj)
     return tuple(out)
 
 
@@ -392,49 +383,56 @@ def _allowed(free: int) -> tuple[Assignment, ...]:
     return tuple((p, m) for p, m in _CANDIDATES if (p | m) & ~free == 0)
 
 
-def _raw_solutions(n_strings: int) -> list[Solution]:
-    """Every assignment of ``n_strings`` strings with pairwise disjoint
-    direction sets, extended one string at a time over the directions left."""
+def _keys(n_strings: int) -> list[Solution]:
+    """The key of each assignment of ``n_strings`` strings with pairwise
+    disjoint direction sets, once and in ascending order: each string comes
+    from the directions the earlier ones left free, above the last one, and
+    leaves two for each string after it."""
     if n_strings not in (2, 3):
         raise ValueError("only 2- and 3-string enumerations are supported")
     partial: list[tuple[Solution, int]] = [((), 63)]
-    for _ in range(n_strings):
-        partial = [
-            (sol + ((p, m),), free & ~(p | m)) for sol, free in partial for p, m in _allowed(free)
-        ]
-    return [sol for sol, _ in partial]
+    for left in reversed(range(n_strings)):
+        longer = []
+        for key, free in partial:
+            allowed = _allowed(free)
+            above = allowed[bisect_right(allowed, key[-1]) :] if key else allowed
+            room = free.bit_count() - 2 * left
+            longer += [(key + ((p, m),), free & ~(p | m)) for p, m in above if (p | m).bit_count() <= room]
+        partial = longer
+    return [key for key, _ in partial]
 
 
 def _raw_count_alt(n_strings: int) -> int:
     """Independent ordering: choose disjoint direction sets first, then count
     the ways to split each into two nonempty sides.  A subproblem is the
     number of strings left and the directions ``used`` so far; each is
-    solved once per call."""
+    solved once per call, over the submasks of the directions left free."""
     memo: dict[tuple[int, int], int] = {}
 
     def count(left: int, used: int) -> int:
         if left == 0:
             return 1
         if (left, used) not in memo:
-            memo[left, used] = sum(
-                (2 ** d.bit_count() - 2) * count(left - 1, used | d)
-                for d in range(64)
-                if d.bit_count() >= 2 and not d & used
-            )
+            free = d = 63 & ~used
+            total = 0
+            while d:
+                if d & (d - 1):  # at least two directions
+                    total += (2 ** d.bit_count() - 2) * count(left - 1, used | d)
+                d = (d - 1) & free
+            memo[left, used] = total
         return memo[left, used]
 
     return count(n_strings, 0)
 
 
-def _reduction_closure(
-    rep: Solution, classify_fn, canon_of: dict[Solution, Solution]
-) -> frozenset[str]:
-    """Cases reachable from ``rep`` by three rounds of surgery moves.
+def _reduction_closure(rep: Solution, classify_fn, canon_of: dict[Solution, Solution]) -> frozenset[str]:
+    """Cases reachable from the canonical form ``rep`` by three rounds of
+    surgery moves.
 
     Every swap and surgery image of a raw solution is itself a raw solution,
-    so ``canon_of``, the orbit table of all raw solutions, holds the key of
-    every move."""
-    seen = {canon_of[_key(rep)]}
+    so the key of every move is one of the fold's keys, and ``canon_of``
+    holds it."""
+    seen = {rep}
     frontier = [rep]
     cases = {classify_fn(rep)}
     for _ in range(3):
@@ -443,32 +441,32 @@ def _reduction_closure(
             n = len(sol)
             for swaps in product((0, 1), repeat=n):
                 var = tuple((m, p) if sw else (p, m) for (p, m), sw in zip(sol, swaps))
-                for i in range(n):
-                    for j in range(n):
-                        if i == j:
-                            continue
-                        moved = surgery_move(var, i, j)
-                        canon = canon_of[_key(moved)]
-                        if canon not in seen:
-                            seen.add(canon)
-                            nxt.append(moved)
-                            cases.add(classify_fn(moved))
+                for i, j in permutations(range(n), 2):
+                    moved = surgery_move(var, i, j)
+                    canon = canon_of[_key(moved)]
+                    if canon not in seen:
+                        seen.add(canon)
+                        nxt.append(moved)
+                        cases.add(classify_fn(moved))
         frontier = nxt
     return frozenset(cases)
 
 
 def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
-    """Brute-force all tail-direction assignments satisfying the ground
-    sector condition, fold them under octahedral symmetry, and name the
-    surviving cases.
+    """Enumerate the tail-direction assignments satisfying the ground sector
+    condition up to string order and D+/D- swaps, fold them under octahedral
+    symmetry, and name the surviving cases.
 
-    The orbit table, built for this call only, computes each orbit's 48
-    images once; every other raw solution and every surgery move of the
-    reduction closure is a lookup in it.  The orbits keep the order of their
-    first raw solutions."""
-    sols = _raw_solutions(n_strings)
+    String order and swaps act freely (the direction sets are disjoint and
+    nonempty, and ``p != m``), so each key stands for ``n! * 2^n`` of the
+    ``raw_count`` assignments.  The orbit table, built for this call only,
+    computes each orbit's 48 images once; every other key and every surgery
+    move of the reduction closure is a lookup in it.  A key is the least
+    ordering of its assignments, so the orbits come in ascending canonical
+    order, the order of their first assignments."""
+    keys = _keys(n_strings)
     classify_fn = _case_two if n_strings == 2 else _case_three
-    canon_of = _orbit_table(sols)
+    canon_of = _orbit_table(keys)
     orbits = {canon: classify_fn(canon) for canon in dict.fromkeys(canon_of.values())}
 
     reducible = {"IV.A"} if n_strings == 2 else {"B", "C"}
@@ -478,7 +476,7 @@ def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
             targets.setdefault(case, set()).update(_reduction_closure(canon, classify_fn, canon_of))
     return EnumerationReport(
         n_strings=n_strings,
-        raw_count=len(sols),
+        raw_count=len(keys) * factorial(n_strings) * 2**n_strings,
         raw_count_alt=_raw_count_alt(n_strings),
         orbits=orbits,
         case_inventory=dict(sorted(Counter(orbits.values()).items())),

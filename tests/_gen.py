@@ -1040,8 +1040,9 @@ def _reference_cyclic_run(positions, L: int) -> tuple[int, int]:
     return start, (start + len(positions) - 1) % L
 
 
-# The n = 2 and n = 3 enumerations as two hand-written loop nests each, kept
-# to check the one n-string fold of ``toric3d.sectors`` against.
+# The n = 2 and n = 3 enumerations as two hand-written loop nests each, every
+# ordered assignment listed, kept to check the key fold of ``toric3d.sectors``
+# (one key per string-order/swap class) and its counts against.
 
 
 def _reference_candidates():

@@ -2,8 +2,10 @@
 
 import json
 import time
+import tracemalloc
 from collections import Counter
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -24,10 +26,11 @@ from toric3d.sectors import (
     VerdictKind,
     _case_three,
     _case_two,
+    _key,
+    _keys,
     _orbit,
     _orbit_table,
     _raw_count_alt,
-    _raw_solutions,
     _script_region,
     _string_tag,
     charge_parity,
@@ -545,16 +548,22 @@ def test_enumeration_three_strings():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_enumeration_fold_matches_reference(n):
-    # the one n-string fold lists the assignments in the order of the
-    # per-n loop nests, and both counts agree with theirs
-    assert _raw_solutions(n) == reference_raw_solutions(n)
-    assert _raw_count_alt(n) == reference_raw_count_alt(n) == len(reference_raw_solutions(n))
+    # the key fold lists the string-order/swap classes of the per-n loop
+    # nests' assignments once each, in ascending order; each class holds
+    # n! * 2^n of them, and both counts agree with the loop nests'
+    raw = reference_raw_solutions(n)
+    keys = _keys(n)
+    assert keys == sorted(dict.fromkeys(_key(s) for s in raw))
+    assert len(keys) * factorial(n) * 2**n == len(raw)
+    assert _raw_count_alt(n) == reference_raw_count_alt(n) == len(raw)
 
 
 def test_enumeration_rejects_other_string_counts():
     for n in (1, 4):
         with pytest.raises(ValueError):
-            _raw_solutions(n)
+            _keys(n)
+        with pytest.raises(ValueError):
+            enumerate_gsc_solutions(n)
 
 
 def test_enumeration_case_a_constraint():
@@ -591,7 +600,7 @@ def test_canonical_solution_matches_reference(n):
     # the cached per-assignment images give the per-table sorted minimum on
     # every raw solution; every swap and surgery image of a raw solution is
     # itself a raw solution, so this covers the images too
-    sols = _raw_solutions(n)
+    sols = reference_raw_solutions(n)
     raw = set(sols)
     assert all(var in raw for sol in sols for var in _images(sol))
     for sol in sols:
@@ -618,10 +627,39 @@ def test_enumeration_orbits_match_reference(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_enumeration_orbits_ascend_from_their_least_raw_solutions(n):
+    # a key is the least ordering of its raw solutions, so each orbit's
+    # canonical form is its least raw solution, and the orbits ascend
+    rep = enumerate_gsc_solutions(n)
+    assert list(rep.orbits) == sorted(rep.orbits)
+    least = {}
+    for sol in reference_raw_solutions(n):
+        canon = reference_canonical_solution(sol)
+        least[canon] = min(least.get(canon, sol), sol)
+    assert list(rep.orbits) == sorted(least.values())
+    assert all(canon == sol for canon, sol in least.items())
+
+
+def test_enumeration_two_strings_holds_no_raw_solutions():
+    # two strings make 420 keys, not the 3360 ordered raw solutions, whose
+    # list and keys alone take over 500 KiB; a first call fills the
+    # per-candidate caches
+    enumerate_gsc_solutions(2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        enumerate_gsc_solutions(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_orbit_table_maps_every_raw_key_to_its_canonical_form(n):
     # the table holds the key (string order and swaps forgotten) of every
     # raw solution, mapped to that solution's canonical form
-    table = _orbit_table(_raw_solutions(n))
+    table = _orbit_table(_keys(n))
     for sol in reference_raw_solutions(n):
         key = tuple(sorted(min(a, a[::-1]) for a in sol))
         assert table[key] == reference_canonical_solution(sol), sol
