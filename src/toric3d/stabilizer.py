@@ -8,14 +8,14 @@ z-runs; it is stored as its run bounds ``S ^ (S + 3)``, the codes where
 membership changes as one walks up a column.  Work grows with the run
 count, not with the weight and not with the block; only the elimination
 rows of the exhaustive checks are int bitsets, bit ``c`` for the code
-``c``, and at n = 1 their nets are read in ascending order, by
-construction, as chunks of packed lanes: every net is still checked, a few
-big-int operations at a time, with the boundary runs counted over every
-adjacent pair of nets.  This module is the cross-check for the
-combinatorial energy and linking computations.  It reads explicit edge
-sets and shares no tail read with ``energy``: ``configuration_flip`` takes
-each string's crossing of ``clip`` from one explicit window of
-``realize_steps`` sized from the tail displacements.
+``c``.  That every star product is a net is checked on the ``n^3``
+generating stars, exactly by linearity; the products' distinctness and, at
+n = 1, the boundary fibers of all the nets are still enumerated, the nets
+in ascending order as chunks of packed lanes.  This module is the
+cross-check for the combinatorial energy and linking computations.  It
+reads explicit edge sets and shares no tail read with ``energy``:
+``configuration_flip`` takes each string's crossing of ``clip`` from one
+explicit window of ``realize_steps`` sized from the tail displacements.
 
 The block of side ``n`` contains the ``n^3`` vertices nearest the origin,
 every edge with at least one endpoint among them, every face with at least
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels
@@ -176,16 +176,19 @@ class FiniteLattice:
 
     @cached_property
     def star_matrix(self) -> list[int]:
-        # a star's six edges sit at its code minus the star deltas, so every
-        # row is one pattern shifted to its star's code
+        # a star's six edges sit at its code minus the star deltas, so the rows
+        # are one pattern shifted to each star's code, stepped by the strides
         deltas = [d for pair in self.star_deltas for d in pair]
         top = max(deltas)
         pattern = _kernels.vector(top - d for d in deltas)
-        return [pattern << s - top for s in map(self.code, zip(self.vertices, repeat(0)))]
+        xs, ys, zs = (range(self.lo[0] * s, (self.hi[0] + 1) * s, s) for s in self.strides)
+        return [pattern << self.origin - top + x + y + z for x in xs for y in ys for z in zs]
 
     @cached_property
     def face_matrix(self) -> list[int]:
-        return [_kernels.vector(map(self.code, face_keys(f))) for f in self.faces]
+        # a face's four edges sit at one pattern per normal above its base's x cell
+        patterns = [_kernels.vector(self.code(k) - self.origin for k in face_keys(Face((0, 0, 0), a))) for a in AXES]
+        return [patterns[normal] << self.code((base, 0)) for base, normal in self.faces]
 
 
 def _column(lat: FiniteLattice, x: int, y: int, axis: int) -> tuple[int, int] | None:
@@ -527,8 +530,7 @@ def _extend_clear_of(path_edges: list[Edge], region: Region) -> list[Edge]:
     """Append +x steps at a top exit until the hanging descender would fall
     outside the region's footprint."""
     out = list(path_edges)
-    for endpoint, attach in ((boundary_edge(out[-1])[1], "end"), (boundary_edge(out[0])[0], "start")):
-        v = endpoint
+    for v, attach in ((boundary_edge(out[-1])[1], "end"), (boundary_edge(out[0])[0], "start")):
         if v[2] <= region.hi[2]:
             continue
         ext = []
@@ -536,10 +538,7 @@ def _extend_clear_of(path_edges: list[Edge], region: Region) -> list[Edge]:
             e = edge_from(v, (0, +1))
             ext.append(e)
             v = boundary_edge(e)[1]
-        if attach == "end":
-            out = out + ext
-        else:
-            out = [e.reversed() for e in reversed(ext)] + out
+        out = out + ext if attach == "end" else [e.reversed() for e in reversed(ext)] + out
     return out
 
 
@@ -578,13 +577,18 @@ class NetCheckReport(NamedTuple):
 
 
 def _edge_rows_over_faces(lat: FiniteLattice, edge_keys: Sequence[EdgeKey]) -> list[int]:
-    face_index = {f: i for i, f in enumerate(lat.faces)}
     incident: dict[EdgeKey, list[int]] = {k: [] for k in edge_keys}
-    for f, i in face_index.items():
+    for i, f in enumerate(lat.faces):
         for key in face_keys(f):
             if key in incident:
                 incident[key].append(i)
     return [_kernels.vector(incident[k]) for k in edge_keys]
+
+
+def _are_nets(rows: Sequence[int], faces: Sequence[int]) -> bool:
+    """Whether every F2 sum of ``rows`` meets each face evenly: the parity
+    ``|r & f| mod 2`` is linear in ``r``, so the rows decide it for their span."""
+    return not any((row & face).bit_count() & 1 for row in rows for face in faces)
 
 
 # Nets per chunk of the n = 1 checks, as ``2^_CHUNK_ROWS`` lanes: 4096 nets
@@ -646,11 +650,13 @@ def surface_net_checks(n: int) -> NetCheckReport:
     """Exhaustive gauge-orbit and boundary-condition checks on a small block.
 
     Verifies that the ``2^(n^3)`` star products flip pairwise distinct edge
-    sets (orthogonality of the resulting product states), that the closed
-    interior flip sets form a single gauge orbit (one ground vector per
-    boundary condition), and, at n = 1, that every boundary condition carries
-    the same number of nets with the boundary bit-flip map as the explicit
-    pairing.
+    sets (orthogonality of the resulting product states) and are nets, that
+    the closed interior flip sets form a single gauge orbit (one ground
+    vector per boundary condition), and, at n = 1, that every boundary
+    condition carries the same number of nets with the boundary bit-flip map
+    as the explicit pairing.  The net parity is checked on the ``n^3``
+    generating stars, exactly by linearity; the distinctness of the products
+    and the n = 1 fibers are still enumerated in full.
     """
     if n**3 > 8:
         raise TooLarge("gauge enumeration limited to 2^(n^3) <= 256")
@@ -658,11 +664,7 @@ def surface_net_checks(n: int) -> NetCheckReport:
 
     supports = _kernels.span(lat.star_matrix)
     distinct = len(set(supports)) == len(supports)
-
-    # every gauge support must satisfy all plaquette parities
-    are_nets = not any(
-        (row & face).bit_count() & 1 for row in supports for face in lat.face_matrix
-    )
+    are_nets = _are_nets(lat.star_matrix, lat.face_matrix)
 
     interior_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.interior_edges))
     nullity = len(interior_basis)
@@ -699,10 +701,8 @@ def surface_net_checks(n: int) -> NetCheckReport:
 
 def straight_string_pauli(lat: FiniteLattice, v: Vertex, length: int) -> PauliOperator:
     """Z-string from ``v`` stretching ``length`` steps straight down."""
-    keys = []
-    for k in range(1, length + 1):
-        keys.append(Edge((v[0], v[1], v[2] - k), 2).key)
-    return pauli_from_keys(lat, z_keys=keys)
+    x, y, z = v
+    return pauli_from_keys(lat, z_keys=[((x, y, z - k), 2) for k in range(1, length + 1)])
 
 
 def growing_membrane_pauli(lat: FiniteLattice, line_start: Vertex, length: int) -> PauliOperator:

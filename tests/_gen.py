@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from itertools import product
+from itertools import compress, product
+from operator import xor
 
 from toric3d import _kernels
 from toric3d.errors import (
@@ -1155,6 +1156,18 @@ def reference_reduction_closure(rep, classify_fn):
                             cases.add(classify_fn(moved))
         frontier = nxt
     return frozenset(cases)
+
+
+def reference_are_nets(rows, faces) -> bool:
+    """Whether every support in the span of ``rows`` meets each of ``faces``
+    in an even number of bits: each subset of the rows is XORed together and
+    tested against every face, with no appeal to linearity."""
+    rows = list(rows)
+    for picks in product((0, 1), repeat=len(rows)):
+        support = reduce(xor, compress(rows, picks), 0)
+        if any((support & face).bit_count() % 2 for face in faces):
+            return False
+    return True
 
 
 def reference_fiber_checks(nets, n_interior: int, interior_basis):

@@ -19,6 +19,7 @@ from toric3d.lattice import (
     boundary_edge,
     edge_from,
     edges_of_vertex,
+    face_keys,
     parse_steps,
     region_of,
 )
@@ -33,6 +34,7 @@ from toric3d.stabilizer import (
     FiniteLattice,
     PauliOperator,
     _CHUNK_ROWS,
+    _are_nets,
     _check_plaquettes_in_block,
     _codes,
     _column_sum,
@@ -60,6 +62,7 @@ from ._gen import (
     qubit_bits,
     random_loop,
     random_spec,
+    reference_are_nets,
     reference_block,
     reference_charge_tails,
     reference_bounds,
@@ -791,6 +794,32 @@ def test_star_matrix_matches_rows_of_edges_of_vertex(n):
     bits = qubit_bits(lat)
     rows = [_kernels.vector(bits[e.key] for e in edges_of_vertex(v)) for v in lat.vertices]
     assert lat.star_matrix == rows
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_face_matrix_matches_face_keys(n):
+    lat = FiniteLattice(n)
+    bits = qubit_bits(lat)
+    rows = [_kernels.vector(bits[k] for k in face_keys(f)) for f in lat.faces]
+    assert lat.face_matrix == rows
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_are_nets_on_generators_matches_span_enumeration(n):
+    lat = FiniteLattice(n)
+    stars, faces = lat.star_matrix, lat.face_matrix
+    assert _are_nets(stars, faces) and reference_are_nets(stars, faces)
+    assert surface_net_checks(n).gauge_supports_are_nets
+    # planted faults in the last star row (the first one too at n = 1): a bit
+    # toggled on and off the star, or the whole row a single edge
+    last = len(stars) - 1
+    codes = sorted(qubit_bits(lat).values())
+    own = [c for c in codes if stars[last] >> c & 1]
+    for c in {*own, codes[0], codes[len(codes) // 2], codes[-1]}:
+        for row in (stars[last] ^ 1 << c, 1 << c):
+            planted = stars[:last] + [row]
+            assert not _are_nets(planted, faces), (c, row == 1 << c)
+            assert not reference_are_nets(planted, faces), (c, row == 1 << c)
 
 
 def _random_dual_walk(rng, lo: int, hi: int):
