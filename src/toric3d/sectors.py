@@ -23,9 +23,9 @@ from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NotAGroundSector
 from .lattice import AXES, Direction, Region, reverse_direction, sub
@@ -428,31 +428,25 @@ def _raw_count_alt(n_strings: int) -> int:
     return count(n_strings, 0)
 
 
-def _reduction_closure(rep: Solution, classify_fn, canon_of: dict[Solution, Solution]) -> frozenset[str]:
-    """Cases reachable from the canonical form ``rep`` by three rounds of
-    surgery moves.
+def _distinct_moves(sol: Solution) -> Iterator[Solution]:
+    """Per pair i < j, the surgery move on ``sol`` and with j's sides
+    swapped: swapping i, both or another string, or the pair (j, i), gives
+    one of these two keys."""
+    for i, j in combinations(range(len(sol)), 2):
+        yield surgery_move(sol, i, j)
+        yield surgery_move(sol[:j] + (sol[j][::-1],) + sol[j + 1 :], i, j)
 
-    Every swap and surgery image of a raw solution is itself a raw solution,
-    so the key of every move is one of the fold's keys, and ``canon_of``
-    holds it."""
-    seen = {rep}
-    frontier = [rep]
-    cases = {classify_fn(rep)}
+
+def _reduction_closure(rep: Solution, classify_fn, canon_of: dict[Solution, Solution]) -> frozenset[str]:
+    """Cases of the canonical forms that three rounds of surgery reach from
+    ``rep``.  Surgery commutes with symmetry, order and swaps, so a canonical
+    form's distinct moves reach its orbit's neighbours, and every move's key
+    is a fold key in ``canon_of``."""
+    seen, frontier = {rep}, {rep}
     for _ in range(3):
-        nxt = []
-        for sol in frontier:
-            n = len(sol)
-            for swaps in product((0, 1), repeat=n):
-                var = tuple((m, p) if sw else (p, m) for (p, m), sw in zip(sol, swaps))
-                for i, j in permutations(range(n), 2):
-                    moved = surgery_move(var, i, j)
-                    canon = canon_of[_key(moved)]
-                    if canon not in seen:
-                        seen.add(canon)
-                        nxt.append(moved)
-                        cases.add(classify_fn(moved))
-        frontier = nxt
-    return frozenset(cases)
+        frontier = {canon_of[_key(moved)] for sol in frontier for moved in _distinct_moves(sol)} - seen
+        seen |= frontier
+    return frozenset(map(classify_fn, seen))
 
 
 def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
@@ -463,8 +457,8 @@ def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
     String order and swaps act freely (the direction sets are disjoint and
     nonempty, and ``p != m``), so each key stands for ``n! * 2^n`` of the
     ``raw_count`` assignments.  The orbit table, built for this call only,
-    computes each orbit's 48 images once; every other key and every surgery
-    move of the reduction closure is a lookup in it.  A key is the least
+    computes each orbit's 48 images once; every other key, and each of the
+    closure's ``2 * C(n, 2)`` moves per canonical form, is a lookup in it.  A key is the least
     ordering of its assignments, so the orbits come in ascending canonical
     order, the order of their first assignments."""
     keys = _keys(n_strings)

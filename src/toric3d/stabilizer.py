@@ -598,6 +598,13 @@ def _are_nets(rows: Sequence[int], faces: Sequence[int]) -> bool:
 _CHUNK_ROWS = 12
 
 
+def _lane_diff(diffs: dict[int, int], packed: int, shift: int) -> int:
+    """``packed ^ packed >> shift``, computed once per shift of a chunk."""
+    if shift not in diffs:
+        diffs[shift] = packed ^ packed >> shift
+    return diffs[shift]
+
+
 def _fiber_checks(chunks: Iterable[tuple[int, int]], width: int, n_interior: int, interior_basis: list[int]):
     """``(boundary_conditions, fibers_equal, bijection)`` of the sorted nets,
     read as lanes.  Each chunk is ``(packed, lanes)``: consecutive nets
@@ -616,6 +623,11 @@ def _fiber_checks(chunks: Iterable[tuple[int, int]], width: int, n_interior: int
     leading bits, so the sorted coset is that element XOR the sorted ``G``:
     the boundary bit-flip pairs every fiber with a coset when each block's
     ``j``-th lane is its first XOR ``G[j]``.
+
+    All three tests read a chunk's lane differences ``packed ^ packed >> s``,
+    each computed once per shift ``s``: the runs at ``width``, the block test
+    at ``width * (fiber - 1)`` and the bit-flip test at each ``width * j``.
+    At n = 1 the fiber is 2, so one difference serves all three.
     """
     fiber = 2 ** len(interior_basis)
     group = sorted(_kernels.span(interior_basis))
@@ -632,16 +644,17 @@ def _fiber_checks(chunks: Iterable[tuple[int, int]], width: int, n_interior: int
             starts = _kernels.lane_ones(width * fiber, lanes // fiber)
             block_ends, kept, whole = width * (fiber - 1), boundary * starts, (guard - 1) * starts
             flips = [(width * j, g * starts) for j, g in enumerate(group) if j]
-        runs += (((packed ^ packed >> width) & pairs) + carry & guards).bit_count()
+        diffs = {width: packed ^ packed >> width}
+        runs += ((diffs[width] & pairs) + carry & guards).bit_count()
         # across the seam: the first net starts a run, a later chunk's first
         # net does when it leaves the previous chunk's last net's boundary
-        runs += last is None or (last ^ packed) & boundary != 0
+        runs += last is None or (last ^ packed & boundary) & boundary != 0
         last = packed >> width * (lanes - 1)
         nets += lanes
         if fibers_equal:
-            fibers_equal = lanes % fiber == 0 and not (packed ^ packed >> block_ends) & kept
+            fibers_equal = lanes % fiber == 0 and not _lane_diff(diffs, packed, block_ends) & kept
         if fibers_equal and bijection:
-            bijection = all((packed >> shift ^ packed) & whole == flip for shift, flip in flips)
+            bijection = all(_lane_diff(diffs, packed, shift) & whole == flip for shift, flip in flips)
     fibers_equal = fibers_equal and nets == runs * fiber
     return runs, fibers_equal, fibers_equal and bijection
 

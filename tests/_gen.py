@@ -1112,7 +1112,8 @@ def reference_raw_count_alt(n_strings: int) -> int:
 
 
 # The canonical form of a solution as one sorted candidate per symmetry
-# table, the reduction closure that recomputes it for every surgery move, and
+# table, the reduction closure that recomputes it for every surgery move, the
+# canonical forms of every swapped and ordered surgery move of a solution, and
 # the n = 1 fiber loop of ``stabilizer.surface_net_checks`` stepping one net
 # at a time, kept to check the orbit table and the lane checks against, with
 # the packer that puts a net list into lanes and the reader that takes it out.
@@ -1156,6 +1157,23 @@ def reference_reduction_closure(rep, classify_fn):
                             cases.add(classify_fn(moved))
         frontier = nxt
     return frozenset(cases)
+
+
+def reference_move_canons(sol, canon_of):
+    """Canonical forms of every surgery move of ``sol`` over all ``2^n``
+    D+/D- swaps and all ``n(n-1)`` ordered pairs of strings, each looked up
+    by its key in ``canon_of``."""
+    from toric3d.sectors import _key, surgery_move
+
+    n = len(sol)
+    canons = set()
+    for swaps in product((0, 1), repeat=n):
+        var = tuple((m, p) if sw else (p, m) for (p, m), sw in zip(sol, swaps))
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    canons.add(canon_of[_key(surgery_move(var, i, j))])
+    return canons
 
 
 def reference_are_nets(rows, faces) -> bool:

@@ -27,9 +27,10 @@ KEPT = {
 # what construction already guarantees is deleted instead
 ASSERTIONS = {
     ("sectors", "_case_two"): (
-        "the surgery moves over all two-string solutions include size profiles"
-        " (3, 2) and (4, 2), which only the closure's first-encounter order keeps"
-        " from reaching it"
+        "two-string solutions with the larger set first, size profiles (3, 2)"
+        " and (4, 2), must not reach it; only canonical forms do, and those put"
+        " a two-direction set first: it encodes as (1, 2) or (1, 4), a larger"
+        " set at best as (1, 6)"
     ),
 }
 

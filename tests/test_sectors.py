@@ -26,6 +26,7 @@ from toric3d.sectors import (
     VerdictKind,
     _case_three,
     _case_two,
+    _distinct_moves,
     _key,
     _keys,
     _orbit,
@@ -51,6 +52,7 @@ from ._gen import (
     random_spec,
     reference_canonical_solution,
     reference_classify,
+    reference_move_canons,
     reference_raw_count_alt,
     reference_raw_solutions,
     reference_reduction_closure,
@@ -676,6 +678,36 @@ def test_reduction_targets_match_reference(n):
         if case in reducible:
             expected.setdefault(case, set()).update(reference_reduction_closure(canon, classify_fn))
     assert enumerate_gsc_solutions(n).reduction_targets == {k: frozenset(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("n, orbits", [(2, 22), (3, 3)])
+def test_distinct_moves_reach_every_move_canon(n, orbits):
+    # the closure expands a canonical form by 2 * C(n, 2) moves; they reach
+    # the same canonical forms as all 2^n swaps times n(n - 1) ordered pairs
+    canon_of = _orbit_table(_keys(n))
+    canons = list(dict.fromkeys(canon_of.values()))
+    assert len(canons) == orbits
+    for canon in canons:
+        moves = list(_distinct_moves(canon))
+        assert len(moves) == n * (n - 1)
+        assert {canon_of[_key(moved)] for moved in moves} == reference_move_canons(canon, canon_of), canon
+
+
+@pytest.mark.parametrize("n, calls", [(2, 24), (3, 36)])
+def test_closure_makes_two_moves_per_pair(monkeypatch, n, calls):
+    # every reducible orbit's closure runs three rounds and expands each
+    # canonical form it reaches by its 2 * C(n, 2) distinct moves only
+    import toric3d.sectors as sectors
+
+    made = []
+
+    def counted(sol, i, j):
+        made.append((sol, i, j))
+        return surgery_move(sol, i, j)
+
+    monkeypatch.setattr(sectors, "surgery_move", counted)
+    enumerate_gsc_solutions(n)
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize("n, orbits", [(2, 22), (3, 3)])
