@@ -458,9 +458,9 @@ def enumerate_gsc_solutions(n_strings: int) -> EnumerationReport:
     nonempty, and ``p != m``), so each key stands for ``n! * 2^n`` of the
     ``raw_count`` assignments.  The orbit table, built for this call only,
     computes each orbit's 48 images once; every other key, and each of the
-    closure's ``2 * C(n, 2)`` moves per canonical form, is a lookup in it.  A key is the least
-    ordering of its assignments, so the orbits come in ascending canonical
-    order, the order of their first assignments."""
+    closure's ``2 * C(n, 2)`` moves per canonical form, is a lookup in it.
+    A key is the least ordering of its assignments, so the orbits come in
+    ascending canonical order, the order of their first assignments."""
     keys = _keys(n_strings)
     classify_fn = _case_two if n_strings == 2 else _case_three
     canon_of = _orbit_table(keys)

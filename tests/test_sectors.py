@@ -695,8 +695,9 @@ def test_distinct_moves_reach_every_move_canon(n, orbits):
 
 @pytest.mark.parametrize("n, calls", [(2, 24), (3, 36)])
 def test_closure_makes_two_moves_per_pair(monkeypatch, n, calls):
-    # every reducible orbit's closure runs three rounds and expands each
-    # canonical form it reaches by its 2 * C(n, 2) distinct moves only
+    # over their three rounds the reducible orbits' closures expand 12
+    # canonical forms at n = 2 and 6 at n = 3, each by its 2 * C(n, 2)
+    # distinct moves; every swap times every ordered pair would make 96 and 288
     import toric3d.sectors as sectors
 
     made = []
