@@ -37,10 +37,8 @@ from .transforms import (
     Configuration,
     EnergyReport,
     energy,
-    lift,
     linking_parity,
     make_configuration,
-    project,
     straighten_fixpoint,
     straighten_once,
     surgery,
@@ -69,11 +67,9 @@ __all__ = [
     "enumerate_gsc_solutions",
     "infinity_directions",
     "is_monotonic",
-    "lift",
     "linking_parity",
     "make_configuration",
     "path_equivalent",
-    "project",
     "region_of",
     "sector_label",
     "spec_from_strings",

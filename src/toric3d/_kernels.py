@@ -2,7 +2,7 @@
 
 An F2 vector is a non-negative ``int`` with bit ``i`` set for coordinate
 ``i``; addition is ``^`` and weight is ``int.bit_count``.  A matrix is a list
-of row vectors.  Rank, nullspace and solve all come from one elimination.
+of row vectors.  Rank and nullspace both come from one elimination.
 Surface validation and the verifier's exhaustive block checks eliminate
 these rows; a Pauli's support is a set of run bounds, not a vector here.
 A span too large for a list is read in order as lanes: vectors packed
@@ -57,21 +57,6 @@ def rank(rows: Iterable[int]) -> int:
 def nullspace(rows: Iterable[int]) -> list[int]:
     """Basis of the coefficient vectors ``c`` with ``c . rows = 0``."""
     return eliminate(rows)[1]
-
-
-def solve(rows: Iterable[int], target: int) -> int | None:
-    """Coefficients ``c`` with ``c . rows = target``, or None.
-
-    ``target`` is eliminated as one more row: it is a combination of the
-    others exactly when it reduces to zero, and its kernel vector then holds
-    that combination plus its own bit.
-    """
-    rows = list(rows)
-    _, kernel = eliminate(rows + [target])
-    own = 1 << len(rows)
-    if kernel and kernel[-1] & own:
-        return kernel[-1] ^ own
-    return None
 
 
 def span(basis: Iterable[int]) -> list[int]:

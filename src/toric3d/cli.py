@@ -28,6 +28,7 @@ from . import transforms
 from .errors import (
     ConfigSemanticError,
     ConfigSyntaxError,
+    SelfIntersecting,
     Toric3dError,
     TooLarge,
     UsageError,
@@ -47,7 +48,6 @@ from .lattice import (
 from .paths import (
     MAX_TAIL_LETTERS,
     InfinitePathSpec,
-    SelfIntersecting,
     StepWord,
     path_from_steps,
     validate_surface,

@@ -24,10 +24,6 @@ class InvalidConfiguration(Toric3dError):
     edges, which cancel mod 2 in ``energy``."""
 
 
-class EndpointMismatch(Toric3dError):
-    """Rerouted projection does not connect the original endpoints."""
-
-
 class AlreadyMonotonicInRegion(Toric3dError):
     """Straightening requested where the in-region segment is already monotone."""
 

@@ -19,7 +19,6 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, NamedTuple
 
 Vertex = tuple[int, int, int]
@@ -165,13 +164,8 @@ def dual_face_of_edge(e: Edge) -> Face:
     return Face(sub(add(e.base, unit(e.axis)), _ONES), e.axis)
 
 
-def dual_edge_of_face(f: Face) -> Edge:
-    """Dual edge piercing a primal face (result lives on the dual lattice)."""
-    return Edge(sub(f.base, unit(f.normal)), f.normal)
-
-
 def primal_face_of_edge(e: Edge) -> Face:
-    """Primal face pierced by a dual edge (inverse of :func:`dual_edge_of_face`)."""
+    """Primal face pierced by a dual edge."""
     return Face(add(e.base, unit(e.axis)), e.axis)
 
 
@@ -205,13 +199,6 @@ class Region(NamedTuple):
 
     def span(self, axis: Axis) -> int:
         return self.hi[axis] - self.lo[axis]
-
-    def vertices(self) -> Iterable[Vertex]:
-        return product(
-            range(self.lo[0], self.hi[0] + 1),
-            range(self.lo[1], self.hi[1] + 1),
-            range(self.lo[2], self.hi[2] + 1),
-        )
 
 
 def region_of(lo: Vertex, hi: Vertex) -> Region:

@@ -67,10 +67,6 @@ class SectorVerdict(NamedTuple):
     frustration_free: bool = False
 
     @property
-    def is_ground_state(self) -> bool:
-        return self.kind is VerdictKind.GROUND_STATE
-
-    @property
     def is_ground_sector(self) -> bool:
         return self.kind is not VerdictKind.NOT_GROUND_SECTOR
 

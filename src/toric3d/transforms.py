@@ -16,7 +16,6 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .errors import (
     AlreadyMonotonicInRegion,
-    EndpointMismatch,
     InvalidConfiguration,
     InvalidSurface,
     MultipleCrossings,
@@ -47,7 +46,6 @@ from .paths import (
     aligned_window,
     enclosing_region,
     monotone_staircase,
-    path_from_steps,
     replace_window,
     reverse_spec,
     word_is_monotone,
@@ -166,58 +164,6 @@ def energy(cfg: Configuration, region: Region) -> EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# projection and lift
-# ---------------------------------------------------------------------------
-
-
-class Projection(NamedTuple):
-    """In-plane shadow of a path: the steps along ``drop_axis`` removed.
-
-    ``dropped`` records ``(original_index, direction)`` for each removed step.
-    """
-
-    start: Vertex
-    steps: tuple[Direction, ...]
-    drop_axis: int
-    dropped: tuple[tuple[int, Direction], ...]
-
-    @property
-    def displacement(self) -> Vertex:
-        return _word_displacement(self.steps)
-
-
-def project(path: FinitePath, nu: int) -> Projection:
-    """Drop all steps along axis ``nu``, keeping order and a drop record."""
-    kept: list[Direction] = []
-    dropped: list[tuple[int, Direction]] = []
-    for i, d in enumerate(path.steps):
-        if d[0] == nu:
-            dropped.append((i, d))
-        else:
-            kept.append(d)
-    return Projection(path.start, tuple(kept), nu, tuple(dropped))
-
-
-def lift(original: FinitePath, rerouted: Projection) -> FinitePath:
-    """Reinsert dropped steps into a rerouted projection.
-
-    The ``k``-th dropped step goes back after the first ``index - k``
-    rerouted steps, the in-plane steps it originally followed (all of them
-    if fewer; nondecreasing in ``k``).  The result starts at the original
-    start vertex and ends at its original end.
-    """
-    nu = rerouted.drop_axis
-    if project(original, nu).displacement != _word_displacement(d for d in rerouted.steps if d[0] != nu):
-        raise EndpointMismatch("rerouted projection does not match the original shadow")
-    steps, merged, done = rerouted.steps, [], 0
-    for k, (i, d) in enumerate(rerouted.dropped):
-        merged += steps[done : i - k]
-        merged.append(d)
-        done = i - k
-    return path_from_steps(original.start, (*merged, *steps[done:]))
-
-
-# ---------------------------------------------------------------------------
 # straightening
 # ---------------------------------------------------------------------------
 
@@ -252,7 +198,7 @@ def _reroute_single_bad_axis(steps: Sequence[Direction]) -> tuple[Direction, ...
     axis ``nu`` walked most is dropped: each ``nu`` step stays where it is,
     the other slots take the staircase of the rest of the displacement in
     order until it runs out, and any staircase steps left go at the end,
-    which is what :func:`lift` makes of the straightened projection."""
+    which is what the projection-and-lift reference in ``tests/_gen.py`` gives."""
     counts = Counter(steps)
     disp = _displacement(counts)
     walked = [counts[a, 1] + counts[a, -1] for a in AXES]

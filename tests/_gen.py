@@ -13,6 +13,7 @@ from functools import lru_cache, reduce
 
 from itertools import compress, product
 from operator import xor
+from typing import NamedTuple
 
 from toric3d import _kernels
 from toric3d.errors import (
@@ -89,6 +90,16 @@ def primal_edge_of_face(f: Face) -> Edge:
     return Edge(sub(add(f.base, (1, 1, 1)), unit(f.normal)), f.normal)
 
 
+def dual_edge_of_face(f: Face) -> Edge:
+    """Dual edge piercing a primal face (inverse of ``primal_face_of_edge``)."""
+    return Edge(sub(f.base, unit(f.normal)), f.normal)
+
+
+def region_vertices(box: Region):
+    """Every vertex of ``box``, in lexicographic order."""
+    return product(*(range(lo, hi + 1) for lo, hi in zip(box.lo, box.hi)))
+
+
 def string_op(lat, path: FinitePath):
     """Z-type operator along a primal path."""
     return pauli_from_keys(lat, z_keys=[e.key for e in path.edges])
@@ -125,7 +136,7 @@ def edges_in_region(region: Region) -> list[Edge]:
         hi[a] -= 1
         if hi[a] < region.lo[a]:
             continue
-        for base in Region(region.lo, tuple(hi)).vertices():
+        for base in region_vertices(Region(region.lo, tuple(hi))):
             out.append(Edge(base, a, +1))
     return out
 
@@ -164,13 +175,28 @@ def chain_xor_check(chains: list[set], target: set) -> bool:
     return acc == _kernels.vector(index[k] for k in target)
 
 
+def reference_solve(rows, target: int) -> int | None:
+    """Coefficients ``c`` with ``c . rows = target``, or None.
+
+    ``target`` is eliminated as one more row: it is a combination of the
+    others exactly when it reduces to zero, and its kernel vector then holds
+    that combination plus its own bit.
+    """
+    rows = list(rows)
+    _, kernel = _kernels.eliminate(rows + [target])
+    own = 1 << len(rows)
+    if kernel and kernel[-1] & own:
+        return kernel[-1] ^ own
+    return None
+
+
 def fill_cycle(boundary_keys: set, box: Region):
     """A set of dual faces inside ``box`` whose boundary is the given chain,
     found by solving the face-boundary linear system over F2."""
     faces = []
     for normal in AXES:
         a1, a2 = [a for a in AXES if a != normal]
-        for base in box.vertices():
+        for base in region_vertices(box):
             f = Face(base, normal)
             if all(box.contains_vertex(v) for v in
                    [base, add(base, unit(a1)), add(base, unit(a2)),
@@ -188,7 +214,7 @@ def fill_cycle(boundary_keys: set, box: Region):
             return None
     matrix = [_kernels.vector(idx) for idx in rows]
     target = _kernels.vector(edge_index[k] for k in boundary_keys)
-    combo = _kernels.solve(matrix, target)
+    combo = reference_solve(matrix, target)
     if combo is None:
         return None
     return [f for i, f in enumerate(faces) if combo >> i & 1]
@@ -280,7 +306,7 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
     bits, vertices = qubit_bits(lat), reference_vertices(lat.n)
     x, z = reference_codes(flip.x), reference_codes(flip.z)
     violated = 0
-    for v in region.vertices():
+    for v in region_vertices(region):
         if v not in vertices:
             continue
         parity = 0
@@ -292,7 +318,7 @@ def reference_syndrome_energy(lat, flip, region: Region) -> int:
         hi[axis] -= 1
         if hi[axis] < region.lo[axis]:
             continue
-        for base in Region(region.lo, tuple(hi)).vertices():
+        for base in region_vertices(Region(region.lo, tuple(hi))):
             f = primal_face_of_edge(Edge(base, axis))
             parity = 0
             ok = True
@@ -756,7 +782,8 @@ def reference_validate_spec(spec: InfinitePathSpec) -> None:
 
 
 # The straightening helpers before they worked on bare step words: the
-# references for ``transforms._reroute_single_bad_axis`` and the run search of
+# projection and lift, and the references for
+# ``transforms._reroute_single_bad_axis`` and the run search of
 # ``transforms._case_three``.
 
 
@@ -764,10 +791,58 @@ def _naive_bad_axes(steps):
     return [a for a in AXES if {s for b, s in steps if b == a} == {1, -1}]
 
 
+class EndpointMismatch(ValueError):
+    """A rerouted projection does not connect the original endpoints."""
+
+
+class Projection(NamedTuple):
+    """In-plane shadow of a path: the steps along ``drop_axis`` removed.
+
+    ``dropped`` records ``(original_index, direction)`` for each removed step.
+    """
+
+    start: Vertex
+    steps: tuple
+    drop_axis: int
+    dropped: tuple
+
+    @property
+    def displacement(self) -> Vertex:
+        return _word_displacement(self.steps)
+
+
+def project(path: FinitePath, nu: int) -> Projection:
+    """Drop all steps along axis ``nu``, keeping order and a drop record."""
+    kept, dropped = [], []
+    for i, d in enumerate(path.steps):
+        if d[0] == nu:
+            dropped.append((i, d))
+        else:
+            kept.append(d)
+    return Projection(path.start, tuple(kept), nu, tuple(dropped))
+
+
+def lift(original: FinitePath, rerouted: Projection) -> FinitePath:
+    """Reinsert dropped steps into a rerouted projection.
+
+    The ``k``-th dropped step goes back after the first ``index - k``
+    rerouted steps, the in-plane steps it originally followed (all of them
+    if fewer; nondecreasing in ``k``).  The result starts at the original
+    start vertex and ends at its original end.
+    """
+    nu = rerouted.drop_axis
+    if project(original, nu).displacement != _word_displacement(d for d in rerouted.steps if d[0] != nu):
+        raise EndpointMismatch("rerouted projection does not match the original shadow")
+    steps, merged, done = rerouted.steps, [], 0
+    for k, (i, d) in enumerate(rerouted.dropped):
+        merged += steps[done : i - k]
+        merged.append(d)
+        done = i - k
+    return path_from_steps(original.start, (*merged, *steps[done:]))
+
+
 def reference_reroute_single_bad_axis(start, steps):
     """Monotone replacement for a stretch that oscillates along one axis only."""
-    from toric3d.transforms import Projection, lift, project
-
     used = {d[0] for d in steps}
     end = start
     for d in steps:

@@ -2,9 +2,12 @@
 non-dunder method or property of its classes, is exported or referred to by
 the package or the benchmark (tests do not count); a method or property
 counts as used only through an attribute access (``x.name``), so a local
-variable of the same name does not keep it.  Every module-level import of a
-module is used by that module.  Every ``assert`` and ``raise AssertionError``
-in the package is listed with the reason construction cannot stand in for it."""
+variable of the same name does not keep it.  A method whose name another
+package class or module also defines cannot be told apart from that other
+definition by an access, so it counts as used only through a cited
+expression that reads it on its class.  Every module-level import of a module is used by that
+module.  Every ``assert`` and ``raise AssertionError`` in the package is
+listed with the reason construction cannot stand in for it."""
 
 import ast
 from pathlib import Path
@@ -16,11 +19,20 @@ PACKAGE = ROOT / "src" / "toric3d"
 
 # kept without a caller, each for a stated reason
 KEPT = {
-    ("_kernels", "solve"): "part of the documented one-elimination API (rank, nullspace, solve)",
     ("cli", "_Parser.error"): "argparse's hook for usage errors, called by argparse itself",
-    ("lattice", "dual_edge_of_face"): "the inverse the duality test pairs with primal_face_of_edge",
     ("sectors", "run_script"): "executes the repair script that classify reports",
-    ("sectors", "SectorVerdict.is_ground_state"): "public verdict property, the counterpart of is_ground_sector",
+}
+
+# methods whose name another package class or module also defines (as a
+# method, a field or a function), each with the file and the expression in it
+# that reads the name on this class
+SHARED = {
+    ("lattice", "Region.span"): ("perfbench/worker.py", "self.region.span(a)"),
+    ("paths", "FinitePath.start"): ("src/toric3d/cli.py", "list(l.start)"),
+    ("paths", "InfinitePathSpec.edges"): ("src/toric3d/paths.py", "spec.edges(a, b)"),
+    ("paths", "Surface.closed"): ("src/toric3d/transforms.py", "surface.closed"),
+    ("stabilizer", "FiniteLattice.faces"): ("src/toric3d/cli.py", "lat.faces"),
+    ("stabilizer", "FiniteLattice.vertices"): ("src/toric3d/cli.py", "lat.vertices"),
 }
 
 # runtime self-checks kept, each for a stated reason; a check that re-tests
@@ -78,20 +90,63 @@ def test_no_unused_top_level_names():
     assert unused == {key for key in KEPT if "." not in key[1]}
 
 
-def test_no_unused_methods():
-    modules = _modules()
-    _, referenced = _referenced(modules)
-    unused = {
-        (module, f"{node.name}.{item.name}")
+def _methods(modules: dict[str, ast.Module]) -> list[tuple[str, str, str]]:
+    """``(module, class, name)`` of every non-dunder method or property."""
+    return [
+        (module, node.name, item.name)
         for module, tree in modules.items()
         for node in tree.body
         if isinstance(node, ast.ClassDef)
         for item in node.body
-        if isinstance(item, ast.FunctionDef)
-        and not item.name.startswith("__")
-        and item.name not in referenced
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+    ]
+
+
+def _shared(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """The methods whose name some other package class defines as a method
+    or a field, or some module defines as a top-level function."""
+    owners: dict[str, set[str]] = {}
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                owners.setdefault(node.name, set()).add(module)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        name = item.name
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                    else:
+                        continue
+                    owners.setdefault(name, set()).add(f"{module}.{node.name}")
+    return {
+        (module, f"{cls}.{name}")
+        for module, cls, name in _methods(modules)
+        if owners[name] - {f"{module}.{cls}"}
     }
+
+
+def test_no_unused_methods():
+    modules = _modules()
+    _, referenced = _referenced(modules)
+    shared = _shared(modules)
+    unused = set()
+    for module, cls, name in _methods(modules):
+        key = (module, f"{cls}.{name}")
+        if not (key in SHARED if key in shared else name in referenced):
+            unused.add(key)
     assert unused == {key for key in KEPT if "." in key[1]}
+
+
+def test_shared_names_are_cited():
+    """Each ``SHARED`` entry is a shared method, and its cited expression
+    is in the package or the benchmark and reads the method's name."""
+    assert set(SHARED) <= _shared(_modules())
+    for (_, method), (path, expression) in SHARED.items():
+        assert path.startswith(("src/toric3d/", "perfbench/"))
+        assert expression in (ROOT / path).read_text(encoding="utf-8")
+        read = {n.attr for n in ast.walk(ast.parse(expression, mode="eval")) if isinstance(n, ast.Attribute)}
+        assert method.rpartition(".")[2] in read
 
 
 def _exported(tree: ast.Module) -> set[str]:

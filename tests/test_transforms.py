@@ -7,7 +7,6 @@ import pytest
 from toric3d import paths, transforms
 from toric3d.errors import (
     AlreadyMonotonicInRegion,
-    EndpointMismatch,
     InvalidConfiguration,
     InvalidSurface,
     MultipleCrossings,
@@ -36,15 +35,15 @@ from toric3d.transforms import (
     _reroute_single_bad_axis,
     _single_bad_runs,
     energy,
-    lift,
     linking_parity,
     make_configuration,
-    project,
     straighten_fixpoint,
     straighten_once,
     surgery,
 )
 from ._gen import (
+    EndpointMismatch,
+    Projection,
     equivalent_variant,
     flux_chain_in_region,
     random_loop,
@@ -53,6 +52,8 @@ from ._gen import (
     bfs_distance,
     chain_xor_check,
     fill_cycle,
+    lift,
+    project,
     random_nonmonotone_spec,
     random_spec,
     reference_reroute_single_bad_axis,
@@ -175,7 +176,7 @@ def test_energy_walks_a_tail_up_to_the_cap():
 
 
 # ---------------------------------------------------------------------------
-# project / lift
+# project / lift (the references in ``_gen``)
 # ---------------------------------------------------------------------------
 
 
@@ -218,8 +219,6 @@ def test_lift_shortened_projection():
     p = path_from_steps((0, 0, 0), parse_steps("Z+Z+X+Z-Z-"))
     pr = project(p, X)
     rerouted_steps = ()  # shadow from (0,0,0) via z+2 back to z0 reroutes away
-    from toric3d.transforms import Projection
-
     rr = Projection(pr.start, rerouted_steps, X, pr.dropped)
     lifted = lift(p, rr)
     assert lifted.steps == ((X, 1),)
@@ -230,8 +229,6 @@ def test_lift_shortened_projection():
 def test_lift_endpoint_mismatch():
     p = path_from_steps((0, 0, 0), parse_steps("X+Z+X+"))
     pr = project(p, Z)
-    from toric3d.transforms import Projection
-
     bad = Projection(pr.start, ((X, 1),), Z, pr.dropped)
     with pytest.raises(EndpointMismatch):
         lift(p, bad)
@@ -241,7 +238,6 @@ def test_lift_valid_on_straightening_pipeline(rng):
     # project along a monotone axis, straighten the shadow, lift: the result
     # must validate and keep endpoints, on random two-axis-bad paths
     from toric3d.paths import monotone_staircase
-    from toric3d.transforms import Projection
 
     done = 0
     while done < 200:
