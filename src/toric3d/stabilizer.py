@@ -8,10 +8,9 @@ z-runs; it is stored as its run bounds ``S ^ (S + 3)``, the codes where
 membership changes as one walks up a column.  Work grows with the run
 count, not with the weight and not with the block; only the elimination
 rows of the exhaustive checks are int bitsets, bit ``c`` for the code
-``c``.  That every star product is a net is checked on the ``n^3``
-generating stars, exactly by linearity; the products' distinctness and, at
-n = 1, the boundary fibers of all the nets are still enumerated, the nets
-in ascending order as chunks of packed lanes.  This module is the
+``c``.  The exhaustive checks enumerate nothing: every claim about the
+``2^(n^3)`` star products or the nets is linear, so it is decided on a
+basis, by F2 rank (``surface_net_checks``).  This module is the
 cross-check for the combinatorial energy and linking computations.  It
 reads explicit edge sets and shares no tail read with ``energy``:
 ``configuration_flip`` takes each string's crossing of ``clip`` from one
@@ -591,72 +590,14 @@ def _are_nets(rows: Sequence[int], faces: Sequence[int]) -> bool:
     return not any((row & face).bit_count() & 1 for row in rows for face in faces)
 
 
-# Nets per chunk of the n = 1 checks, as ``2^_CHUNK_ROWS`` lanes: 4096 nets
-# make a 16 KB int at 31 bits a lane, so each chunk's checks are a few
-# C-level big-int operations, while a single int of all 2^18 nets would be
-# slower to shift and hold 1 MB at a time.
-_CHUNK_ROWS = 12
-
-
-def _lane_diff(diffs: dict[int, int], packed: int, shift: int) -> int:
-    """``packed ^ packed >> shift``, computed once per shift of a chunk."""
-    if shift not in diffs:
-        diffs[shift] = packed ^ packed >> shift
-    return diffs[shift]
-
-
-def _fiber_checks(chunks: Iterable[tuple[int, int]], width: int, n_interior: int, interior_basis: list[int]):
-    """``(boundary_conditions, fibers_equal, bijection)`` of the sorted nets,
-    read as lanes.  Each chunk is ``(packed, lanes)``: consecutive nets
-    packed ``width`` bits apart, each lane's top bit a clear guard bit.
-    Every chunk but the last holds a whole number of blocks (below).
-
-    Interior qubits are the low bits, so each boundary condition's nets (its
-    fiber) form one run, and two nets differ on the boundary exactly when
-    their XOR has a bit at ``n_interior`` or above.  The runs are counted
-    over every adjacent pair of nets: inside a chunk, a pair that differs on
-    the boundary carries into its lane's guard bit, and each seam between
-    chunks is one comparison.  The nets split into aligned blocks of ``2^k``;
-    the fibers are equal when each block keeps one boundary (its first and
-    last lane agree on it) and the runs are as many as the blocks.  The least
-    element of a coset of the interior group ``G`` is zero on ``G``'s
-    leading bits, so the sorted coset is that element XOR the sorted ``G``:
-    the boundary bit-flip pairs every fiber with a coset when each block's
-    ``j``-th lane is its first XOR ``G[j]``.
-
-    All three tests read a chunk's lane differences ``packed ^ packed >> s``,
-    each computed once per shift ``s``: the runs at ``width``, the block test
-    at ``width * (fiber - 1)`` and the bit-flip test at each ``width * j``.
-    At n = 1 the fiber is 2, so one difference serves all three.
-    """
-    fiber = 2 ** len(interior_basis)
-    group = sorted(_kernels.span(interior_basis))
-    guard = 1 << (width - 1)
-    boundary = guard - (1 << n_interior)
-    runs = nets = 0
-    fibers_equal = bijection = True
-    last = size = None
-    for packed, lanes in chunks:
-        if lanes != size:
-            size = lanes
-            ones = _kernels.lane_ones(width, lanes)
-            pairs, carry, guards = boundary * (ones >> width), (guard - 1) * ones, guard * ones
-            starts = _kernels.lane_ones(width * fiber, lanes // fiber)
-            block_ends, kept, whole = width * (fiber - 1), boundary * starts, (guard - 1) * starts
-            flips = [(width * j, g * starts) for j, g in enumerate(group) if j]
-        diffs = {width: packed ^ packed >> width}
-        runs += ((diffs[width] & pairs) + carry & guards).bit_count()
-        # across the seam: the first net starts a run, a later chunk's first
-        # net does when it leaves the previous chunk's last net's boundary
-        runs += last is None or (last ^ packed & boundary) & boundary != 0
-        last = packed >> width * (lanes - 1)
-        nets += lanes
-        if fibers_equal:
-            fibers_equal = lanes % fiber == 0 and not _lane_diff(diffs, packed, block_ends) & kept
-        if fibers_equal and bijection:
-            bijection = all(_lane_diff(diffs, packed, shift) & whole == flip for shift, flip in flips)
-    fibers_equal = fibers_equal and nets == runs * fiber
-    return runs, fibers_equal, fibers_equal and bijection
+def _fiber_checks(net_basis: list[int], n_interior: int, nullity: int) -> tuple[int, bool, bool]:
+    """``(boundary_conditions, fibers_equal, bijection)`` of the span ``N`` of
+    an independent ``net_basis`` whose low ``n_interior`` bits are the
+    interior qubits, for an interior group ``G`` of dimension ``nullity``
+    inside ``ker pi``, where ``pi`` keeps a net's high (boundary) bits."""
+    boundary_rank = _kernels.rank(b >> n_interior for b in net_basis)
+    cosets = len(net_basis) - boundary_rank == nullity
+    return 2**boundary_rank, cosets, cosets
 
 
 def surface_net_checks(n: int) -> NetCheckReport:
@@ -667,31 +608,31 @@ def surface_net_checks(n: int) -> NetCheckReport:
     the closed interior flip sets form a single gauge orbit (one ground
     vector per boundary condition), and, at n = 1, that every boundary
     condition carries the same number of nets with the boundary bit-flip map
-    as the explicit pairing.  The net parity is checked on the ``n^3``
-    generating stars, exactly by linearity; the distinctness of the products
-    and the n = 1 fibers are still enumerated in full.
+    as the explicit pairing.  Nothing is enumerated: every check is linear,
+    so a basis decides it.  The products are distinct exactly when the
+    ``n^3`` star rows are independent, and the net parity is checked on those
+    rows.  At n = 1, let ``N`` be the net space, ``pi`` its projection onto
+    the boundary bits and ``G`` the interior nullspace.  There are
+    ``2^rank(pi(N))`` boundary conditions.  ``G`` lies in ``ker pi``; when
+    their dimensions agree they are equal, so every fiber is a coset of
+    ``G``: each holds ``|G|`` nets, and the boundary bit-flip pairs them.
     """
     if n**3 > 8:
         raise TooLarge("gauge enumeration limited to 2^(n^3) <= 256")
     lat = FiniteLattice(n)
 
-    supports = _kernels.span(lat.star_matrix)
-    distinct = len(set(supports)) == len(supports)
+    distinct = _kernels.rank(lat.star_matrix) == n**3
     are_nets = _are_nets(lat.star_matrix, lat.face_matrix)
 
-    interior_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.interior_edges))
-    nullity = len(interior_basis)
+    nullity = len(_kernels.nullspace(_edge_rows_over_faces(lat, lat.interior_edges)))
     gauge_order = 2 ** (n**3)
     dim = 2**nullity // gauge_order
     single_orbit = 2**nullity == gauge_order
 
     boundary_conditions = fibers_equal = bijection = None
     if n == 1:
-        width = lat.n_qubits + 1  # one guard bit above each net's bits
         net_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits))
-        nets = _kernels.sorted_span(net_basis, width, _CHUNK_ROWS)
-        n_interior = len(lat.interior_edges)
-        boundary_conditions, fibers_equal, bijection = _fiber_checks(nets, width, n_interior, interior_basis)
+        boundary_conditions, fibers_equal, bijection = _fiber_checks(net_basis, len(lat.interior_edges), nullity)
 
     return NetCheckReport(
         n=n,

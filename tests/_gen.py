@@ -11,7 +11,7 @@ import math
 from collections import deque
 from functools import lru_cache, reduce
 
-from itertools import compress, product
+from itertools import compress, product, repeat
 from operator import xor
 from typing import NamedTuple
 
@@ -1189,9 +1189,9 @@ def reference_raw_count_alt(n_strings: int) -> int:
 # The canonical form of a solution as one sorted candidate per symmetry
 # table, the reduction closure that recomputes it for every surgery move, the
 # canonical forms of every swapped and ordered surgery move of a solution, and
-# the n = 1 fiber loop of ``stabilizer.surface_net_checks`` stepping one net
-# at a time, kept to check the orbit table and the lane checks against, with
-# the packer that puts a net list into lanes and the reader that takes it out.
+# the span of a basis listed in full, and the n = 1 fiber loop that
+# ``stabilizer.surface_net_checks`` once ran over all 2^18 nets one at a
+# time: the oracles of the orbit table and of the rank decisions.
 
 
 def reference_canonical_solution(sol):
@@ -1263,10 +1263,20 @@ def reference_are_nets(rows, faces) -> bool:
     return True
 
 
+def reference_span(basis) -> list[int]:
+    """All ``2^k`` XOR combinations of ``k`` basis vectors (iterative doubling):
+    entry ``j`` XORs the vectors whose index is a set bit of ``j``.  The
+    ``repeat`` count stops each doubling at the entries it started with."""
+    out = [0]
+    for b in basis:
+        out += map(xor, out, repeat(b, len(out)))
+    return out
+
+
 def reference_fiber_checks(nets, n_interior: int, interior_basis):
     """``(boundary_conditions, fibers_equal, bijection)`` of a sorted net list."""
     interior_mask = (1 << n_interior) - 1
-    interior_group = _kernels.span(interior_basis)
+    interior_group = reference_span(interior_basis)
     fiber = 2 ** len(interior_basis)
     boundary_conditions = 0
     fibers_equal = bijection = True
@@ -1285,33 +1295,6 @@ def reference_fiber_checks(nets, n_interior: int, interior_basis):
         start = end
     bijection = bijection and fibers_equal
     return boundary_conditions, fibers_equal, bijection
-
-
-def pack_lanes(nets, width: int, chunk: int | None = None) -> list[tuple[int, int]]:
-    """``(packed, lanes)`` chunks of ``chunk`` consecutive nets (all of them
-    when None), net ``i`` of a chunk at bit ``width * i``: the form
-    ``stabilizer._fiber_checks`` reads.  Halves are packed apart and joined,
-    so the 2^18 nets of the side-1 block pack in one chunk without a
-    quadratic pass of shifts."""
-
-    def pack(part):
-        if len(part) <= 64:
-            return sum(v << width * i for i, v in enumerate(part))
-        mid = len(part) // 2
-        return pack(part[:mid]) | pack(part[mid:]) << width * mid
-
-    chunk = chunk or max(len(nets), 1)
-    return [(pack(nets[i : i + chunk]), len(nets[i : i + chunk])) for i in range(0, len(nets), chunk)]
-
-
-def unpack_lanes(chunks, width: int) -> list[int]:
-    """The lanes of ``(packed, lanes)`` chunks in order, read off each
-    chunk's binary digits ``width`` at a time from the low end."""
-    out = []
-    for packed, lanes in chunks:
-        digits = format(packed, "b").zfill(width * lanes)[::-1]
-        out += [int(digits[width * i : width * (i + 1)][::-1], 2) for i in range(lanes)]
-    return out
 
 
 def reference_parse_steps(text: str):

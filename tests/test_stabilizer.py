@@ -33,7 +33,6 @@ from toric3d.paths import (
 from toric3d.stabilizer import (
     FiniteLattice,
     PauliOperator,
-    _CHUNK_ROWS,
     _are_nets,
     _check_plaquettes_in_block,
     _codes,
@@ -58,7 +57,6 @@ from toric3d.stabilizer import (
 from toric3d.transforms import energy, linking_parity, make_configuration
 from ._gen import (
     membrane_op,
-    pack_lanes,
     qubit_bits,
     random_loop,
     random_spec,
@@ -70,11 +68,11 @@ from ._gen import (
     reference_codes,
     reference_curtain_edges,
     reference_fiber_checks,
+    reference_span,
     reference_segment_steps,
     reference_syndrome_energy,
     string_op,
     support_keys,
-    unpack_lanes,
 )
 
 X, Y, Z = 0, 1, 2
@@ -276,156 +274,69 @@ def test_surface_net_checks_n1():
     assert rep.bitflip_bijection
 
 
-@pytest.fixture(scope="module")
-def nets_n1():
-    """The sorted 2^18 nets of the side-1 block, as a list, with their net
-    basis, their lane width, their interior size and interior net basis."""
+def test_fiber_checks_match_reference_on_the_block():
+    # the rank decision against the enumeration it replaced: all 2^18 nets
+    # of the side-1 block, sorted and walked one boundary run at a time
     lat = FiniteLattice(1)
     interior_basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.interior_edges))
-    basis = _kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits))
-    nets = sorted(_kernels.span(basis))
-    return nets, basis, lat.n_qubits + 1, len(lat.interior_edges), interior_basis
-
-
-def _in_lanes(nets, n_interior: int, basis, blocks: int):
-    """``_fiber_checks`` of ``nets`` packed as one chunk, then split into
-    chunks of ``blocks`` blocks each (the last one shorter when ``nets``
-    does not fill it): the two results."""
-    width = max(n_interior, max(nets, default=0).bit_length()) + 1
-    size = blocks * 2 ** len(basis)
-    return [_fiber_checks(pack_lanes(nets, width, chunk), width, n_interior, basis) for chunk in (None, size)]
-
-
-def test_fiber_checks_match_reference_on_the_block(nets_n1):
-    nets, basis, width, n_interior, interior_basis = nets_n1
+    nets = sorted(reference_span(_kernels.nullspace(_edge_rows_over_faces(lat, lat.qubits))))
     assert len(nets) == 2**18
-    expected = reference_fiber_checks(nets, n_interior, interior_basis)
+    expected = reference_fiber_checks(nets, len(lat.interior_edges), interior_basis)
     assert expected == (2**17, True, True)
-    # the list packed whole and in 1000-net chunks, and the span as
-    # ``surface_net_checks`` reads it: 64 chunks of 4096 sorted nets
-    assert _in_lanes(nets, n_interior, interior_basis, 500) == [expected, expected]
-    chunks = list(_kernels.sorted_span(basis, width, _CHUNK_ROWS))
-    assert [lanes for _, lanes in chunks] == [4096] * 64
-    assert unpack_lanes(chunks, width) == nets
-    assert _fiber_checks(chunks, width, n_interior, interior_basis) == expected
+    rep = surface_net_checks(1)
+    assert (rep.boundary_conditions, rep.fiber_sizes_equal, rep.bitflip_bijection) == expected
 
 
-def _synthetic_nets(rng: random.Random, n_interior: int, k: int):
-    """Sorted nets over ``n_interior`` low bits and a few boundary bits: a
-    coset of a random ``k``-dimensional low-bit group per boundary value."""
-    basis, group = [], [0]
+def _mixed(rng: random.Random, basis: list[int]) -> list[int]:
+    """Another basis of the same span: random row additions, shuffled."""
+    basis = list(basis)
+    for _ in range(3 * len(basis) if len(basis) > 1 else 0):
+        i, j = rng.sample(range(len(basis)), 2)
+        basis[i] ^= basis[j]
+    rng.shuffle(basis)
+    return basis
+
+
+def _independent(rng: random.Random, k: int, bits: int) -> list[int]:
+    """``k`` independent random vectors below ``2^bits``."""
+    basis, group = [], {0}
     while len(basis) < k:
-        b = rng.randrange(1, 1 << n_interior)
+        b = rng.randrange(1, 1 << bits)
         if b not in group:
             basis.append(b)
-            group += [g ^ b for g in group]
-    nets = []
-    for boundary in rng.sample(range(16), rng.randrange(1, 9)):
-        r = rng.randrange(1 << n_interior)
-        nets += [boundary << n_interior | r ^ g for g in group]
-    return sorted(nets), basis, group
-
-
-def _mutate(rng: random.Random, nets: list[int], n_interior: int, group: list[int]) -> list[int]:
-    nets = list(nets)
-    i = rng.randrange(len(nets))
-    kind = rng.randrange(5)
-    if kind == 0:
-        del nets[i]
-    elif kind == 1:
-        nets.append(nets[i])
-    elif kind == 2:
-        nets[i] ^= 1 << rng.randrange(n_interior)
-    elif kind == 3:
-        nets[i] ^= 1 << rng.randrange(n_interior, n_interior + 5)
-    else:
-        # a fiber of the wrong size on a fresh boundary value
-        size = rng.choice([s for s in (1, 2, 4, 8, 16) if s != len(group)])
-        boundary = 16 + rng.randrange(16)
-        r = rng.randrange(1 << n_interior)
-        nets += [boundary << n_interior | r ^ rng.randrange(1 << n_interior) for _ in range(size)]
-    return sorted(nets)
+            group |= {g ^ b for g in group}
+    return basis
 
 
 def test_fiber_checks_match_reference_on_synthetic_nets():
-    # fibers of 1, 2, 4 and 8 nets; each list is checked intact and with one
-    # net dropped or duplicated, a low or a high bit flipped, or an extra
-    # fiber of the wrong size; split into chunks of 1 to 3 blocks, most
-    # lists cross several seams
-    rng = random.Random(20261018)
+    # a net space N spanned by a kernel K on the low n_interior bits and rows
+    # B whose boundary parts are independent, so ker pi = span(K); it is
+    # handed over in a mixed basis.  The interior group is all of K, in
+    # another basis, or a proper subgroup of it, whose fibers are too big
+    rng = random.Random(20261022)
     verdicts = set()
-    for case in range(400):
-        n_interior = rng.randrange(3, 8)
-        k = case % 4
-        nets, basis, group = _synthetic_nets(rng, n_interior, k)
-        runs = len(set(v >> n_interior for v in nets))
-        assert _in_lanes(nets, n_interior, basis, 1 + case % 3) == [(runs, True, True)] * 2
-        assert reference_fiber_checks(nets, n_interior, basis) == (runs, True, True)
-        bad = _mutate(rng, nets, n_interior, group)
-        expected = reference_fiber_checks(bad, n_interior, basis)
-        assert _in_lanes(bad, n_interior, basis, 1 + case % 3) == [expected] * 2, (case, bad, basis)
-        verdicts.add(expected[1:])
-    # the mutations reach unequal fibers and equal fibers without a bijection
-    assert {(False, False), (True, False)} <= verdicts
-
-
-def test_fiber_checks_on_merged_fibers_and_a_short_last_block():
-    # a full-size fiber added on a boundary value the list already holds
-    # keeps every aligned block on one boundary, yet the runs are fewer than
-    # the blocks; two single nets on fresh boundary values after the list's
-    # leave a last block of fewer than ``fiber`` nets that changes boundary;
-    # the empty list has no runs and vacuously equal fibers
-    rng = random.Random(20261019)
-    for case in range(400):
-        n_interior = rng.randrange(3, 8)
-        nets, basis, group = _synthetic_nets(rng, n_interior, case % 4)
-        boundary = rng.choice(nets) >> n_interior
-        r = rng.randrange(1 << n_interior)
-        merged = sorted(nets + [boundary << n_interior | r ^ g for g in group])
-        expected = reference_fiber_checks(merged, n_interior, basis)
-        assert expected == (len(merged) // len(group) - 1, False, False)
-        assert _in_lanes(merged, n_interior, basis, 1 + case % 3) == [expected] * 2, (case, merged, basis)
-        tail = nets + [b << n_interior | rng.randrange(1 << n_interior) for b in (16, 17)]
-        expected = reference_fiber_checks(tail, n_interior, basis)
-        assert expected[0] == len(set(v >> n_interior for v in nets)) + 2
-        assert _in_lanes(tail, n_interior, basis, 1 + case % 3) == [expected] * 2, (case, tail, basis)
-    for basis in ([], [1], [1, 6]):
-        assert reference_fiber_checks([], 3, basis) == (0, True, True)
-        assert _in_lanes([], 3, basis, 1) == [(0, True, True)] * 2
-
-
-def test_sorted_span_matches_sorted_list_span():
-    # every chunking of a random independent basis reads back, lane by lane
-    # and chunk by chunk, as the sorted list span; a dependent basis is
-    # refused before any chunk is read
-    rng = random.Random(20261021)
     for case in range(300):
-        k, bits = case % 11, rng.randrange(10, 41)
-        basis, group = [], {0}
-        while len(basis) < k:
-            b = rng.randrange(1, 1 << bits)
-            if b not in group:
-                basis.append(b)
-                group |= {g ^ b for g in group}
-        width = bits + rng.randrange(1, 3)
-        expected = sorted(_kernels.span(basis))
-        for chunk_rows in range(k + 2):
-            chunks = list(_kernels.sorted_span(basis, width, chunk_rows))
-            lanes = 2 ** min(chunk_rows, k)
-            assert [n for _, n in chunks] == [lanes] * (2**k // lanes)
-            assert all(packed.bit_length() <= width * lanes for packed, _ in chunks)
-            assert unpack_lanes(chunks, width) == expected, (case, basis, chunk_rows)
-        if k:
-            for dependent in (basis + [0], basis + [basis[-1]], basis + [rng.choice(sorted(group - {0}))]):
-                rng.shuffle(dependent)
-                with pytest.raises(ValueError):
-                    _kernels.sorted_span(dependent, width, rng.randrange(k + 2))
+        n_interior, n_boundary = rng.randrange(3, 8), rng.randrange(1, 5)
+        kernel = _independent(rng, rng.randrange(min(n_interior, 5) + 1), n_interior)
+        boundary = _independent(rng, rng.randrange(n_boundary + 1), n_boundary)
+        rows = [b << n_interior | rng.randrange(1 << n_interior) for b in boundary]
+        net_basis = _mixed(rng, kernel + rows)
+        nets = sorted(reference_span(net_basis))
+        subgroups = [kernel, _mixed(rng, kernel)]
+        if kernel:
+            subgroups.append(_mixed(rng, kernel)[: rng.randrange(len(kernel))])
+        for group in subgroups:
+            expected = reference_fiber_checks(nets, n_interior, group)
+            assert _fiber_checks(net_basis, n_interior, len(group)) == expected, (case, net_basis, group)
+            assert expected[1:] == ((True, True) if len(group) == len(kernel) else (False, False))
+            verdicts.add(expected[1:])
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_surface_net_checks_n1_holds_no_list_of_nets():
-    # the 2^18 nets are read in chunks of 4096 lanes, one 16 KB int each; a
-    # list of them would hold 2 MiB of pointers alone, and the list version
-    # of the checks peaked at 10.2 MiB
+    # the fibers of the 2^18 nets are decided by rank on an 18-row basis; a
+    # list of the nets would hold 2 MiB of pointers alone, and the list
+    # version of the checks peaked at 10.2 MiB
     surface_net_checks(1)
     tracemalloc.start()
     try:
@@ -820,6 +731,26 @@ def test_are_nets_on_generators_matches_span_enumeration(n):
             planted = stars[:last] + [row]
             assert not _are_nets(planted, faces), (c, row == 1 << c)
             assert not reference_are_nets(planted, faces), (c, row == 1 << c)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gauge_supports_distinct_by_rank_matches_span_enumeration(n, monkeypatch):
+    # the star products are distinct exactly when the star rows have full
+    # rank; planted dependences: the last row zero, a repeat of the first
+    # row, or the sum of the first two
+    import toric3d.stabilizer as stabilizer
+
+    stars = FiniteLattice(n).star_matrix
+    span = reference_span(stars)
+    assert len(set(span)) == len(span) == 2 ** (n**3)
+    assert surface_net_checks(n).gauge_supports_distinct
+    last = len(stars) - 1
+    for row in [0] + ([stars[0], stars[0] ^ stars[1]] if n > 1 else []):
+        planted = stars[:last] + [row]
+        span = reference_span(planted)
+        assert len(set(span)) < len(span)
+        monkeypatch.setattr(stabilizer.FiniteLattice, "star_matrix", planted)
+        assert not surface_net_checks(n).gauge_supports_distinct, row
 
 
 def _random_dual_walk(rng, lo: int, hi: int):

@@ -223,7 +223,6 @@ def test_lift_shortened_projection():
     lifted = lift(p, rr)
     assert lifted.steps == ((X, 1),)
     assert lifted.start == p.start and lifted.vertices[-1] == p.vertices[-1]
-    assert path_equivalent is not None
 
 
 def test_lift_endpoint_mismatch():
@@ -245,7 +244,6 @@ def test_lift_valid_on_straightening_pipeline(rng):
         steps = spec.realize_steps(0, len(spec.core) - 1) if spec.core else ()
         if not steps:
             continue
-        signs = {}
         mono_axes = set()
         for a in (X, Y, Z):
             ss = {s for ax, s in steps if ax == a}
@@ -261,8 +259,6 @@ def test_lift_valid_on_straightening_pipeline(rng):
         pr = project(p, nu)
         end = pr.start
         for d in pr.steps:
-            from toric3d.lattice import add, direction_vector
-
             end = add(end, direction_vector(d))
         rr = Projection(pr.start, monotone_staircase(pr.start, end), nu, pr.dropped)
         lifted = lift(p, rr)
